@@ -30,10 +30,11 @@ from .dynamics import (
     white_noise_family,
 )
 from .montecarlo import MCConfig, analytic_trajectory, run as mc_run
-from .noisemodels import BinaryNoiseModel, noise_from_config
+from .noisemodels import noise_from_config
 from .recurrence import (
     COEFF_NAMES,
     BellDiagonalState,
+    EnsembleAnnihilated,
     embed,
     generate_map,
     ideal_quadratic_map,
@@ -100,15 +101,31 @@ def _coerce(v):
     return v
 
 
-def _write_manifest(out_dir: Path, subcommand: str, params: dict, outputs: list[str]) -> None:
+def _write_outputs(args, header: list[str] | None, rows, **resolved) -> None:
+    """Write the subcommand's table and the manifest that replays it.
+
+    With a header, ``rows`` go to ``<command>.<format>``; without one,
+    ``rows`` is a payload written as ``<command>.json``.  The manifest
+    records every parsed flag; ``resolved`` replaces flags left unset with
+    the values taken from the config file.
+    """
+    out = Path(args.out)
+    if header is None:
+        table = out / f"{args.command}.json"
+        table.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
+    else:
+        table = out / f"{args.command}.{args.format}"
+        _write_table(table, header, rows, args.format)
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    params.update(resolved)
     manifest = {
-        "subcommand": subcommand,
+        "subcommand": args.command,
         "params": {k: _coerce(v) for k, v in params.items()},
         "seed": params.get("seed"),
         "version": __version__,
-        "outputs": outputs,
+        "outputs": [table.name],
     }
-    path = out_dir / f"{subcommand}.manifest.json"
+    path = out / f"{args.command}.manifest.json"
     path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
 
 
@@ -117,8 +134,6 @@ def replay_manifest(path: str | Path) -> int:
     manifest = json.loads(Path(path).read_text())
     argv = [manifest["subcommand"]]
     for key, value in manifest["params"].items():
-        if key == "out":
-            continue
         if value is None:
             continue
         if isinstance(value, bool):
@@ -167,12 +182,19 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
     return BellDiagonalState.werner(0.85)
 
 
+def _resolve_run(args):
+    """Config, noise model and start state of a noise-driven subcommand."""
+    cfg = _load_config(args.config)
+    noise = _resolve_noise(args, cfg)
+    if noise == "ideal" and args.command != "iterate":
+        raise ConfigError(f"{args.command} needs a noise model (model=ideal is for iterate only)")
+    return cfg, noise, _resolve_start(args, cfg)
+
+
 # --- subcommands -------------------------------------------------------------
 
 def _cmd_iterate(args) -> int:
-    cfg = _load_config(args.config)
-    noise = _resolve_noise(args, cfg)
-    start = _resolve_start(args, cfg)
+    cfg, noise, start = _resolve_run(args)
     steps = args.steps if args.steps is not None else int(cfg.get("steps", "20"))
     rows = []
     if noise == "ideal":
@@ -186,47 +208,20 @@ def _cmd_iterate(args) -> int:
             state = embed(plain)
             rows.append([n, state.fidelity, state.conditional_fidelity, keep, *state.flat])
     else:
-        qmap = generate_map(noise.embed() if isinstance(noise, BinaryNoiseModel) else noise)
+        qmap = generate_map(noise)
         state = embed(start)
         rows.append([0, state.fidelity, state.conditional_fidelity, 1.0, *state.flat])
         for n in range(1, steps + 1):
             state, keep = step(state, qmap)
             rows.append([n, state.fidelity, state.conditional_fidelity, keep, *state.flat])
-    out = Path(args.out)
-    table = out / f"iterate.{args.format}"
-    _write_table(table, ITERATE_HEADER, rows, args.format)
-    _write_manifest(
-        out,
-        "iterate",
-        {
-            "config": args.config,
-            "model": getattr(args, "model", None),
-            "f0": args.f0,
-            "p1": args.p1,
-            "p2": args.p2,
-            "both_labs": args.both_labs,
-            "f00": args.f00,
-            "f01": args.f01,
-            "f10": args.f10,
-            "f11": args.f11,
-            "werner": args.werner,
-            "steps": steps,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, ITERATE_HEADER, rows, steps=steps)
     return 0
 
 
 def _cmd_fixpoint(args) -> int:
-    cfg = _load_config(args.config)
-    noise = _resolve_noise(args, cfg)
-    if noise == "ideal":
-        raise ConfigError("fixpoint needs a noise model (use iterate for the ideal map)")
-    start = _resolve_start(args, cfg)
+    _, noise, start = _resolve_run(args)
     max_iter = args.max_iter if args.max_iter is not None else 100_000
-    qmap = generate_map(noise.embed() if isinstance(noise, BinaryNoiseModel) else noise)
+    qmap = generate_map(noise)
     result = iterate_to_fixpoint(embed(start), qmap, tol=args.tol, max_iter=max_iter)
     regime = classify_regime(qmap, s0=embed(start), tol=args.tol, max_iter=max_iter)
     payload = {
@@ -239,31 +234,7 @@ def _cmd_fixpoint(args) -> int:
         "regime": regime.value,
         "state": result.state.named_coeffs(),
     }
-    out = Path(args.out)
-    table = out / "fixpoint.json"
-    table.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out,
-        "fixpoint",
-        {
-            "config": args.config,
-            "model": getattr(args, "model", None),
-            "f0": args.f0,
-            "p1": args.p1,
-            "p2": args.p2,
-            "both_labs": args.both_labs,
-            "f00": args.f00,
-            "f01": args.f01,
-            "f10": args.f10,
-            "f11": args.f11,
-            "werner": args.werner,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, None, payload)
     return 0 if result.converged else 1
 
 
@@ -292,23 +263,7 @@ def _cmd_critical(args) -> int:
         "bracket_achieved": [value - width / 2.0, value + width / 2.0],
         "halvings": args.halvings,
     }
-    out = Path(args.out)
-    table = out / "critical.json"
-    table.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    _write_manifest(
-        out,
-        "critical",
-        {
-            "family": args.family,
-            "bracket": [lo, hi],
-            "halvings": args.halvings,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, None, payload)
     return 0
 
 
@@ -327,63 +282,19 @@ def _cmd_scan(args) -> int:
                 freq[Regime.SECURITY],
             ]
         )
-    out = Path(args.out)
-    table = out / f"scan.{args.format}"
-    _write_table(table, SCAN_HEADER, rows, args.format)
-    _write_manifest(
-        out,
-        "scan",
-        {
-            "f00_min": args.f00_min,
-            "f00_max": args.f00_max,
-            "points": args.points,
-            "samples": args.samples,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, SCAN_HEADER, rows)
     return 0
 
 
 def _cmd_mc(args) -> int:
-    cfg = _load_config(args.config)
-    noise = _resolve_noise(args, cfg)
-    if noise == "ideal":
-        raise ConfigError("mc needs a noise model")
-    start = _resolve_start(args, cfg)
+    cfg, noise, start = _resolve_run(args)
     pairs = args.pairs if args.pairs is not None else int(cfg.get("pairs", "100000"))
     rounds = args.rounds if args.rounds is not None else int(cfg.get("rounds", "8"))
     stats = mc_run(MCConfig(pairs, start, noise, rounds, args.seed))
     rows = [
         [s.round, s.pairs_remaining, s.f_hat, s.f_cond_hat, *s.cells.tolist()] for s in stats
     ]
-    out = Path(args.out)
-    table = out / f"mc.{args.format}"
-    _write_table(table, MC_HEADER, rows, args.format)
-    _write_manifest(
-        out,
-        "mc",
-        {
-            "config": args.config,
-            "model": getattr(args, "model", None),
-            "f0": args.f0,
-            "p1": args.p1,
-            "p2": args.p2,
-            "both_labs": args.both_labs,
-            "f00": args.f00,
-            "f01": args.f01,
-            "f10": args.f10,
-            "f11": args.f11,
-            "werner": args.werner,
-            "pairs": pairs,
-            "rounds": rounds,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, MC_HEADER, rows, pairs=pairs, rounds=rounds)
     return 0
 
 
@@ -414,33 +325,12 @@ def _cmd_curve(args) -> int:
                 regime.value,
             ]
         )
-    out = Path(args.out)
-    table = out / f"curve.{args.format}"
-    _write_table(table, CURVE_HEADER, rows, args.format)
-    _write_manifest(
-        out,
-        "curve",
-        {
-            "family": args.family,
-            "f0_min": args.f0_min,
-            "f0_max": args.f0_max,
-            "points": args.points,
-            "tol": args.tol,
-            "max_iter": args.max_iter,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, CURVE_HEADER, rows)
     return 0 if all_converged else 1
 
 
 def _cmd_resources(args) -> int:
-    cfg = _load_config(args.config)
-    noise = _resolve_noise(args, cfg)
-    if noise == "ideal":
-        raise ConfigError("resources needs a noise model")
-    start = _resolve_start(args, cfg)
+    _, noise, start = _resolve_run(args)
     traj = analytic_trajectory(noise, start, args.rounds)
     rows = []
     cost = 1.0
@@ -450,32 +340,7 @@ def _cmd_resources(args) -> int:
         eps = 1.0 - state.conditional_fidelity
         if args.eps_min <= eps <= args.eps_max:
             rows.append([r, eps, int(np.ceil(cost))])
-    out = Path(args.out)
-    table = out / f"resources.{args.format}"
-    _write_table(table, RESOURCES_HEADER, rows, args.format)
-    _write_manifest(
-        out,
-        "resources",
-        {
-            "config": args.config,
-            "model": getattr(args, "model", None),
-            "f0": args.f0,
-            "p1": args.p1,
-            "p2": args.p2,
-            "both_labs": args.both_labs,
-            "f00": args.f00,
-            "f01": args.f01,
-            "f10": args.f10,
-            "f11": args.f11,
-            "werner": args.werner,
-            "rounds": args.rounds,
-            "eps_min": args.eps_min,
-            "eps_max": args.eps_max,
-            "seed": args.seed,
-            "format": args.format,
-        },
-        [table.name],
-    )
+    _write_outputs(args, RESOURCES_HEADER, rows)
     return 0
 
 
@@ -578,10 +443,7 @@ def main(argv: list[str] | None = None) -> int:
     out.mkdir(parents=True, exist_ok=True)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except ValueError as exc:
+    except (ValueError, EnsembleAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -24,7 +24,6 @@ from enum import Enum
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import curve_fit
 
 from .noisemodels import BinaryNoiseModel, NoiseModel, one_qubit_white, product
 from .recurrence import (
@@ -395,12 +394,11 @@ def purification_curve(
     reading off (F_cond before, F_cond after) gives segment n.  Segments join
     continuously because the line's endpoints are one step apart.
     """
+    qmap = _as_quadratic_map(noise)
     if isinstance(noise, BinaryNoiseModel):
-        qmap = binary_quadratic_map(noise)
         x0 = np.array([0.6, 0.0, 0.4, 0.0]) if start is None else start.as_array
         cond = lambda v: v[0] + v[3]
     else:
-        qmap = _as_quadratic_map(noise)
         if start is None:
             start = embed(BellDiagonalState.werner(PROBE_FIDELITY))
         x0 = start.flat
@@ -424,25 +422,43 @@ def purification_curve(
 def fit_intermediate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """Least-squares fit of c0 + c1 * sqrt(f0 - x0) to (f0, F_cond) samples.
 
-    Returns (offset c0, scale c1, onset x0).
+    Variable projection: for a fixed onset x0 <= min f0 the model is linear,
+    so (c0, c1 >= 0) come from linear least squares, and x0 minimizes the
+    remaining residual over [min f0 - 10 * span, min f0] by a 201-point grid
+    search refined by golden-section search.  Returns (offset c0, scale c1,
+    onset x0).
     """
     pts = np.asarray(points, dtype=float)
     if pts.ndim != 2 or pts.shape[0] < 5:
         raise ValueError("need at least 5 (f0, F_cond) points")
+    if not np.isfinite(pts).all():
+        raise ValueError("(f0, F_cond) points must be finite")
     x, y = pts[:, 0], pts[:, 1]
 
-    def model(f0, c0, c1, x0):
-        return c0 + c1 * np.sqrt(np.clip(f0 - x0, 0.0, None))
+    def linear_fit(x0):
+        s = np.sqrt(np.clip(x - x0, 0.0, None))
+        (c0, c1), *_ = np.linalg.lstsq(np.column_stack([np.ones_like(s), s]), y, rcond=None)
+        if c1 < 0.0:
+            c0, c1 = y.mean(), 0.0
+        r = y - c0 - c1 * s
+        return float(r @ r), float(c0), float(c1)
 
-    try:
-        popt, _ = curve_fit(
-            model,
-            x,
-            y,
-            p0=(y.min(), 1.0, x.min() - 1e-3),
-            bounds=([-np.inf, 0.0, -np.inf], [np.inf, np.inf, x.min()]),
-            maxfev=20_000,
-        )
-    except RuntimeError as exc:
-        raise ValueError(f"square-root fit did not converge: {exc}") from exc
-    return float(popt[0]), float(popt[1]), float(popt[2])
+    hi = x.min()
+    grid = np.linspace(hi - 10.0 * (x.max() - hi), hi, 201)
+    k = int(np.argmin([linear_fit(x0)[0] for x0 in grid]))
+    a, b = grid[max(k - 1, 0)], grid[min(k + 1, grid.size - 1)]
+    ratio = (np.sqrt(5.0) - 1.0) / 2.0
+    c, d = b - ratio * (b - a), a + ratio * (b - a)
+    fc, fd = linear_fit(c)[0], linear_fit(d)[0]
+    for _ in range(80):  # shrinks the bracket by 0.618**80 ~ 2e-17
+        if fc <= fd:
+            b, d, fd = d, c, fc
+            c = b - ratio * (b - a)
+            fc = linear_fit(c)[0]
+        else:
+            a, c, fc = c, d, fd
+            d = a + ratio * (b - a)
+            fd = linear_fit(d)[0]
+    x0 = c if fc <= fd else d
+    _, c0, c1 = linear_fit(x0)
+    return c0, c1, float(x0)

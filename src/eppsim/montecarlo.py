@@ -196,7 +196,7 @@ def resources(
     """
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps = {target_eps} outside (0, 1)")
-    qmap = generate_map(noise.embed() if isinstance(noise, BinaryNoiseModel) else noise)
+    qmap = generate_map(noise)
     state: FlaggedEnsembleState = embed(initial)
     cost = 1.0
     for r in range(1, max_rounds + 1):
@@ -215,7 +215,7 @@ def analytic_trajectory(
 ) -> list[tuple[FlaggedEnsembleState, float]]:
     """Recurrence prediction matching a Monte Carlo run: (state, keep prob)
     per round, entry 0 being the initial state with keep probability 1."""
-    qmap = generate_map(noise.embed() if isinstance(noise, BinaryNoiseModel) else noise)
+    qmap = generate_map(noise)
     state = embed(initial)
     out = [(state, 1.0)]
     for _ in range(rounds):

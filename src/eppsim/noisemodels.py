@@ -25,6 +25,10 @@ _NEG_TOL = 1e-15
 
 def _validated_vector(vec: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
     vec = np.asarray(vec, dtype=float)
+    bad = ~np.isfinite(vec)
+    if bad.any():
+        k = int(bad.argmax())
+        raise ValueError(f"non-finite channel weight {labels[k]} = {vec[k]}")
     lo = vec.min()
     if lo < -_NEG_TOL:
         raise ValueError(f"negative channel weight {labels[int(vec.argmin())]} = {lo}")

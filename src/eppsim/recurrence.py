@@ -102,7 +102,6 @@ _OUT, _SRC, _TGT, _MU, _NU = _kept_route_arrays()
 # Variables (A0, A1, B0, B1) live at cells (Phi+, 00), (Phi+, 01),
 # (Psi+, 00), (Psi+, 01).
 _BINARY_CELLS = (0, 1, 4, 5)
-_BINARY_VAR = {c: v for v, c in enumerate(_BINARY_CELLS)}
 
 
 @dataclass(frozen=True)
@@ -144,8 +143,13 @@ class QuadraticMap:
         return cls(m=m, names=names)
 
 
-def generate_map(noise: NoiseModel) -> QuadraticMap:
-    """Derive the 16-variable step matrices for a noise channel."""
+def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
+    """Derive the 16-variable step matrices for a noise channel.
+
+    A binary channel is embedded into the full Pauli table first.
+    """
+    if isinstance(noise, BinaryNoiseModel):
+        noise = noise.embed()
     m = np.zeros((16, 16, 16))
     np.add.at(m, (_OUT, _SRC, _TGT), noise.f[_MU, _NU])
     m = 0.5 * (m + m.transpose(0, 2, 1))
@@ -154,18 +158,8 @@ def generate_map(noise: NoiseModel) -> QuadraticMap:
 
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
     """The step matrices restricted to the closed binary sub-family."""
-    fb = np.array([[noise.f00, noise.f01], [noise.f10, noise.f11]])
-    m = np.zeros((4, 4, 4))
-    for src, tgt, mu, nu, out in routed_terms():
-        if mu > 1 or nu > 1 or src not in _BINARY_VAR or tgt not in _BINARY_VAR:
-            continue
-        if out is None:
-            continue
-        if out not in _BINARY_VAR:
-            raise AssertionError("binary sub-family is not closed")
-        m[_BINARY_VAR[out], _BINARY_VAR[src], _BINARY_VAR[tgt]] += fb[mu, nu]
-    m = 0.5 * (m + m.transpose(0, 2, 1))
-    return QuadraticMap(m=m, names=BINARY_NAMES)
+    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
+    return QuadraticMap(m=generate_map(noise).m[cells], names=BINARY_NAMES)
 
 
 def ideal_quadratic_map() -> QuadraticMap:
@@ -183,6 +177,8 @@ def ideal_quadratic_map() -> QuadraticMap:
 
 def _clean_weights(w: np.ndarray, sum_tol: float) -> np.ndarray:
     w = np.asarray(w, dtype=float)
+    if not np.isfinite(w).all():
+        raise ValueError(f"non-finite weight in {w.ravel().tolist()}")
     if w.min() < -1e-12:
         raise ValueError(f"negative weight {w.min()}")
     w = np.clip(w, 0.0, None)

@@ -83,6 +83,36 @@ def test_missing_noise_model_is_config_error(tmp_path):
     assert main(["iterate", "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("command", ["fixpoint", "mc", "resources"])
+def test_ideal_model_needs_iterate(tmp_path, command):
+    assert main([command, "--model", "ideal", "--out", str(tmp_path)]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_non_finite_input_is_usage_error(tmp_path, capsys):
+    rc = main(["iterate", "--model", "white", "--f0", "0.9", "--werner", "nan",
+               "--out", str(tmp_path)])
+    assert rc == 2
+    assert "error: non-finite" in capsys.readouterr().err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_annihilated_ensemble_is_usage_error(tmp_path, capsys):
+    # every couple suffers X on the target qubit, so a pure Phi+ ensemble
+    # fails the parity check with certainty
+    weights = {f"f.{mu}{nu}": "0" for mu in ("00", "01", "10", "11")
+               for nu in ("00", "01", "10", "11")}
+    weights["f.0001"] = "1"
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=general\n" + "".join(f"{k}={v}\n" for k, v in weights.items()))
+    out = tmp_path / "out"
+    rc = main(["iterate", "--config", str(cfgfile), "--werner", "1", "--steps", "2",
+               "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: keep probability")
+    assert list(out.iterdir()) == []
+
+
 def test_fixpoint_json(tmp_path):
     rc = main(["fixpoint", "--model", "p1p2", "--p1", "0.96", "--p2", "0.968",
                "--out", str(tmp_path)])
@@ -158,13 +188,55 @@ def test_mc_deterministic_and_replayable(tmp_path):
     counts = [int(x) for x in rows[0][4:]]
     assert sum(counts) == 20000
 
-    # byte-identical replay from the manifest
-    replay_dir = tmp_path / "replay"
+    assert_replays_identically(one, "mc", tmp_path / "replay")
+
+
+def assert_replays_identically(run_dir, command, replay_dir):
+    """Replaying the run's manifest elsewhere reproduces its outputs byte for byte."""
     replay_dir.mkdir()
-    manifest = json.loads((one / "mc.manifest.json").read_text())
-    (replay_dir / "mc.manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-    assert replay_manifest(replay_dir / "mc.manifest.json") == 0
-    assert (replay_dir / "mc.csv").read_bytes() == (one / "mc.csv").read_bytes()
+    manifest = json.loads((run_dir / f"{command}.manifest.json").read_text())
+    assert manifest["subcommand"] == command
+    (replay_dir / f"{command}.manifest.json").write_text(
+        json.dumps(manifest, indent=2, sort_keys=True) + "\n"
+    )
+    assert replay_manifest(replay_dir / f"{command}.manifest.json") == 0
+    for name in manifest["outputs"]:
+        assert (replay_dir / name).read_bytes() == (run_dir / name).read_bytes()
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["iterate", "--model", "p1p2", "--p1", "0.96", "--p2", "0.968", "--both-labs",
+         "--werner", "0.85", "--steps", "5"],
+        ["fixpoint", "--model", "binary", "--f0", "0.9", "--werner", "0.8"],
+        ["critical", "--family", "white-noise", "--halvings", "8",
+         "--bracket", "0.88", "0.92"],
+        ["scan", "--f00-min", "0.7", "--f00-max", "0.9", "--points", "2",
+         "--samples", "4", "--seed", "3"],
+        ["mc", "--model", "white", "--f0", "0.95", "--pairs", "2000", "--rounds", "3",
+         "--seed", "2", "--format", "json"],
+        ["curve", "--family", "binary-uncorrelated", "--f0-min", "0.8", "--f0-max", "0.9",
+         "--points", "3"],
+        ["resources", "--model", "p1p2", "--p1", "0.9733", "--p2", "0.9786",
+         "--rounds", "12"],
+    ],
+    ids=lambda args: args[0],
+)
+def test_every_subcommand_replays_byte_identically(tmp_path, args):
+    run_dir = tmp_path / "run"
+    assert main(args + ["--out", str(run_dir)]) == 0
+    assert_replays_identically(run_dir, args[0], tmp_path / "replay")
+
+
+def test_manifest_records_config_resolved_values(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\npairs=3000\nrounds=2\n")
+    assert main(["mc", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / "mc.manifest.json").read_text())["params"]
+    assert (params["pairs"], params["rounds"]) == (3000, 2)
+    assert params["config"] == str(cfgfile)
+    assert not {"command", "func", "out"} & set(params)
 
 
 def test_mc_json_format(tmp_path):

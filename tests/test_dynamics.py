@@ -1,8 +1,13 @@
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import eppsim
 from eppsim.dynamics import (
     Regime,
     binary_family,
@@ -372,6 +377,20 @@ def test_fit_on_computed_intermediate_fixpoints():
 def test_fit_needs_five_points():
     with pytest.raises(ValueError, match="at least 5"):
         fit_intermediate([(0.76, 0.8), (0.77, 0.9)])
+
+
+def test_fit_rejects_non_finite_points():
+    pts = [(0.76 + 0.001 * k, 0.8) for k in range(5)]
+    pts[2] = (0.762, float("nan"))
+    with pytest.raises(ValueError, match="finite"):
+        fit_intermediate(pts)
+
+
+def test_import_does_not_load_scipy():
+    src = Path(eppsim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    code = "import eppsim, sys; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
 
 
 # --- convergence slowdown near criticality --------------------------------------------

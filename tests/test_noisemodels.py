@@ -56,6 +56,17 @@ def test_general_rejects_bad_normalization():
         general(IDENTITY_TABLE * 0.9)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [lambda v: general(np.r_[v, np.full(15, 1 / 15)]), lambda v: BinaryNoiseModel(v, 0.5, 0.5, 0)],
+    ids=["general", "BinaryNoiseModel"],
+)
+def test_non_finite_channel_weights_rejected(build, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)
+
+
 def test_product_marginals():
     rng = np.random.default_rng(1)
     fa = rng.dirichlet(np.ones(4))

@@ -306,6 +306,20 @@ def test_state_validation():
         BinaryFlaggedState(0.5, 0.5, 0.5, 0.5)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda v: BellDiagonalState(np.array([v, 0.5, 0.5, 0.0])),
+        lambda v: FlaggedEnsembleState(np.r_[v, np.full(15, 1 / 15)].reshape(4, 4)),
+    ],
+    ids=["BellDiagonalState", "FlaggedEnsembleState"],
+)
+def test_non_finite_state_weights_rejected(build, bad):
+    with pytest.raises(ValueError, match="non-finite"):
+        build(bad)
+
+
 def test_named_coeffs_and_json_roundtrip():
     rng = np.random.default_rng(16)
     s = FlaggedEnsembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
