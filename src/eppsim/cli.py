@@ -23,9 +23,9 @@ from . import __version__
 from .dynamics import (
     Regime,
     binary_family,
-    classify_regime,
     find_critical,
     iterate_to_fixpoint,
+    regime_of,
     regime_scan,
     white_noise_family,
 )
@@ -81,10 +81,16 @@ def _fmt(x) -> str:
     return str(x)
 
 
+def _json_text(obj) -> str:
+    """Indented, key-sorted JSON; NaN or infinity raises ValueError, since it
+    is not valid JSON."""
+    return json.dumps(obj, indent=2, sort_keys=True, allow_nan=False) + "\n"
+
+
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
     if fmt == "json":
         records = [dict(zip(header, [_coerce(v) for v in row])) for row in rows]
-        path.write_text(json.dumps(records, indent=2, sort_keys=True) + "\n")
+        path.write_text(_json_text(records))
         return
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
@@ -107,26 +113,27 @@ def _write_outputs(args, header: list[str] | None, rows, **resolved) -> None:
     With a header, ``rows`` go to ``<command>.<format>``; without one,
     ``rows`` is a payload written as ``<command>.json``.  The manifest
     records every parsed flag; ``resolved`` replaces flags left unset with
-    the values taken from the config file.
+    the values taken from the config file.  Every JSON text is made before
+    its file is written, so a value JSON cannot hold writes no file.
     """
     out = Path(args.out)
-    if header is None:
-        table = out / f"{args.command}.json"
-        table.write_text(json.dumps(rows, indent=2, sort_keys=True) + "\n")
-    else:
-        table = out / f"{args.command}.{args.format}"
-        _write_table(table, header, rows, args.format)
+    table = out / f"{args.command}.{'json' if header is None else args.format}"
     params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
     params.update(resolved)
-    manifest = {
-        "subcommand": args.command,
-        "params": {k: _coerce(v) for k, v in params.items()},
-        "seed": params.get("seed"),
-        "version": __version__,
-        "outputs": [table.name],
-    }
-    path = out / f"{args.command}.manifest.json"
-    path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    manifest = _json_text(
+        {
+            "subcommand": args.command,
+            "params": {k: _coerce(v) for k, v in params.items()},
+            "seed": params.get("seed"),
+            "version": __version__,
+            "outputs": [table.name],
+        }
+    )
+    if header is None:
+        table.write_text(_json_text(rows))
+    else:
+        _write_table(table, header, rows, args.format)
+    (out / f"{args.command}.manifest.json").write_text(manifest)
 
 
 def replay_manifest(path: str | Path) -> int:
@@ -223,7 +230,9 @@ def _cmd_fixpoint(args) -> int:
     max_iter = args.max_iter if args.max_iter is not None else 100_000
     qmap = generate_map(noise)
     result = iterate_to_fixpoint(embed(start), qmap, tol=args.tol, max_iter=max_iter)
-    regime = classify_regime(qmap, s0=embed(start), tol=args.tol, max_iter=max_iter)
+    if result.failure is not None:
+        raise EnsembleAnnihilated(result.failure)
+    regime = regime_of(result)
     payload = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -272,7 +281,7 @@ def _cmd_scan(args) -> int:
     max_iter = args.max_iter if args.max_iter is not None else 30_000
     rows = []
     for f00 in grid:
-        freq = regime_scan(float(f00), args.samples, args.seed, max_iter=max_iter)
+        freq = regime_scan(float(f00), args.samples, args.seed, tol=args.tol, max_iter=max_iter)
         rows.append(
             [
                 float(f00),
@@ -300,8 +309,6 @@ def _cmd_mc(args) -> int:
 
 def _cmd_curve(args) -> int:
     """Family sweep: fixpoint observables and convergence cost per parameter."""
-    import warnings
-
     if args.family not in _FAMILIES:
         raise ConfigError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
     family = _FAMILIES[args.family]
@@ -313,16 +320,13 @@ def _cmd_curve(args) -> int:
         noise_or_map, start = family(float(f0))
         result = iterate_to_fixpoint(start, noise_or_map, tol=args.tol, max_iter=max_iter)
         all_converged &= result.converged
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            regime = classify_regime(noise_or_map, s0=start, tol=args.tol, max_iter=max_iter)
         rows.append(
             [
                 float(f0),
                 result.fidelity,
                 result.conditional_fidelity,
                 result.iterations,
-                regime.value,
+                regime_of(result).value,
             ]
         )
     _write_outputs(args, CURVE_HEADER, rows)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .noisemodels import BinaryNoiseModel, NoiseModel, one_qubit_white, product
 from .recurrence import (
+    ANNIHILATION_EPS,
     BellDiagonalState,
     BinaryFlaggedState,
     EnsembleAnnihilated,
@@ -43,6 +44,10 @@ DEFAULT_MAX_ITER = 100_000
 
 #: Probe ensemble for classification and critical searches.
 PROBE_FIDELITY = 0.85
+#: The probe as a flagged Werner state and as a binary state.  States are
+#: immutable, so every caller can share these.
+_WERNER_PROBE = embed(BellDiagonalState.werner(PROBE_FIDELITY))
+_BINARY_PROBE = BinaryFlaggedState(PROBE_FIDELITY, 0.0, 1.0 - PROBE_FIDELITY, 0.0)
 
 #: Fuzz on the regime thresholds: boundary fixpoints are approached from
 #: above at finite tol.
@@ -83,20 +88,42 @@ def _as_quadratic_map(noise_or_map) -> QuadraticMap:
 
 
 def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
+    """Iterate the normalized step from ``a``, which is overwritten.
+
+    Each step is a' = (M (a x a)) / N with N = sum(M (a x a)), and the
+    residual is max |a' - a|.  The outer product, the image, the next state
+    and the difference live in buffers allocated once per call, and the two
+    state buffers swap roles each step, so a step allocates nothing; the
+    arithmetic is that of ``QuadraticMap.apply``, operation for operation.
+    """
     m2 = qmap._m2
+    n = a.shape[0]
+    sq = np.empty((n, n))
+    flat = sq.reshape(-1)
+    q = np.empty(n)
+    diff = np.empty(n)
+    cur, nxt = a, np.empty(n)
+    cur_col, nxt_col = cur[:, None], nxt[:, None]  # column views for the outer product
+    multiply, matmul, divide, subtract, absolute = (
+        np.multiply, np.matmul, np.divide, np.subtract, np.absolute
+    )
+    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
     iterations = 0
     residual = np.inf
     for iterations in range(1, max_iter + 1):
-        q = m2 @ np.multiply.outer(a, a).ravel()
-        keep = q.sum()
-        if keep <= 1e-15:
+        multiply(cur_col, cur, out=sq)
+        matmul(m2, flat, out=q)
+        keep = add_reduce(q)
+        if keep <= ANNIHILATION_EPS:
             raise EnsembleAnnihilated(f"keep probability {keep} at iteration {iterations}")
-        nxt = q / keep
-        residual = float(np.max(np.abs(nxt - a)))
-        a = nxt
+        divide(q, keep, out=nxt)
+        subtract(nxt, cur, out=diff)
+        absolute(diff, out=diff)
+        residual = max_reduce(diff)
+        cur, nxt, cur_col, nxt_col = nxt, cur, nxt_col, cur_col
         if residual <= tol:
-            return a, iterations, True, residual
-    return a, iterations, False, residual
+            return cur, iterations, True, float(residual)
+    return cur, iterations, False, float(residual)
 
 
 def _iterate_binary(s: BinaryFlaggedState, noise: BinaryNoiseModel, tol, max_iter):
@@ -123,8 +150,11 @@ def iterate_to_fixpoint(
 
     Accepts a flagged 16-variable state with a matching map or noise model, a
     binary state with a binary noise model, or a plain Bell-diagonal state
-    with the 4-variable ideal map.  Annihilation of the ensemble is reported
-    as non-convergence with a cause.
+    with the 4-variable ideal map.  A binary state with a binary noise model
+    runs the scalar closed-form loop; every other pair runs the array loop
+    of ``QuadraticMap`` steps.  ``s0`` is left unchanged.  Annihilation of
+    the ensemble is reported as non-convergence with a cause, zero
+    iterations and an infinite residual.
     """
     if isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel):
         try:
@@ -202,9 +232,7 @@ def spectral_radius(m: np.ndarray) -> float:
 
 def binary_family(f0: float) -> tuple[BinaryNoiseModel, BinaryFlaggedState]:
     """Uncorrelated spin-flip noise of strength 1 - f0, with the standard probe."""
-    return BinaryNoiseModel.uncorrelated(f0), BinaryFlaggedState(
-        PROBE_FIDELITY, 0.0, 1.0 - PROBE_FIDELITY, 0.0
-    )
+    return BinaryNoiseModel.uncorrelated(f0), _BINARY_PROBE
 
 
 _WHITE_MAP_CACHE: dict[float, QuadraticMap] = {}
@@ -219,7 +247,7 @@ def white_noise_family(f0: float) -> tuple[QuadraticMap, FlaggedEnsembleState]:
         if len(_WHITE_MAP_CACHE) > 256:
             _WHITE_MAP_CACHE.clear()
         _WHITE_MAP_CACHE[f0] = qmap
-    return qmap, embed(BellDiagonalState.werner(PROBE_FIDELITY))
+    return qmap, _WERNER_PROBE
 
 
 def _flag_diagonal(state):
@@ -290,7 +318,7 @@ def find_critical(
         )
     for (param, noise_or_map, start), secure in zip(ends, (sec_lo, sec_hi)):
         result = iterate_to_fixpoint(start, noise_or_map, tol=tol, max_iter=max_iter)
-        regime = _regime_of(result)
+        regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
             raise ValueError(
                 f"basin check at {param}: the start state ends in the {regime.value} "
@@ -331,16 +359,15 @@ def classify_regime(
             RuntimeWarning,
             stacklevel=2,
         )
-    return _regime_of(result)
+    return regime_of(result)
 
 
 def _probe_state(noise):
-    if isinstance(noise, BinaryNoiseModel):
-        return BinaryFlaggedState(PROBE_FIDELITY, 0.0, 1.0 - PROBE_FIDELITY, 0.0)
-    return embed(BellDiagonalState.werner(PROBE_FIDELITY))
+    return _BINARY_PROBE if isinstance(noise, BinaryNoiseModel) else _WERNER_PROBE
 
 
-def _regime_of(result: FixpointResult) -> Regime:
+def regime_of(result: FixpointResult) -> Regime:
+    """The regime a fixpoint result shows, by the rule of ``classify_regime``."""
     if not result.converged:
         if result.failure is None and result.fidelity <= 0.5 + REGIME_FUZZ:
             return Regime.HIGH_NOISE

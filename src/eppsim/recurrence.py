@@ -90,13 +90,19 @@ def routed_terms() -> Iterator[tuple[int, int, int, int, int | None]]:
                             yield src_cell, tgt_cell, mu, nu, cell_index(out_s, out_flag)
 
 
-def _kept_route_arrays() -> tuple[np.ndarray, ...]:
-    rows = [(o, s, t, m, n) for s, t, m, n, o in routed_terms() if o is not None]
-    out, src, tgt, mu, nu = (np.array(col, dtype=np.intp) for col in zip(*rows))
-    return out, src, tgt, mu, nu
+def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices of the kept routes: the (output, source, target) cell of
+    a 16 x 16 x 16 table, and the (mu, nu) entry of the 4 x 4 Pauli table."""
+    rows = [
+        ((o * 16 + s) * 16 + t, 4 * m + n)
+        for s, t, m, n, o in routed_terms()
+        if o is not None
+    ]
+    cell, pauli = (np.array(col, dtype=np.intp) for col in zip(*rows))
+    return cell, pauli
 
 
-_OUT, _SRC, _TGT, _MU, _NU = _kept_route_arrays()
+_ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 
 # Binary sub-family: Bell states {Phi+, Psi+} with a one-bit (amplitude) flag.
 # Variables (A0, A1, B0, B1) live at cells (Phi+, 00), (Phi+, 01),
@@ -150,8 +156,9 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
     """
     if isinstance(noise, BinaryNoiseModel):
         noise = noise.embed()
-    m = np.zeros((16, 16, 16))
-    np.add.at(m, (_OUT, _SRC, _TGT), noise.f[_MU, _NU])
+    # bincount adds the routes in index order, as np.add.at would
+    weights = noise.f.take(_ROUTE_PAULI)
+    m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)
     m = 0.5 * (m + m.transpose(0, 2, 1))
     return QuadraticMap(m=m, names=COEFF_NAMES)
 

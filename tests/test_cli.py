@@ -1,9 +1,11 @@
 import csv
 import json
+import warnings
 
 import numpy as np
 import pytest
 
+from eppsim import cli
 from eppsim.cli import (
     ITERATE_HEADER,
     MC_HEADER,
@@ -12,6 +14,7 @@ from eppsim.cli import (
     parse_config_text,
     replay_manifest,
 )
+from eppsim.dynamics import regime_scan
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
 
@@ -97,20 +100,45 @@ def test_non_finite_input_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
-def test_annihilated_ensemble_is_usage_error(tmp_path, capsys):
-    # every couple suffers X on the target qubit, so a pure Phi+ ensemble
-    # fails the parity check with certainty
+def annihilating_config(tmp_path):
+    """A general channel under which a pure Phi+ ensemble annihilates at once:
+    every couple suffers X on the target qubit, so it fails the parity check
+    with certainty."""
     weights = {f"f.{mu}{nu}": "0" for mu in ("00", "01", "10", "11")
                for nu in ("00", "01", "10", "11")}
     weights["f.0001"] = "1"
     cfgfile = tmp_path / "run.cfg"
     cfgfile.write_text("model=general\n" + "".join(f"{k}={v}\n" for k, v in weights.items()))
+    return cfgfile
+
+
+def test_annihilated_ensemble_is_usage_error(tmp_path, capsys):
     out = tmp_path / "out"
-    rc = main(["iterate", "--config", str(cfgfile), "--werner", "1", "--steps", "2",
-               "--out", str(out)])
+    rc = main(["iterate", "--config", str(annihilating_config(tmp_path)), "--werner", "1",
+               "--steps", "2", "--out", str(out)])
     assert rc == 2
     assert capsys.readouterr().err.startswith("error: keep probability")
     assert list(out.iterdir()) == []
+
+
+def test_fixpoint_annihilated_ensemble_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)  # no budget warning either
+        rc = main(["fixpoint", "--config", str(annihilating_config(tmp_path)),
+                   "--werner", "1", "--out", str(out)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: keep probability 0.0 at iteration 1")
+    assert list(out.iterdir()) == []
+
+
+def test_non_finite_json_value_writes_no_file(tmp_path, capsys):
+    # a NaN tolerance never converges; the manifest would have to hold it
+    rc = main(["fixpoint", "--model", "white", "--f0", "0.95", "--tol", "nan",
+               "--max-iter", "3", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: Out of range float values")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_fixpoint_json(tmp_path):
@@ -172,6 +200,19 @@ def test_scan_grid(tmp_path):
     fracs = [tuple(float(x) for x in r[2:]) for r in rows]
     assert all(sum(f) == pytest.approx(1.0) for f in fracs)
     assert fracs[-1][2] == 1.0  # noiseless end of the grid is all security
+
+
+def test_scan_passes_tol_to_regime_scan(tmp_path, monkeypatch):
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs["tol"])
+        return regime_scan(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "regime_scan", spy)
+    assert main(["scan", "--points", "2", "--samples", "2", "--tol", "1e-3",
+                 "--out", str(tmp_path)]) == 0
+    assert seen == [1e-3, 1e-3]
 
 
 def test_mc_deterministic_and_replayable(tmp_path):

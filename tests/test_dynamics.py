@@ -33,6 +33,7 @@ from eppsim.noisemodels import (
 from eppsim.recurrence import (
     BellDiagonalState,
     BinaryFlaggedState,
+    FlaggedEnsembleState,
     binary_quadratic_map,
     binary_step,
     embed,
@@ -86,13 +87,71 @@ def test_high_noise_regime_converges_to_quarter():
 def test_iterate_reports_annihilation():
     f = np.zeros((4, 4))
     f[0, 1] = 1.0
-    from eppsim.noisemodels import NoiseModel
-
-    r = iterate_to_fixpoint(
-        embed(BellDiagonalState.from_abcd(1, 0, 0, 0)), NoiseModel(f)
-    )
+    start = embed(BellDiagonalState.from_abcd(1, 0, 0, 0))
+    r = iterate_to_fixpoint(start, NoiseModel(f))
     assert not r.converged
     assert r.failure is not None and "keep probability" in r.failure
+    assert r.failure == "keep probability 0.0 at iteration 1"
+    assert (r.iterations, r.residual) == (0, np.inf)
+    assert r.state is start
+
+
+def reference_fixpoint(a, qmap, tol, max_iter):
+    """The fixpoint loop written plainly with ``QuadraticMap.apply``; returns
+    the last vector before the result state's renormalisation."""
+    residual, iterations = np.inf, 0
+    for iterations in range(1, max_iter + 1):
+        nxt, _ = qmap.apply(a)
+        residual = float(np.max(np.abs(nxt - a)))
+        a = nxt
+        if residual <= tol:
+            return a, iterations, True, residual
+    return a, iterations, False, residual
+
+
+def random_channel(rng, f00):
+    f = np.empty(16)
+    f[0] = f00
+    f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
+    return NoiseModel(f.reshape(4, 4))
+
+
+def test_fixpoint_loop_is_bit_identical_to_reference():
+    # Werner and random flagged starts, channels from the high-noise side to
+    # the security side; every fifth run gets a budget it runs out of
+    rng = np.random.default_rng(31)
+    outcomes = set()
+    for k in range(240):
+        qmap = generate_map(random_channel(rng, rng.uniform(0.6, 0.97)))
+        if k % 2:
+            start = FlaggedEnsembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
+        else:
+            start = embed(BellDiagonalState.werner(0.85))
+        tol = (1e-12, 1e-9)[k % 3 == 0]
+        budget = 20 if k % 5 == 0 else 3000
+        vec, iterations, converged, residual = reference_fixpoint(start.flat, qmap, tol, budget)
+        r = iterate_to_fixpoint(start, qmap, tol=tol, max_iter=budget)
+        assert (r.iterations, r.converged, r.residual) == (iterations, converged, residual)
+        assert np.array_equal(r.state.flat, FlaggedEnsembleState(vec.reshape(4, 4)).flat)
+        outcomes.add(converged)
+    assert outcomes == {True, False}
+
+
+def test_fixpoint_loop_single_step_and_start_untouched():
+    qmap = generate_map(white(0.93))
+    start = embed(BellDiagonalState.werner(0.85))
+    before = start.flat.copy()
+    r = iterate_to_fixpoint(start, qmap, max_iter=1)
+    image, _ = qmap.apply(before)
+    assert (r.iterations, r.converged) == (1, False)
+    assert r.residual == float(np.max(np.abs(image - before)))
+    assert np.array_equal(r.state.flat, FlaggedEnsembleState(image.reshape(4, 4)).flat)
+    assert np.array_equal(start.flat, before)
+    # the probe shared by the families comes back unchanged as well
+    _, probe = white_noise_family(0.93)
+    probe_before = probe.flat.copy()
+    iterate_to_fixpoint(probe, qmap)
+    assert np.array_equal(probe.flat, probe_before)
 
 
 def test_iterate_dimension_mismatch():
@@ -201,16 +260,6 @@ def test_find_critical_needs_sign_change():
 # --- linear stability against the dynamics ----------------------------------------
 
 
-def test_flag_diagonal_subspace_is_invariant():
-    # no route from two flag-diagonal cells ends in an off-diagonal cell
-    diag = [0, 5, 10, 15]
-    off = [j for j in range(16) if j not in diag]
-    rng = np.random.default_rng(22)
-    for _ in range(20):
-        m = generate_map(general(rng.dirichlet(np.ones(16)))).m
-        assert not m[np.ix_(off, diag, diag)].any()
-
-
 @pytest.mark.parametrize(
     "noise",
     [BinaryNoiseModel.uncorrelated(f0) for f0 in (0.76, 0.78, 0.9)]
@@ -226,10 +275,7 @@ def test_stability_verdict_matches_classify_regime_on_random_channels():
     verdicts = []
     for f00 in (0.75, 0.80, 0.85):
         for _ in range(30):
-            f = np.empty(16)
-            f[0] = f00
-            f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
-            noise = NoiseModel(f.reshape(4, 4))
+            noise = random_channel(rng, f00)
             with warnings.catch_warnings():
                 warnings.simplefilter("error", RuntimeWarning)  # every probe converges
                 dynamical = classify_regime(noise) is Regime.SECURITY

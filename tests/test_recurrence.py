@@ -173,6 +173,30 @@ def test_full_generator_matches_binary_step_on_embedded_states():
 # --- quadratic map properties ------------------------------------------------
 
 
+def test_generate_map_equals_route_by_route_accumulation():
+    # reference: np.add.at over the kept routes, in route order
+    kept = [(o, s, t, mu, nu) for s, t, mu, nu, o in routed_terms() if o is not None]
+    out, src, tgt, mu, nu = (np.array(col) for col in zip(*kept))
+
+    def reference_map(f):
+        m = np.zeros((16, 16, 16))
+        np.add.at(m, (out, src, tgt), f[mu, nu])
+        return 0.5 * (m + m.transpose(0, 2, 1))
+
+    rng = np.random.default_rng(14)
+    channels = []
+    for k in range(40):
+        w = rng.dirichlet(np.ones(16))
+        if k % 4 == 0:  # sparse tables too
+            w[rng.random(16) < 0.6] = 0.0
+            w[0] += 0.5
+        channels.append(general(w / w.sum()))
+    for noise in channels:
+        assert np.array_equal(generate_map(noise).m, reference_map(noise.f))
+    binary_noise = BinaryNoiseModel(0.81, 0.07, 0.05, 0.07)
+    assert np.array_equal(generate_map(binary_noise).m, reference_map(binary_noise.embed().f))
+
+
 def test_map_matrices_symmetric_nonnegative():
     rng = np.random.default_rng(9)
     qm = generate_map(general(rng.dirichlet(np.ones(16))))
