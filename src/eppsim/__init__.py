@@ -71,13 +71,10 @@ from .recurrence import (
     QuadraticMap,
     binary_quadratic_map,
     binary_step,
-    conditional_fidelity,
     embed,
-    fidelity,
     generate_map,
     ideal_quadratic_map,
     ideal_step,
-    marginal,
     routed_terms,
     step,
 )

@@ -14,13 +14,18 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import sys
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from . import __version__
 from .dynamics import (
+    CRITICAL_MAX_ITER,
+    DEFAULT_MAX_ITER,
+    SCAN_MAX_ITER,
     Regime,
     binary_family,
     find_critical,
@@ -38,7 +43,6 @@ from .recurrence import (
     embed,
     generate_map,
     ideal_quadratic_map,
-    step,
 )
 
 ITERATE_HEADER = ["n", "F", "F_cond", "N_keep", *COEFF_NAMES]
@@ -118,7 +122,7 @@ def _write_outputs(args, header: list[str] | None, rows, **resolved) -> None:
     """
     out = Path(args.out)
     table = out / f"{args.command}.{'json' if header is None else args.format}"
-    params = {k: v for k, v in vars(args).items() if k not in ("command", "func", "out")}
+    params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
     params.update(resolved)
     manifest = _json_text(
         {
@@ -199,40 +203,32 @@ def _resolve_run(args):
 
 
 # --- subcommands -------------------------------------------------------------
+# A handler takes the parsed flags, and a noise-driven one also the config,
+# noise model and start state; it returns (rows or JSON payload, values
+# resolved from the config, exit code).
 
-def _cmd_iterate(args) -> int:
-    cfg, noise, start = _resolve_run(args)
+def _cmd_iterate(args, cfg, noise, start):
     steps = args.steps if args.steps is not None else int(cfg.get("steps", "20"))
-    rows = []
     if noise == "ideal":
-        qmap = ideal_quadratic_map()
-        state = embed(start)
-        plain = start
-        rows.append([0, state.fidelity, state.conditional_fidelity, 1.0, *state.flat])
-        for n in range(1, steps + 1):
+        qmap, plain, traj = ideal_quadratic_map(), start, [(embed(start), 1.0)]
+        for _ in range(steps):
             vec, keep = qmap.apply(plain.coeffs)
             plain = BellDiagonalState(vec)
-            state = embed(plain)
-            rows.append([n, state.fidelity, state.conditional_fidelity, keep, *state.flat])
+            traj.append((embed(plain), keep))
     else:
-        qmap = generate_map(noise)
-        state = embed(start)
-        rows.append([0, state.fidelity, state.conditional_fidelity, 1.0, *state.flat])
-        for n in range(1, steps + 1):
-            state, keep = step(state, qmap)
-            rows.append([n, state.fidelity, state.conditional_fidelity, keep, *state.flat])
-    _write_outputs(args, ITERATE_HEADER, rows, steps=steps)
-    return 0
+        traj = analytic_trajectory(noise, start, steps)
+    rows = [
+        [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
+        for n, (state, keep) in enumerate(traj)
+    ]
+    return rows, {"steps": steps}, 0
 
 
-def _cmd_fixpoint(args) -> int:
-    _, noise, start = _resolve_run(args)
-    max_iter = args.max_iter if args.max_iter is not None else 100_000
+def _cmd_fixpoint(args, cfg, noise, start):
     qmap = generate_map(noise)
-    result = iterate_to_fixpoint(embed(start), qmap, tol=args.tol, max_iter=max_iter)
+    result = iterate_to_fixpoint(embed(start), qmap, tol=args.tol, max_iter=args.max_iter)
     if result.failure is not None:
         raise EnsembleAnnihilated(result.failure)
-    regime = regime_of(result)
     payload = {
         "converged": result.converged,
         "iterations": result.iterations,
@@ -240,30 +236,20 @@ def _cmd_fixpoint(args) -> int:
         "failure": result.failure,
         "F": result.fidelity,
         "F_cond": result.conditional_fidelity,
-        "regime": regime.value,
+        "regime": regime_of(result).value,
         "state": result.state.named_coeffs(),
     }
-    _write_outputs(args, None, payload)
-    return 0 if result.converged else 1
+    return payload, {}, 0 if result.converged else 1
 
 
 _FAMILIES = {"binary-uncorrelated": binary_family, "white-noise": white_noise_family}
 
 
-def _cmd_critical(args) -> int:
-    if args.family not in _FAMILIES:
-        raise ConfigError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
+def _cmd_critical(args):
     lo, hi = args.bracket
-    if not lo < hi:
-        raise ConfigError(f"bracket must be increasing, got ({lo}, {hi})")
-    max_iter = args.max_iter
-    if max_iter is None:
-        # budget of the subspace iteration and the two end probes; at the
-        # binary family's purification threshold (f0 = 3/4, the usual lower
-        # end) both converge only algebraically and use it up
-        max_iter = 500_000 if args.family == "binary-uncorrelated" else 30_000
     value = find_critical(
-        _FAMILIES[args.family], (lo, hi), halvings=args.halvings, tol=args.tol, max_iter=max_iter
+        _FAMILIES[args.family], (lo, hi), halvings=args.halvings, tol=args.tol,
+        max_iter=args.max_iter,
     )
     width = (hi - lo) / 2.0**args.halvings
     payload = {
@@ -272,16 +258,16 @@ def _cmd_critical(args) -> int:
         "bracket_achieved": [value - width / 2.0, value + width / 2.0],
         "halvings": args.halvings,
     }
-    _write_outputs(args, None, payload)
-    return 0
+    return payload, {}, 0
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args):
     grid = np.linspace(args.f00_min, args.f00_max, args.points)
-    max_iter = args.max_iter if args.max_iter is not None else 30_000
     rows = []
     for f00 in grid:
-        freq = regime_scan(float(f00), args.samples, args.seed, tol=args.tol, max_iter=max_iter)
+        freq = regime_scan(
+            float(f00), args.samples, args.seed, tol=args.tol, max_iter=args.max_iter
+        )
         rows.append(
             [
                 float(f00),
@@ -291,34 +277,28 @@ def _cmd_scan(args) -> int:
                 freq[Regime.SECURITY],
             ]
         )
-    _write_outputs(args, SCAN_HEADER, rows)
-    return 0
+    return rows, {}, 0
 
 
-def _cmd_mc(args) -> int:
-    cfg, noise, start = _resolve_run(args)
+def _cmd_mc(args, cfg, noise, start):
     pairs = args.pairs if args.pairs is not None else int(cfg.get("pairs", "100000"))
     rounds = args.rounds if args.rounds is not None else int(cfg.get("rounds", "8"))
     stats = mc_run(MCConfig(pairs, start, noise, rounds, args.seed))
     rows = [
         [s.round, s.pairs_remaining, s.f_hat, s.f_cond_hat, *s.cells.tolist()] for s in stats
     ]
-    _write_outputs(args, MC_HEADER, rows, pairs=pairs, rounds=rounds)
-    return 0
+    return rows, {"pairs": pairs, "rounds": rounds}, 0
 
 
-def _cmd_curve(args) -> int:
+def _cmd_curve(args):
     """Family sweep: fixpoint observables and convergence cost per parameter."""
-    if args.family not in _FAMILIES:
-        raise ConfigError(f"unknown family {args.family!r}; choose from {sorted(_FAMILIES)}")
     family = _FAMILIES[args.family]
-    max_iter = args.max_iter if args.max_iter is not None else 100_000
     grid = np.linspace(args.f0_min, args.f0_max, args.points)
     rows = []
     all_converged = True
     for f0 in grid:
         noise_or_map, start = family(float(f0))
-        result = iterate_to_fixpoint(start, noise_or_map, tol=args.tol, max_iter=max_iter)
+        result = iterate_to_fixpoint(start, noise_or_map, tol=args.tol, max_iter=args.max_iter)
         all_converged &= result.converged
         rows.append(
             [
@@ -329,12 +309,10 @@ def _cmd_curve(args) -> int:
                 regime_of(result).value,
             ]
         )
-    _write_outputs(args, CURVE_HEADER, rows)
-    return 0 if all_converged else 1
+    return rows, {}, 0 if all_converged else 1
 
 
-def _cmd_resources(args) -> int:
-    _, noise, start = _resolve_run(args)
+def _cmd_resources(args, cfg, noise, start):
     traj = analytic_trajectory(noise, start, args.rounds)
     rows = []
     cost = 1.0
@@ -344,37 +322,93 @@ def _cmd_resources(args) -> int:
         eps = 1.0 - state.conditional_fidelity
         if args.eps_min <= eps <= args.eps_max:
             rows.append([r, eps, int(np.ceil(cost))])
-    _write_outputs(args, RESOURCES_HEADER, rows)
-    return 0
+    return rows, {}, 0
+
+
+# --- the subcommand table ----------------------------------------------------
+
+class _Subcommand(NamedTuple):
+    run: Callable
+    header: list[str] | None  # table columns; None writes the result as JSON
+    max_iter: int | None  # default --max-iter; None where no fixpoint is iterated
+    noise: bool  # takes the noise flags and runs on a resolved channel and start
+    help: str
+    flags: tuple = ()  # the subcommand's own flags: (name, add_argument keywords)
+
+
+_SUBCOMMANDS = {
+    "iterate": _Subcommand(
+        _cmd_iterate, ITERATE_HEADER, None, True,
+        "analytic trajectory of F, F_cond and the 16 cells",
+        (("--steps", dict(type=int, help="number of purification steps (default 20)")),),
+    ),
+    "fixpoint": _Subcommand(
+        _cmd_fixpoint, None, DEFAULT_MAX_ITER, True,
+        "iterate to the fixpoint and classify the regime",
+    ),
+    "critical": _Subcommand(
+        _cmd_critical, None, CRITICAL_MAX_ITER, False,
+        "bisect a noise family for the security boundary",
+        (
+            ("--family", dict(required=True, choices=sorted(_FAMILIES))),
+            ("--bracket", dict(type=float, nargs=2, required=True, metavar=("LO", "HI"))),
+            ("--halvings", dict(type=int, default=40)),
+        ),
+    ),
+    "scan": _Subcommand(
+        _cmd_scan, SCAN_HEADER, SCAN_MAX_ITER, False,
+        "regime frequencies for random channels on an f00 grid",
+        (
+            ("--f00-min", dict(type=float, default=0.5)),
+            ("--f00-max", dict(type=float, default=1.0)),
+            ("--points", dict(type=int, default=11)),
+            ("--samples", dict(type=int, default=100)),
+        ),
+    ),
+    "mc": _Subcommand(
+        _cmd_mc, MC_HEADER, None, True,
+        "Monte Carlo distillation run",
+        (
+            ("--pairs", dict(type=int, help="initial ensemble size")),
+            ("--rounds", dict(type=int, help="number of purification rounds")),
+        ),
+    ),
+    "curve": _Subcommand(
+        _cmd_curve, CURVE_HEADER, DEFAULT_MAX_ITER, False,
+        "family sweep of F, F_cond, iterations and regime vs parameter",
+        (
+            ("--family", dict(default="white-noise", choices=sorted(_FAMILIES))),
+            ("--f0-min", dict(type=float, default=0.88)),
+            ("--f0-max", dict(type=float, default=0.95)),
+            ("--points", dict(type=int, default=15)),
+        ),
+    ),
+    "resources": _Subcommand(
+        _cmd_resources, RESOURCES_HEADER, None, True,
+        "pairs needed vs security parameter",
+        (
+            ("--rounds", dict(type=int, default=60, help="trajectory length")),
+            ("--eps-min", dict(type=float, default=1e-4)),
+            ("--eps-max", dict(type=float, default=1e-1)),
+        ),
+    ),
+}
 
 
 # --- argument parsing --------------------------------------------------------
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="flat key=value config file")
-    p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
-    p.add_argument("--out", default=".", help="output directory (default .)")
-    p.add_argument("--format", choices=("csv", "json"), default="csv")
-    p.add_argument("--tol", type=float, default=1e-12, help="fixpoint tolerance")
-    p.add_argument(
-        "--max-iter",
-        type=int,
-        default=None,
-        help="iteration budget (default depends on the subcommand)",
-    )
-
-
-def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--model", choices=("white", "binary", "p1p2", "general", "ideal"))
-    p.add_argument("--f0", type=float, help="white-noise / uncorrelated-binary parameter")
-    p.add_argument("--p1", type=float, help="one-qubit reliability")
-    p.add_argument("--p2", type=float, help="two-qubit reliability")
-    p.add_argument("--both-labs", dest="both_labs", action="store_true", default=None)
-    p.add_argument("--f00", type=float)
-    p.add_argument("--f01", type=float)
-    p.add_argument("--f10", type=float)
-    p.add_argument("--f11", type=float)
-    p.add_argument("--werner", type=float, help="initial Werner fidelity (default 0.85)")
+_NOISE_FLAGS = (
+    ("--model", dict(choices=("white", "binary", "p1p2", "general", "ideal"))),
+    ("--f0", dict(type=float, help="white-noise / uncorrelated-binary parameter")),
+    ("--p1", dict(type=float, help="one-qubit reliability")),
+    ("--p2", dict(type=float, help="two-qubit reliability")),
+    ("--both-labs", dict(dest="both_labs", action="store_true", default=None)),
+    ("--f00", dict(type=float)),
+    ("--f01", dict(type=float)),
+    ("--f10", dict(type=float)),
+    ("--f11", dict(type=float)),
+    ("--werner", dict(type=float, help="initial Werner fidelity (default 0.85)")),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -385,71 +419,43 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"eppsim {__version__}")
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("iterate", help="analytic trajectory of F, F_cond and the 16 cells")
-    _add_common(p)
-    _add_noise_flags(p)
-    p.add_argument("--steps", type=int, help="number of purification steps (default 20)")
-    p.set_defaults(func=_cmd_iterate)
-
-    p = sub.add_parser("fixpoint", help="iterate to the fixpoint and classify the regime")
-    _add_common(p)
-    _add_noise_flags(p)
-    p.set_defaults(func=_cmd_fixpoint)
-
-    p = sub.add_parser("critical", help="bisect a noise family for the security boundary")
-    _add_common(p)
-    p.add_argument("--family", required=True, choices=sorted(_FAMILIES))
-    p.add_argument("--bracket", type=float, nargs=2, required=True, metavar=("LO", "HI"))
-    p.add_argument("--halvings", type=int, default=40)
-    p.set_defaults(func=_cmd_critical)
-
-    p = sub.add_parser("scan", help="regime frequencies for random channels on an f00 grid")
-    _add_common(p)
-    p.add_argument("--f00-min", type=float, default=0.5)
-    p.add_argument("--f00-max", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=11)
-    p.add_argument("--samples", type=int, default=100)
-    p.set_defaults(func=_cmd_scan)
-
-    p = sub.add_parser("mc", help="Monte Carlo distillation run")
-    _add_common(p)
-    _add_noise_flags(p)
-    p.add_argument("--pairs", type=int, help="initial ensemble size")
-    p.add_argument("--rounds", type=int, help="number of purification rounds")
-    p.set_defaults(func=_cmd_mc)
-
-    p = sub.add_parser(
-        "curve", help="family sweep of F, F_cond, iterations and regime vs parameter"
-    )
-    _add_common(p)
-    p.add_argument("--family", default="white-noise", choices=sorted(_FAMILIES))
-    p.add_argument("--f0-min", type=float, default=0.88)
-    p.add_argument("--f0-max", type=float, default=0.95)
-    p.add_argument("--points", type=int, default=15)
-    p.set_defaults(func=_cmd_curve)
-
-    p = sub.add_parser("resources", help="pairs needed vs security parameter")
-    _add_common(p)
-    _add_noise_flags(p)
-    p.add_argument("--rounds", type=int, default=60, help="trajectory length")
-    p.add_argument("--eps-min", type=float, default=1e-4)
-    p.add_argument("--eps-max", type=float, default=1e-1)
-    p.set_defaults(func=_cmd_resources)
-
+    for name, row in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=row.help)
+        p.add_argument("--config", help="flat key=value config file")
+        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
+        p.add_argument("--out", default=".", help="output directory (default .)")
+        p.add_argument("--format", choices=("csv", "json"), default="csv")
+        p.add_argument("--tol", type=float, default=1e-12, help="fixpoint tolerance")
+        p.add_argument(
+            "--max-iter", type=int, default=row.max_iter,
+            help="iteration budget (default %(default)s)" if row.max_iter else "not used here",
+        )
+        for flag, kwargs in (_NOISE_FLAGS if row.noise else ()) + row.flags:
+            p.add_argument(flag, **kwargs)
     return parser
 
 
+def _check_loop_flags(args) -> None:
+    if args.max_iter is not None and args.max_iter < 1:
+        raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
+    if not (math.isfinite(args.tol) and args.tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    if getattr(args, "samples", 1) < 1:
+        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+
+
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
+    args = build_parser().parse_args(argv)
+    row = _SUBCOMMANDS[args.command]
+    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
-        return args.func(args)
+        _check_loop_flags(args)
+        rows, resolved, code = row.run(args, *(_resolve_run(args) if row.noise else ()))
+        _write_outputs(args, row.header, rows, **resolved)
     except (ValueError, EnsembleAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return code
 
 
 if __name__ == "__main__":

@@ -41,6 +41,13 @@ from .recurrence import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
+#: Budget of a critical search's subspace iterations and end probes.  At the
+#: binary family's purification threshold f0 = 3/4, the usual lower end of
+#: its bracket, both converge only algebraically and use it up.
+CRITICAL_MAX_ITER = 500_000
+#: Budget of each random channel's classification in a regime scan; a
+#: channel that has not converged within it counts as intermediate.
+SCAN_MAX_ITER = 30_000
 
 #: Probe ensemble for classification and critical searches.
 PROBE_FIDELITY = 0.85
@@ -295,7 +302,7 @@ def find_critical(
     bracket: tuple[float, float],
     halvings: int = 40,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 500_000,
+    max_iter: int = CRITICAL_MAX_ITER,
 ) -> float:
     """Bisect a one-parameter noise family for the security boundary.
 
@@ -384,7 +391,7 @@ def regime_scan(
     samples: int,
     seed: int,
     tol: float = DEFAULT_TOL,
-    max_iter: int = 30_000,
+    max_iter: int = SCAN_MAX_ITER,
 ) -> dict[Regime, float]:
     """Relative regime frequencies for random channels with fixed f[00].
 
@@ -392,6 +399,8 @@ def regime_scan(
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")
+    if samples < 1:
+        raise ValueError(f"samples = {samples} < 1")
     rng = np.random.default_rng(seed)
     counts = {regime: 0 for regime in Regime}
     for _ in range(samples):

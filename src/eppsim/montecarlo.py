@@ -128,13 +128,8 @@ def purification_round(
     ens: Ensemble,
     noise: NoiseModel | BinaryNoiseModel,
     rng: np.random.Generator,
-    track_flags: bool = True,
 ) -> Ensemble:
-    """One distillation round over the whole ensemble.
-
-    ``track_flags=False`` skips the flag bookkeeping; the kept pairs' Bell
-    bits are unaffected, since flags never influence keep/discard.
-    """
+    """One distillation round over the whole ensemble."""
     n = len(ens)
     if n < 2:
         return ens
@@ -155,29 +150,26 @@ def purification_round(
     out_src = ((i ^ i2) << 1) | (i ^ j)
     keep = (i2 ^ j2 ^ i ^ j) == 0
 
-    if track_flags:
-        g = ens.flag[src_idx] ^ mu
-        h = ens.flag[tgt_idx] ^ nu
-        p, a = g >> 1, g & 1
-        p2, a2 = h >> 1, h & 1
-        correlated = (p2 ^ a2 ^ p ^ a) == 0
-        new_flag = np.where(correlated, ((p ^ p2) << 1) | (p ^ a), 0).astype(np.uint8)
-    else:
-        new_flag = np.zeros_like(out_src)
+    g = ens.flag[src_idx] ^ mu
+    h = ens.flag[tgt_idx] ^ nu
+    p, a = g >> 1, g & 1
+    p2, a2 = h >> 1, h & 1
+    correlated = (p2 ^ a2 ^ p ^ a) == 0
+    new_flag = np.where(correlated, ((p ^ p2) << 1) | (p ^ a), 0).astype(np.uint8)
 
     bell = np.concatenate([out_src[keep], ens.bell[leftover]])
     flag = np.concatenate([new_flag[keep], ens.flag[leftover]])
     return Ensemble(bell, flag)
 
 
-def run(cfg: MCConfig, track_flags: bool = True) -> list[RoundStats]:
+def run(cfg: MCConfig) -> list[RoundStats]:
     """Full distillation run; stats entry 0 describes the initial ensemble."""
     ens = init_ensemble(cfg)
     stats = [RoundStats.of(0, ens)]
     for r in range(1, cfg.rounds + 1):
         if len(ens) < 2:
             break
-        ens = purification_round(ens, cfg.noise, _round_rng(cfg.seed, r), track_flags)
+        ens = purification_round(ens, cfg.noise, _round_rng(cfg.seed, r))
         stats.append(RoundStats.of(r, ens))
     return stats
 

@@ -104,10 +104,13 @@ def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
 
 _ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 
-# Binary sub-family: Bell states {Phi+, Psi+} with a one-bit (amplitude) flag.
-# Variables (A0, A1, B0, B1) live at cells (Phi+, 00), (Phi+, 01),
-# (Psi+, 00), (Psi+, 01).
+# Sub-families the step maps into itself, as cells of the 16-variable map.
+# Binary: Bell states {Phi+, Psi+} with a one-bit (amplitude) flag; variables
+# (A0, A1, B0, B1) live at cells (Phi+, 00), (Phi+, 01), (Psi+, 00),
+# (Psi+, 01).  Noiseless: every flag stays zero; variables (A, C, D, B) in
+# Bell-index order live at the flag-zero cells.
 _BINARY_CELLS = (0, 1, 4, 5)
+_FLAG_ZERO_CELLS = (0, 4, 8, 12)
 
 
 @dataclass(frozen=True)
@@ -163,21 +166,20 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
     return QuadraticMap(m=m, names=COEFF_NAMES)
 
 
+def _restricted(noise: NoiseModel | BinaryNoiseModel, cells, names) -> QuadraticMap:
+    """The step matrices restricted to cells the step maps into themselves."""
+    return QuadraticMap(m=generate_map(noise).m[np.ix_(cells, cells, cells)], names=names)
+
+
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
     """The step matrices restricted to the closed binary sub-family."""
-    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
-    return QuadraticMap(m=generate_map(noise).m[cells], names=BINARY_NAMES)
+    return _restricted(noise, _BINARY_CELLS, BINARY_NAMES)
 
 
 def ideal_quadratic_map() -> QuadraticMap:
     """The noiseless step on plain Bell-diagonal states (4 variables)."""
-    m = np.zeros((4, 4, 4))
-    a, c, d, b = range(4)  # Bell-index order with traditional letters
-    m[a][a][a] = m[a][b][b] = 1.0  # A' = A^2 + B^2
-    m[c][c][c] = m[c][d][d] = 1.0  # C' = C^2 + D^2
-    m[d][a][b] = m[d][b][a] = 1.0  # D' = 2AB
-    m[b][c][d] = m[b][d][c] = 1.0  # B' = 2CD
-    return QuadraticMap(m=m, names=("A", "C", "D", "B"))
+    noiseless = NoiseModel(np.outer([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
+    return _restricted(noiseless, _FLAG_ZERO_CELLS, ("A", "C", "D", "B"))
 
 
 # --- states ---------------------------------------------------------------
@@ -282,18 +284,6 @@ def embed(state: BellDiagonalState) -> FlaggedEnsembleState:
     a = np.zeros((4, 4))
     a[:, 0] = state.coeffs
     return FlaggedEnsembleState(a)
-
-
-def marginal(state: FlaggedEnsembleState) -> BellDiagonalState:
-    return state.marginal()
-
-
-def fidelity(state: FlaggedEnsembleState | BellDiagonalState | "BinaryFlaggedState") -> float:
-    return state.fidelity
-
-
-def conditional_fidelity(state: "FlaggedEnsembleState | BinaryFlaggedState") -> float:
-    return state.conditional_fidelity
 
 
 @dataclass(frozen=True)

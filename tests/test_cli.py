@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import warnings
@@ -14,7 +15,7 @@ from eppsim.cli import (
     parse_config_text,
     replay_manifest,
 )
-from eppsim.dynamics import regime_scan
+from eppsim.dynamics import CRITICAL_MAX_ITER, DEFAULT_MAX_ITER, SCAN_MAX_ITER, regime_scan
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
 
@@ -137,8 +138,50 @@ def test_non_finite_json_value_writes_no_file(tmp_path, capsys):
     rc = main(["fixpoint", "--model", "white", "--f0", "0.95", "--tol", "nan",
                "--max-iter", "3", "--out", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err.startswith("error: Out of range float values")
+    assert capsys.readouterr().err == "error: --tol must be finite and nonnegative, got nan\n"
     assert list(tmp_path.iterdir()) == []
+
+
+def test_write_outputs_refuses_non_finite_json(tmp_path):
+    args = argparse.Namespace(command="fixpoint", out=str(tmp_path), format="csv", seed=0)
+    with pytest.raises(ValueError, match="Out of range float values"):
+        cli._write_outputs(args, None, {"residual": float("nan")})
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, flag",
+    [
+        (["fixpoint", "--model", "white", "--f0", "0.93", "--max-iter", "0"], "--max-iter"),
+        (["curve", "--points", "2", "--max-iter", "-5"], "--max-iter"),
+        (["fixpoint", "--model", "white", "--f0", "0.93", "--tol", "-1"], "--tol"),
+        (["curve", "--points", "2", "--tol", "inf"], "--tol"),
+        (["scan", "--points", "2", "--samples", "0"], "--samples"),
+    ],
+)
+def test_loop_flags_are_validated_before_any_work(tmp_path, capsys, args, flag):
+    assert main(args + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {flag} must be") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize(
+    "args, budget",
+    [
+        (["fixpoint", "--model", "white", "--f0", "0.93"], DEFAULT_MAX_ITER),
+        (["curve", "--points", "2"], DEFAULT_MAX_ITER),
+        (["scan", "--points", "2", "--samples", "2"], SCAN_MAX_ITER),
+        (["critical", "--family", "white-noise", "--halvings", "4",
+          "--bracket", "0.88", "0.92"], CRITICAL_MAX_ITER),
+        (["iterate", "--model", "white", "--f0", "0.93", "--steps", "1"], None),
+    ],
+    ids=["fixpoint", "curve", "scan", "critical", "iterate"],
+)
+def test_manifest_records_the_budget_that_ran(tmp_path, args, budget):
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    params = json.loads((tmp_path / f"{args[0]}.manifest.json").read_text())["params"]
+    assert params["max_iter"] == budget
 
 
 def test_fixpoint_json(tmp_path):
@@ -245,25 +288,26 @@ def assert_replays_identically(run_dir, command, replay_dir):
         assert (replay_dir / name).read_bytes() == (run_dir / name).read_bytes()
 
 
-@pytest.mark.parametrize(
-    "args",
-    [
-        ["iterate", "--model", "p1p2", "--p1", "0.96", "--p2", "0.968", "--both-labs",
-         "--werner", "0.85", "--steps", "5"],
-        ["fixpoint", "--model", "binary", "--f0", "0.9", "--werner", "0.8"],
-        ["critical", "--family", "white-noise", "--halvings", "8",
-         "--bracket", "0.88", "0.92"],
-        ["scan", "--f00-min", "0.7", "--f00-max", "0.9", "--points", "2",
-         "--samples", "4", "--seed", "3"],
-        ["mc", "--model", "white", "--f0", "0.95", "--pairs", "2000", "--rounds", "3",
-         "--seed", "2", "--format", "json"],
-        ["curve", "--family", "binary-uncorrelated", "--f0-min", "0.8", "--f0-max", "0.9",
-         "--points", "3"],
-        ["resources", "--model", "p1p2", "--p1", "0.9733", "--p2", "0.9786",
-         "--rounds", "12"],
-    ],
-    ids=lambda args: args[0],
-)
+REPLAY_CASES = [
+    ["iterate", "--model", "p1p2", "--p1", "0.96", "--p2", "0.968", "--both-labs",
+     "--werner", "0.85", "--steps", "5"],
+    ["fixpoint", "--model", "binary", "--f0", "0.9", "--werner", "0.8"],
+    ["critical", "--family", "white-noise", "--halvings", "8", "--bracket", "0.88", "0.92"],
+    ["scan", "--f00-min", "0.7", "--f00-max", "0.9", "--points", "2", "--samples", "4",
+     "--seed", "3"],
+    ["mc", "--model", "white", "--f0", "0.95", "--pairs", "2000", "--rounds", "3",
+     "--seed", "2", "--format", "json"],
+    ["curve", "--family", "binary-uncorrelated", "--f0-min", "0.8", "--f0-max", "0.9",
+     "--points", "3"],
+    ["resources", "--model", "p1p2", "--p1", "0.9733", "--p2", "0.9786", "--rounds", "12"],
+]
+
+
+def test_replay_cases_cover_every_subcommand():
+    assert sorted(args[0] for args in REPLAY_CASES) == sorted(cli._SUBCOMMANDS)
+
+
+@pytest.mark.parametrize("args", REPLAY_CASES, ids=lambda args: args[0])
 def test_every_subcommand_replays_byte_identically(tmp_path, args):
     run_dir = tmp_path / "run"
     assert main(args + ["--out", str(run_dir)]) == 0

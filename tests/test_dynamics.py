@@ -322,6 +322,8 @@ def test_regime_scan_extremes():
     assert regime_scan(0.5, 16, seed=3)[Regime.HIGH_NOISE] == 1.0
     with pytest.raises(ValueError):
         regime_scan(1.2, 4, seed=0)
+    with pytest.raises(ValueError, match="samples"):
+        regime_scan(0.9, 0, seed=0)
 
 
 def test_regime_scan_security_fraction_monotone():

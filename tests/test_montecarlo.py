@@ -103,10 +103,11 @@ def test_single_pair_round_is_identity():
 def test_flags_never_influence_keep():
     noise = tracking_noise()
     base = init_ensemble(cfg(pairs=50_000))
-    flagged = purification_round(base, noise, _round_rng(1, 1), track_flags=True)
-    unflagged = purification_round(base, noise, _round_rng(1, 1), track_flags=False)
-    assert np.array_equal(flagged.bell, unflagged.bell)
-    assert (unflagged.flag == 0).all()
+    flags = np.random.default_rng(7).integers(0, 4, len(base), dtype=np.uint8)
+    unflagged = purification_round(base, noise, _round_rng(1, 1))
+    flagged = purification_round(Ensemble(base.bell, flags), noise, _round_rng(1, 1))
+    assert np.array_equal(unflagged.bell, flagged.bell)
+    assert not np.array_equal(unflagged.flag, flagged.flag)  # the flags themselves differ
 
 
 def test_one_round_matches_recurrence_on_all_cells():
