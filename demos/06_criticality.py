@@ -2,12 +2,14 @@
 #
 # The security boundary of a one-parameter noise family is found by
 # bisection on linear stability: it is where the spectral radius of the
-# step's Jacobian at the secure (flag-diagonal) fixpoint crosses one.  Two
-# families here: the analytically tractable binary flips, whose boundary is
-# known to eight digits, and one-qubit white noise on both qubits, whose
-# purification and security boundaries are a whisker apart.  Near either
-# boundary the number of iterations to converge blows up, phase-transition
-# style.
+# step's Jacobian at the secure (flag-diagonal) fixpoint crosses one.  That
+# fixpoint is solved for by Newton's method, in a few hundred steps even at
+# the binary threshold f0 = 3/4; the basin checks at the bracket ends
+# iterate plainly and take most of the binary search's time.  Two families
+# here: the analytically tractable binary flips, whose boundary is known to
+# eight digits, and one-qubit white noise on both qubits, whose purification
+# and security boundaries are a whisker apart.  Near either boundary the
+# number of plain iterations to converge blows up, phase-transition style.
 
 import numpy as np
 

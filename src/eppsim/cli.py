@@ -80,6 +80,8 @@ def _load_config(path: str | None) -> dict[str, str]:
 
 
 def _fmt(x) -> str:
+    if x is None:
+        return ""
     if isinstance(x, (float, np.floating)):
         return repr(float(x))
     return str(x)
@@ -442,6 +444,8 @@ def _check_loop_flags(args) -> None:
         raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
     if getattr(args, "samples", 1) < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
+    if getattr(args, "points", 1) < 1:
+        raise ConfigError(f"--points must be at least 1, got {args.points}")
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -13,13 +13,16 @@ the flag bits alike.  Its fixpoint is the secure one, and the security
 regime is where that fixpoint purifies and attracts.  The boundary of the
 regime is therefore located by bisecting on linear stability: the spectral
 radius of the step's Jacobian at the secure fixpoint crosses one there.
-Convergence times diverge at the boundary, much like a phase transition.
+The secure fixpoint is solved for by Newton's method on the subspace, in
+tens of steps even where the plain iteration converges only algebraically.
+Convergence times of the plain iteration diverge at the boundary, much like
+a phase transition; the basin checks of a critical search iterate that way.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -41,9 +44,11 @@ from .recurrence import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
-#: Budget of a critical search's subspace iterations and end probes.  At the
+#: Budget of a critical search's stability solves and basin probes.  The
+#: basin probes need it: they iterate the start state plainly, and at the
 #: binary family's purification threshold f0 = 3/4, the usual lower end of
-#: its bracket, both converge only algebraically and use it up.
+#: its bracket, that converges only algebraically and uses it up.  The
+#: Newton solve of the secure fixpoint takes about 200 steps there.
 CRITICAL_MAX_ITER = 500_000
 #: Budget of each random channel's classification in a regime scan; a
 #: channel that has not converged within it counts as intermediate.
@@ -147,6 +152,17 @@ def _iterate_binary(s: BinaryFlaggedState, noise: BinaryNoiseModel, tol, max_ite
     return (a0, a1, b0, b1), iterations, False, residual
 
 
+def _vector_of(state):
+    """A state's weight vector and the function that wraps a vector back up."""
+    if isinstance(state, FlaggedEnsembleState):
+        return state.flat, lambda v: FlaggedEnsembleState(v.reshape(4, 4))
+    if isinstance(state, BinaryFlaggedState):
+        return state.as_array, lambda v: BinaryFlaggedState(*v)
+    if isinstance(state, BellDiagonalState):
+        return state.coeffs, lambda v: BellDiagonalState(v)
+    raise TypeError(f"unsupported state type {type(state)!r}")
+
+
 def iterate_to_fixpoint(
     s0,
     noise_or_map,
@@ -171,14 +187,7 @@ def iterate_to_fixpoint(
         return FixpointResult(BinaryFlaggedState(*vec), it, ok, res)
 
     qmap = _as_quadratic_map(noise_or_map)
-    if isinstance(s0, FlaggedEnsembleState):
-        a, wrap = s0.flat, lambda v: FlaggedEnsembleState(v.reshape(4, 4))
-    elif isinstance(s0, BinaryFlaggedState):
-        a, wrap = s0.as_array, lambda v: BinaryFlaggedState(*v)
-    elif isinstance(s0, BellDiagonalState):
-        a, wrap = s0.coeffs, lambda v: BellDiagonalState(v)
-    else:
-        raise TypeError(f"unsupported state type {type(s0)!r}")
+    a, wrap = _vector_of(s0)
     if qmap.dim != a.shape[0]:
         raise ValueError(f"state has {a.shape[0]} variables but map has {qmap.dim}")
     try:
@@ -257,21 +266,77 @@ def white_noise_family(f0: float) -> tuple[QuadraticMap, FlaggedEnsembleState]:
     return qmap, _WERNER_PROBE
 
 
+#: Cells whose flag equals the Bell index: of the 16-cell map, and A0/B1 of
+#: the binary map.  The step maps the subspace they span into itself.
+_FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState: [0, 3]}
+
+#: Plain steps that start the secure-fixpoint solve before Newton takes over,
+#: and the Newton steps it takes at most.
+_NEWTON_WARM_START = 200
+_NEWTON_MAX_STEPS = 50
+
+
 def _flag_diagonal(state):
-    """Project a flagged state onto its cells with flag equal to Bell index."""
-    if isinstance(state, FlaggedEnsembleState):
-        diag = np.diag(np.diag(state.a))
-        mass = diag.trace()
-        wrap = FlaggedEnsembleState
-    elif isinstance(state, BinaryFlaggedState):
-        diag = np.array([state.a0, 0.0, 0.0, state.b1])
-        mass = diag.sum()
-        wrap = lambda v: BinaryFlaggedState(*v)
-    else:
+    """Project a flagged state onto its cells with flag equal to Bell index.
+
+    Returns the projection and those cells.
+    """
+    cells = _FLAG_DIAGONAL_CELLS.get(type(state))
+    if cells is None:
         raise TypeError(f"expected a flagged state, got {type(state)!r}")
+    a, wrap = _vector_of(state)
+    mass = a[cells].sum()
     if mass <= 0.0:
         raise ValueError("start state has no weight with flag equal to Bell index")
-    return wrap(diag / mass)
+    diag = np.zeros_like(a)
+    diag[cells] = a[cells] / mass
+    return wrap(diag), cells
+
+
+def _secure_fixpoint(noise, s0, tol: float, max_iter: int) -> FixpointResult:
+    """The fixpoint of the flag-diagonal subspace, solved by Newton's method.
+
+    Up to ``_NEWTON_WARM_START`` plain steps from the flag-diagonal
+    projection of ``s0`` come first.  Then each Newton step x -> x + dx
+    solves (J_SS - I) dx = -(step(x) - x)_S on the flag-diagonal cells S,
+    with J_SS the exact Jacobian restricted to them; every column of J sums
+    to zero, so dx keeps the weights summing to one.  A Newton point with a
+    negative weight is replaced by the plain step.  If Newton has not
+    converged within ``_NEWTON_MAX_STEPS`` steps, no fixpoint lies within
+    its reach (it circles the ghost of a fold), and the plain iteration
+    takes the rest of the budget from where the warm start stopped.
+
+    Converged means max |step(x) - x| <= tol within ``max_iter`` steps in
+    all, plain and Newton alike; the result holds step(x), as
+    ``iterate_to_fixpoint``'s does.  At the binary family's f0 = 3/4, where
+    the subspace fixpoint is a multiple root, Newton converges only
+    linearly, but in tens of steps where the plain iteration needs more
+    than 500k.
+    """
+    start, cells = _flag_diagonal(s0)
+    warm = iterate_to_fixpoint(start, noise, tol=tol, max_iter=min(_NEWTON_WARM_START, max_iter))
+    if warm.converged or warm.failure is not None or warm.iterations == max_iter:
+        return warm
+    qmap = _as_quadratic_map(noise)
+    x, wrap = _vector_of(warm.state)
+    cell_pairs, eye = np.ix_(cells, cells), np.eye(len(cells))
+    newton_steps = min(_NEWTON_MAX_STEPS, max_iter - warm.iterations)
+    try:
+        for k in range(1, newton_steps + 1):
+            image, _ = qmap.apply(x)
+            residual = float(np.max(np.abs(image - x)))
+            if residual <= tol:
+                return FixpointResult(wrap(image), warm.iterations + k, True, residual)
+            dx = np.linalg.solve(jacobian(qmap, x)[cell_pairs] - eye, x[cells] - image[cells])
+            x = x.copy()
+            x[cells] += dx
+            if x.min() < 0.0:
+                x = image
+    except EnsembleAnnihilated as exc:
+        return FixpointResult(start, 0, False, np.inf, failure=str(exc))
+    spent = warm.iterations + newton_steps
+    rest = iterate_to_fixpoint(warm.state, noise, tol=tol, max_iter=max_iter - spent)
+    return replace(rest, iterations=spent + rest.iterations)
 
 
 def secure_by_stability(
@@ -282,16 +347,19 @@ def secure_by_stability(
 ) -> bool:
     """Linear-stability security indicator.
 
-    Iterates the step from the flag-diagonal projection of the probe state,
-    a subspace the step never leaves, to the secure fixpoint.  The setting is
-    secure iff that fixpoint converges within the budget, purifies (fidelity
-    > 1/2) and attracts: the spectral radius of the step's Jacobian there is
-    below one.  Near the boundary the subspace iteration still converges in
-    a few hundred steps, while the approach that ``classify_regime`` follows
-    slows down without bound.
+    Solves for the secure fixpoint: the fixpoint of the flag-diagonal
+    subspace, which the step never leaves, reached from the projection of
+    the probe state (``_secure_fixpoint``: a short plain iteration, then
+    Newton's method).  The setting is secure iff that fixpoint converges
+    within the budget, purifies (fidelity > 1/2) and attracts: the spectral
+    radius of the full step's Jacobian there is below one.  The solve takes
+    tens of steps even at a multiple root of the subspace map, where the
+    plain iteration converges only algebraically, and near the boundary,
+    where the approach that ``classify_regime`` follows slows down without
+    bound.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    result = iterate_to_fixpoint(_flag_diagonal(s0), noise, tol=tol, max_iter=max_iter)
+    result = _secure_fixpoint(noise, s0, tol, max_iter)
     if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
         return False
     return spectral_radius(jacobian(_as_quadratic_map(noise), result.state)) < 1.0
@@ -308,12 +376,15 @@ def find_critical(
 
     ``family(param)`` must return (noise or map, start state).  The security
     indicator is linear stability at the secure fixpoint
-    (``secure_by_stability``); ``tol`` and ``max_iter`` bound its iteration
-    and the basin checks.  As a basin check, the family's start state is
+    (``secure_by_stability``); ``tol`` and ``max_iter`` bound its solve and
+    the basin checks.  As a basin check, the family's start state is
     iterated at both bracket ends and must end in the regime the indicator
-    gives there.  Raises ValueError when the indicator does not change across
-    the bracket or a basin check disagrees with it.
+    gives there.  Raises ValueError for a negative ``halvings``, when the
+    indicator does not change across the bracket or a basin check disagrees
+    with it; ``halvings = 0`` returns the bracket's midpoint.
     """
+    if halvings < 0:
+        raise ValueError(f"halvings = {halvings} < 0")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")

@@ -91,16 +91,16 @@ class MCConfig:
 class RoundStats:
     round: int
     pairs_remaining: int
-    f_hat: float
-    f_cond_hat: float
+    f_hat: float | None  # None for an empty ensemble, which has no estimate
+    f_cond_hat: float | None
     cells: np.ndarray = field(repr=False)  # 16 counts, cell = 4*bell + flag
 
     @classmethod
     def of(cls, round_index: int, ens: Ensemble) -> "RoundStats":
         n = len(ens)
         cells = np.bincount(4 * ens.bell.astype(np.int64) + ens.flag, minlength=16)
-        f_hat = float(np.count_nonzero(ens.bell == 0)) / n if n else 0.0
-        f_cond_hat = float(np.count_nonzero(ens.bell == ens.flag)) / n if n else 0.0
+        f_hat = float(np.count_nonzero(ens.bell == 0)) / n if n else None
+        f_cond_hat = float(np.count_nonzero(ens.bell == ens.flag)) / n if n else None
         return cls(round_index, n, f_hat, f_cond_hat, cells)
 
 

@@ -157,6 +157,8 @@ def test_write_outputs_refuses_non_finite_json(tmp_path):
         (["fixpoint", "--model", "white", "--f0", "0.93", "--tol", "-1"], "--tol"),
         (["curve", "--points", "2", "--tol", "inf"], "--tol"),
         (["scan", "--points", "2", "--samples", "0"], "--samples"),
+        (["scan", "--points", "0", "--samples", "2"], "--points"),
+        (["curve", "--points", "0"], "--points"),
     ],
 )
 def test_loop_flags_are_validated_before_any_work(tmp_path, capsys, args, flag):
@@ -227,6 +229,14 @@ def test_critical_reversed_bracket_usage_error(tmp_path):
     assert rc == 2
 
 
+def test_critical_negative_halvings_usage_error(tmp_path, capsys):
+    rc = main(["critical", "--family", "white-noise", "--bracket", "0.88", "0.92",
+               "--halvings", "-2", "--out", str(tmp_path)])
+    assert rc == 2
+    assert capsys.readouterr().err == "error: halvings = -2 < 0\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_critical_no_sign_change(tmp_path):
     rc = main(["critical", "--family", "binary-uncorrelated", "--halvings", "4",
                "--bracket", "0.95", "0.99", "--out", str(tmp_path)])
@@ -273,6 +283,25 @@ def test_mc_deterministic_and_replayable(tmp_path):
     assert sum(counts) == 20000
 
     assert_replays_identically(one, "mc", tmp_path / "replay")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_mc_empty_round_has_no_estimate(tmp_path, fmt):
+    # the whole ensemble fails the parity check in round 1: no pairs remain,
+    # so F_hat and F_cond_hat are undefined, not zero
+    run_dir = tmp_path / "run"
+    assert main(["mc", "--config", str(annihilating_config(tmp_path)), "--werner", "1",
+                 "--pairs", "10", "--rounds", "2", "--format", fmt,
+                 "--out", str(run_dir)]) == 0
+    if fmt == "csv":
+        header, rows = read_csv(run_dir / "mc.csv")
+        assert [row[:4] for row in rows] == [["0", "10", "1.0", "1.0"], ["1", "0", "", ""]]
+    else:
+        records = json.loads((run_dir / "mc.json").read_text())
+        assert [(r["remaining"], r["F_hat"], r["F_cond_hat"]) for r in records] == [
+            (10, 1.0, 1.0), (0, None, None)
+        ]
+    assert_replays_identically(run_dir, "mc", tmp_path / "replay")
 
 
 def assert_replays_identically(run_dir, command, replay_dir):

@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 import eppsim
+from eppsim import dynamics
 from eppsim.dynamics import (
     Regime,
     binary_family,
@@ -250,6 +251,12 @@ def test_white_noise_critical_point():
     assert 0.8983 < crit < 0.8988
 
 
+def test_find_critical_halvings():
+    with pytest.raises(ValueError, match="halvings = -2 < 0"):
+        find_critical(binary_family, (0.76, 0.85), halvings=-2)
+    assert find_critical(binary_family, (0.76, 0.85), halvings=0) == 0.5 * (0.76 + 0.85)
+
+
 def test_find_critical_needs_sign_change():
     with pytest.raises(ValueError, match="does not change"):
         find_critical(binary_family, (0.95, 1.0), halvings=4)
@@ -288,6 +295,100 @@ def test_stability_verdict_needs_flag_diagonal_weight():
     noise = BinaryNoiseModel.uncorrelated(0.9)
     with pytest.raises(ValueError, match="no weight"):
         secure_by_stability(noise, BinaryFlaggedState(0.0, 0.5, 0.5, 0.0))
+
+
+# --- the secure fixpoint, solved by Newton's method ------------------------------
+
+
+@pytest.mark.parametrize("f0", [0.76, 0.7718, 0.7719, 0.8, 0.9])
+def test_secure_fixpoint_matches_binary_closed_form(f0):
+    noise, probe = binary_family(f0)
+    r = dynamics._secure_fixpoint(noise, probe, tol=1e-12, max_iter=1000)
+    assert r.converged and r.residual <= 1e-12
+    assert np.abs(r.state.as_array - binary_fixpoint_analytic(f0).as_array).max() < 1e-9
+
+
+def test_secure_fixpoint_at_the_binary_threshold():
+    # At f0 = 3/4 the secure fixpoint branches off a0 = 1/2 (a pitchfork), so
+    # step(x) - x is cubic in the distance e to it, about -e**3: a residual
+    # <= tol places the fixpoint within tol**(1/3), and no closer.  The plain
+    # iteration ends 1e-3 away after 500k steps.
+    noise, probe = binary_family(0.75)
+    tol = 1e-12
+    r = dynamics._secure_fixpoint(noise, probe, tol=tol, max_iter=1000)
+    assert r.converged and r.residual <= tol
+    assert r.iterations > dynamics._NEWTON_WARM_START  # Newton did the work
+    error = np.abs(r.state.as_array - binary_fixpoint_analytic(0.75).as_array).max()
+    assert error <= tol ** (1.0 / 3.0)
+
+
+def test_secure_fixpoint_past_a_fold_falls_back_to_plain_steps():
+    # just below white noise's fold the purifying fixpoint is gone; Newton
+    # circles its ghost, and the plain iteration carries on to F = 1/4
+    qmap, probe = white_noise_family(0.8983)
+    r = dynamics._secure_fixpoint(qmap, probe, tol=1e-12, max_iter=30_000)
+    assert r.converged
+    assert r.iterations > dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
+    assert r.fidelity == pytest.approx(0.25, abs=1e-9)
+
+
+def test_secure_fixpoint_budget_counts_every_step():
+    noise, probe = binary_family(0.75)
+    warm = dynamics._NEWTON_WARM_START
+    for budget in (warm - 50, warm, warm + 5):
+        r = dynamics._secure_fixpoint(noise, probe, tol=1e-12, max_iter=budget)
+        assert (r.iterations, r.converged) == (budget, False)
+
+
+def reference_verdict(noise, start):
+    """The stability rule on the plain iteration of the flag-diagonal
+    projection, with a 500k-step budget."""
+    if isinstance(start, BinaryFlaggedState):
+        diag = np.array([start.a0, 0.0, 0.0, start.b1])
+        start = BinaryFlaggedState(*(diag / diag.sum()))
+    else:
+        diag = np.diag(np.diag(start.a))
+        start = FlaggedEnsembleState(diag / diag.trace())
+    r = iterate_to_fixpoint(start, noise, max_iter=500_000)
+    assert r.converged
+    if r.fidelity <= 0.5 + dynamics.REGIME_FUZZ:
+        return False
+    if isinstance(noise, BinaryNoiseModel):
+        noise = binary_quadratic_map(noise)
+    elif isinstance(noise, NoiseModel):
+        noise = generate_map(noise)
+    return spectral_radius(jacobian(noise, r.state)) < 1.0
+
+
+def test_newton_verdict_matches_plain_iteration_on_random_channels():
+    rng = np.random.default_rng(41)
+    probe = embed(BellDiagonalState.werner(0.85))
+    verdicts, newton_runs = [], 0
+    for f00 in np.linspace(0.70, 0.95, 240):
+        noise = random_channel(rng, f00)
+        verdict = secure_by_stability(noise, max_iter=500_000)
+        assert verdict == reference_verdict(noise, probe), f00
+        verdicts.append(verdict)
+        newton_runs += (
+            dynamics._secure_fixpoint(noise, probe, 1e-12, 500_000).iterations
+            > dynamics._NEWTON_WARM_START
+        )
+    assert any(verdicts) and not all(verdicts)
+    assert newton_runs > 0
+
+
+@pytest.mark.parametrize(
+    "family, f0",
+    [(binary_family, f0) for f0 in (0.749, 0.7499, 0.7501, 0.751, 0.7709, 0.7718, 0.7719, 0.7728)]
+    + [(white_noise_family, f0)
+       for f0 in (0.8973, 0.8982, 0.8983, 0.8984, 0.8986, 0.8987, 0.8988, 0.8997)],
+    ids=lambda x: getattr(x, "__name__", x),
+)
+def test_newton_verdict_matches_plain_iteration_near_the_boundaries(family, f0):
+    # within 1e-3 of each boundary: binary f0 = 3/4 and 0.77184, white noise's
+    # fold near 0.89831 and its security boundary near 0.89870
+    noise, probe = family(f0)
+    assert secure_by_stability(noise, probe, max_iter=500_000) == reference_verdict(noise, probe)
 
 
 def test_find_critical_basin_check_disagreement():

@@ -69,6 +69,13 @@ def test_ensemble_pair_view():
         Ensemble(np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
 
 
+def test_empty_ensemble_has_no_estimates():
+    empty = np.zeros(0, dtype=np.uint8)
+    stats = RoundStats.of(3, Ensemble(empty, empty))
+    assert (stats.pairs_remaining, stats.f_hat, stats.f_cond_hat) == (0, None, None)
+    assert stats.cells.tolist() == [0] * 16
+
+
 def test_noiseless_round_halves_and_keeps_phi_plus():
     identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     ens = init_ensemble(cfg(pairs=10_000, fid=1.0, noise=identity))
