@@ -63,6 +63,7 @@ from .noisemodels import (
     product,
 )
 from .recurrence import (
+    CIRCUIT,
     COEFF_NAMES,
     BellDiagonalState,
     BinaryFlaggedState,

@@ -1,11 +1,12 @@
 """Pair-level stochastic simulation of the distillation process.
 
-Each pair carries a physical Bell index and a two-bit error flag, stored as
-packed uint8 arrays.  A round shuffles the ensemble, splits it into
-source/target couples, samples one joint Pauli error per couple, pushes the
-physical bits through the purification circuit and the flags through the
-bookkeeping rules, and keeps the source pair when the (simulated)
-measurements coincide.  Target pairs are always discarded; an odd leftover
+Each pair is stored as one packed uint8 cell, 4 * (Bell index) + (error
+flag), the cell layout of the recurrence map.  A round shuffles the
+ensemble, splits it into source/target couples, samples one joint Pauli
+error per couple, and looks each errored couple up in the fixed circuit
+table ``recurrence.CIRCUIT`` (``noisy_circuit``), which gives the kept
+source pair's cell or marks the couple discarded when the (simulated)
+measurements disagree.  Target pairs are always discarded; an odd leftover
 pair is carried into the next round unchanged.
 
 Randomness is counter-based: every round r of a run draws from an
@@ -16,60 +17,49 @@ stream never depends on how work is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .bellbits import BellIndex, FlagPair
 from .noisemodels import BinaryNoiseModel, NoiseModel
 from .recurrence import (
+    DISCARDED,
     BellDiagonalState,
     FlaggedEnsembleState,
+    cell_parts,
     embed,
     generate_map,
+    noisy_circuit,
     step,
 )
 
 
-class MCPair:
+class MCPair(NamedTuple):
     """View of one simulated pair: its Bell index and its error flag."""
 
-    __slots__ = ("bell", "flag")
-
-    def __init__(self, bell: BellIndex, flag: FlagPair):
-        self.bell = bell
-        self.flag = flag
-
-    def __repr__(self):
-        return f"MCPair(bell={tuple(self.bell)}, flag={tuple(self.flag)})"
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, MCPair) and self.bell == other.bell and self.flag == other.flag
-        )
+    bell: BellIndex
+    flag: FlagPair
 
 
 class Ensemble:
     """Array-backed sequence of MCPair.
 
-    ``bell`` and ``flag`` hold packed two-bit indices (2*phase + amplitude);
-    indexing returns an :class:`MCPair` view.
+    ``cell`` holds one packed cell per pair, 4 * (Bell index) + (flag), both
+    indices packed as 2*phase + amplitude; indexing returns an
+    :class:`MCPair` view.
     """
 
-    __slots__ = ("bell", "flag")
+    __slots__ = ("cell",)
 
-    def __init__(self, bell: np.ndarray, flag: np.ndarray):
-        self.bell = np.asarray(bell, dtype=np.uint8)
-        self.flag = np.asarray(flag, dtype=np.uint8)
-        if self.bell.shape != self.flag.shape:
-            raise ValueError("bell and flag arrays must have equal length")
+    def __init__(self, cell: np.ndarray):
+        self.cell = np.asarray(cell, dtype=np.uint8)
 
     def __len__(self) -> int:
-        return self.bell.shape[0]
+        return self.cell.shape[0]
 
     def __getitem__(self, k: int) -> MCPair:
-        return MCPair(
-            BellIndex.from_index(int(self.bell[k])), FlagPair.from_index(int(self.flag[k]))
-        )
+        return MCPair(*cell_parts(int(self.cell[k])))
 
 
 @dataclass(frozen=True)
@@ -98,9 +88,10 @@ class RoundStats:
     @classmethod
     def of(cls, round_index: int, ens: Ensemble) -> "RoundStats":
         n = len(ens)
-        cells = np.bincount(4 * ens.bell.astype(np.int64) + ens.flag, minlength=16)
-        f_hat = float(np.count_nonzero(ens.bell == 0)) / n if n else None
-        f_cond_hat = float(np.count_nonzero(ens.bell == ens.flag)) / n if n else None
+        cells = np.bincount(ens.cell, minlength=16)
+        # Phi+ is Bell index 0; the flag equals the Bell index on every fifth cell
+        f_hat = float(cells[:4].sum()) / n if n else None
+        f_cond_hat = float(cells[::5].sum()) / n if n else None
         return cls(round_index, n, f_hat, f_cond_hat, cells)
 
 
@@ -121,7 +112,7 @@ def init_ensemble(cfg: MCConfig) -> Ensemble:
     rng = _round_rng(cfg.seed, 0)
     bell = rng.choice(4, size=cfg.n_pairs, p=cfg.initial.coeffs).astype(np.uint8)
     rng.shuffle(bell)
-    return Ensemble(bell, np.zeros(cfg.n_pairs, dtype=np.uint8))
+    return Ensemble(4 * bell)
 
 
 def purification_round(
@@ -139,27 +130,9 @@ def purification_round(
     src_idx, tgt_idx = order[0::2], order[1::2]
 
     joint = rng.choice(16, size=src_idx.shape[0], p=_noise_table(noise).ravel())
-    mu = (joint >> 2).astype(np.uint8)
-    nu = (joint & 3).astype(np.uint8)
-
-    # error application: packed-index xor is exactly the Pauli bit action
-    s = ens.bell[src_idx] ^ mu
-    t = ens.bell[tgt_idx] ^ nu
-    i, j = s >> 1, s & 1
-    i2, j2 = t >> 1, t & 1
-    out_src = ((i ^ i2) << 1) | (i ^ j)
-    keep = (i2 ^ j2 ^ i ^ j) == 0
-
-    g = ens.flag[src_idx] ^ mu
-    h = ens.flag[tgt_idx] ^ nu
-    p, a = g >> 1, g & 1
-    p2, a2 = h >> 1, h & 1
-    correlated = (p2 ^ a2 ^ p ^ a) == 0
-    new_flag = np.where(correlated, ((p ^ p2) << 1) | (p ^ a), 0).astype(np.uint8)
-
-    bell = np.concatenate([out_src[keep], ens.bell[leftover]])
-    flag = np.concatenate([new_flag[keep], ens.flag[leftover]])
-    return Ensemble(bell, flag)
+    mu, nu = np.divmod(joint.astype(np.uint8), 4)
+    out = noisy_circuit(ens.cell[src_idx], ens.cell[tgt_idx], mu, nu)
+    return Ensemble(np.concatenate([out[out != DISCARDED], ens.cell[leftover]]))
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:

@@ -14,13 +14,20 @@ symmetric matrices M_j, one per output cell, with
 
     a'_j = (a M_j a) / N,    N = sum_j a M_j a,
 
-where N is the keep probability.  ``generate_map`` derives the matrices for
-any noise channel by routing all 4 * 4 * 4 * 4 * 16 = 4096 weighted source /
-target / error combinations through the exact bit algebra of ``bellbits``.
+where N is the keep probability.  The circuit itself is fixed: ``CIRCUIT``
+tabulates, from the exact bit algebra of ``bellbits``, the kept source
+pair's output cell for each (source cell, target cell), or ``DISCARDED``.
+Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
+its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``).
+``generate_map`` derives the matrices for any noise channel by routing all
+16 * 16 * 4 * 4 = 4096 weighted source / target / error combinations
+through that table; ``routed_terms`` routes them through ``bellbits``
+directly and is kept as the reference.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -51,8 +58,17 @@ class EnsembleAnnihilated(RuntimeError):
     """Raised when a step's keep probability vanishes."""
 
 
+#: Output mark of ``CIRCUIT`` for a couple that fails the parity check.
+DISCARDED = 16
+
+
 def cell_index(bell: BellIndex, flag: FlagPair) -> int:
     return 4 * bell.index + flag.index
+
+
+def cell_parts(cell: int) -> tuple[BellIndex, FlagPair]:
+    """Inverse of ``cell_index``."""
+    return BellIndex.from_index(cell >> 2), FlagPair.from_index(cell & 3)
 
 
 def routed_terms() -> Iterator[tuple[int, int, int, int, int | None]]:
@@ -63,42 +79,47 @@ def routed_terms() -> Iterator[tuple[int, int, int, int, int | None]]:
     on the source and target pair.  The term's weight is
     f[mu, nu] * a[source cell] * a[target cell].
     """
-    for sb in range(4):
-        for sf in range(4):
-            src_cell = 4 * sb + sf
-            src_bell = BellIndex.from_index(sb)
-            src_flag = FlagPair.from_index(sf)
-            for tb in range(4):
-                for tf in range(4):
-                    tgt_cell = 4 * tb + tf
-                    tgt_bell = BellIndex.from_index(tb)
-                    tgt_flag = FlagPair.from_index(tf)
-                    for mu in range(4):
-                        err_src = PauliIndex.from_index(mu)
-                        for nu in range(4):
-                            err_tgt = PauliIndex.from_index(nu)
-                            out_s, out_t = epp_unitary(
-                                pauli_on_bell(err_src, src_bell),
-                                pauli_on_bell(err_tgt, tgt_bell),
-                            )
-                            if not keep_predicate(out_t):
-                                yield src_cell, tgt_cell, mu, nu, None
-                                continue
-                            out_flag = flag_update(
-                                flag_flip(src_flag, err_src), flag_flip(tgt_flag, err_tgt)
-                            )
-                            yield src_cell, tgt_cell, mu, nu, cell_index(out_s, out_flag)
+    for src, tgt, mu, nu in itertools.product(range(16), range(16), range(4), range(4)):
+        (src_bell, src_flag), (tgt_bell, tgt_flag) = cell_parts(src), cell_parts(tgt)
+        err_src, err_tgt = PauliIndex.from_index(mu), PauliIndex.from_index(nu)
+        out_s, out_t = epp_unitary(
+            pauli_on_bell(err_src, src_bell), pauli_on_bell(err_tgt, tgt_bell)
+        )
+        out_flag = flag_update(flag_flip(src_flag, err_src), flag_flip(tgt_flag, err_tgt))
+        yield src, tgt, mu, nu, cell_index(out_s, out_flag) if keep_predicate(out_t) else None
+
+
+def _circuit_table() -> np.ndarray:
+    table = np.full((16, 16), DISCARDED, dtype=np.uint8)
+    for src, tgt in itertools.product(range(16), repeat=2):
+        (src_bell, src_flag), (tgt_bell, tgt_flag) = cell_parts(src), cell_parts(tgt)
+        out_s, out_t = epp_unitary(src_bell, tgt_bell)
+        if keep_predicate(out_t):
+            table[src, tgt] = cell_index(out_s, flag_update(src_flag, tgt_flag))
+    table.setflags(write=False)
+    return table
+
+
+#: The noiseless step on single couples: the kept source pair's output cell
+#: for each (source cell, target cell), or ``DISCARDED``; 128 of 256 are kept.
+CIRCUIT = _circuit_table()
+
+
+def noisy_circuit(src, tgt, mu, nu):
+    """Output cells (or ``DISCARDED``) of couples whose source and target
+    pairs suffered the packed Paulis mu and nu before the circuit."""
+    return CIRCUIT[src ^ 5 * mu, tgt ^ 5 * nu]
 
 
 def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the kept routes: the (output, source, target) cell of
-    a 16 x 16 x 16 table, and the (mu, nu) entry of the 4 x 4 Pauli table."""
-    rows = [
-        ((o * 16 + s) * 16 + t, 4 * m + n)
-        for s, t, m, n, o in routed_terms()
-        if o is not None
-    ]
-    cell, pauli = (np.array(col, dtype=np.intp) for col in zip(*rows))
+    """Flat indices of the kept routes, in ``routed_terms`` order: the
+    (output, source, target) cell of a 16 x 16 x 16 table, and the (mu, nu)
+    entry of the 4 x 4 Pauli table."""
+    src, tgt, mu, nu = np.ogrid[:16, :16, :4, :4]
+    out = noisy_circuit(src, tgt, mu, nu).astype(np.intp)
+    kept = out != DISCARDED
+    cell = ((out * 16 + src) * 16 + tgt)[kept]
+    pauli = np.broadcast_to(4 * mu + nu, out.shape)[kept]
     return cell, pauli
 
 

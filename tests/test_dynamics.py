@@ -535,11 +535,37 @@ def test_fit_rejects_non_finite_points():
         fit_intermediate(pts)
 
 
-def test_import_does_not_load_scipy():
+def fresh_python(code):
+    """Run code in a new interpreter that imports this checkout's eppsim."""
     src = Path(eppsim.__file__).resolve().parents[1]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+
+
+def test_import_does_not_load_scipy():
     code = "import eppsim, sys; sys.exit('scipy' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    assert fresh_python(code).returncode == 0
+
+
+def test_import_builds_the_routes_from_the_circuit_table():
+    # the route table comes from CIRCUIT (256 circuit compositions), not from
+    # routing all 4096 terms through routed_terms
+    code = (
+        "import collections, sys, numpy\n"
+        "calls = collections.Counter()\n"
+        "def count(frame, event, arg):\n"
+        "    if event == 'call':\n"
+        "        calls[frame.f_code.co_name] += 1\n"
+        "sys.setprofile(count)\n"
+        "import eppsim\n"
+        "sys.setprofile(None)\n"
+        "print(calls['routed_terms'], calls['epp_unitary'])\n"
+    )
+    out = fresh_python(code)
+    assert out.returncode == 0, out.stderr
+    routed, unitary = map(int, out.stdout.split())
+    assert routed == 0
+    assert unitary <= 256
 
 
 # --- convergence slowdown near criticality --------------------------------------------

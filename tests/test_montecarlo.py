@@ -39,14 +39,14 @@ def test_config_validation():
 def test_init_pure_werner():
     ens = init_ensemble(cfg(pairs=1000, fid=1.0))
     assert len(ens) == 1000
-    assert (ens.bell == 0).all()
-    assert (ens.flag == 0).all()
+    assert (ens.cell >> 2 == 0).all()
+    assert (ens.cell & 3 == 0).all()
 
 
 def test_init_counts_within_binomial_error():
     n = 10**6
     ens = init_ensemble(cfg(pairs=n, fid=0.85))
-    count = int((ens.bell == 0).sum())
+    count = int((ens.cell >> 2 == 0).sum())
     sigma = np.sqrt(n * 0.85 * 0.15)
     assert abs(count - 0.85 * n) <= 4 * sigma
 
@@ -54,24 +54,21 @@ def test_init_counts_within_binomial_error():
 def test_init_deterministic():
     a = init_ensemble(cfg(pairs=5000, seed=7))
     b = init_ensemble(cfg(pairs=5000, seed=7))
-    assert np.array_equal(a.bell, b.bell)
+    assert np.array_equal(a.cell, b.cell)
     c = init_ensemble(cfg(pairs=5000, seed=8))
-    assert not np.array_equal(a.bell, c.bell)
+    assert not np.array_equal(a.cell, c.cell)
 
 
 def test_ensemble_pair_view():
-    ens = Ensemble(np.array([2], dtype=np.uint8), np.array([1], dtype=np.uint8))
+    ens = Ensemble(np.array([4 * 2 + 1], dtype=np.uint8))
     pair = ens[0]
     assert pair == MCPair(pair.bell, pair.flag)
     assert tuple(pair.bell) == (1, 0)
     assert tuple(pair.flag) == (0, 1)
-    with pytest.raises(ValueError):
-        Ensemble(np.zeros(3, dtype=np.uint8), np.zeros(2, dtype=np.uint8))
 
 
 def test_empty_ensemble_has_no_estimates():
-    empty = np.zeros(0, dtype=np.uint8)
-    stats = RoundStats.of(3, Ensemble(empty, empty))
+    stats = RoundStats.of(3, Ensemble(np.zeros(0, dtype=np.uint8)))
     assert (stats.pairs_remaining, stats.f_hat, stats.f_cond_hat) == (0, None, None)
     assert stats.cells.tolist() == [0] * 16
 
@@ -81,8 +78,8 @@ def test_noiseless_round_halves_and_keeps_phi_plus():
     ens = init_ensemble(cfg(pairs=10_000, fid=1.0, noise=identity))
     out = purification_round(ens, identity, _round_rng(1, 1))
     assert len(out) == 5000
-    assert (out.bell == 0).all()
-    assert (out.flag == 0).all()
+    assert (out.cell >> 2 == 0).all()
+    assert (out.cell & 3 == 0).all()
 
 
 def test_odd_leftover_carried_unchanged():
@@ -91,20 +88,21 @@ def test_odd_leftover_carried_unchanged():
     flag = np.array([0, 0, 3], dtype=np.uint8)
     seen_leftover = False
     for seed in range(20):
-        out = purification_round(Ensemble(bell, flag), identity, _round_rng(seed, 1))
-        if 3 in out.bell:
+        out = purification_round(Ensemble(4 * bell + flag), identity, _round_rng(seed, 1))
+        out_bell, out_flag = out.cell >> 2, out.cell & 3
+        if 3 in out_bell:
             # marked pair was the odd one out: carried with bits untouched
             assert len(out) == 2
-            assert tuple(out.bell[out.flag == 3]) == (3,)
+            assert tuple(out_bell[out_flag == 3]) == (3,)
             seen_leftover = True
     assert seen_leftover
 
 
 def test_single_pair_round_is_identity():
     identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
-    ens = Ensemble(np.array([2], dtype=np.uint8), np.array([1], dtype=np.uint8))
+    ens = Ensemble(np.array([4 * 2 + 1], dtype=np.uint8))
     out = purification_round(ens, identity, _round_rng(0, 1))
-    assert len(out) == 1 and out.bell[0] == 2 and out.flag[0] == 1
+    assert len(out) == 1 and out.cell[0] >> 2 == 2 and out.cell[0] & 3 == 1
 
 
 def test_flags_never_influence_keep():
@@ -112,9 +110,9 @@ def test_flags_never_influence_keep():
     base = init_ensemble(cfg(pairs=50_000))
     flags = np.random.default_rng(7).integers(0, 4, len(base), dtype=np.uint8)
     unflagged = purification_round(base, noise, _round_rng(1, 1))
-    flagged = purification_round(Ensemble(base.bell, flags), noise, _round_rng(1, 1))
-    assert np.array_equal(unflagged.bell, flagged.bell)
-    assert not np.array_equal(unflagged.flag, flagged.flag)  # the flags themselves differ
+    flagged = purification_round(Ensemble(base.cell | flags), noise, _round_rng(1, 1))
+    assert np.array_equal(unflagged.cell >> 2, flagged.cell >> 2)
+    assert not np.array_equal(unflagged.cell & 3, flagged.cell & 3)  # the flags themselves differ
 
 
 def test_one_round_matches_recurrence_on_all_cells():

@@ -1,9 +1,10 @@
 """Invariants of the recurrence map, checked on generated channels and states."""
 
 import numpy as np
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from eppsim.montecarlo import Ensemble, RoundStats, _round_rng, purification_round
 from eppsim.noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
@@ -69,6 +70,25 @@ def test_map_forms_are_nonnegative_symmetric_and_sum_to_the_keep_form(channel):
     assert m.min() >= 0.0
     assert np.array_equal(m, m.transpose(0, 2, 1))
     assert np.allclose(m.sum(axis=0), keep_form(noise.f), rtol=0.0, atol=1e-15)
+
+
+@settings(max_examples=20)
+@given(channel=weights16, state=weights16, seed=st.integers(0, 2**32 - 1))
+def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):
+    # flagged start cells too, so the flag half of the circuit table is reached
+    noise, weights = general(normalized(channel)), normalized(state)
+    try:
+        predicted, _ = generate_map(noise).apply(weights)
+    except EnsembleAnnihilated:
+        assume(False)
+    cells = _round_rng(seed, 0).choice(16, size=200_000, p=weights)
+    stats = RoundStats.of(1, purification_round(Ensemble(cells), noise, _round_rng(seed, 1)))
+    n = stats.pairs_remaining
+    assume(n > 0)
+    # each survivor's cell is an independent draw from the predicted weights;
+    # 5 sigma, since 16 cells of every example are checked at once
+    sigma = np.sqrt(np.maximum(predicted * (1.0 - predicted), 1e-12) / n)
+    assert (np.abs(stats.cells / n - predicted) <= 5.0 * sigma).all()
 
 
 @given(a=weights16, b=weights16, c=weights16)

@@ -14,10 +14,15 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from eppsim.bellbits import BellIndex, FlagPair, epp_unitary, flag_update, keep_predicate
 from eppsim.noisemodels import BinaryNoiseModel, NoiseModel, binary, general, product
 from eppsim.recurrence import (
+    _ROUTE_CELL,
+    _ROUTE_PAULI,
     BINARY_NAMES,
+    CIRCUIT,
     COEFF_NAMES,
+    DISCARDED,
     BellDiagonalState,
     BinaryFlaggedState,
     EnsembleAnnihilated,
@@ -219,6 +224,30 @@ def test_routed_terms_count():
     assert len(terms) == 4096
     kept = [t for t in terms if t[-1] is not None]
     assert len(kept) == 2048  # half of all routings pass the keep test
+
+
+def test_circuit_table_matches_bellbits_on_every_couple():
+    kept = 0
+    for src, tgt in itertools.product(range(16), repeat=2):
+        src_bell, tgt_bell = BellIndex.from_index(src // 4), BellIndex.from_index(tgt // 4)
+        out_s, out_t = epp_unitary(src_bell, tgt_bell)
+        if keep_predicate(out_t):
+            flag = flag_update(FlagPair.from_index(src % 4), FlagPair.from_index(tgt % 4))
+            assert CIRCUIT[src, tgt] == 4 * out_s.index + flag.index
+            kept += 1
+        else:
+            assert CIRCUIT[src, tgt] == DISCARDED
+    assert kept == 128
+
+
+def test_route_arrays_equal_those_built_from_routed_terms():
+    # generate_map's routes come from CIRCUIT with the noise as a cell
+    # relabelling; routed_terms routes every term through bellbits
+    rows = [((o * 16 + s) * 16 + t, 4 * mu + nu)
+            for s, t, mu, nu, o in routed_terms() if o is not None]
+    cell, pauli = (np.array(col) for col in zip(*rows))
+    assert np.array_equal(_ROUTE_CELL, cell)
+    assert np.array_equal(_ROUTE_PAULI, pauli)
 
 
 # --- states and observables ---------------------------------------------------
