@@ -211,6 +211,8 @@ def _resolve_run(args):
 
 def _cmd_iterate(args, cfg, noise, start):
     steps = args.steps if args.steps is not None else int(cfg.get("steps", "20"))
+    if steps < 0:
+        raise ConfigError(f"--steps must be at least 0, got {steps}")
     if noise == "ideal":
         qmap, plain, traj = ideal_quadratic_map(), start, [(embed(start), 1.0)]
         for _ in range(steps):
@@ -315,6 +317,13 @@ def _cmd_curve(args):
 
 
 def _cmd_resources(args, cfg, noise, start):
+    if args.rounds < 1:
+        raise ConfigError(f"--rounds must be at least 1, got {args.rounds}")
+    for flag, eps in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
+        if not math.isfinite(eps):
+            raise ConfigError(f"{flag} must be finite, got {eps}")
+    if args.eps_min > args.eps_max:
+        raise ConfigError(f"--eps-min must be at most --eps-max, got {args.eps_min} > {args.eps_max}")
     traj = analytic_trajectory(noise, start, args.rounds)
     rows = []
     cost = 1.0

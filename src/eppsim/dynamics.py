@@ -14,9 +14,10 @@ regime is where that fixpoint purifies and attracts.  The boundary of the
 regime is therefore located by bisecting on linear stability: the spectral
 radius of the step's Jacobian at the secure fixpoint crosses one there.
 The secure fixpoint is solved for by Newton's method on the subspace, in
-tens of steps even where the plain iteration converges only algebraically.
-Convergence times of the plain iteration diverge at the boundary, much like
-a phase transition; the basin checks of a critical search iterate that way.
+tens of steps even where the plain iteration converges only algebraically,
+and so are the limits that the basin checks of a critical search take for
+the start state, with every cell free.  Convergence times of the plain
+iteration diverge at the boundary, much like a phase transition.
 """
 
 from __future__ import annotations
@@ -44,11 +45,12 @@ from .recurrence import (
 
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
-#: Budget of a critical search's stability solves and basin probes.  The
-#: basin probes need it: they iterate the start state plainly, and at the
-#: binary family's purification threshold f0 = 3/4, the usual lower end of
-#: its bracket, that converges only algebraically and uses it up.  The
-#: Newton solve of the secure fixpoint takes about 200 steps there.
+#: Budget of a critical search's stability solves and basin checks.  Both
+#: are Newton solves after a plain warm start and take a few hundred steps
+#: at most, even at the binary family's purification threshold f0 = 3/4,
+#: where the plain iteration converges only algebraically and would use it
+#: all up.  Only a solve whose Newton phase does not converge falls back to
+#: plain steps and spends more of it.
 CRITICAL_MAX_ITER = 500_000
 #: Budget of each random channel's classification in a regime scan; a
 #: channel that has not converged within it counts as intermediate.
@@ -287,27 +289,29 @@ def _flag_diagonal(state):
     return wrap(diag), cells
 
 
-def _secure_fixpoint(noise, s0, tol: float, max_iter: int) -> FixpointResult:
-    """The fixpoint of the flag-diagonal subspace, solved by Newton's method.
+def _newton_fixpoint(noise, start, cells, tol: float, max_iter: int) -> FixpointResult:
+    """A fixpoint reached from ``start``, solved by Newton's method on ``cells``.
 
-    Up to ``_NEWTON_WARM_START`` plain steps from the flag-diagonal
-    projection of ``s0`` come first.  Then each Newton step x -> x + dx
-    solves (J_SS - I) dx = -(step(x) - x)_S on the flag-diagonal cells S,
-    with J_SS the exact Jacobian restricted to them; every column of J sums
-    to zero, so dx keeps the weights summing to one.  A Newton point with a
+    Up to ``_NEWTON_WARM_START`` plain steps from ``start`` come first, the
+    very steps of ``iterate_to_fixpoint``.  Then each Newton step x -> x + dx
+    solves (J_CC - I) dx = -(step(x) - x)_C on the free cells C, with J_CC
+    the exact Jacobian restricted to them; every column of J sums to zero, so
+    dx keeps the weights summing to one, whether C spans an invariant
+    subspace (the flag-diagonal cells) or every cell.  A Newton point with a
     negative weight is replaced by the plain step.  If Newton has not
-    converged within ``_NEWTON_MAX_STEPS`` steps, no fixpoint lies within
-    its reach (it circles the ghost of a fold), and the plain iteration
-    takes the rest of the budget from where the warm start stopped.
+    converged within ``_NEWTON_MAX_STEPS`` steps, the plain iteration takes
+    the rest of the budget from where the warm start stopped.  That happens
+    where no fixpoint lies within Newton's reach (it circles the ghost of a
+    fold), and, with every cell free, at a secure fixpoint: its cells with
+    flag other than Bell index are zero, on the edge of the simplex, so each
+    Newton point lands a rounding error below zero there and is replaced.
 
     Converged means max |step(x) - x| <= tol within ``max_iter`` steps in
     all, plain and Newton alike; the result holds step(x), as
     ``iterate_to_fixpoint``'s does.  At the binary family's f0 = 3/4, where
-    the subspace fixpoint is a multiple root, Newton converges only
-    linearly, but in tens of steps where the plain iteration needs more
-    than 500k.
+    the fixpoint is a multiple root, Newton converges only linearly, but in
+    tens of steps where the plain iteration needs more than 500k.
     """
-    start, cells = _flag_diagonal(s0)
     warm = iterate_to_fixpoint(start, noise, tol=tol, max_iter=min(_NEWTON_WARM_START, max_iter))
     if warm.converged or warm.failure is not None or warm.iterations == max_iter:
         return warm
@@ -343,17 +347,18 @@ def secure_by_stability(
 
     Solves for the secure fixpoint: the fixpoint of the flag-diagonal
     subspace, which the step never leaves, reached from the projection of
-    the probe state (``_secure_fixpoint``: a short plain iteration, then
-    Newton's method).  The setting is secure iff that fixpoint converges
-    within the budget, purifies (fidelity > 1/2) and attracts: the spectral
-    radius of the full step's Jacobian there is below one.  The solve takes
+    the probe state (``_newton_fixpoint`` on the flag-diagonal cells: a
+    short plain iteration, then Newton's method).  The setting is secure
+    iff that fixpoint converges within the budget, purifies (fidelity > 1/2)
+    and attracts: the spectral radius of the full step's Jacobian there is
+    below one.  The solve takes
     tens of steps even at a multiple root of the subspace map, where the
     plain iteration converges only algebraically, and near the boundary,
     where the approach that ``classify_regime`` follows slows down without
     bound.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    result = _secure_fixpoint(noise, s0, tol, max_iter)
+    result = _newton_fixpoint(noise, *_flag_diagonal(s0), tol, max_iter)
     if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
         return False
     return spectral_radius(jacobian(_as_quadratic_map(noise), result.state)) < 1.0
@@ -371,9 +376,13 @@ def find_critical(
     ``family(param)`` must return (noise or map, start state).  The security
     indicator is linear stability at the secure fixpoint
     (``secure_by_stability``); ``tol`` and ``max_iter`` bound its solve and
-    the basin checks.  As a basin check, the family's start state is
-    iterated at both bracket ends and must end in the regime the indicator
-    gives there.  Raises ValueError for a negative ``halvings``, when the
+    the basin checks.  As a basin check, the limit of the family's start
+    state at both bracket ends must lie in the regime the indicator gives
+    there.  That limit is solved for by ``_newton_fixpoint`` with every cell
+    free: where the plain iteration converges within the warm start it is
+    that iteration's result, and at the binary threshold f0 = 3/4, where the
+    plain iteration needs far more than the budget, Newton decides it in
+    tens of steps.  Raises ValueError for a negative ``halvings``, when the
     indicator does not change across the bracket or a basin check disagrees
     with it; ``halvings = 0`` returns the bracket's midpoint.
 
@@ -394,7 +403,8 @@ def find_critical(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
     for (param, noise_or_map, start), secure in zip(ends, (sec_lo, sec_hi)):
-        result = iterate_to_fixpoint(start, noise_or_map, tol=tol, max_iter=max_iter)
+        every_cell = range(len(_vector_of(start)[0]))
+        result = _newton_fixpoint(noise_or_map, start, every_cell, tol, max_iter)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
             raise ValueError(

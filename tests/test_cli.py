@@ -76,6 +76,15 @@ def test_iterate_from_config_file_with_override(tmp_path):
     assert len(rows) == 7  # flag override wins over the file
 
 
+def test_negative_steps_from_config_is_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.93\nsteps=-3\n")
+    out = tmp_path / "out"
+    assert main(["iterate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: --steps must be at least 0, got -3\n"
+    assert list(out.iterdir()) == []
+
+
 def test_iterate_binary_model(tmp_path):
     assert main(["iterate", "--model", "binary", "--f0", "0.9", "--werner", "0.8",
                  "--steps", "3", "--out", str(tmp_path)]) == 0
@@ -159,6 +168,13 @@ def test_write_outputs_refuses_non_finite_json(tmp_path):
         (["scan", "--points", "2", "--samples", "0"], "--samples"),
         (["scan", "--points", "0", "--samples", "2"], "--points"),
         (["curve", "--points", "0"], "--points"),
+        (["iterate", "--model", "white", "--f0", "0.93", "--steps", "-3"], "--steps"),
+        (["resources", "--model", "white", "--f0", "0.93", "--rounds", "0"], "--rounds"),
+        (["resources", "--model", "white", "--f0", "0.93", "--rounds", "-1"], "--rounds"),
+        (["resources", "--model", "white", "--f0", "0.93", "--eps-min", "nan"], "--eps-min"),
+        (["resources", "--model", "white", "--f0", "0.93", "--eps-max", "inf"], "--eps-max"),
+        (["resources", "--model", "white", "--f0", "0.93", "--eps-min", "0.5", "--eps-max", "0.1"],
+         "--eps-min"),
     ],
 )
 def test_loop_flags_are_validated_before_any_work(tmp_path, capsys, args, flag):

@@ -19,6 +19,7 @@ from eppsim.dynamics import (
     iterate_to_fixpoint,
     jacobian,
     purification_curve,
+    regime_of,
     regime_scan,
     secure_by_stability,
     spectral_radius,
@@ -300,10 +301,16 @@ def test_stability_verdict_needs_flag_diagonal_weight():
 # --- the secure fixpoint, solved by Newton's method ------------------------------
 
 
+def secure_fixpoint(noise, start, tol, max_iter):
+    """The Newton solve of ``secure_by_stability``: the flag-diagonal cells
+    free, from the projection of the start state."""
+    return dynamics._newton_fixpoint(noise, *dynamics._flag_diagonal(start), tol, max_iter)
+
+
 @pytest.mark.parametrize("f0", [0.76, 0.7718, 0.7719, 0.8, 0.9])
 def test_secure_fixpoint_matches_binary_closed_form(f0):
     noise, probe = binary_family(f0)
-    r = dynamics._secure_fixpoint(noise, probe, tol=1e-12, max_iter=1000)
+    r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=1000)
     assert r.converged and r.residual <= 1e-12
     assert np.abs(r.state.as_array - binary_fixpoint_analytic(f0).as_array).max() < 1e-9
 
@@ -315,7 +322,7 @@ def test_secure_fixpoint_at_the_binary_threshold():
     # iteration ends 1e-3 away after 500k steps.
     noise, probe = binary_family(0.75)
     tol = 1e-12
-    r = dynamics._secure_fixpoint(noise, probe, tol=tol, max_iter=1000)
+    r = secure_fixpoint(noise, probe, tol=tol, max_iter=1000)
     assert r.converged and r.residual <= tol
     assert r.iterations > dynamics._NEWTON_WARM_START  # Newton did the work
     error = np.abs(r.state.as_array - binary_fixpoint_analytic(0.75).as_array).max()
@@ -326,7 +333,7 @@ def test_secure_fixpoint_past_a_fold_falls_back_to_plain_steps():
     # just below white noise's fold the purifying fixpoint is gone; Newton
     # circles its ghost, and the plain iteration carries on to F = 1/4
     qmap, probe = white_noise_family(0.8983)
-    r = dynamics._secure_fixpoint(qmap, probe, tol=1e-12, max_iter=30_000)
+    r = secure_fixpoint(qmap, probe, tol=1e-12, max_iter=30_000)
     assert r.converged
     assert r.iterations > dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
     assert r.fidelity == pytest.approx(0.25, abs=1e-9)
@@ -336,7 +343,7 @@ def test_secure_fixpoint_budget_counts_every_step():
     noise, probe = binary_family(0.75)
     warm = dynamics._NEWTON_WARM_START
     for budget in (warm - 50, warm, warm + 5):
-        r = dynamics._secure_fixpoint(noise, probe, tol=1e-12, max_iter=budget)
+        r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=budget)
         assert (r.iterations, r.converged) == (budget, False)
 
 
@@ -370,23 +377,26 @@ def test_newton_verdict_matches_plain_iteration_on_random_channels():
         assert verdict == reference_verdict(noise, probe), f00
         verdicts.append(verdict)
         newton_runs += (
-            dynamics._secure_fixpoint(noise, probe, 1e-12, 500_000).iterations
+            secure_fixpoint(noise, probe, 1e-12, 500_000).iterations
             > dynamics._NEWTON_WARM_START
         )
     assert any(verdicts) and not all(verdicts)
     assert newton_runs > 0
 
 
-@pytest.mark.parametrize(
+#: Points within 1e-3 of each boundary: binary f0 = 3/4 and 0.77184, white
+#: noise's fold near 0.89831 and its security boundary near 0.89870.
+near_the_boundaries = pytest.mark.parametrize(
     "family, f0",
     [(binary_family, f0) for f0 in (0.749, 0.7499, 0.7501, 0.751, 0.7709, 0.7718, 0.7719, 0.7728)]
     + [(white_noise_family, f0)
        for f0 in (0.8973, 0.8982, 0.8983, 0.8984, 0.8986, 0.8987, 0.8988, 0.8997)],
     ids=lambda x: getattr(x, "__name__", x),
 )
+
+
+@near_the_boundaries
 def test_newton_verdict_matches_plain_iteration_near_the_boundaries(family, f0):
-    # within 1e-3 of each boundary: binary f0 = 3/4 and 0.77184, white noise's
-    # fold near 0.89831 and its security boundary near 0.89870
     noise, probe = family(f0)
     assert secure_by_stability(noise, probe, max_iter=500_000) == reference_verdict(noise, probe)
 
@@ -399,6 +409,67 @@ def test_find_critical_basin_check_disagreement():
 
     with pytest.raises(ValueError, match="basin check"):
         find_critical(family, (0.75, 0.85), halvings=4, max_iter=20_000)
+
+
+def test_find_critical_basin_check_at_the_insecure_end():
+    # a flag-diagonal start purifies to the secure fixpoint at f0 = 0.76,
+    # where linear stability finds it repelling off the subspace; the plain
+    # run takes 281 steps, so the warm start hands the decision to Newton
+    def family(f0):
+        return BinaryNoiseModel.uncorrelated(f0), BinaryFlaggedState(0.85, 0.0, 0.0, 0.15)
+
+    assert basin_limit(*family(0.76), max_iter=20_000).iterations > dynamics._NEWTON_WARM_START
+    with pytest.raises(ValueError, match="basin check at 0.76"):
+        find_critical(family, (0.76, 0.85), halvings=4, max_iter=20_000)
+
+
+# --- the basin check's limit, solved by Newton's method -----------------------------
+
+
+def basin_limit(noise, start, max_iter=dynamics.CRITICAL_MAX_ITER):
+    """The solve of ``find_critical``'s basin check: every cell free."""
+    every_cell = range(len(dynamics._vector_of(start)[0]))
+    return dynamics._newton_fixpoint(noise, start, every_cell, 1e-12, max_iter)
+
+
+def ends_secure(result):
+    return regime_of(result) is Regime.SECURITY
+
+
+def test_basin_limit_at_the_binary_threshold_is_decided_by_newton():
+    # the plain iteration converges only algebraically here,
+    # e' = e / (1 + e**2) for e = F - 1/2, and used to spend the whole budget
+    r = basin_limit(*binary_family(0.75))
+    assert r.iterations <= dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
+    assert r.converged and not ends_secure(r)
+
+
+def test_basin_limit_matches_plain_iteration_on_random_channels():
+    # the channels of test_newton_verdict_matches_plain_iteration_on_random_channels
+    rng = np.random.default_rng(41)
+    probe = embed(BellDiagonalState.werner(0.85))
+    verdicts, newton_runs = [], 0
+    for f00 in np.linspace(0.70, 0.95, 240):
+        qmap = generate_map(random_channel(rng, f00))
+        plain = iterate_to_fixpoint(probe, qmap, max_iter=30_000)
+        assert plain.converged, f00
+        limit = basin_limit(qmap, probe)
+        assert ends_secure(limit) == ends_secure(plain), f00
+        verdicts.append(ends_secure(plain))
+        newton_runs += limit.iterations > dynamics._NEWTON_WARM_START
+    assert any(verdicts) and not all(verdicts)
+    assert newton_runs > 0
+
+
+@near_the_boundaries
+def test_basin_limit_matches_plain_iteration_near_the_boundaries(family, f0):
+    noise, probe = family(f0)
+    secure = ends_secure(basin_limit(noise, probe))
+    plain = iterate_to_fixpoint(probe, noise, max_iter=50_000)
+    if plain.converged:
+        assert secure == ends_secure(plain)
+    else:  # white noise at 0.8987 takes 124k plain steps
+        assert secure == secure_by_stability(noise, probe, max_iter=dynamics.CRITICAL_MAX_ITER)
 
 
 # --- regimes ----------------------------------------------------------------------
