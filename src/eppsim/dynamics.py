@@ -13,11 +13,12 @@ the flag bits alike.  Its fixpoint is the secure one, and the security
 regime is where that fixpoint purifies and attracts.  The boundary of the
 regime is therefore located by bisecting on linear stability: the spectral
 radius of the step's Jacobian at the secure fixpoint crosses one there.
-The secure fixpoint is solved for by Newton's method on the subspace, in
-tens of steps even where the plain iteration converges only algebraically,
-and so are the limits that the basin checks of a critical search take for
-the start state, with every cell free.  Convergence times of the plain
-iteration diverge at the boundary, much like a phase transition.
+The secure fixpoint is solved for by Newton's method on the subspace, after
+a short plain warm start, in tens of steps even where the plain iteration
+converges only algebraically, and so are the limits that the basin checks
+of a critical search take for the start state, with every cell free.
+Convergence times of the plain iteration diverge at the boundary, much like
+a phase transition.
 """
 
 from __future__ import annotations
@@ -46,8 +47,8 @@ from .recurrence import (
 DEFAULT_TOL = 1e-12
 DEFAULT_MAX_ITER = 100_000
 #: Budget of a critical search's stability solves and basin checks.  Both
-#: are Newton solves after a plain warm start and take a few hundred steps
-#: at most, even at the binary family's purification threshold f0 = 3/4,
+#: are Newton solves after a 30-step plain warm start and take tens of
+#: steps, even at the binary family's purification threshold f0 = 3/4,
 #: where the plain iteration converges only algebraically and would use it
 #: all up.  Only a solve whose Newton phase does not converge falls back to
 #: plain steps and spends more of it.
@@ -179,8 +180,11 @@ def iterate_to_fixpoint(
     runs the scalar closed-form loop; every other pair runs the array loop
     of ``QuadraticMap`` steps.  ``s0`` is left unchanged.  Annihilation of
     the ensemble is reported as non-convergence with a cause, zero
-    iterations and an infinite residual.
+    iterations and an infinite residual.  Raises ValueError for a negative
+    ``max_iter``; zero iterates nothing and reports non-convergence.
     """
+    if max_iter < 0:
+        raise ValueError(f"max_iter = {max_iter} < 0")
     if isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel):
         try:
             vec, it, ok, res = _iterate_binary(s0, noise_or_map, tol, max_iter)
@@ -267,8 +271,10 @@ def white_noise_family(f0: float) -> tuple[QuadraticMap, FlaggedEnsembleState]:
 _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState: [0, 3]}
 
 #: Plain steps that start the secure-fixpoint solve before Newton takes over,
-#: and the Newton steps it takes at most.
-_NEWTON_WARM_START = 200
+#: and the Newton steps it takes at most.  The warm start only has to bring
+#: Newton within reach of the fixpoint; with 30 steps a critical search's
+#: solves sum to about 1,300 (white noise) and 1,500 (binary) steps.
+_NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
 
@@ -289,7 +295,21 @@ def _flag_diagonal(state):
     return wrap(diag), cells
 
 
-def _newton_fixpoint(noise, start, cells, tol: float, max_iter: int) -> FixpointResult:
+def _free_cell_jacobian(qmap: QuadraticMap, cells: np.ndarray):
+    """``jacobian(qmap, x)`` restricted to the free cells C, as a function
+    of x, its image x' and keep N under the step.
+
+    J_CC = 2 [(M_j x)_k - x'_j (S x)_k] / N for j, k in C, with S = sum_j M_j,
+    from the rows of M and S on C alone.
+    """
+    m_cc = qmap.m[np.ix_(cells, cells)]
+    s_c = qmap.m.sum(axis=0)[cells]
+    return lambda x, image, n: (2.0 / n) * (m_cc @ x - np.outer(image[cells], s_c @ x))
+
+
+def _newton_fixpoint(
+    noise, start, cells, tol: float, max_iter: int, qmap: QuadraticMap | None = None
+) -> FixpointResult:
     """A fixpoint reached from ``start``, solved by Newton's method on ``cells``.
 
     Up to ``_NEWTON_WARM_START`` plain steps from ``start`` come first, the
@@ -297,39 +317,40 @@ def _newton_fixpoint(noise, start, cells, tol: float, max_iter: int) -> Fixpoint
     solves (J_CC - I) dx = -(step(x) - x)_C on the free cells C, with J_CC
     the exact Jacobian restricted to them; every column of J sums to zero, so
     dx keeps the weights summing to one, whether C spans an invariant
-    subspace (the flag-diagonal cells) or every cell.  A Newton point with a
-    negative weight is replaced by the plain step.  If Newton has not
-    converged within ``_NEWTON_MAX_STEPS`` steps, the plain iteration takes
-    the rest of the budget from where the warm start stopped.  That happens
-    where no fixpoint lies within Newton's reach (it circles the ghost of a
-    fold), and, with every cell free, at a secure fixpoint: its cells with
-    flag other than Bell index are zero, on the edge of the simplex, so each
-    Newton point lands a rounding error below zero there and is replaced.
+    subspace (the flag-diagonal cells) or every cell.  Negative weights of
+    the Newton point are clipped to zero (a projected Newton step): a secure
+    fixpoint's cells with flag other than Bell index are zero, on the edge of
+    the simplex, and Newton overshoots them by up to about 1e-6.  If Newton
+    has not converged within ``_NEWTON_MAX_STEPS`` steps, the plain iteration
+    takes the rest of the budget from where the warm start stopped; that
+    happens where no fixpoint lies within Newton's reach (it circles the
+    ghost of a fold).  ``qmap`` is the map of ``noise``, built here when
+    Newton runs if not given.
 
     Converged means max |step(x) - x| <= tol within ``max_iter`` steps in
     all, plain and Newton alike; the result holds step(x), as
     ``iterate_to_fixpoint``'s does.  At the binary family's f0 = 3/4, where
     the fixpoint is a multiple root, Newton converges only linearly, but in
-    tens of steps where the plain iteration needs more than 500k.
+    tens of steps where the plain iteration needs more than 500k.  Raises
+    ValueError for a negative ``max_iter``.
     """
     warm = iterate_to_fixpoint(start, noise, tol=tol, max_iter=min(_NEWTON_WARM_START, max_iter))
     if warm.converged or warm.failure is not None or warm.iterations == max_iter:
         return warm
-    qmap = _as_quadratic_map(noise)
+    qmap = _as_quadratic_map(noise) if qmap is None else qmap
     x, wrap = _vector_of(warm.state)
-    cell_pairs, eye = np.ix_(cells, cells), np.eye(len(cells))
+    x = x.copy()
+    cells = np.asarray(cells)
+    jacobian_cc, eye = _free_cell_jacobian(qmap, cells), np.eye(len(cells))
     newton_steps = min(_NEWTON_MAX_STEPS, max_iter - warm.iterations)
     try:
         for k in range(1, newton_steps + 1):
-            image, _ = qmap.apply(x)
+            image, n = qmap.apply(x)
             residual = float(np.max(np.abs(image - x)))
             if residual <= tol:
                 return FixpointResult(wrap(image), warm.iterations + k, True, residual)
-            dx = np.linalg.solve(jacobian(qmap, x)[cell_pairs] - eye, x[cells] - image[cells])
-            x = x.copy()
-            x[cells] += dx
-            if x.min() < 0.0:
-                x = image
+            x[cells] += np.linalg.solve(jacobian_cc(x, image, n) - eye, x[cells] - image[cells])
+            np.maximum(x, 0.0, out=x)
     except EnsembleAnnihilated as exc:
         return FixpointResult(start, 0, False, np.inf, failure=str(exc))
     spent = warm.iterations + newton_steps
@@ -348,20 +369,21 @@ def secure_by_stability(
     Solves for the secure fixpoint: the fixpoint of the flag-diagonal
     subspace, which the step never leaves, reached from the projection of
     the probe state (``_newton_fixpoint`` on the flag-diagonal cells: a
-    short plain iteration, then Newton's method).  The setting is secure
-    iff that fixpoint converges within the budget, purifies (fidelity > 1/2)
-    and attracts: the spectral radius of the full step's Jacobian there is
-    below one.  The solve takes
-    tens of steps even at a multiple root of the subspace map, where the
-    plain iteration converges only algebraically, and near the boundary,
-    where the approach that ``classify_regime`` follows slows down without
-    bound.
+    30-step plain iteration, then Newton's method); the solve and the
+    verdict share one map.  The setting is secure iff that fixpoint
+    converges within the budget, purifies (fidelity > 1/2) and attracts:
+    the spectral radius of the full step's Jacobian there is below one.
+    The solve takes tens of steps even at a multiple root of the subspace
+    map, where the plain iteration converges only algebraically, and near
+    the boundary, where the approach that ``classify_regime`` follows slows
+    down without bound.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    result = _newton_fixpoint(noise, *_flag_diagonal(s0), tol, max_iter)
+    qmap = _as_quadratic_map(noise)
+    result = _newton_fixpoint(noise, *_flag_diagonal(s0), tol, max_iter, qmap)
     if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
         return False
-    return spectral_radius(jacobian(_as_quadratic_map(noise), result.state)) < 1.0
+    return spectral_radius(jacobian(qmap, result.state)) < 1.0
 
 
 def find_critical(
@@ -379,12 +401,14 @@ def find_critical(
     the basin checks.  As a basin check, the limit of the family's start
     state at both bracket ends must lie in the regime the indicator gives
     there.  That limit is solved for by ``_newton_fixpoint`` with every cell
-    free: where the plain iteration converges within the warm start it is
-    that iteration's result, and at the binary threshold f0 = 3/4, where the
-    plain iteration needs far more than the budget, Newton decides it in
-    tens of steps.  Raises ValueError for a negative ``halvings``, when the
-    indicator does not change across the bracket or a basin check disagrees
-    with it; ``halvings = 0`` returns the bracket's midpoint.
+    free: where the plain iteration converges within the 30-step warm start
+    it is that iteration's result; elsewhere Newton decides it in tens of
+    steps, both at the binary threshold f0 = 3/4, where the plain iteration
+    needs far more than the budget, and at a secure end near the boundary,
+    where it needs thousands.  Raises ValueError for a negative
+    ``halvings``, when the indicator does not change across the bracket or a
+    basin check disagrees with it; ``halvings = 0`` returns the bracket's
+    midpoint.
 
     The result is the midpoint of the bisection's last interval, the bracket
     over 2**halvings, which is not an error bound: near the boundary the

@@ -120,19 +120,24 @@ def purification_round(
     noise: NoiseModel | BinaryNoiseModel,
     rng: np.random.Generator,
 ) -> Ensemble:
-    """One distillation round over the whole ensemble."""
+    """One distillation round over the whole ensemble.
+
+    A copy of the pairs is shuffled in place, then coupled in order; an odd
+    pair out is kept as it is.  The shuffle draws what ``rng.permutation(n)``
+    would, whatever the dtype, so the couples are those of that permutation
+    without its n indices.
+    """
     n = len(ens)
     if n < 2:
         return ens
-    order = rng.permutation(n)
-    leftover = order[-1:] if n % 2 else order[:0]
-    order = order[: n - (n % 2)]
-    src_idx, tgt_idx = order[0::2], order[1::2]
+    cell = ens.cell.copy()
+    rng.shuffle(cell)
+    even = n - n % 2
 
-    joint = rng.choice(16, size=src_idx.shape[0], p=_noise_table(noise).ravel())
+    joint = rng.choice(16, size=even // 2, p=_noise_table(noise).ravel())
     mu, nu = np.divmod(joint.astype(np.uint8), 4)
-    out = noisy_circuit(ens.cell[src_idx], ens.cell[tgt_idx], mu, nu)
-    return Ensemble(np.concatenate([out[out != DISCARDED], ens.cell[leftover]]))
+    out = noisy_circuit(cell[0:even:2], cell[1:even:2], mu, nu)
+    return Ensemble(np.concatenate([out[out != DISCARDED], cell[even:]]))
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:

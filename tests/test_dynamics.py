@@ -342,9 +342,34 @@ def test_secure_fixpoint_past_a_fold_falls_back_to_plain_steps():
 def test_secure_fixpoint_budget_counts_every_step():
     noise, probe = binary_family(0.75)
     warm = dynamics._NEWTON_WARM_START
-    for budget in (warm - 50, warm, warm + 5):
+    for budget in (1, warm // 2, warm, warm + 5):
         r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=budget)
         assert (r.iterations, r.converged) == (budget, False)
+
+
+@pytest.mark.parametrize("family", [binary_family, white_noise_family])
+def test_negative_budget_is_an_error(family):
+    noise, probe = family(0.8)
+    with pytest.raises(ValueError, match="max_iter = -1 < 0"):
+        iterate_to_fixpoint(probe, noise, max_iter=-1)
+    with pytest.raises(ValueError, match="max_iter = -1 < 0"):
+        secure_fixpoint(noise, probe, tol=1e-12, max_iter=-1)
+    r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=0)
+    assert (r.iterations, r.converged) == (0, False)
+
+
+@pytest.mark.parametrize("cells", [[0, 5, 10, 15], list(range(16))], ids=["flag-diag", "every"])
+def test_free_cell_jacobian_matches_the_full_jacobian(cells):
+    # the Newton step's J_CC, formed from the rows of M on the free cells,
+    # against the slice of the exact derivative
+    rng = np.random.default_rng(7)
+    qmap = generate_map(random_channel(rng, 0.85))
+    jacobian_cc = dynamics._free_cell_jacobian(qmap, np.asarray(cells))
+    for _ in range(20):
+        x = rng.dirichlet(np.ones(16))
+        image, n = qmap.apply(x)
+        expected = jacobian(qmap, x)[np.ix_(cells, cells)]
+        np.testing.assert_allclose(jacobian_cc(x, image, n), expected, rtol=0, atol=1e-14)
 
 
 def reference_verdict(noise, start):
@@ -442,6 +467,40 @@ def test_basin_limit_at_the_binary_threshold_is_decided_by_newton():
     r = basin_limit(*binary_family(0.75))
     assert r.iterations <= dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
     assert r.converged and not ends_secure(r)
+
+
+@pytest.mark.parametrize("family, f0", [(binary_family, 0.7719), (white_noise_family, 0.8988)])
+def test_basin_limit_at_a_secure_end_near_the_boundary_is_decided_by_newton(family, f0):
+    # the limit's cells with flag other than Bell index are zero, and Newton
+    # overshoots them; clipped to zero, its points are kept, where the plain
+    # iteration takes thousands of steps (19,421 and 2,895)
+    r = basin_limit(*family(f0))
+    assert r.iterations <= dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
+    assert r.converged and ends_secure(r)
+
+
+def test_critical_searches_take_few_solve_steps():
+    # a deterministic cost guard: the solve steps, plain and Newton, summed
+    # over every solve of a search (about 5,000 each with a 200-step warm
+    # start and negative Newton points replaced by plain steps)
+    spent = []
+    original = dynamics._newton_fixpoint
+
+    def counted(*args):
+        result = original(*args)
+        spent.append(result.iterations)
+        return result
+
+    searches = [
+        lambda: find_critical(white_noise_family, (0.88, 0.92), halvings=24, max_iter=30_000),
+        lambda: find_critical(binary_family, (0.75, 0.85)),
+    ]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dynamics, "_newton_fixpoint", counted)
+        for search in searches:
+            spent.clear()
+            search()
+            assert 0 < sum(spent) <= 2_000
 
 
 def test_basin_limit_matches_plain_iteration_on_random_channels():

@@ -6,6 +6,7 @@ from eppsim.montecarlo import (
     MCConfig,
     MCPair,
     RoundStats,
+    _noise_table,
     _round_rng,
     analytic_trajectory,
     init_ensemble,
@@ -14,7 +15,14 @@ from eppsim.montecarlo import (
     run,
 )
 from eppsim.noisemodels import BinaryNoiseModel, general
-from eppsim.recurrence import BellDiagonalState, generate_map, step, embed
+from eppsim.recurrence import (
+    DISCARDED,
+    BellDiagonalState,
+    embed,
+    generate_map,
+    noisy_circuit,
+    step,
+)
 
 
 def tracking_noise():
@@ -96,6 +104,29 @@ def test_odd_leftover_carried_unchanged():
             assert tuple(out_bell[out_flag == 3]) == (3,)
             seen_leftover = True
     assert seen_leftover
+
+
+def permutation_round(ens, noise, rng):
+    """A round coupled through the indices of ``rng.permutation``."""
+    n = len(ens)
+    order = rng.permutation(n)
+    leftover = order[n - n % 2:]
+    src, tgt = order[0:n - n % 2:2], order[1:n - n % 2:2]
+    joint = rng.choice(16, size=src.shape[0], p=_noise_table(noise).ravel())
+    mu, nu = np.divmod(joint.astype(np.uint8), 4)
+    out = noisy_circuit(ens.cell[src], ens.cell[tgt], mu, nu)
+    return np.concatenate([out[out != DISCARDED], ens.cell[leftover]])
+
+
+@pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001])
+def test_round_couples_the_pairs_of_the_permutation(pairs):
+    noise = tracking_noise()
+    ens = init_ensemble(cfg(pairs=pairs, seed=3))
+    before = ens.cell.copy()
+    for r in (1, 2):
+        out = purification_round(ens, noise, _round_rng(3, r))
+        assert np.array_equal(out.cell, permutation_round(ens, noise, _round_rng(3, r)))
+    assert np.array_equal(ens.cell, before)  # the round leaves its input as it was
 
 
 def test_single_pair_round_is_identity():
