@@ -277,6 +277,13 @@ _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
+#: Newton overshoots a secure fixpoint's zero cells by up to 4e-7 (at binary
+#: 0.7719 and white 0.8988), and those weights are clipped to zero.  A weight
+#: below -_NEWTON_CLIP_FLOOR (as far as -2.4 in high noise) is no overshoot:
+#: clipped, it can land on a fixpoint other than the trajectory's limit, so
+#: the solve leaves Newton for the plain iteration.
+_NEWTON_CLIP_FLOOR = 1e-5
+
 
 def _flag_diagonal(state):
     """Project a flagged state onto its cells with flag equal to Bell index.
@@ -318,14 +325,17 @@ def _newton_fixpoint(
     the exact Jacobian restricted to them; every column of J sums to zero, so
     dx keeps the weights summing to one, whether C spans an invariant
     subspace (the flag-diagonal cells) or every cell.  Negative weights of
-    the Newton point are clipped to zero (a projected Newton step): a secure
-    fixpoint's cells with flag other than Bell index are zero, on the edge of
-    the simplex, and Newton overshoots them by up to about 1e-6.  If Newton
-    has not converged within ``_NEWTON_MAX_STEPS`` steps, the plain iteration
-    takes the rest of the budget from where the warm start stopped; that
-    happens where no fixpoint lies within Newton's reach (it circles the
-    ghost of a fold).  ``qmap`` is the map of ``noise``, built here when
-    Newton runs if not given.
+    the Newton point down to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a
+    projected Newton step): a secure fixpoint's cells with flag other than
+    Bell index are zero, on the edge of the simplex, and Newton overshoots
+    them by up to about 1e-6.  If Newton has not converged within
+    ``_NEWTON_MAX_STEPS`` steps, or a Newton point has a weight below
+    ``-_NEWTON_CLIP_FLOOR``, the plain iteration takes the rest of the
+    budget from where the warm start stopped, so the result is the limit of
+    the plain iteration; that happens where no fixpoint lies within Newton's
+    reach (it circles the ghost of a fold) or Newton heads for another
+    fixpoint.  ``qmap`` is the map of ``noise``, built here when Newton runs
+    if not given.
 
     Converged means max |step(x) - x| <= tol within ``max_iter`` steps in
     all, plain and Newton alike; the result holds step(x), as
@@ -350,10 +360,12 @@ def _newton_fixpoint(
             if residual <= tol:
                 return FixpointResult(wrap(image), warm.iterations + k, True, residual)
             x[cells] += np.linalg.solve(jacobian_cc(x, image, n) - eye, x[cells] - image[cells])
+            if x.min() < -_NEWTON_CLIP_FLOOR:
+                break
             np.maximum(x, 0.0, out=x)
     except EnsembleAnnihilated as exc:
         return FixpointResult(start, 0, False, np.inf, failure=str(exc))
-    spent = warm.iterations + newton_steps
+    spent = warm.iterations + k
     rest = iterate_to_fixpoint(warm.state, noise, tol=tol, max_iter=max_iter - spent)
     return replace(rest, iterations=spent + rest.iterations)
 

@@ -3,11 +3,30 @@
 Each pair is stored as one packed uint8 cell, 4 * (Bell index) + (error
 flag), the cell layout of the recurrence map.  A round shuffles the
 ensemble, splits it into source/target couples, samples one joint Pauli
-error per couple, and looks each errored couple up in the fixed circuit
-table ``recurrence.CIRCUIT`` (``noisy_circuit``), which gives the kept
-source pair's cell or marks the couple discarded when the (simulated)
-measurements disagree.  Target pairs are always discarded; an odd leftover
-pair is carried into the next round unchanged.
+error per couple, and looks each errored couple up in the fixed circuit,
+which gives the kept source pair's cell or marks the couple discarded when
+the (simulated) measurements disagree.  Target pairs are always discarded;
+an odd leftover pair is carried into the next round unchanged.  The
+protocol is the two-way recurrence of Deutsch et al., PRL 77, 2818 (1996).
+
+Apart from the shuffles, every pass over the pairs runs in chunks of
+``_CHUNK`` draws, so its temporaries stay in cache whatever the ensemble's
+size:
+
+- ``_categorical`` draws what ``rng.choice(len(p), size, p=p)`` draws.
+  choice takes one ``rng.random()`` double u per draw and returns the number
+  of entries of ``cdf = p.cumsum() / p.cumsum()[-1]`` that are <= u
+  (``searchsorted(side="right")``).  The same count is made here over
+  chunks of doubles, which continue one stream because each double consumes
+  one 64-bit output of the generator, and written as uint8 without choice's
+  full-size float64 and int64 arrays.
+- ``_NOISY_CIRCUIT`` tabulates ``recurrence.noisy_circuit`` for every joint
+  Pauli 4 mu + nu and couple of cells, so that routing a couple is one
+  lookup of (joint << 8) | (source << 4) | target.
+- ``RoundStats.of`` counts the cells chunk by chunk.
+
+So a run gives the same stats, bit for bit, as one that draws through
+``rng.choice`` and routes through ``noisy_circuit``.
 
 Randomness is counter-based: every round r of a run draws from an
 independent generator keyed by (seed, r), so runs are reproducible and the
@@ -33,6 +52,19 @@ from .recurrence import (
     noisy_circuit,
     step,
 )
+
+#: Draws per pass over the pairs: 2**16 doubles are 512 KiB, well inside L2.
+_CHUNK = 1 << 16
+
+
+def _joint_circuit_table() -> np.ndarray:
+    joint, src, tgt = np.ix_(np.arange(16), np.arange(16), np.arange(16))
+    return noisy_circuit(src, tgt, joint >> 2, joint & 3).ravel()
+
+
+#: ``noisy_circuit`` of every (joint Pauli 4 mu + nu, source cell, target
+#: cell), flat: entry (joint << 8) | (src << 4) | tgt.
+_NOISY_CIRCUIT = _joint_circuit_table()
 
 
 class MCPair(NamedTuple):
@@ -71,6 +103,10 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
+        for name in ("n_pairs", "rounds", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+                raise TypeError(f"{name} must be an integer, got {value!r}")
         if self.n_pairs < 2:
             raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
         if self.rounds < 0:
@@ -88,7 +124,9 @@ class RoundStats:
     @classmethod
     def of(cls, round_index: int, ens: Ensemble) -> "RoundStats":
         n = len(ens)
-        cells = np.bincount(ens.cell, minlength=16)
+        cells = np.zeros(16, dtype=np.intp)
+        for start in range(0, n, _CHUNK):
+            cells += np.bincount(ens.cell[start:start + _CHUNK], minlength=16)
         # Phi+ is Bell index 0; the flag equals the Bell index on every fifth cell
         f_hat = float(cells[:4].sum()) / n if n else None
         f_cond_hat = float(cells[::5].sum()) / n if n else None
@@ -106,13 +144,32 @@ def _noise_table(noise: NoiseModel | BinaryNoiseModel) -> np.ndarray:
     return noise.f
 
 
+def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
+    """The draws of ``rng.choice(len(p), size=size, p=p)``, as uint8.
+
+    Each is the number of cdf entries <= its double u; an entry equal to 1
+    never counts, as u < 1.
+    """
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    edges = cdf[cdf < 1.0]
+    out = np.zeros(size, dtype=np.uint8)
+    for start in range(0, size, _CHUNK):
+        chunk = out[start:start + _CHUNK]
+        u = rng.random(chunk.size)
+        for edge in edges:
+            chunk += u >= edge
+    return out
+
+
 def init_ensemble(cfg: MCConfig) -> Ensemble:
     """Sample the initial ensemble: Bell indices from the post-twirl weights,
     all flags zero, order randomized."""
     rng = _round_rng(cfg.seed, 0)
-    bell = rng.choice(4, size=cfg.n_pairs, p=cfg.initial.coeffs).astype(np.uint8)
+    bell = _categorical(rng, cfg.initial.coeffs, cfg.n_pairs)
     rng.shuffle(bell)
-    return Ensemble(4 * bell)
+    bell <<= 2
+    return Ensemble(bell)
 
 
 def purification_round(
@@ -125,19 +182,30 @@ def purification_round(
     A copy of the pairs is shuffled in place, then coupled in order; an odd
     pair out is kept as it is.  The shuffle draws what ``rng.permutation(n)``
     would, whatever the dtype, so the couples are those of that permutation
-    without its n indices.
+    without its n indices.  The couples are routed and the survivors packed
+    chunk by chunk.
     """
     n = len(ens)
     if n < 2:
         return ens
     cell = ens.cell.copy()
     rng.shuffle(cell)
-    even = n - n % 2
+    couples = cell[: n - n % 2].reshape(-1, 2)
 
-    joint = rng.choice(16, size=even // 2, p=_noise_table(noise).ravel())
-    mu, nu = np.divmod(joint.astype(np.uint8), 4)
-    out = noisy_circuit(cell[0:even:2], cell[1:even:2], mu, nu)
-    return Ensemble(np.concatenate([out[out != DISCARDED], cell[even:]]))
+    joint = _categorical(rng, _noise_table(noise).ravel(), len(couples))
+    out = np.empty(len(couples) + n % 2, dtype=np.uint8)
+    kept = 0
+    for start in range(0, len(couples), _CHUNK):
+        chunk = couples[start:start + _CHUNK]
+        index = np.left_shift(joint[start:start + _CHUNK], 8, dtype=np.uint16)
+        index |= chunk[:, 0] << 4
+        index |= chunk[:, 1]
+        routed = _NOISY_CIRCUIT.take(index)
+        routed = routed[routed != DISCARDED]
+        out[kept:kept + routed.size] = routed
+        kept += routed.size
+    out[kept:kept + n % 2] = cell[2 * len(couples):]
+    return Ensemble(out[: kept + n % 2])
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:

@@ -520,6 +520,24 @@ def test_basin_limit_matches_plain_iteration_on_random_channels():
     assert newton_runs > 0
 
 
+def test_basin_limit_in_high_noise_is_the_plain_limit():
+    # channel 466 of the seeded sweep f00 = linspace(0.70, 0.95, 2080): the
+    # first Newton points reach weights near -2, and clipped to zero they
+    # landed on the flag-diagonal F = 1/4 fixpoint (conditional fidelity 1)
+    # instead of the plain limit (conditional fidelity 1/4)
+    rng = np.random.default_rng(41)
+    grid = np.linspace(0.70, 0.95, 2080)
+    for _ in grid[:466]:
+        rng.dirichlet(np.ones(15))
+    qmap = generate_map(random_channel(rng, grid[466]))
+    probe = embed(BellDiagonalState.werner(0.85))
+    plain = iterate_to_fixpoint(probe, qmap, max_iter=dynamics.CRITICAL_MAX_ITER)
+    limit = basin_limit(qmap, probe)
+    assert plain.converged and limit.converged
+    assert limit.iterations > dynamics._NEWTON_WARM_START  # Newton ran
+    assert np.max(np.abs(limit.state.flat - plain.state.flat)) <= 1e-9
+
+
 @near_the_boundaries
 def test_basin_limit_matches_plain_iteration_near_the_boundaries(family, f0):
     noise, probe = family(f0)

@@ -1,11 +1,15 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from eppsim.montecarlo import (
+    _CHUNK,
     Ensemble,
     MCConfig,
     MCPair,
     RoundStats,
+    _categorical,
     _noise_table,
     _round_rng,
     analytic_trajectory,
@@ -42,6 +46,11 @@ def test_config_validation():
         cfg(pairs=1)
     with pytest.raises(ValueError):
         cfg(rounds=-1)
+    for bad in (dict(pairs=2.5), dict(pairs=1e6), dict(pairs=True), dict(rounds=2.0),
+                dict(rounds=False), dict(seed=1.5)):
+        with pytest.raises(TypeError, match="must be an integer"):
+            cfg(**bad)
+    assert cfg(pairs=np.int64(10), rounds=np.int32(2), seed=np.uint64(3)).n_pairs == 10
 
 
 def test_init_pure_werner():
@@ -118,7 +127,7 @@ def permutation_round(ens, noise, rng):
     return np.concatenate([out[out != DISCARDED], ens.cell[leftover]])
 
 
-@pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001])
+@pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 300_000, 300_001])
 def test_round_couples_the_pairs_of_the_permutation(pairs):
     noise = tracking_noise()
     ens = init_ensemble(cfg(pairs=pairs, seed=3))
@@ -127,6 +136,40 @@ def test_round_couples_the_pairs_of_the_permutation(pairs):
         out = purification_round(ens, noise, _round_rng(3, r))
         assert np.array_equal(out.cell, permutation_round(ens, noise, _round_rng(3, r)))
     assert np.array_equal(ens.cell, before)  # the round leaves its input as it was
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        BellDiagonalState.werner(0.85).coeffs,
+        BellDiagonalState.werner(1.0).coeffs,  # [1, 0, 0, 0]
+        _noise_table(BinaryNoiseModel.uncorrelated(0.95)).ravel(),  # trailing zeros
+        np.array([0.5, 0.0, 0.3, 0.2]),  # an interior zero
+    ],
+    ids=["werner-0.85", "werner-1", "binary-embedded", "interior-zero"],
+)
+@pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
+def test_categorical_draws_what_choice_draws(p, size):
+    ours, theirs = _round_rng(5, 1), _round_rng(5, 1)
+    got = _categorical(ours, p, size)
+    assert got.dtype == np.uint8
+    assert np.array_equal(got, theirs.choice(len(p), size=size, p=p))
+    assert np.array_equal(ours.random(3), theirs.random(3))  # the stream is left where choice leaves it
+
+
+def test_run_memory_stays_within_a_few_chunks():
+    """Traced peak of a 1e6-pair run, 4 rounds: about 3.8 MB.  Draws made
+    through ``rng.choice`` and routed all at once take 16 MB: float64 draws
+    and int64 indices for every pair."""
+    config = cfg(pairs=10**6, rounds=4)
+    run(cfg(pairs=1000, rounds=1))
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
 
 
 def test_single_pair_round_is_identity():
