@@ -255,7 +255,7 @@ def _cmd_critical(args):
         _FAMILIES[args.family], (lo, hi), halvings=args.halvings, tol=args.tol,
         max_iter=args.max_iter,
     )
-    width = (hi - lo) / 2.0**args.halvings
+    width = math.ldexp(hi - lo, -args.halvings)
     payload = {
         "family": args.family,
         "critical": value,

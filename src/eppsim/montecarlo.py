@@ -6,8 +6,10 @@ ensemble, splits it into source/target couples, samples one joint Pauli
 error per couple, and looks each errored couple up in the fixed circuit,
 which gives the kept source pair's cell or marks the couple discarded when
 the (simulated) measurements disagree.  Target pairs are always discarded;
-an odd leftover pair is carried into the next round unchanged.  The
-protocol is the two-way recurrence of Deutsch et al., PRL 77, 2818 (1996).
+an odd leftover pair is carried into the next round unchanged.  The error
+is drawn from ``noise.f``, which a binary channel gives embedded in the full
+table.  The protocol is the two-way recurrence of Deutsch et al., PRL 77,
+2818 (1996).
 
 Apart from the shuffles, every pass over the pairs runs in chunks of
 ``_CHUNK`` draws, so its temporaries stay in cache whatever the ensemble's
@@ -138,12 +140,6 @@ def _round_rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _noise_table(noise: NoiseModel | BinaryNoiseModel) -> np.ndarray:
-    if isinstance(noise, BinaryNoiseModel):
-        noise = noise.embed()
-    return noise.f
-
-
 def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
     """The draws of ``rng.choice(len(p), size=size, p=p)``, as uint8.
 
@@ -192,7 +188,7 @@ def purification_round(
     rng.shuffle(cell)
     couples = cell[: n - n % 2].reshape(-1, 2)
 
-    joint = _categorical(rng, _noise_table(noise).ravel(), len(couples))
+    joint = _categorical(rng, noise.f.ravel(), len(couples))
     out = np.empty(len(couples) + n % 2, dtype=np.uint8)
     kept = 0
     for start in range(0, len(couples), _CHUNK):

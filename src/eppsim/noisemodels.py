@@ -99,6 +99,11 @@ class BinaryNoiseModel:
         """Combined weight of the one-sided flips."""
         return self.f01 + self.f10
 
+    @property
+    def f(self) -> np.ndarray:
+        """The joint Pauli table f[mu, nu] of the embedded channel."""
+        return self.embed().f
+
     def embed(self) -> NoiseModel:
         f = np.zeros((4, 4))
         f[:2, :2] = [[self.f00, self.f01], [self.f10, self.f11]]

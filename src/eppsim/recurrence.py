@@ -176,10 +176,8 @@ class QuadraticMap:
 def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
     """Derive the 16-variable step matrices for a noise channel.
 
-    A binary channel is embedded into the full Pauli table first.
+    A binary channel enters through its embedded Pauli table.
     """
-    if isinstance(noise, BinaryNoiseModel):
-        noise = noise.embed()
     # bincount adds the routes in index order, as np.add.at would
     weights = noise.f.take(_ROUTE_PAULI)
     m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)

@@ -15,7 +15,14 @@ from eppsim.cli import (
     parse_config_text,
     replay_manifest,
 )
-from eppsim.dynamics import CRITICAL_MAX_ITER, DEFAULT_MAX_ITER, SCAN_MAX_ITER, regime_scan
+from eppsim.dynamics import (
+    CRITICAL_MAX_ITER,
+    DEFAULT_MAX_ITER,
+    SCAN_MAX_ITER,
+    binary_family,
+    find_critical,
+    regime_scan,
+)
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
 
@@ -229,6 +236,17 @@ def test_critical_binary(tmp_path):
     assert payload["critical"] == pytest.approx(0.771845, abs=1e-5)
     lo, hi = payload["bracket_achieved"]
     assert lo <= payload["critical"] <= hi
+
+
+def test_critical_beyond_the_last_float_halving(tmp_path):
+    # the search stops once no float lies inside the interval; the width of
+    # 2**-1100 underflows to zero instead of overflowing
+    rc = main(["critical", "--family", "binary-uncorrelated", "--halvings", "1100",
+               "--bracket", "0.75", "0.85", "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "critical.json").read_text())
+    assert payload["critical"] == find_critical(binary_family, (0.75, 0.85), halvings=60)
+    assert payload["bracket_achieved"] == [payload["critical"]] * 2
 
 
 def test_critical_white_noise(tmp_path):

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import eppsim
-from eppsim import dynamics
+from eppsim import dynamics, recurrence
 from eppsim.dynamics import (
     Regime,
     binary_family,
@@ -161,6 +161,27 @@ def test_iterate_dimension_mismatch():
         iterate_to_fixpoint(BellDiagonalState.werner(0.7), generate_map(tracking_noise()))
 
 
+@pytest.mark.parametrize("f0", [0.70, 0.75, 0.76, 0.7718, 0.78, 0.8, 0.9, 1.0])
+def test_scalar_binary_loop_agrees_with_the_array_loop(f0, monkeypatch):
+    # a binary state with a binary channel runs the scalar loop, and the same
+    # state with the channel's 4-variable map runs the array loop
+    noise = BinaryNoiseModel.uncorrelated(f0)
+    qmap = binary_quadratic_map(noise)
+    builds = []
+
+    def counting_generate_map(channel):
+        builds.append(channel)
+        return generate_map(channel)
+
+    monkeypatch.setattr(dynamics, "generate_map", counting_generate_map)
+    monkeypatch.setattr(recurrence, "generate_map", counting_generate_map)
+    scalar = iterate_to_fixpoint(binary_probe(), noise, max_iter=20_000)
+    assert builds == []  # the scalar path builds no map
+    array = iterate_to_fixpoint(binary_probe(), qmap, max_iter=20_000)
+    assert (scalar.iterations, scalar.converged) == (array.iterations, array.converged)
+    np.testing.assert_allclose(scalar.state.as_array, array.state.as_array, rtol=0, atol=1e-14)
+
+
 # --- analytic binary fixpoint --------------------------------------------------
 
 
@@ -256,6 +277,18 @@ def test_find_critical_halvings():
     with pytest.raises(ValueError, match="halvings = -2 < 0"):
         find_critical(binary_family, (0.76, 0.85), halvings=-2)
     assert find_critical(binary_family, (0.76, 0.85), halvings=0) == 0.5 * (0.76 + 0.85)
+
+
+def test_find_critical_stops_when_the_interval_is_exhausted():
+    calls = []
+
+    def family(f0):
+        calls.append(f0)
+        return binary_family(f0)
+
+    at_60 = find_critical(binary_family, (0.75, 0.85), halvings=60)
+    assert find_critical(family, (0.75, 0.85), halvings=200) == at_60
+    assert len(calls) <= 64
 
 
 def test_find_critical_needs_sign_change():
@@ -356,20 +389,6 @@ def test_negative_budget_is_an_error(family):
         secure_fixpoint(noise, probe, tol=1e-12, max_iter=-1)
     r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=0)
     assert (r.iterations, r.converged) == (0, False)
-
-
-@pytest.mark.parametrize("cells", [[0, 5, 10, 15], list(range(16))], ids=["flag-diag", "every"])
-def test_free_cell_jacobian_matches_the_full_jacobian(cells):
-    # the Newton step's J_CC, formed from the rows of M on the free cells,
-    # against the slice of the exact derivative
-    rng = np.random.default_rng(7)
-    qmap = generate_map(random_channel(rng, 0.85))
-    jacobian_cc = dynamics._free_cell_jacobian(qmap, np.asarray(cells))
-    for _ in range(20):
-        x = rng.dirichlet(np.ones(16))
-        image, n = qmap.apply(x)
-        expected = jacobian(qmap, x)[np.ix_(cells, cells)]
-        np.testing.assert_allclose(jacobian_cc(x, image, n), expected, rtol=0, atol=1e-14)
 
 
 def reference_verdict(noise, start):
@@ -644,6 +663,31 @@ def test_curve_on_full_model():
     segs = purification_curve(tracking_noise(), n_max=12, segment_points=8)
     pts = np.vstack(segs)
     assert pts[-1, 1] > 0.999  # security regime: heads for unit conditional fidelity
+
+
+@pytest.mark.parametrize(
+    "noise, kwargs, message",
+    [
+        (tracking_noise(), dict(start=binary_probe()), "4 variables but map has 16"),
+        (BinaryNoiseModel.uncorrelated(0.8), dict(start=embed(BellDiagonalState.werner(0.85))),
+         "16 variables but map has 4"),
+        (binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.8)), {},
+         "16 variables but map has 4"),
+        (tracking_noise(), dict(n_max=-1), "n_max = -1 < 0"),
+        (tracking_noise(), dict(segment_points=0), "segment_points = 0 < 1"),
+    ],
+    ids=["binary-start-full-noise", "full-start-binary-noise", "binary-map-no-start",
+         "negative-n_max", "no-segment-points"],
+)
+def test_curve_input_checks(noise, kwargs, message):
+    kwargs = {"n_max": 3, **kwargs}
+    with pytest.raises(ValueError, match=message):
+        purification_curve(noise, **kwargs)
+
+
+def test_curve_needs_a_flagged_start():
+    with pytest.raises(TypeError, match="flagged start state"):
+        purification_curve(ideal_quadratic_map(), 3, start=BellDiagonalState.werner(0.85))
 
 
 # --- square-root fit -----------------------------------------------------------------

@@ -10,7 +10,6 @@ from eppsim.montecarlo import (
     MCPair,
     RoundStats,
     _categorical,
-    _noise_table,
     _round_rng,
     analytic_trajectory,
     init_ensemble,
@@ -121,7 +120,7 @@ def permutation_round(ens, noise, rng):
     order = rng.permutation(n)
     leftover = order[n - n % 2:]
     src, tgt = order[0:n - n % 2:2], order[1:n - n % 2:2]
-    joint = rng.choice(16, size=src.shape[0], p=_noise_table(noise).ravel())
+    joint = rng.choice(16, size=src.shape[0], p=noise.f.ravel())
     mu, nu = np.divmod(joint.astype(np.uint8), 4)
     out = noisy_circuit(ens.cell[src], ens.cell[tgt], mu, nu)
     return np.concatenate([out[out != DISCARDED], ens.cell[leftover]])
@@ -143,7 +142,7 @@ def test_round_couples_the_pairs_of_the_permutation(pairs):
     [
         BellDiagonalState.werner(0.85).coeffs,
         BellDiagonalState.werner(1.0).coeffs,  # [1, 0, 0, 0]
-        _noise_table(BinaryNoiseModel.uncorrelated(0.95)).ravel(),  # trailing zeros
+        BinaryNoiseModel.uncorrelated(0.95).f.ravel(),  # trailing zeros
         np.array([0.5, 0.0, 0.3, 0.2]),  # an interior zero
     ],
     ids=["werner-0.85", "werner-1", "binary-embedded", "interior-zero"],

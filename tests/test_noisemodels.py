@@ -172,6 +172,7 @@ def test_binary_embed_roundtrip():
         assert (back.f00, back.f01, back.f10, back.f11) == pytest.approx(
             (b.f00, b.f01, b.f10, b.f11), abs=1e-15
         )
+        assert np.array_equal(b.f, b.embed().f)  # the table a map or a round reads
 
 
 def test_to_binary_rejects_wider_support():
