@@ -9,20 +9,15 @@
 
 import numpy as np
 
-from eppsim import BellDiagonalState, analytic_trajectory, from_p1_p2, resources
+from eppsim import BellDiagonalState, from_p1_p2, resource_curve, resources
 
 SETTINGS = [(0.9333, 0.9466), (0.9733, 0.9786), (0.9866, 0.9833), (0.9933, 0.9946)]
 initial = BellDiagonalState.werner(0.85)
 
 curves = []
 for p1, p2 in SETTINGS:
-    noise = from_p1_p2(p1, p2)
-    traj = analytic_trajectory(noise, initial, 60)
-    cost, pts = 1.0, []
-    for r in range(1, len(traj)):
-        state, keep = traj[r]
-        cost *= 2.0 / keep
-        eps = 1.0 - state.conditional_fidelity
+    pts = []
+    for _, eps, cost in resource_curve(from_p1_p2(p1, p2), initial, 60):
         pts.append((eps, cost))
         if eps < 1e-6:
             break

@@ -48,6 +48,7 @@ from .montecarlo import (
     analytic_trajectory,
     init_ensemble,
     purification_round,
+    resource_curve,
     resources,
 )
 from .noisemodels import (

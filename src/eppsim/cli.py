@@ -34,7 +34,7 @@ from .dynamics import (
     regime_scan,
     white_noise_family,
 )
-from .montecarlo import MCConfig, analytic_trajectory, run as mc_run
+from .montecarlo import MCConfig, analytic_trajectory, resource_curve, run as mc_run
 from .noisemodels import noise_from_config
 from .recurrence import (
     COEFF_NAMES,
@@ -324,27 +324,29 @@ def _cmd_resources(args, cfg, noise, start):
             raise ConfigError(f"{flag} must be finite, got {eps}")
     if args.eps_min > args.eps_max:
         raise ConfigError(f"--eps-min must be at most --eps-max, got {args.eps_min} > {args.eps_max}")
-    traj = analytic_trajectory(noise, start, args.rounds)
-    rows = []
-    cost = 1.0
-    for r in range(1, len(traj)):
-        state, keep = traj[r]
-        cost *= 2.0 / keep
-        eps = 1.0 - state.conditional_fidelity
-        if args.eps_min <= eps <= args.eps_max:
-            rows.append([r, eps, int(np.ceil(cost))])
+    rows = [
+        [r, eps, int(np.ceil(cost))]
+        for r, eps, cost in resource_curve(noise, start, args.rounds)
+        if args.eps_min <= eps <= args.eps_max
+    ]
     return rows, {}, 0
 
 
 # --- the subcommand table ----------------------------------------------------
 
 class _Subcommand(NamedTuple):
+    """One subcommand; its fields decide which flags it takes, so that it
+    takes only the flags it reads."""
+
     run: Callable
-    header: list[str] | None  # table columns; None writes the result as JSON
-    max_iter: int | None  # default --max-iter; None where no fixpoint is iterated
-    noise: bool  # takes the noise flags and runs on a resolved channel and start
+    header: list[str] | None  # table columns, chosen by --format; None writes JSON
+    max_iter: int | None  # default --max-iter, with --tol; None where no fixpoint is iterated
+    noise: bool  # takes --config and the noise flags, runs on a resolved channel and start
     help: str
     flags: tuple = ()  # the subcommand's own flags: (name, add_argument keywords)
+
+
+_SEED_FLAG = ("--seed", dict(type=int, default=0, help="RNG seed in [0, 2**64) (default 0)"))
 
 
 _SUBCOMMANDS = {
@@ -374,6 +376,7 @@ _SUBCOMMANDS = {
             ("--f00-max", dict(type=float, default=1.0)),
             ("--points", dict(type=int, default=11)),
             ("--samples", dict(type=int, default=100)),
+            _SEED_FLAG,
         ),
     ),
     "mc": _Subcommand(
@@ -382,6 +385,7 @@ _SUBCOMMANDS = {
         (
             ("--pairs", dict(type=int, help="initial ensemble size")),
             ("--rounds", dict(type=int, help="number of purification rounds")),
+            _SEED_FLAG,
         ),
     ),
     "curve": _Subcommand(
@@ -409,6 +413,7 @@ _SUBCOMMANDS = {
 # --- argument parsing --------------------------------------------------------
 
 _NOISE_FLAGS = (
+    ("--config", dict(help="flat key=value config file")),
     ("--model", dict(choices=("white", "binary", "p1p2", "general", "ideal"))),
     ("--f0", dict(type=float, help="white-noise / uncorrelated-binary parameter")),
     ("--p1", dict(type=float, help="one-qubit reliability")),
@@ -432,25 +437,26 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name, row in _SUBCOMMANDS.items():
         p = sub.add_parser(name, help=row.help)
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=0, help="64-bit RNG seed (default 0)")
         p.add_argument("--out", default=".", help="output directory (default .)")
-        p.add_argument("--format", choices=("csv", "json"), default="csv")
-        p.add_argument("--tol", type=float, default=1e-12, help="fixpoint tolerance")
-        p.add_argument(
-            "--max-iter", type=int, default=row.max_iter,
-            help="iteration budget (default %(default)s)" if row.max_iter else "not used here",
-        )
+        if row.header is not None:
+            p.add_argument("--format", choices=("csv", "json"), default="csv")
+        if row.max_iter is not None:
+            p.add_argument("--tol", type=float, default=1e-12, help="fixpoint tolerance")
+            p.add_argument(
+                "--max-iter", type=int, default=row.max_iter,
+                help="iteration budget (default %(default)s)",
+            )
         for flag, kwargs in (_NOISE_FLAGS if row.noise else ()) + row.flags:
             p.add_argument(flag, **kwargs)
     return parser
 
 
 def _check_loop_flags(args) -> None:
-    if args.max_iter is not None and args.max_iter < 1:
+    if getattr(args, "max_iter", 1) < 1:
         raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
-    if not (math.isfinite(args.tol) and args.tol >= 0.0):
-        raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    tol = getattr(args, "tol", 0.0)
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ConfigError(f"--tol must be finite and nonnegative, got {tol}")
     if getattr(args, "samples", 1) < 1:
         raise ConfigError(f"--samples must be at least 1, got {args.samples}")
     if getattr(args, "points", 1) < 1:

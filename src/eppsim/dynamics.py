@@ -507,6 +507,9 @@ def regime_scan(
     """Relative regime frequencies for random channels with fixed f[00].
 
     The 15 free weights are drawn uniformly on the simplex of mass 1 - f00.
+    Each channel is classified as ``classify_regime`` does, but a probe that
+    does not converge within ``max_iter`` counts as intermediate without a
+    warning.
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")
@@ -519,10 +522,10 @@ def regime_scan(
         f = np.empty(16)
         f[0] = f00
         f[1:] = free
-        noise = NoiseModel(f.reshape(4, 4))
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore", RuntimeWarning)
-            counts[classify_regime(noise, tol=tol, max_iter=max_iter)] += 1
+        result = iterate_to_fixpoint(
+            _WERNER_PROBE, NoiseModel(f.reshape(4, 4)), tol=tol, max_iter=max_iter
+        )
+        counts[regime_of(result)] += 1
     return {regime: counts[regime] / samples for regime in Regime}
 
 

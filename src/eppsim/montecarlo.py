@@ -38,7 +38,7 @@ stream never depends on how work is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -113,6 +113,8 @@ class MCConfig:
             raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
+        if not 0 <= int(self.seed) < 2**64:
+            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -136,7 +138,7 @@ class RoundStats:
 
 
 def _round_rng(seed: int, label: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & 0xFFFFFFFFFFFFFFFF), np.uint64(label)])
+    key = np.array([np.uint64(seed), np.uint64(label)])
     return np.random.Generator(np.random.Philox(key=key))
 
 
@@ -216,31 +218,45 @@ def run(cfg: MCConfig) -> list[RoundStats]:
     return stats
 
 
+def resource_curve(
+    noise: NoiseModel | BinaryNoiseModel, initial: BellDiagonalState, rounds: int
+) -> Iterator[tuple[int, float, float]]:
+    """The analytic resource ledger: (round, eps, cost) for rounds 1 to
+    ``rounds``, computed lazily.
+
+    eps = 1 - F_cond after the round is its security parameter, and cost the
+    initial pairs per surviving pair, which each round multiplies by
+    2 / (keep probability).
+    """
+    qmap = generate_map(noise)
+    state: FlaggedEnsembleState = embed(initial)
+    cost = 1.0
+    for r in range(1, rounds + 1):
+        state, keep = step(state, qmap)
+        cost *= 2.0 / keep
+        yield r, 1.0 - state.conditional_fidelity, cost
+
+
 def resources(
     noise: NoiseModel | BinaryNoiseModel,
     initial: BellDiagonalState,
     target_eps: float,
     max_rounds: int = 200,
 ) -> tuple[int, int]:
-    """Initial pairs needed per surviving pair at a target security parameter.
-
-    Follows the analytic recurrence: each round costs a factor 2 / (keep
-    probability), until 1 - F_cond <= target_eps.  Raises ValueError when the
-    target is below what the fixpoint reaches within ``max_rounds``.
+    """Initial pairs needed per surviving pair at a target security parameter,
+    and the rounds that takes: the first round of ``resource_curve`` with
+    eps <= target_eps.  Raises ValueError when the target is below what the
+    fixpoint reaches within ``max_rounds``.
     """
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps = {target_eps} outside (0, 1)")
-    qmap = generate_map(noise)
-    state: FlaggedEnsembleState = embed(initial)
-    cost = 1.0
-    for r in range(1, max_rounds + 1):
-        state, keep = step(state, qmap)
-        cost *= 2.0 / keep
-        if 1.0 - state.conditional_fidelity <= target_eps:
+    eps = 1.0 - initial.fidelity  # the best when no round runs
+    for r, eps, cost in resource_curve(noise, initial, max_rounds):
+        if eps <= target_eps:
             return int(np.ceil(cost)), r
     raise ValueError(
         f"security parameter {target_eps} not reached within {max_rounds} rounds "
-        f"(best {1.0 - state.conditional_fidelity})"
+        f"(best {eps})"
     )
 
 

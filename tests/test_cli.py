@@ -1,7 +1,9 @@
 import argparse
 import csv
 import json
+import shlex
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -206,7 +208,10 @@ def test_loop_flags_are_validated_before_any_work(tmp_path, capsys, args, flag):
 def test_manifest_records_the_budget_that_ran(tmp_path, args, budget):
     assert main(args + ["--out", str(tmp_path)]) == 0
     params = json.loads((tmp_path / f"{args[0]}.manifest.json").read_text())["params"]
-    assert params["max_iter"] == budget
+    if budget is None:
+        assert "max_iter" not in params
+    else:
+        assert params["max_iter"] == budget
 
 
 def test_fixpoint_json(tmp_path):
@@ -366,6 +371,50 @@ REPLAY_CASES = [
 ]
 
 
+IGNORED_FLAGS = [
+    ("iterate", "--seed"), ("iterate", "--tol"), ("iterate", "--max-iter"),
+    ("fixpoint", "--seed"), ("fixpoint", "--format"),
+    ("critical", "--seed"), ("critical", "--config"), ("critical", "--format"),
+    ("scan", "--config"),
+    ("mc", "--tol"), ("mc", "--max-iter"),
+    ("curve", "--seed"), ("curve", "--config"),
+    ("resources", "--seed"), ("resources", "--tol"), ("resources", "--max-iter"),
+]
+FLAG_VALUES = {"--seed": "1", "--tol": "1e-9", "--max-iter": "10", "--format": "json"}
+
+
+@pytest.mark.parametrize("command, flag", IGNORED_FLAGS, ids=lambda x: x)
+def test_a_flag_the_subcommand_does_not_read_is_a_usage_error(tmp_path, capsys, command, flag):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\n")
+    value = FLAG_VALUES.get(flag, str(cfgfile))
+    args = next(case for case in REPLAY_CASES if case[0] == command)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        main(args + [flag, value, "--out", str(out)])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_holds_only_the_flags_that_ran(tmp_path):
+    assert main(["critical", "--family", "white-noise", "--halvings", "4",
+                 "--bracket", "0.88", "0.92", "--out", str(tmp_path)]) == 0
+    manifest = json.loads((tmp_path / "critical.manifest.json").read_text())
+    assert manifest["seed"] is None
+    assert set(manifest["params"]) == {"family", "bracket", "halvings", "tol", "max_iter"}
+
+
+def test_readme_cli_examples_parse():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("## CLI", 1)[1].split("```", 2)[1]
+    examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("eppsim ")]
+    assert sorted(args[0] for args in examples) == sorted(cli._SUBCOMMANDS)
+    parser = cli.build_parser()
+    for args in examples:
+        parser.parse_args(args)
+
+
 def test_replay_cases_cover_every_subcommand():
     assert sorted(args[0] for args in REPLAY_CASES) == sorted(cli._SUBCOMMANDS)
 
@@ -385,6 +434,14 @@ def test_manifest_records_config_resolved_values(tmp_path):
     assert (params["pairs"], params["rounds"]) == (3000, 2)
     assert params["config"] == str(cfgfile)
     assert not {"command", "func", "out"} & set(params)
+
+
+def test_mc_seed_outside_64_bits_is_usage_error(tmp_path, capsys):
+    assert main(["mc", "--model", "white", "--f0", "0.95", "--pairs", "100", "--rounds", "1",
+                 "--seed", "-1", "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: seed must be in [0, 2**64)") and err.count("\n") == 1
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_mc_json_format(tmp_path):

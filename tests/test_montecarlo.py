@@ -50,6 +50,14 @@ def test_config_validation():
         with pytest.raises(TypeError, match="must be an integer"):
             cfg(**bad)
     assert cfg(pairs=np.int64(10), rounds=np.int32(2), seed=np.uint64(3)).n_pairs == 10
+    assert cfg(seed=2**64 - 1).seed == 2**64 - 1
+
+
+@pytest.mark.parametrize("seed", [-1, 2**64, np.int64(-1)], ids=["-1", "2**64", "int64(-1)"])
+def test_seed_outside_the_64_bit_range_is_rejected(seed):
+    # a masked seed would alias: -1 would run the stream of 2**64 - 1, 2**64 that of 0
+    with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
+        cfg(seed=seed)
 
 
 def test_init_pure_werner():
