@@ -41,9 +41,7 @@ from .dynamics import (
     white_noise_family,
 )
 from .montecarlo import (
-    Ensemble,
     MCConfig,
-    MCPair,
     RoundStats,
     analytic_trajectory,
     init_ensemble,

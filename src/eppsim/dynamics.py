@@ -515,6 +515,8 @@ def regime_scan(
         raise ValueError(f"f00 = {f00} outside [0, 1]")
     if samples < 1:
         raise ValueError(f"samples = {samples} < 1")
+    if not 0 <= int(seed) < 2**64:
+        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
     rng = np.random.default_rng(seed)
     counts = {regime: 0 for regime in Regime}
     for _ in range(samples):

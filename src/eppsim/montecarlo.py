@@ -1,6 +1,6 @@
 """Pair-level stochastic simulation of the distillation process.
 
-Each pair is stored as one packed uint8 cell, 4 * (Bell index) + (error
+An ensemble is a uint8 array of packed cells, 4 * (Bell index) + (error
 flag), the cell layout of the recurrence map.  A round shuffles the
 ensemble, splits it into source/target couples, samples one joint Pauli
 error per couple, and looks each errored couple up in the fixed circuit,
@@ -22,9 +22,7 @@ size:
   chunks of doubles, which continue one stream because each double consumes
   one 64-bit output of the generator, and written as uint8 without choice's
   full-size float64 and int64 arrays.
-- ``_NOISY_CIRCUIT`` tabulates ``recurrence.noisy_circuit`` for every joint
-  Pauli 4 mu + nu and couple of cells, so that routing a couple is one
-  lookup of (joint << 8) | (source << 4) | target.
+- ``_NOISY_CIRCUIT`` is ``NOISY_CIRCUIT`` flat: one lookup routes a couple.
 - ``RoundStats.of`` counts the cells chunk by chunk.
 
 So a run gives the same stats, bit for bit, as one that draws through
@@ -38,62 +36,26 @@ stream never depends on how work is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterator
 
 import numpy as np
 
-from .bellbits import BellIndex, FlagPair
 from .noisemodels import BinaryNoiseModel, NoiseModel
 from .recurrence import (
     DISCARDED,
+    NOISY_CIRCUIT,
     BellDiagonalState,
     FlaggedEnsembleState,
-    cell_parts,
     embed,
     generate_map,
-    noisy_circuit,
     step,
 )
 
 #: Draws per pass over the pairs: 2**16 doubles are 512 KiB, well inside L2.
 _CHUNK = 1 << 16
 
-
-def _joint_circuit_table() -> np.ndarray:
-    joint, src, tgt = np.ix_(np.arange(16), np.arange(16), np.arange(16))
-    return noisy_circuit(src, tgt, joint >> 2, joint & 3).ravel()
-
-
-#: ``noisy_circuit`` of every (joint Pauli 4 mu + nu, source cell, target
-#: cell), flat: entry (joint << 8) | (src << 4) | tgt.
-_NOISY_CIRCUIT = _joint_circuit_table()
-
-
-class MCPair(NamedTuple):
-    """View of one simulated pair: its Bell index and its error flag."""
-
-    bell: BellIndex
-    flag: FlagPair
-
-
-class Ensemble:
-    """Array-backed sequence of MCPair.
-
-    ``cell`` holds one packed cell per pair, 4 * (Bell index) + (flag), both
-    indices packed as 2*phase + amplitude; indexing returns an
-    :class:`MCPair` view.
-    """
-
-    __slots__ = ("cell",)
-
-    def __init__(self, cell: np.ndarray):
-        self.cell = np.asarray(cell, dtype=np.uint8)
-
-    def __len__(self) -> int:
-        return self.cell.shape[0]
-
-    def __getitem__(self, k: int) -> MCPair:
-        return MCPair(*cell_parts(int(self.cell[k])))
+#: A view of ``NOISY_CIRCUIT``: entry (joint << 8) | (src << 4) | tgt.
+_NOISY_CIRCUIT = NOISY_CIRCUIT.ravel()
 
 
 @dataclass(frozen=True)
@@ -126,15 +88,15 @@ class RoundStats:
     cells: np.ndarray = field(repr=False)  # 16 counts, cell = 4*bell + flag
 
     @classmethod
-    def of(cls, round_index: int, ens: Ensemble) -> "RoundStats":
-        n = len(ens)
-        cells = np.zeros(16, dtype=np.intp)
+    def of(cls, round_index: int, cells: np.ndarray) -> "RoundStats":
+        n = len(cells)
+        counts = np.zeros(16, dtype=np.intp)
         for start in range(0, n, _CHUNK):
-            cells += np.bincount(ens.cell[start:start + _CHUNK], minlength=16)
+            counts += np.bincount(cells[start:start + _CHUNK], minlength=16)
         # Phi+ is Bell index 0; the flag equals the Bell index on every fifth cell
-        f_hat = float(cells[:4].sum()) / n if n else None
-        f_cond_hat = float(cells[::5].sum()) / n if n else None
-        return cls(round_index, n, f_hat, f_cond_hat, cells)
+        f_hat = float(counts[:4].sum()) / n if n else None
+        f_cond_hat = float(counts[::5].sum()) / n if n else None
+        return cls(round_index, n, f_hat, f_cond_hat, counts)
 
 
 def _round_rng(seed: int, label: int) -> np.random.Generator:
@@ -160,33 +122,33 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarr
     return out
 
 
-def init_ensemble(cfg: MCConfig) -> Ensemble:
-    """Sample the initial ensemble: Bell indices from the post-twirl weights,
-    all flags zero, order randomized."""
+def init_ensemble(cfg: MCConfig) -> np.ndarray:
+    """Sample the initial ensemble as uint8 cells: Bell indices from the
+    post-twirl weights, all flags zero, order randomized."""
     rng = _round_rng(cfg.seed, 0)
     bell = _categorical(rng, cfg.initial.coeffs, cfg.n_pairs)
     rng.shuffle(bell)
     bell <<= 2
-    return Ensemble(bell)
+    return bell
 
 
 def purification_round(
-    ens: Ensemble,
+    cells: np.ndarray,
     noise: NoiseModel | BinaryNoiseModel,
     rng: np.random.Generator,
-) -> Ensemble:
+) -> np.ndarray:
     """One distillation round over the whole ensemble.
 
     A copy of the pairs is shuffled in place, then coupled in order; an odd
     pair out is kept as it is.  The shuffle draws what ``rng.permutation(n)``
     would, whatever the dtype, so the couples are those of that permutation
     without its n indices.  The couples are routed and the survivors packed
-    chunk by chunk.
+    chunk by chunk.  Returns the surviving cells as uint8.
     """
-    n = len(ens)
+    cell = np.array(cells, dtype=np.uint8)
+    n = len(cell)
     if n < 2:
-        return ens
-    cell = ens.cell.copy()
+        return cell
     rng.shuffle(cell)
     couples = cell[: n - n % 2].reshape(-1, 2)
 
@@ -203,18 +165,18 @@ def purification_round(
         out[kept:kept + routed.size] = routed
         kept += routed.size
     out[kept:kept + n % 2] = cell[2 * len(couples):]
-    return Ensemble(out[: kept + n % 2])
+    return out[: kept + n % 2]
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:
     """Full distillation run; stats entry 0 describes the initial ensemble."""
-    ens = init_ensemble(cfg)
-    stats = [RoundStats.of(0, ens)]
+    cells = init_ensemble(cfg)
+    stats = [RoundStats.of(0, cells)]
     for r in range(1, cfg.rounds + 1):
-        if len(ens) < 2:
+        if len(cells) < 2:
             break
-        ens = purification_round(ens, cfg.noise, _round_rng(cfg.seed, r))
-        stats.append(RoundStats.of(r, ens))
+        cells = purification_round(cells, cfg.noise, _round_rng(cfg.seed, r))
+        stats.append(RoundStats.of(r, cells))
     return stats
 
 

@@ -143,14 +143,9 @@ def one_qubit_white(f0: float) -> np.ndarray:
 def compose(n1: NoiseModel, n2: NoiseModel) -> NoiseModel:
     """Concatenation of two channels: xor-convolution of the label tables."""
     out = np.zeros((4, 4))
-    for m1 in range(4):
-        for n1_ in range(4):
-            w = n1.f[m1, n1_]
-            if w == 0.0:
-                continue
-            for m2 in range(4):
-                for n2_ in range(4):
-                    out[m1 ^ m2, n1_ ^ n2_] += w * n2.f[m2, n2_]
+    labels = np.arange(4)
+    for (m1, k1), w in np.ndenumerate(n1.f):
+        out += w * n2.f[np.ix_(labels ^ m1, labels ^ k1)]
     return NoiseModel(out)
 
 

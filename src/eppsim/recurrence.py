@@ -18,11 +18,11 @@ where N is the keep probability.  The circuit itself is fixed: ``CIRCUIT``
 tabulates, from the exact bit algebra of ``bellbits``, the kept source
 pair's output cell for each (source cell, target cell), or ``DISCARDED``.
 Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
-its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``).
-``generate_map`` derives the matrices for any noise channel by routing all
-16 * 16 * 4 * 4 = 4096 weighted source / target / error combinations
-through that table; ``routed_terms`` routes them through ``bellbits``
-directly and is kept as the reference.
+its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
+``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for
+any noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source /
+target / error combinations through that table; ``routed_terms`` routes
+them through ``bellbits`` directly and is kept as the reference.
 """
 
 from __future__ import annotations
@@ -111,15 +111,27 @@ def noisy_circuit(src, tgt, mu, nu):
     return CIRCUIT[src ^ 5 * mu, tgt ^ 5 * nu]
 
 
+def _noisy_circuit_table() -> np.ndarray:
+    joint, src, tgt = np.ogrid[:16, :16, :16]
+    table = noisy_circuit(src, tgt, joint >> 2, joint & 3)
+    table.setflags(write=False)
+    return table
+
+
+#: ``noisy_circuit`` of every couple: entry [4 mu + nu, source cell, target
+#: cell].  The map's routes and the Monte Carlo's round both read it.
+NOISY_CIRCUIT = _noisy_circuit_table()
+
+
 def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
     """Flat indices of the kept routes, in ``routed_terms`` order: the
     (output, source, target) cell of a 16 x 16 x 16 table, and the (mu, nu)
     entry of the 4 x 4 Pauli table."""
-    src, tgt, mu, nu = np.ogrid[:16, :16, :4, :4]
-    out = noisy_circuit(src, tgt, mu, nu).astype(np.intp)
+    src, tgt, joint = np.ogrid[:16, :16, :16]
+    out = NOISY_CIRCUIT.transpose(1, 2, 0).astype(np.intp)
     kept = out != DISCARDED
     cell = ((out * 16 + src) * 16 + tgt)[kept]
-    pauli = np.broadcast_to(4 * mu + nu, out.shape)[kept]
+    pauli = np.broadcast_to(joint, out.shape)[kept]
     return cell, pauli
 
 

@@ -444,6 +444,15 @@ def test_mc_seed_outside_64_bits_is_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("seed", ["-1", "18446744073709551616"], ids=["-1", "2**64"])
+def test_scan_seed_outside_64_bits_is_usage_error(tmp_path, capsys, seed):
+    assert main(["scan", "--points", "2", "--samples", "2", "--seed", seed,
+                 "--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: seed must be in [0, 2**64), got {seed}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_mc_json_format(tmp_path):
     assert main(["mc", "--model", "white", "--f0", "0.95", "--pairs", "5000",
                  "--rounds", "2", "--seed", "2", "--format", "json",

@@ -592,6 +592,9 @@ def test_regime_scan_extremes():
         regime_scan(1.2, 4, seed=0)
     with pytest.raises(ValueError, match="samples"):
         regime_scan(0.9, 0, seed=0)
+    for seed in (-1, 2**64):
+        with pytest.raises(ValueError, match=rf"seed must be in \[0, 2\*\*64\), got {seed}"):
+            regime_scan(0.9, 4, seed=seed)
 
 
 def test_regime_scan_security_fraction_monotone():
@@ -741,7 +744,8 @@ def test_import_does_not_load_scipy():
 
 def test_import_builds_the_routes_from_the_circuit_table():
     # the route table comes from CIRCUIT (256 circuit compositions), not from
-    # routing all 4096 terms through routed_terms
+    # routing all 4096 terms through routed_terms, and the noisy circuit is
+    # tabulated once, for the map and the Monte Carlo alike
     code = (
         "import collections, sys, numpy\n"
         "calls = collections.Counter()\n"
@@ -751,13 +755,14 @@ def test_import_builds_the_routes_from_the_circuit_table():
         "sys.setprofile(count)\n"
         "import eppsim\n"
         "sys.setprofile(None)\n"
-        "print(calls['routed_terms'], calls['epp_unitary'])\n"
+        "print(calls['routed_terms'], calls['epp_unitary'], calls['noisy_circuit'])\n"
     )
     out = fresh_python(code)
     assert out.returncode == 0, out.stderr
-    routed, unitary = map(int, out.stdout.split())
+    routed, unitary, noisy = map(int, out.stdout.split())
     assert routed == 0
     assert unitary <= 256
+    assert noisy == 1
 
 
 # --- convergence slowdown near criticality --------------------------------------------

@@ -5,9 +5,7 @@ import pytest
 
 from eppsim.montecarlo import (
     _CHUNK,
-    Ensemble,
     MCConfig,
-    MCPair,
     RoundStats,
     _categorical,
     _round_rng,
@@ -63,14 +61,14 @@ def test_seed_outside_the_64_bit_range_is_rejected(seed):
 def test_init_pure_werner():
     ens = init_ensemble(cfg(pairs=1000, fid=1.0))
     assert len(ens) == 1000
-    assert (ens.cell >> 2 == 0).all()
-    assert (ens.cell & 3 == 0).all()
+    assert (ens >> 2 == 0).all()
+    assert (ens & 3 == 0).all()
 
 
 def test_init_counts_within_binomial_error():
     n = 10**6
     ens = init_ensemble(cfg(pairs=n, fid=0.85))
-    count = int((ens.cell >> 2 == 0).sum())
+    count = int((ens >> 2 == 0).sum())
     sigma = np.sqrt(n * 0.85 * 0.15)
     assert abs(count - 0.85 * n) <= 4 * sigma
 
@@ -78,21 +76,13 @@ def test_init_counts_within_binomial_error():
 def test_init_deterministic():
     a = init_ensemble(cfg(pairs=5000, seed=7))
     b = init_ensemble(cfg(pairs=5000, seed=7))
-    assert np.array_equal(a.cell, b.cell)
+    assert np.array_equal(a, b)
     c = init_ensemble(cfg(pairs=5000, seed=8))
-    assert not np.array_equal(a.cell, c.cell)
-
-
-def test_ensemble_pair_view():
-    ens = Ensemble(np.array([4 * 2 + 1], dtype=np.uint8))
-    pair = ens[0]
-    assert pair == MCPair(pair.bell, pair.flag)
-    assert tuple(pair.bell) == (1, 0)
-    assert tuple(pair.flag) == (0, 1)
+    assert not np.array_equal(a, c)
 
 
 def test_empty_ensemble_has_no_estimates():
-    stats = RoundStats.of(3, Ensemble(np.zeros(0, dtype=np.uint8)))
+    stats = RoundStats.of(3, np.zeros(0, dtype=np.uint8))
     assert (stats.pairs_remaining, stats.f_hat, stats.f_cond_hat) == (0, None, None)
     assert stats.cells.tolist() == [0] * 16
 
@@ -102,8 +92,8 @@ def test_noiseless_round_halves_and_keeps_phi_plus():
     ens = init_ensemble(cfg(pairs=10_000, fid=1.0, noise=identity))
     out = purification_round(ens, identity, _round_rng(1, 1))
     assert len(out) == 5000
-    assert (out.cell >> 2 == 0).all()
-    assert (out.cell & 3 == 0).all()
+    assert (out >> 2 == 0).all()
+    assert (out & 3 == 0).all()
 
 
 def test_odd_leftover_carried_unchanged():
@@ -112,8 +102,8 @@ def test_odd_leftover_carried_unchanged():
     flag = np.array([0, 0, 3], dtype=np.uint8)
     seen_leftover = False
     for seed in range(20):
-        out = purification_round(Ensemble(4 * bell + flag), identity, _round_rng(seed, 1))
-        out_bell, out_flag = out.cell >> 2, out.cell & 3
+        out = purification_round(4 * bell + flag, identity, _round_rng(seed, 1))
+        out_bell, out_flag = out >> 2, out & 3
         if 3 in out_bell:
             # marked pair was the odd one out: carried with bits untouched
             assert len(out) == 2
@@ -130,19 +120,19 @@ def permutation_round(ens, noise, rng):
     src, tgt = order[0:n - n % 2:2], order[1:n - n % 2:2]
     joint = rng.choice(16, size=src.shape[0], p=noise.f.ravel())
     mu, nu = np.divmod(joint.astype(np.uint8), 4)
-    out = noisy_circuit(ens.cell[src], ens.cell[tgt], mu, nu)
-    return np.concatenate([out[out != DISCARDED], ens.cell[leftover]])
+    out = noisy_circuit(ens[src], ens[tgt], mu, nu)
+    return np.concatenate([out[out != DISCARDED], ens[leftover]])
 
 
 @pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 300_000, 300_001])
 def test_round_couples_the_pairs_of_the_permutation(pairs):
     noise = tracking_noise()
     ens = init_ensemble(cfg(pairs=pairs, seed=3))
-    before = ens.cell.copy()
+    before = ens.copy()
     for r in (1, 2):
         out = purification_round(ens, noise, _round_rng(3, r))
-        assert np.array_equal(out.cell, permutation_round(ens, noise, _round_rng(3, r)))
-    assert np.array_equal(ens.cell, before)  # the round leaves its input as it was
+        assert np.array_equal(out, permutation_round(ens, noise, _round_rng(3, r)))
+    assert np.array_equal(ens, before)  # the round leaves its input as it was
 
 
 @pytest.mark.parametrize(
@@ -181,9 +171,9 @@ def test_run_memory_stays_within_a_few_chunks():
 
 def test_single_pair_round_is_identity():
     identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
-    ens = Ensemble(np.array([4 * 2 + 1], dtype=np.uint8))
+    ens = np.array([4 * 2 + 1], dtype=np.uint8)
     out = purification_round(ens, identity, _round_rng(0, 1))
-    assert len(out) == 1 and out.cell[0] >> 2 == 2 and out.cell[0] & 3 == 1
+    assert len(out) == 1 and out[0] >> 2 == 2 and out[0] & 3 == 1
 
 
 def test_flags_never_influence_keep():
@@ -191,9 +181,9 @@ def test_flags_never_influence_keep():
     base = init_ensemble(cfg(pairs=50_000))
     flags = np.random.default_rng(7).integers(0, 4, len(base), dtype=np.uint8)
     unflagged = purification_round(base, noise, _round_rng(1, 1))
-    flagged = purification_round(Ensemble(base.cell | flags), noise, _round_rng(1, 1))
-    assert np.array_equal(unflagged.cell >> 2, flagged.cell >> 2)
-    assert not np.array_equal(unflagged.cell & 3, flagged.cell & 3)  # the flags themselves differ
+    flagged = purification_round(base | flags, noise, _round_rng(1, 1))
+    assert np.array_equal(unflagged >> 2, flagged >> 2)
+    assert not np.array_equal(unflagged & 3, flagged & 3)  # the flags themselves differ
 
 
 def test_one_round_matches_recurrence_on_all_cells():

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from eppsim.montecarlo import Ensemble, RoundStats, _round_rng, purification_round
+from eppsim.montecarlo import RoundStats, _round_rng, purification_round
 from eppsim.noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
@@ -82,7 +82,7 @@ def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):
     except EnsembleAnnihilated:
         assume(False)
     cells = _round_rng(seed, 0).choice(16, size=200_000, p=weights)
-    stats = RoundStats.of(1, purification_round(Ensemble(cells), noise, _round_rng(seed, 1)))
+    stats = RoundStats.of(1, purification_round(cells, noise, _round_rng(seed, 1)))
     n = stats.pairs_remaining
     assume(n > 0)
     # each survivor's cell is an independent draw from the predicted weights;

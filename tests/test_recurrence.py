@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from eppsim.bellbits import BellIndex, FlagPair, epp_unitary, flag_update, keep_predicate
+from eppsim import montecarlo
 from eppsim.noisemodels import BinaryNoiseModel, NoiseModel, binary, general, product
 from eppsim.recurrence import (
     _ROUTE_CELL,
@@ -23,6 +24,7 @@ from eppsim.recurrence import (
     CIRCUIT,
     COEFF_NAMES,
     DISCARDED,
+    NOISY_CIRCUIT,
     BellDiagonalState,
     BinaryFlaggedState,
     EnsembleAnnihilated,
@@ -30,6 +32,8 @@ from eppsim.recurrence import (
     QuadraticMap,
     binary_quadratic_map,
     binary_step,
+    cell_index,
+    cell_parts,
     embed,
     generate_map,
     ideal_quadratic_map,
@@ -238,6 +242,21 @@ def test_circuit_table_matches_bellbits_on_every_couple():
         else:
             assert CIRCUIT[src, tgt] == DISCARDED
     assert kept == 128
+
+
+def test_cell_parts_decodes_a_packed_cell():
+    bell, flag = cell_parts(4 * 2 + 1)
+    assert tuple(bell) == (1, 0)
+    assert tuple(flag) == (0, 1)
+    assert all(cell_index(*cell_parts(c)) == c for c in range(16))
+
+
+def test_noisy_circuit_table_equals_routed_terms_on_every_term():
+    for src, tgt, mu, nu, out in routed_terms():
+        assert NOISY_CIRCUIT[4 * mu + nu, src, tgt] == (DISCARDED if out is None else out)
+    assert NOISY_CIRCUIT.dtype == np.uint8 and not NOISY_CIRCUIT.flags.writeable
+    # the Monte Carlo routes through the same table, not a second tabulation
+    assert np.shares_memory(montecarlo._NOISY_CIRCUIT, NOISY_CIRCUIT)
 
 
 def test_route_arrays_equal_those_built_from_routed_terms():
