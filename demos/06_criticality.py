@@ -1,15 +1,15 @@
 # Critical noise levels and the slowdown around them.
 #
-# The security boundary of a one-parameter noise family is found by
-# bisection on linear stability: it is where the spectral radius of the
-# step's Jacobian at the secure (flag-diagonal) fixpoint crosses one.  That
-# fixpoint is solved for by Newton's method after a 30-step warm start, in
-# tens of steps even at the binary threshold f0 = 3/4, and so is the limit
-# of the start state that the basin check at each bracket end compares with
-# it.  Two families
-# here: the analytically tractable binary flips, whose boundary is known to
-# eight digits, and one-qubit white noise on both qubits, whose purification
-# and security boundaries are a whisker apart.  Near either boundary the
+# The security boundary of a one-parameter noise family is where the
+# spectral radius of the step's Jacobian at the secure (flag-diagonal)
+# fixpoint crosses one.  It is found as the root of that radius less one,
+# by a bracketed regula-falsi solve in about ten probes.  That fixpoint is
+# solved for by Newton's method after a 30-step warm start, in tens of
+# steps even at the binary threshold f0 = 3/4, and so is the limit of the
+# start state that the basin check at each bracket end compares with it.
+# Two families here: the analytically tractable binary flips, whose
+# boundary is known to eight digits, and one-qubit white noise on both
+# qubits, whose purification and security boundaries are a whisker apart.  Near either boundary the
 # number of plain iterations to converge blows up, phase-transition style.
 
 import numpy as np

@@ -259,7 +259,7 @@ def _cmd_critical(args):
     payload = {
         "family": args.family,
         "critical": value,
-        "bracket_achieved": [value - width / 2.0, value + width / 2.0],
+        "bracket_achieved": [value - width, value + width],
         "halvings": args.halvings,
     }
     return payload, {}, 0
@@ -361,7 +361,7 @@ _SUBCOMMANDS = {
     ),
     "critical": _Subcommand(
         _cmd_critical, None, CRITICAL_MAX_ITER, False,
-        "bisect a noise family for the security boundary",
+        "solve a noise family for the security boundary",
         (
             ("--family", dict(required=True, choices=sorted(_FAMILIES))),
             ("--bracket", dict(type=float, nargs=2, required=True, metavar=("LO", "HI"))),

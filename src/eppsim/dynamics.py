@@ -11,18 +11,23 @@ The cells whose flag equals the Bell index span a subspace that the step
 maps into itself for every channel: a Pauli error flips the Bell bits and
 the flag bits alike.  Its fixpoint is the secure one, and the security
 regime is where that fixpoint purifies and attracts.  The boundary of the
-regime is therefore located by bisecting on linear stability: the spectral
-radius of the step's Jacobian at the secure fixpoint crosses one there.
-The secure fixpoint is solved for by Newton's method on the subspace, after
-a short plain warm start, in tens of steps even where the plain iteration
-converges only algebraically, and so are the limits that the basin checks
-of a critical search take for the start state, with every cell free.
+regime is therefore a root of the stability margin rho - 1, the spectral
+radius of the step's Jacobian at the secure fixpoint less one, and a
+critical search finds it by a bracketed regula-falsi solve (the Illinois
+variant) after bisecting the verdict until the margin is defined at both
+ends.  The secure fixpoint is solved for by Newton's method on the
+subspace, after a short plain warm start, in tens of steps even where the
+plain iteration converges only algebraically, and is polished to rounding
+level before the margin is measured.  The limits that the basin checks of
+a critical search take for the start state are solved by Newton's method
+too, with every cell free.
 Convergence times of the plain iteration diverge at the boundary, much like
 a phase transition.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, replace
 from enum import Enum
@@ -92,19 +97,22 @@ class FixpointResult:
         return self.state.conditional_fidelity
 
 
-def _as_quadratic_map(noise_or_map) -> QuadraticMap:
-    if isinstance(noise_or_map, QuadraticMap):
-        return noise_or_map
-    if isinstance(noise_or_map, NoiseModel):
-        return generate_map(noise_or_map)
-    if isinstance(noise_or_map, BinaryNoiseModel):
-        return binary_quadratic_map(noise_or_map)
-    raise TypeError(f"expected a QuadraticMap or noise model, got {type(noise_or_map)!r}")
-
-
 def _fitting_map(noise_or_map, a: np.ndarray) -> QuadraticMap:
-    """The map of ``noise_or_map``; raises ValueError unless it fits ``a``."""
-    qmap = _as_quadratic_map(noise_or_map)
+    """The map of ``noise_or_map`` on states of ``a``'s size.
+
+    A binary channel has two: its 4-variable closed form for a binary state
+    and ``generate_map``'s 16-cell map for a flagged one.  Raises TypeError
+    for anything but a map or a noise model, and ValueError unless the map
+    fits ``a``.
+    """
+    if isinstance(noise_or_map, QuadraticMap):
+        qmap = noise_or_map
+    elif isinstance(noise_or_map, BinaryNoiseModel) and a.shape[0] != 16:
+        qmap = binary_quadratic_map(noise_or_map)
+    elif isinstance(noise_or_map, (NoiseModel, BinaryNoiseModel)):
+        qmap = generate_map(noise_or_map)
+    else:
+        raise TypeError(f"expected a QuadraticMap or noise model, got {type(noise_or_map)!r}")
     if qmap.dim != a.shape[0]:
         raise ValueError(f"state has {a.shape[0]} variables but map has {qmap.dim}")
     return qmap
@@ -276,7 +284,7 @@ _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState
 #: Plain steps that start the secure-fixpoint solve before Newton takes over,
 #: and the Newton steps it takes at most.  The warm start only has to bring
 #: Newton within reach of the fixpoint; with 30 steps a critical search's
-#: solves sum to about 1,300 (white noise) and 1,500 (binary) steps.
+#: solves sum to about 860 (white noise at 24 halvings) and 470 (binary) steps.
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
@@ -286,6 +294,12 @@ _NEWTON_MAX_STEPS = 50
 #: clipped, it can land on a fixpoint other than the trajectory's limit, so
 #: the solve leaves Newton for the plain iteration.
 _NEWTON_CLIP_FLOOR = 1e-5
+
+#: Newton steps that polish a converged secure fixpoint before its stability
+#: is measured.  Near the boundary rho - 1 is as small as the error a
+#: fixpoint solved to ``tol`` leaves in it; polished to rounding level, the
+#: margin is smooth in the noise parameter and a root solve can use it.
+_POLISH_STEPS = 3
 
 
 def _flag_diagonal(state):
@@ -338,8 +352,8 @@ def _newton_fixpoint(
     warm = iterate_to_fixpoint(start, noise, tol=tol, max_iter=min(_NEWTON_WARM_START, max_iter))
     if warm.converged or warm.failure is not None or warm.iterations == max_iter:
         return warm
-    qmap = _as_quadratic_map(noise) if qmap is None else qmap
     x, wrap = _vector_of(warm.state)
+    qmap = _fitting_map(noise, x) if qmap is None else qmap
     x = x.copy()
     cells = np.asarray(cells)
     cc, eye = np.ix_(cells, cells), np.eye(len(cells))
@@ -361,6 +375,41 @@ def _newton_fixpoint(
     return replace(rest, iterations=spent + rest.iterations)
 
 
+def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
+    """rho - 1 at the polished secure fixpoint, or None where there is none.
+
+    The secure fixpoint is the fixpoint of the flag-diagonal subspace, which
+    the step never leaves, reached from the projection of ``s0`` by
+    ``_newton_fixpoint`` on the flag-diagonal cells.  None means that it did
+    not converge within the budget or does not purify (fidelity <= 1/2).
+    Otherwise up to ``_POLISH_STEPS`` more Newton steps take its residual
+    from ``tol`` to rounding level, and the result is the spectral radius of
+    the full step's Jacobian there, less one; the solve and the Jacobian
+    share one map.
+    """
+    start, cells = _flag_diagonal(s0)
+    qmap = _fitting_map(noise, _vector_of(start)[0])
+    result = _newton_fixpoint(noise, start, cells, tol, max_iter, qmap)
+    if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
+        return None
+    x = _vector_of(result.state)[0].copy()
+    cc, eye = np.ix_(cells, cells), np.eye(len(cells))
+    residual = np.inf
+    for _ in range(_POLISH_STEPS):
+        image, _ = qmap.apply(x)
+        step = x[cells] - image[cells]
+        size = np.max(np.abs(step))
+        if not 0.0 < size < residual:  # at rounding level already
+            break
+        residual = size
+        x[cells] += np.linalg.solve(jacobian(qmap, x)[cc] - eye, step)
+    return spectral_radius(jacobian(qmap, x)) - 1.0
+
+
+def _secure(margin: float | None) -> bool:
+    return margin is not None and margin < 0.0
+
+
 def secure_by_stability(
     noise: NoiseModel | BinaryNoiseModel | QuadraticMap,
     s0=None,
@@ -369,24 +418,19 @@ def secure_by_stability(
 ) -> bool:
     """Linear-stability security indicator.
 
-    Solves for the secure fixpoint: the fixpoint of the flag-diagonal
-    subspace, which the step never leaves, reached from the projection of
-    the probe state (``_newton_fixpoint`` on the flag-diagonal cells: a
-    30-step plain iteration, then Newton's method); the solve and the
-    verdict share one map.  The setting is secure iff that fixpoint
-    converges within the budget, purifies (fidelity > 1/2) and attracts:
-    the spectral radius of the full step's Jacobian there is below one.
-    The solve takes tens of steps even at a multiple root of the subspace
-    map, where the plain iteration converges only algebraically, and near
-    the boundary, where the approach that ``classify_regime`` follows slows
-    down without bound.
+    The setting is secure iff the secure fixpoint, reached from the
+    projection of the probe state onto the flag-diagonal subspace (a 30-step
+    plain iteration, then Newton's method), converges within the budget,
+    purifies (fidelity > 1/2) and attracts: the spectral radius of the full
+    step's Jacobian there, measured after a few more Newton steps, is below
+    one.  This is the sign of the margin rho - 1 that ``find_critical``
+    solves for.  The solve takes tens of steps even at a multiple root of
+    the subspace map, where the plain iteration converges only
+    algebraically, and near the boundary, where the approach that
+    ``classify_regime`` follows slows down without bound.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    qmap = _as_quadratic_map(noise)
-    result = _newton_fixpoint(noise, *_flag_diagonal(s0), tol, max_iter, qmap)
-    if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
-        return False
-    return spectral_radius(jacobian(qmap, result.state)) < 1.0
+    return _secure(_stability_margin(noise, s0, tol, max_iter))
 
 
 def find_critical(
@@ -396,37 +440,46 @@ def find_critical(
     tol: float = DEFAULT_TOL,
     max_iter: int = CRITICAL_MAX_ITER,
 ) -> float:
-    """Bisect a one-parameter noise family for the security boundary.
+    """Solve a one-parameter noise family for the security boundary.
 
-    ``family(param)`` must return (noise or map, start state).  The security
-    indicator is linear stability at the secure fixpoint
-    (``secure_by_stability``); ``tol`` and ``max_iter`` bound its solve and
-    the basin checks.  As a basin check, the limit of the family's start
-    state at both bracket ends must lie in the regime the indicator gives
-    there.  That limit is solved for by ``_newton_fixpoint`` with every cell
-    free: where the plain iteration converges within the 30-step warm start
-    it is that iteration's result; elsewhere Newton decides it in tens of
-    steps, both at the binary threshold f0 = 3/4, where the plain iteration
-    needs far more than the budget, and at a secure end near the boundary,
-    where it needs thousands.  Raises ValueError for a negative
-    ``halvings``, when the indicator does not change across the bracket or a
-    basin check disagrees with it; ``halvings = 0`` returns the bracket's
-    midpoint.
+    ``family(param)`` must return (noise or map, start state).  The boundary
+    is the root of the margin rho - 1 at the secure fixpoint, whose sign is
+    the verdict of ``secure_by_stability``; ``tol`` and ``max_iter`` bound
+    its solve and the basin checks.  As a basin check, the limit of the
+    family's start state at both bracket ends must lie in the regime the
+    verdict gives there.  That limit is solved for by ``_newton_fixpoint``
+    with every cell free: where the plain iteration converges within the
+    30-step warm start it is that iteration's result; elsewhere Newton
+    decides it in tens of steps, both at the binary threshold f0 = 3/4,
+    where the plain iteration needs far more than the budget, and at a
+    secure end near the boundary, where it needs thousands.  Raises
+    ValueError for a negative ``halvings``, when the verdict does not change
+    across the bracket or a basin check disagrees with it; ``halvings = 0``
+    returns the bracket's midpoint.
 
-    The result is the midpoint of the bisection's last interval, the bracket
-    over 2**halvings, which is not an error bound: near the boundary the
-    verdict turns on rho - 1 of about 1e-11, so the value reproduces only
-    to about 1e-12 (at 40 halvings the white-noise interval is 3.6e-14).
-    The search stops once the interval is exhausted: when its midpoint
-    rounds to an end, no float lies inside and no halving can change it.
+    The search keeps a bracket on which the verdict changes.  It bisects it
+    until the margin is defined at both ends (a purifying secure fixpoint
+    converged there), and from then on probes the regula-falsi point of the
+    margins, the Illinois variant: an end kept twice in a row has its margin
+    halved for the next point.  Near the boundary the polished margin is
+    smooth and linear, so the root takes a handful of probes.  The search
+    stops when the bracket is at most its first width over 2**halvings, when
+    no float lies inside it, or when a margin is exactly zero (that point is
+    returned).  A probe keeps half that width, and at least one float, from
+    either end, so a root next to an end closes the bracket in one probe.
+    The result is the regula-falsi point of the final bracket (its midpoint
+    if the margin is undefined at an end), so it lies within the first
+    width over 2**halvings of the root.
     """
     if halvings < 0:
         raise ValueError(f"halvings = {halvings} < 0")
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")
+    width = math.ldexp(hi - lo, -halvings)
     ends = [(param, *family(param)) for param in (lo, hi)]
-    sec_lo, sec_hi = (secure_by_stability(n, s, tol, max_iter) for _, n, s in ends)
+    g_lo, g_hi = (_stability_margin(n, s, tol, max_iter) for _, n, s in ends)
+    sec_lo, sec_hi = _secure(g_lo), _secure(g_hi)
     if sec_lo == sec_hi:
         raise ValueError(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
@@ -441,15 +494,37 @@ def find_critical(
                 f"regime after {result.iterations} iterations (converged: "
                 f"{result.converged}), but linear stability says secure = {secure}"
             )
-    for _ in range(halvings):
+    if halvings == 0:
+        return 0.5 * (lo + hi)
+    least = max(width / 2.0, math.ulp(hi))  # a probe's least distance from an end
+    w_lo, w_hi = g_lo, g_hi  # the margins the next regula-falsi point weighs
+    replaced = 0  # -1 or 1 when the last regula-falsi probe replaced lo or hi
+    while True:
         mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):
+        if hi - lo <= width or mid in (lo, hi):
             break
-        if secure_by_stability(*family(mid), tol, max_iter) == sec_lo:
-            lo = mid
+        x = mid
+        if g_lo is not None and g_hi is not None:
+            x = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
+            x = min(max(x, lo + least), hi - least)
+            x = x if lo < x < hi else mid
+        g = _stability_margin(*family(x), tol, max_iter)
+        if g == 0.0:
+            return x
+        falsi = x != mid
+        if _secure(g) == sec_lo:
+            lo, g_lo, w_lo = x, g, g
+            if falsi and replaced == -1:
+                w_hi /= 2.0
+            replaced = -1 if falsi else 0
         else:
-            hi = mid
-    return 0.5 * (lo + hi)
+            hi, g_hi, w_hi = x, g, g
+            if falsi and replaced == 1:
+                w_lo /= 2.0
+            replaced = 1 if falsi else 0
+    if g_lo is None or g_hi is None:
+        return mid
+    return lo + (hi - lo) * (g_lo / (g_lo - g_hi))
 
 
 # --- regimes ----------------------------------------------------------------

@@ -216,7 +216,7 @@ def test_criterion_05_binary_critical_point():
     crit = find_critical(binary_family, (0.75, 0.85))
     elapsed = time.perf_counter() - t0
     ok = abs(crit - BINARY_CRITICAL) <= 5e-6 and elapsed < 10.0
-    report(5, "binary critical noise by bisection", ok,
+    report(5, "binary critical noise by a root solve on rho - 1", ok,
            f"{crit:.8f} vs {BINARY_CRITICAL} ({elapsed:.1f}s)")
     assert crit == pytest.approx(BINARY_CRITICAL, abs=5e-6)
     assert elapsed < 10.0

@@ -1,6 +1,7 @@
 import argparse
 import csv
 import json
+import math
 import shlex
 import warnings
 from pathlib import Path
@@ -24,6 +25,7 @@ from eppsim.dynamics import (
     binary_family,
     find_critical,
     regime_scan,
+    secure_by_stability,
 )
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
@@ -241,6 +243,23 @@ def test_critical_binary(tmp_path):
     assert payload["critical"] == pytest.approx(0.771845, abs=1e-5)
     lo, hi = payload["bracket_achieved"]
     assert lo <= payload["critical"] <= hi
+
+
+@pytest.mark.parametrize("family, bracket", [
+    ("binary-uncorrelated", ("0.75", "0.85")), ("white-noise", ("0.88", "0.92"))])
+@pytest.mark.parametrize("halvings", [4, 24, 40])
+def test_critical_bracket_achieved_holds_the_boundary(tmp_path, family, bracket, halvings):
+    # the verdict differs at the two ends of the reported bracket
+    rc = main(["critical", "--family", family, "--bracket", *bracket,
+               "--halvings", str(halvings), "--out", str(tmp_path)])
+    assert rc == 0
+    payload = json.loads((tmp_path / "critical.json").read_text())
+    lo, hi = payload["bracket_achieved"]
+    assert lo < payload["critical"] < hi
+    width = math.ldexp(float(bracket[1]) - float(bracket[0]), -halvings)
+    assert abs(hi - lo - 2 * width) <= 4 * math.ulp(hi)
+    verdicts = [secure_by_stability(*cli._FAMILIES[family](f0)) for f0 in (lo, hi)]
+    assert verdicts == [False, True]
 
 
 def test_critical_beyond_the_last_float_halving(tmp_path):

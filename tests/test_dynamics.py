@@ -1,3 +1,4 @@
+import math
 import os
 import subprocess
 import sys
@@ -273,6 +274,27 @@ def test_white_noise_critical_point():
     assert 0.8983 < crit < 0.8988
 
 
+def closed_form_binary_root():
+    """The binary boundary from the closed-form fixpoint, bisected to the last float."""
+    def margin(f0):
+        qmap = binary_quadratic_map(BinaryNoiseModel.uncorrelated(f0))
+        return spectral_radius(jacobian(qmap, binary_fixpoint_analytic(f0))) - 1.0
+
+    lo, hi = 0.76, 0.78
+    while (mid := 0.5 * (lo + hi)) not in (lo, hi):
+        if margin(mid) < 0.0:
+            hi = mid
+        else:
+            lo = mid
+    return mid
+
+
+def test_binary_critical_point_is_the_closed_form_root():
+    root = closed_form_binary_root()
+    assert abs(root - BINARY_CRITICAL) < 5e-9
+    assert abs(find_critical(binary_family, (0.75, 0.85)) - root) <= 4 * math.ulp(root)
+
+
 def test_find_critical_halvings():
     with pytest.raises(ValueError, match="halvings = -2 < 0"):
         find_critical(binary_family, (0.76, 0.85), halvings=-2)
@@ -501,8 +523,9 @@ def test_basin_limit_at_a_secure_end_near_the_boundary_is_decided_by_newton(fami
 def test_critical_searches_take_few_solve_steps():
     # a deterministic cost guard: the solve steps, plain and Newton, summed
     # over every solve of a search (about 5,000 each with a 200-step warm
-    # start and negative Newton points replaced by plain steps)
-    spent = []
+    # start and negative Newton points replaced by plain steps), and the
+    # family calls, one per probe (26, 42 and 42 when the search bisected)
+    spent, calls = [], []
     original = dynamics._newton_fixpoint
 
     def counted(*args):
@@ -510,16 +533,26 @@ def test_critical_searches_take_few_solve_steps():
         spent.append(result.iterations)
         return result
 
+    def probed(family):
+        def call(f0):
+            calls.append(f0)
+            return family(f0)
+        return call
+
     searches = [
-        lambda: find_critical(white_noise_family, (0.88, 0.92), halvings=24, max_iter=30_000),
-        lambda: find_critical(binary_family, (0.75, 0.85)),
+        (lambda: find_critical(
+            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 16),
+        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 16),
+        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 18),  # CLI default
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_newton_fixpoint", counted)
-        for search in searches:
+        for search, most_calls in searches:
             spent.clear()
+            calls.clear()
             search()
             assert 0 < sum(spent) <= 2_000
+            assert 0 < len(calls) <= most_calls
 
 
 def test_basin_limit_matches_plain_iteration_on_random_channels():
@@ -672,20 +705,36 @@ def test_curve_on_full_model():
     "noise, kwargs, message",
     [
         (tracking_noise(), dict(start=binary_probe()), "4 variables but map has 16"),
-        (BinaryNoiseModel.uncorrelated(0.8), dict(start=embed(BellDiagonalState.werner(0.85))),
-         "16 variables but map has 4"),
         (binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.8)), {},
          "16 variables but map has 4"),
         (tracking_noise(), dict(n_max=-1), "n_max = -1 < 0"),
         (tracking_noise(), dict(segment_points=0), "segment_points = 0 < 1"),
     ],
-    ids=["binary-start-full-noise", "full-start-binary-noise", "binary-map-no-start",
-         "negative-n_max", "no-segment-points"],
+    ids=["binary-start-full-noise", "binary-map-no-start", "negative-n_max",
+         "no-segment-points"],
 )
 def test_curve_input_checks(noise, kwargs, message):
     kwargs = {"n_max": 3, **kwargs}
     with pytest.raises(ValueError, match=message):
         purification_curve(noise, **kwargs)
+
+
+@pytest.mark.parametrize("f0", [0.76, 0.9])
+def test_binary_noise_on_a_flagged_state_runs_the_16_cell_map(f0):
+    # a binary channel steps a flagged state with generate_map's map of it
+    noise = BinaryNoiseModel.uncorrelated(f0)
+    qmap = generate_map(noise)
+    flagged = embed(BellDiagonalState.werner(0.85))
+    curve = purification_curve(noise, 3, start=flagged)
+    assert all(np.array_equal(a, b) for a, b in zip(
+        curve, purification_curve(qmap, 3, start=flagged), strict=True))
+    one, two = iterate_to_fixpoint(flagged, noise), iterate_to_fixpoint(flagged, qmap)
+    assert (one.iterations, one.converged, one.residual) == (two.iterations, two.converged,
+                                                             two.residual)
+    assert np.array_equal(one.state.flat, two.state.flat)
+    assert classify_regime(noise, flagged) is classify_regime(qmap, flagged)
+    assert secure_by_stability(noise, flagged) == secure_by_stability(qmap, flagged)
+    assert secure_by_stability(noise, flagged) == secure_by_stability(noise)
 
 
 def test_curve_needs_a_flagged_start():
