@@ -73,7 +73,6 @@ from .recurrence import (
     binary_step,
     embed,
     generate_map,
-    ideal_quadratic_map,
     ideal_step,
     routed_terms,
     step,

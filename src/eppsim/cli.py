@@ -42,7 +42,6 @@ from .recurrence import (
     EnsembleAnnihilated,
     embed,
     generate_map,
-    ideal_quadratic_map,
 )
 
 ITERATE_HEADER = ["n", "F", "F_cond", "N_keep", *COEFF_NAMES]
@@ -175,8 +174,6 @@ def _resolve_noise(args, cfg: dict[str, str]):
             merged[key] = str(val)
     if "model" not in merged:
         raise ConfigError("no noise model given (set model= in the config or --model)")
-    if merged["model"] == "ideal":
-        return "ideal"
     try:
         return noise_from_config(merged)
     except (KeyError, ValueError) as exc:
@@ -198,10 +195,7 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
 def _resolve_run(args):
     """Config, noise model and start state of a noise-driven subcommand."""
     cfg = _load_config(args.config)
-    noise = _resolve_noise(args, cfg)
-    if noise == "ideal" and args.command != "iterate":
-        raise ConfigError(f"{args.command} needs a noise model (model=ideal is for iterate only)")
-    return cfg, noise, _resolve_start(args, cfg)
+    return cfg, _resolve_noise(args, cfg), _resolve_start(args, cfg)
 
 
 # --- subcommands -------------------------------------------------------------
@@ -213,17 +207,9 @@ def _cmd_iterate(args, cfg, noise, start):
     steps = args.steps if args.steps is not None else int(cfg.get("steps", "20"))
     if steps < 0:
         raise ConfigError(f"--steps must be at least 0, got {steps}")
-    if noise == "ideal":
-        qmap, plain, traj = ideal_quadratic_map(), start, [(embed(start), 1.0)]
-        for _ in range(steps):
-            vec, keep = qmap.apply(plain.coeffs)
-            plain = BellDiagonalState(vec)
-            traj.append((embed(plain), keep))
-    else:
-        traj = analytic_trajectory(noise, start, steps)
     rows = [
         [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
-        for n, (state, keep) in enumerate(traj)
+        for n, (state, keep) in enumerate(analytic_trajectory(noise, start, steps))
     ]
     return rows, {"steps": steps}, 0
 

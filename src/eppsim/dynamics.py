@@ -22,7 +22,8 @@ level before the margin is measured.  The limits that the basin checks of
 a critical search take for the start state are solved by Newton's method
 too, with every cell free.
 Convergence times of the plain iteration diverge at the boundary, much like
-a phase transition.
+a phase transition.  Every solve runs on flagged states, 16-cell or binary;
+a Bell-diagonal state enters through ``embed``, noiseless or not.
 """
 
 from __future__ import annotations
@@ -82,7 +83,7 @@ class Regime(Enum):
 
 @dataclass(frozen=True)
 class FixpointResult:
-    state: FlaggedEnsembleState | BinaryFlaggedState | BellDiagonalState
+    state: FlaggedEnsembleState | BinaryFlaggedState
     iterations: int
     converged: bool
     residual: float
@@ -177,9 +178,7 @@ def _vector_of(state):
         return state.flat, lambda v: FlaggedEnsembleState(v.reshape(4, 4))
     if isinstance(state, BinaryFlaggedState):
         return state.as_array, lambda v: BinaryFlaggedState(*v)
-    if isinstance(state, BellDiagonalState):
-        return state.coeffs, lambda v: BellDiagonalState(v)
-    raise TypeError(f"unsupported state type {type(state)!r}")
+    raise TypeError(f"expected a flagged state, got {type(state).__name__}; use embed()")
 
 
 def iterate_to_fixpoint(
@@ -190,18 +189,20 @@ def iterate_to_fixpoint(
 ) -> FixpointResult:
     """Iterate the purification step until the max-norm step delta is <= tol.
 
-    Accepts a flagged 16-variable state with a matching map or noise model, a
-    binary state with a binary noise model, or a plain Bell-diagonal state
-    with the 4-variable ideal map.  A binary state with a binary noise model
-    runs the scalar closed-form loop, as it is faster (2.7 against 12.1 us a
-    step on the 4-variable map); every other pair runs the array loop.
-    ``s0`` is left unchanged.  Annihilation of the ensemble is reported as
-    non-convergence with a cause, zero iterations and an infinite residual.
-    Raises ValueError for a negative ``max_iter`` or a state that does not
-    fit the map; zero iterates nothing and reports non-convergence.
+    Accepts a flagged 16-variable or binary state with a map or noise model
+    that fits it.  A binary state with a binary noise model runs the scalar
+    closed-form loop, as it is faster (2.7 against 12.1 us a step on the
+    4-variable map); every other pair runs the array loop.  ``s0`` is left
+    unchanged.  Annihilation of the ensemble is reported as non-convergence
+    with a cause, zero iterations and an infinite residual.  Raises
+    TypeError for any other state, and ValueError for a negative
+    ``max_iter``, a ``tol`` not finite and nonnegative, or a state that does
+    not fit the map; zero ``max_iter`` reports non-convergence.
     """
     if max_iter < 0:
         raise ValueError(f"max_iter = {max_iter} < 0")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol = {tol} is not finite and nonnegative")
     a, wrap = _vector_of(s0)
     if isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel):
         loop, step = _iterate_binary, noise_or_map
@@ -307,10 +308,8 @@ def _flag_diagonal(state):
 
     Returns the projection and those cells.
     """
-    cells = _FLAG_DIAGONAL_CELLS.get(type(state))
-    if cells is None:
-        raise TypeError(f"expected a flagged state, got {type(state)!r}")
     a, wrap = _vector_of(state)
+    cells = _FLAG_DIAGONAL_CELLS[type(state)]
     mass = a[cells].sum()
     if mass <= 0.0:
         raise ValueError("start state has no weight with flag equal to Bell index")
@@ -463,10 +462,12 @@ def find_critical(
     margins, the Illinois variant: an end kept twice in a row has its margin
     halved for the next point.  Near the boundary the polished margin is
     smooth and linear, so the root takes a handful of probes.  The search
-    stops when the bracket is at most its first width over 2**halvings, when
-    no float lies inside it, or when a margin is exactly zero (that point is
-    returned).  A probe keeps half that width, and at least one float, from
-    either end, so a root next to an end closes the bracket in one probe.
+    stops when the bracket is at most its first width over 2**halvings, after
+    ``halvings`` bisections (rounded midpoints can leave the width a few ulps
+    above that), when no float lies inside it, or when a margin is exactly
+    zero (that point is returned).  A probe keeps half that width, and at
+    least one float, from either end, so a root next to an end closes the
+    bracket in one probe.
     The result is the regula-falsi point of the final bracket (its midpoint
     if the margin is undefined at an end), so it lies within the first
     width over 2**halvings of the root.
@@ -499,9 +500,10 @@ def find_critical(
     least = max(width / 2.0, math.ulp(hi))  # a probe's least distance from an end
     w_lo, w_hi = g_lo, g_hi  # the margins the next regula-falsi point weighs
     replaced = 0  # -1 or 1 when the last regula-falsi probe replaced lo or hi
+    bisections = 0
     while True:
         mid = 0.5 * (lo + hi)
-        if hi - lo <= width or mid in (lo, hi):
+        if hi - lo <= width or bisections == halvings or mid in (lo, hi):
             break
         x = mid
         if g_lo is not None and g_hi is not None:
@@ -512,6 +514,7 @@ def find_critical(
         if g == 0.0:
             return x
         falsi = x != mid
+        bisections += not falsi
         if _secure(g) == sec_lo:
             lo, g_lo, w_lo = x, g, g
             if falsi and replaced == -1:
@@ -632,9 +635,7 @@ def purification_curve(
         start = BinaryFlaggedState(0.6, 0.0, 0.4, 0.0) if binary else _WERNER_PROBE
     x0, _ = _vector_of(start)
     qmap = _fitting_map(noise, x0)
-    diagonal = _FLAG_DIAGONAL_CELLS.get(type(start))
-    if diagonal is None:
-        raise TypeError(f"expected a flagged start state, got {type(start)!r}")
+    diagonal = _FLAG_DIAGONAL_CELLS[type(start)]
     x1, _ = qmap.apply(x0)
     ts = np.linspace(0.0, 1.0, segment_points)
     line = [(1.0 - t) * x0 + t * x1 for t in ts]

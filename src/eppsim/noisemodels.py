@@ -202,13 +202,14 @@ def noise_to_config(model: NoiseModel | BinaryNoiseModel) -> dict[str, str]:
 def noise_from_config(cfg: Mapping[str, str]) -> NoiseModel | BinaryNoiseModel:
     """Build a channel from flat key-value settings.
 
-    ``model`` selects the family: ``white`` (key f0), ``binary`` (keys
-    f00..f11, or f0 for uncorrelated flips), ``p1p2`` (keys p1, p2, optional
-    both_labs), or ``general`` (16 keys f.<mu><nu> with two-bit labels).
+    ``model`` selects the family: ``white`` (key f0), ``ideal`` (no keys:
+    the noiseless channel, white with f0 = 1), ``binary`` (keys f00..f11, or
+    f0 for uncorrelated flips), ``p1p2`` (keys p1, p2, optional both_labs),
+    or ``general`` (16 keys f.<mu><nu> with two-bit labels).
     """
     kind = cfg.get("model", "general")
-    if kind == "white":
-        w = one_qubit_white(float(cfg["f0"]))
+    if kind in ("white", "ideal"):
+        w = one_qubit_white(1.0 if kind == "ideal" else float(cfg["f0"]))
         return product(w, w)
     if kind == "binary":
         if "f0" in cfg:

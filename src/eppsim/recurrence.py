@@ -23,6 +23,9 @@ its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
 any noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source /
 target / error combinations through that table; ``routed_terms`` routes
 them through ``bellbits`` directly and is kept as the reference.
+
+The closed forms ``binary_step`` and ``ideal_step`` are kept as oracles;
+the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.
 """
 
 from __future__ import annotations
@@ -137,13 +140,10 @@ def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
 
 _ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 
-# Sub-families the step maps into itself, as cells of the 16-variable map.
-# Binary: Bell states {Phi+, Psi+} with a one-bit (amplitude) flag; variables
-# (A0, A1, B0, B1) live at cells (Phi+, 00), (Phi+, 01), (Psi+, 00),
-# (Psi+, 01).  Noiseless: every flag stays zero; variables (A, C, D, B) in
-# Bell-index order live at the flag-zero cells.
+# The binary sub-family, closed under a binary channel's step: Bell states
+# {Phi+, Psi+} with a one-bit (amplitude) flag; variables (A0, A1, B0, B1)
+# live at cells (Phi+, 00), (Phi+, 01), (Psi+, 00), (Psi+, 01).
 _BINARY_CELLS = (0, 1, 4, 5)
-_FLAG_ZERO_CELLS = (0, 4, 8, 12)
 
 
 @dataclass(frozen=True)
@@ -197,20 +197,10 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
     return QuadraticMap(m=m, names=COEFF_NAMES)
 
 
-def _restricted(noise: NoiseModel | BinaryNoiseModel, cells, names) -> QuadraticMap:
-    """The step matrices restricted to cells the step maps into themselves."""
-    return QuadraticMap(m=generate_map(noise).m[np.ix_(cells, cells, cells)], names=names)
-
-
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
     """The step matrices restricted to the closed binary sub-family."""
-    return _restricted(noise, _BINARY_CELLS, BINARY_NAMES)
-
-
-def ideal_quadratic_map() -> QuadraticMap:
-    """The noiseless step on plain Bell-diagonal states (4 variables)."""
-    noiseless = NoiseModel(np.outer([1.0, 0.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]))
-    return _restricted(noiseless, _FLAG_ZERO_CELLS, ("A", "C", "D", "B"))
+    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
+    return QuadraticMap(m=generate_map(noise).m[cells], names=BINARY_NAMES)
 
 
 # --- states ---------------------------------------------------------------

@@ -27,6 +27,7 @@ from eppsim.dynamics import (
     regime_scan,
     secure_by_stability,
 )
+from eppsim.noisemodels import PAULI_LABELS, BinaryNoiseModel, NoiseModel, noise_from_config
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
 
@@ -108,9 +109,30 @@ def test_missing_noise_model_is_config_error(tmp_path):
 
 
 @pytest.mark.parametrize("command", ["fixpoint", "mc", "resources"])
-def test_ideal_model_needs_iterate(tmp_path, command):
-    assert main([command, "--model", "ideal", "--out", str(tmp_path)]) == 2
-    assert list(tmp_path.iterdir()) == []
+def test_ideal_model_runs_every_noise_subcommand(tmp_path, command):
+    # model=ideal is the noiseless channel, so every noise-driven subcommand runs it
+    assert main([command, "--model", "ideal", "--out", str(tmp_path)]) == 0
+    if command == "fixpoint":
+        payload = json.loads((tmp_path / "fixpoint.json").read_text())
+        assert payload["F"] == pytest.approx(1.0, abs=1e-11)
+        assert payload["regime"] == "security"
+
+
+#: The fewest keys that each --model choice needs.
+_MINIMAL_NOISE_KEYS = {
+    "white": {"f0": "0.9"},
+    "binary": {"f0": "0.9"},
+    "p1p2": {"p1": "0.97", "p2": "0.97"},
+    "general": {f"f.{mu}{nu}": "0.0625" for mu in PAULI_LABELS for nu in PAULI_LABELS},
+    "ideal": {},
+}
+
+
+@pytest.mark.parametrize("model", dict(cli._NOISE_FLAGS)["--model"]["choices"])
+def test_every_model_choice_builds_a_channel(model):
+    # the CLI's --model choices and noise_from_config's kinds cannot drift apart
+    noise = noise_from_config({"model": model, **_MINIMAL_NOISE_KEYS[model]})
+    assert isinstance(noise, (NoiseModel, BinaryNoiseModel))
 
 
 def test_non_finite_input_is_usage_error(tmp_path, capsys):

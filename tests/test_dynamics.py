@@ -41,7 +41,6 @@ from eppsim.recurrence import (
     binary_step,
     embed,
     generate_map,
-    ideal_quadratic_map,
 )
 
 BINARY_CRITICAL = 0.77184451
@@ -64,11 +63,15 @@ def binary_probe():
     return BinaryFlaggedState(0.85, 0.0, 0.15, 0.0)
 
 
+def noiseless_map():
+    return generate_map(white(1.0))
+
+
 # --- fixpoint iteration -------------------------------------------------------
 
 
 def test_ideal_map_iterates_to_pure_state():
-    r = iterate_to_fixpoint(BellDiagonalState.werner(0.7), ideal_quadratic_map())
+    r = iterate_to_fixpoint(embed(BellDiagonalState.werner(0.7)), noiseless_map())
     assert r.converged
     assert r.fidelity == pytest.approx(1.0, abs=1e-11)
 
@@ -159,7 +162,7 @@ def test_fixpoint_loop_single_step_and_start_untouched():
 
 def test_iterate_dimension_mismatch():
     with pytest.raises(ValueError, match="variables"):
-        iterate_to_fixpoint(BellDiagonalState.werner(0.7), generate_map(tracking_noise()))
+        iterate_to_fixpoint(binary_probe(), generate_map(tracking_noise()))
 
 
 @pytest.mark.parametrize("f0", [0.70, 0.75, 0.76, 0.7718, 0.78, 0.8, 0.9, 1.0])
@@ -242,8 +245,8 @@ def test_jacobian_matches_finite_differences():
 
 
 def test_ideal_fixpoint_is_attractive():
-    qm = ideal_quadratic_map()
-    assert spectral_radius(jacobian(qm, np.array([1.0, 0, 0, 0]))) < 1.0
+    pure = embed(BellDiagonalState.from_abcd(1, 0, 0, 0))
+    assert spectral_radius(jacobian(noiseless_map(), pure)) == 0.0
 
 
 @pytest.mark.parametrize("f0,stable", [(0.9, True), (0.76, False)])
@@ -311,6 +314,19 @@ def test_find_critical_stops_when_the_interval_is_exhausted():
     at_60 = find_critical(binary_family, (0.75, 0.85), halvings=60)
     assert find_critical(family, (0.75, 0.85), halvings=200) == at_60
     assert len(calls) <= 64
+
+
+def test_find_critical_that_only_bisects_makes_halvings_probes():
+    # the margin stays undefined at 0.88, so this search only bisects; its
+    # rounded midpoints leave the width a few ulps above (0.92 - 0.88) / 16
+    calls = []
+
+    def family(f0):
+        calls.append(f0)
+        return white_noise_family(f0)
+
+    assert find_critical(family, (0.88, 0.92), halvings=4) == 0.8987499999999999
+    assert len(calls) == 2 + 4
 
 
 def test_find_critical_needs_sign_change():
@@ -411,6 +427,22 @@ def test_negative_budget_is_an_error(family):
         secure_fixpoint(noise, probe, tol=1e-12, max_iter=-1)
     r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=0)
     assert (r.iterations, r.converged) == (0, False)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
+def test_tol_must_be_finite_and_nonnegative(tol):
+    # a NaN tol never stops an iteration, so every solve would run out its
+    # budget and report a wrong verdict instead of failing
+    noise, probe = binary_family(0.9)
+    message = "tol = .* is not finite and nonnegative"
+    with pytest.raises(ValueError, match=message):
+        iterate_to_fixpoint(probe, noise, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        secure_by_stability(noise, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        regime_scan(0.95, 3, 0, tol=tol)
+    with pytest.raises(ValueError, match=message):
+        find_critical(binary_family, (0.75, 0.85), tol=tol)
 
 
 def reference_verdict(noise, start):
@@ -738,8 +770,16 @@ def test_binary_noise_on_a_flagged_state_runs_the_16_cell_map(f0):
 
 
 def test_curve_needs_a_flagged_start():
-    with pytest.raises(TypeError, match="flagged start state"):
-        purification_curve(ideal_quadratic_map(), 3, start=BellDiagonalState.werner(0.85))
+    # the engine rejects a plain Bell-diagonal state in one place, naming embed
+    qmap, plain = noiseless_map(), BellDiagonalState.werner(0.85)
+    for solve in (
+        lambda: iterate_to_fixpoint(plain, qmap),
+        lambda: classify_regime(qmap, plain),
+        lambda: secure_by_stability(qmap, plain),
+        lambda: purification_curve(qmap, 3, start=plain),
+    ):
+        with pytest.raises(TypeError, match=r"got BellDiagonalState; use embed\(\)"):
+            solve()
 
 
 # --- square-root fit -----------------------------------------------------------------

@@ -36,7 +36,6 @@ from eppsim.recurrence import (
     cell_parts,
     embed,
     generate_map,
-    ideal_quadratic_map,
     ideal_step,
     routed_terms,
     step,
@@ -290,13 +289,16 @@ def test_ideal_step_attracts_above_half():
         assert s.a == pytest.approx(1.0, abs=1e-9)
 
 
-def test_ideal_quadratic_map_matches_ideal_step():
-    qm = ideal_quadratic_map()
+def test_noiseless_map_matches_ideal_step():
+    # the noiseless channel's 16-cell map keeps an embedded state's flags zero
+    qm = generate_map(general(IDENTITY_TABLE))
     rng = np.random.default_rng(12)
     for _ in range(50):
         s = BellDiagonalState(rng.dirichlet(np.ones(4)))
-        got, _ = qm.apply(s.coeffs)
-        assert np.allclose(got, ideal_step(s).coeffs, atol=1e-14)
+        got, _ = qm.apply(embed(s).flat)
+        got = got.reshape(4, 4)
+        assert np.allclose(got[:, 0], ideal_step(s).coeffs, rtol=0.0, atol=1e-14)
+        assert not got[:, 1:].any()
 
 
 def test_step_noiseless_fixpoint_and_werner():
