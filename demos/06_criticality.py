@@ -3,10 +3,12 @@
 # The security boundary of a one-parameter noise family is where the
 # spectral radius of the step's Jacobian at the secure (flag-diagonal)
 # fixpoint crosses one.  It is found as the root of that radius less one,
-# by a bracketed regula-falsi solve in about ten probes.  That fixpoint is
-# solved for by Newton's method after a 30-step warm start, in tens of
-# steps even at the binary threshold f0 = 3/4, and so is the limit of the
-# start state that the basin check at each bracket end compares with it.
+# by a bracketed regula-falsi solve (Anderson-Bjorck) that calls the binary
+# family 10 times and the white-noise one 14 times.  That fixpoint is
+# solved for by Newton's method on the flag-diagonal cells after a 30-step
+# warm start, in tens of steps even at the binary threshold f0 = 3/4, and
+# so is the limit of the start state, on every cell, that the basin check
+# at each bracket end compares with it.
 # Two families here: the analytically tractable binary flips, whose
 # boundary is known to eight digits, and one-qubit white noise on both
 # qubits, whose purification and security boundaries are a whisker apart.  Near either boundary the

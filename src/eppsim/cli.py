@@ -35,7 +35,7 @@ from .dynamics import (
     white_noise_family,
 )
 from .montecarlo import MCConfig, analytic_trajectory, resource_curve, run as mc_run
-from .noisemodels import noise_from_config
+from .noisemodels import NOISE_KEYS, NOISE_MODELS, noise_from_config
 from .recurrence import (
     COEFF_NAMES,
     BellDiagonalState,
@@ -163,12 +163,11 @@ def replay_manifest(path: str | Path) -> int:
 
 # --- noise resolution -------------------------------------------------------
 
-_NOISE_KEYS = ("model", "f0", "p1", "p2", "both_labs", "f00", "f01", "f10", "f11")
-
-
 def _resolve_noise(args, cfg: dict[str, str]):
+    """The channel of the config's settings overridden by the noise flags;
+    a flag or setting of a model other than the chosen one is a ConfigError."""
     merged = dict(cfg)
-    for key in _NOISE_KEYS:
+    for key in ("model", *NOISE_KEYS):
         val = getattr(args, key, None)
         if val is not None:
             merged[key] = str(val)
@@ -400,7 +399,7 @@ _SUBCOMMANDS = {
 
 _NOISE_FLAGS = (
     ("--config", dict(help="flat key=value config file")),
-    ("--model", dict(choices=("white", "binary", "p1p2", "general", "ideal"))),
+    ("--model", dict(choices=tuple(NOISE_MODELS))),
     ("--f0", dict(type=float, help="white-noise / uncorrelated-binary parameter")),
     ("--p1", dict(type=float, help="one-qubit reliability")),
     ("--p2", dict(type=float, help="two-qubit reliability")),

@@ -13,14 +13,18 @@ the flag bits alike.  Its fixpoint is the secure one, and the security
 regime is where that fixpoint purifies and attracts.  The boundary of the
 regime is therefore a root of the stability margin rho - 1, the spectral
 radius of the step's Jacobian at the secure fixpoint less one, and a
-critical search finds it by a bracketed regula-falsi solve (the Illinois
-variant) after bisecting the verdict until the margin is defined at both
-ends.  The secure fixpoint is solved for by Newton's method on the
-subspace, after a short plain warm start, in tens of steps even where the
-plain iteration converges only algebraically, and is polished to rounding
-level before the margin is measured.  The limits that the basin checks of
-a critical search take for the start state are solved by Newton's method
-too, with every cell free.
+critical search finds it by a bracketed regula-falsi solve (with
+Anderson-Bjorck's scaling of a twice-kept end) after bisecting the verdict
+until the margin is defined at both ends.  Each probe projects the start
+onto the subspace and restricts the map to it once, which is exact as the
+step never leaves it: four unknowns for a 16-cell state, two for a binary
+one.  On raw weight vectors of that restricted map, the secure fixpoint is
+solved for by Newton's method after a short plain warm start, in tens of
+steps even where the plain iteration converges only algebraically, and is
+polished to rounding level; the margin is then measured once, on the whole
+map's Jacobian.  The limits that the basin checks of a critical search
+take for the start state are solved by the same Newton solve on the whole
+map, with every cell free.
 Convergence times of the plain iteration diverge at the boundary, much like
 a phase transition.  Every solve runs on flagged states, 16-cell or binary;
 a Bell-diagonal state enters through ``embed``, noiseless or not.
@@ -30,7 +34,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Callable, Sequence
 
@@ -199,10 +203,7 @@ def iterate_to_fixpoint(
     ``max_iter``, a ``tol`` not finite and nonnegative, or a state that does
     not fit the map; zero ``max_iter`` reports non-convergence.
     """
-    if max_iter < 0:
-        raise ValueError(f"max_iter = {max_iter} < 0")
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ValueError(f"tol = {tol} is not finite and nonnegative")
+    _check_budget(tol, max_iter)
     a, wrap = _vector_of(s0)
     if isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel):
         loop, step = _iterate_binary, noise_or_map
@@ -282,10 +283,10 @@ def white_noise_family(f0: float) -> tuple[QuadraticMap, FlaggedEnsembleState]:
 #: the binary map.  The step maps the subspace they span into itself.
 _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState: [0, 3]}
 
-#: Plain steps that start the secure-fixpoint solve before Newton takes over,
-#: and the Newton steps it takes at most.  The warm start only has to bring
-#: Newton within reach of the fixpoint; with 30 steps a critical search's
-#: solves sum to about 860 (white noise at 24 halvings) and 470 (binary) steps.
+#: Plain steps that start each Newton solve, and the Newton steps it takes at
+#: most.  The warm start only has to bring Newton within reach of the
+#: fixpoint; with 30 steps a critical search's solves sum to 829
+#: (white noise at 24 halvings) and 433 (binary) steps.
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
@@ -303,106 +304,157 @@ _NEWTON_CLIP_FLOOR = 1e-5
 _POLISH_STEPS = 3
 
 
-def _flag_diagonal(state):
-    """Project a flagged state onto its cells with flag equal to Bell index.
+def _check_budget(tol: float, max_iter: int) -> None:
+    if max_iter < 0:
+        raise ValueError(f"max_iter = {max_iter} < 0")
+    if not (math.isfinite(tol) and tol >= 0.0):
+        raise ValueError(f"tol = {tol} is not finite and nonnegative")
 
-    Returns the projection and those cells.
+
+def _plain_loop(noise_or_map, s0, qmap: QuadraticMap, cells=slice(None)):
+    """The plain iteration of ``qmap``, the map of ``noise_or_map`` on the
+    cells ``cells`` of ``s0``'s vector, as ``iterate_to_fixpoint`` runs it.
+
+    It is called as ``_iterate_array`` is, with a weight vector of ``qmap``
+    that it may overwrite, and returns a vector of ``qmap`` too.  A binary
+    state and channel run the scalar loop on the binary vector that is zero
+    off ``cells``; the step keeps those zeros exactly where the cells span
+    an invariant subspace.
     """
-    a, wrap = _vector_of(state)
-    cells = _FLAG_DIAGONAL_CELLS[type(state)]
+    if not (isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel)):
+        return lambda x, tol, max_iter: _iterate_array(x, qmap, tol, max_iter)
+
+    def scalar(x, tol, max_iter):
+        a = np.zeros(4)
+        a[cells] = x
+        vec, iterations, converged, residual = _iterate_binary(a, noise_or_map, tol, max_iter)
+        return np.array(vec)[cells], iterations, converged, residual
+
+    return scalar
+
+
+def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_iter: int):
+    """A fixpoint of ``qmap`` reached from the weight vector ``x``, solved by
+    Newton's method on every cell of the map.
+
+    ``plain`` is the plain iteration of ``qmap`` (``_plain_loop``), and up
+    to ``_NEWTON_WARM_START`` of its steps from ``x`` come first.  Then each
+    Newton step x -> x + dx solves (J - I) dx = -(step(x) - x), with J the
+    ``jacobian`` of ``qmap``; every column of J sums to zero, so dx keeps
+    the weights summing to one.  Negative weights of the Newton point down
+    to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected Newton
+    step): a secure fixpoint's cells with flag other than Bell index are
+    zero, on the edge of the simplex, and Newton overshoots them by up to
+    about 1e-6.  If Newton has not converged within ``_NEWTON_MAX_STEPS``
+    steps, or a Newton point has a weight below ``-_NEWTON_CLIP_FLOOR``, the
+    plain iteration takes the rest of the budget from where the warm start
+    stopped, so the result is the limit of the plain iteration; that happens
+    where no fixpoint lies within Newton's reach (it circles the ghost of a
+    fold) or Newton heads for another fixpoint.
+
+    The basin checks hand it a state's whole map, and the stability margin
+    the map restricted to the flag-diagonal cells.  Returns (vector,
+    iterations, converged, residual) as ``_iterate_array`` does: converged
+    means max |step(x) - x| <= tol within ``max_iter`` steps in all, plain
+    and Newton alike, and the vector is step(x).  At the binary family's
+    f0 = 3/4, where the fixpoint is a multiple root, Newton converges only
+    linearly, but in tens of steps where the plain iteration needs more than
+    500k.  ``tol`` and ``max_iter`` are not checked here; an annihilated
+    ensemble raises EnsembleAnnihilated.
+    """
+    warm, spent, converged, residual = plain(x, tol, min(_NEWTON_WARM_START, max_iter))
+    if converged or spent == max_iter:
+        return warm, spent, converged, residual
+    x = np.array(warm)  # the warm start's end stays for the fallback
+    eye = np.eye(qmap.dim)
+    for k in range(1, min(_NEWTON_MAX_STEPS, max_iter - spent) + 1):
+        image, _ = qmap.apply(x)
+        residual = float(np.max(np.abs(image - x)))
+        if residual <= tol:
+            return image, spent + k, True, residual
+        x += np.linalg.solve(jacobian(qmap, x) - eye, x - image)
+        if x.min() < -_NEWTON_CLIP_FLOOR:
+            break
+        np.maximum(x, 0.0, out=x)
+    spent += k
+    vec, iterations, converged, residual = plain(warm, tol, max_iter - spent)
+    return vec, spent + iterations, converged, residual
+
+
+def _basin_limit(noise_or_map, start, tol: float, max_iter: int) -> FixpointResult:
+    """The limit of ``start``'s iteration, by ``_newton_fixpoint`` on the
+    state's whole map; annihilation is reported as ``iterate_to_fixpoint``
+    reports it.  Raises ValueError for a bad ``tol`` or ``max_iter``."""
+    _check_budget(tol, max_iter)
+    a, wrap = _vector_of(start)
+    qmap = _fitting_map(noise_or_map, a)
+    try:
+        x, iterations, converged, residual = _newton_fixpoint(
+            a.copy(), qmap, _plain_loop(noise_or_map, start, qmap), tol, max_iter
+        )
+    except EnsembleAnnihilated as exc:
+        return FixpointResult(start, 0, False, np.inf, failure=str(exc))
+    return FixpointResult(wrap(x), iterations, converged, residual)
+
+
+def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
+    """The secure fixpoint reached from ``s0``'s flag-diagonal projection.
+
+    The projection onto the flag-diagonal cells, renormalized, and the map
+    restricted to those cells are made once, and ``_newton_fixpoint``
+    solves on the restricted map: the step never leaves the subspace, so
+    that is the whole map's solve with every other cell held at zero.
+    Returns the whole map of ``noise`` on ``s0``'s cells, the flag-diagonal
+    cells, the restricted map and the solve's (vector on those cells,
+    iterations, converged, residual).  Raises ValueError for a bad ``tol``
+    or ``max_iter``, a map that does not fit ``s0`` or a start with no
+    flag-diagonal weight, and EnsembleAnnihilated.
+    """
+    _check_budget(tol, max_iter)
+    a, _ = _vector_of(s0)
+    cells = _FLAG_DIAGONAL_CELLS[type(s0)]
     mass = a[cells].sum()
     if mass <= 0.0:
         raise ValueError("start state has no weight with flag equal to Bell index")
-    diag = np.zeros_like(a)
-    diag[cells] = a[cells] / mass
-    return wrap(diag), cells
-
-
-def _newton_fixpoint(
-    noise, start, cells, tol: float, max_iter: int, qmap: QuadraticMap | None = None
-) -> FixpointResult:
-    """A fixpoint reached from ``start``, solved by Newton's method on ``cells``.
-
-    Up to ``_NEWTON_WARM_START`` plain steps from ``start`` come first, the
-    very steps of ``iterate_to_fixpoint``.  Then each Newton step x -> x + dx
-    solves (J_CC - I) dx = -(step(x) - x)_C on the free cells C, with J_CC
-    the slice of ``jacobian`` on C; every column of J sums to zero, so dx
-    keeps the weights summing to one, whether C spans an invariant subspace
-    (the flag-diagonal cells) or every cell.  Negative weights of the Newton
-    point down to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected
-    Newton step): a secure fixpoint's cells with flag other than Bell index
-    are zero, on the edge of the simplex, and Newton overshoots them by up
-    to about 1e-6.  If Newton has not converged within
-    ``_NEWTON_MAX_STEPS`` steps, or a Newton point has a weight below
-    ``-_NEWTON_CLIP_FLOOR``, the plain iteration takes the rest of the
-    budget from where the warm start stopped, so the result is the limit of
-    the plain iteration; that happens where no fixpoint lies within Newton's
-    reach (it circles the ghost of a fold) or Newton heads for another
-    fixpoint.  ``qmap`` is the map of ``noise``, built here when Newton runs
-    if not given.
-
-    Converged means max |step(x) - x| <= tol within ``max_iter`` steps in
-    all, plain and Newton alike; the result holds step(x), as
-    ``iterate_to_fixpoint``'s does.  At the binary family's f0 = 3/4, where
-    the fixpoint is a multiple root, Newton converges only linearly, but in
-    tens of steps where the plain iteration needs more than 500k.  Raises
-    ValueError for a negative ``max_iter``.
-    """
-    warm = iterate_to_fixpoint(start, noise, tol=tol, max_iter=min(_NEWTON_WARM_START, max_iter))
-    if warm.converged or warm.failure is not None or warm.iterations == max_iter:
-        return warm
-    x, wrap = _vector_of(warm.state)
-    qmap = _fitting_map(noise, x) if qmap is None else qmap
-    x = x.copy()
-    cells = np.asarray(cells)
-    cc, eye = np.ix_(cells, cells), np.eye(len(cells))
-    newton_steps = min(_NEWTON_MAX_STEPS, max_iter - warm.iterations)
-    try:
-        for k in range(1, newton_steps + 1):
-            image, _ = qmap.apply(x)
-            residual = float(np.max(np.abs(image - x)))
-            if residual <= tol:
-                return FixpointResult(wrap(image), warm.iterations + k, True, residual)
-            x[cells] += np.linalg.solve(jacobian(qmap, x)[cc] - eye, x[cells] - image[cells])
-            if x.min() < -_NEWTON_CLIP_FLOOR:
-                break
-            np.maximum(x, 0.0, out=x)
-    except EnsembleAnnihilated as exc:
-        return FixpointResult(start, 0, False, np.inf, failure=str(exc))
-    spent = warm.iterations + k
-    rest = iterate_to_fixpoint(warm.state, noise, tol=tol, max_iter=max_iter - spent)
-    return replace(rest, iterations=spent + rest.iterations)
+    qmap = _fitting_map(noise, a)
+    sub = qmap.restricted(cells)
+    plain = _plain_loop(noise, s0, sub, cells)
+    return qmap, cells, sub, _newton_fixpoint(a[cells] / mass, sub, plain, tol, max_iter)
 
 
 def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
     """rho - 1 at the polished secure fixpoint, or None where there is none.
 
-    The secure fixpoint is the fixpoint of the flag-diagonal subspace, which
-    the step never leaves, reached from the projection of ``s0`` by
-    ``_newton_fixpoint`` on the flag-diagonal cells.  None means that it did
-    not converge within the budget or does not purify (fidelity <= 1/2).
-    Otherwise up to ``_POLISH_STEPS`` more Newton steps take its residual
-    from ``tol`` to rounding level, and the result is the spectral radius of
-    the full step's Jacobian there, less one; the solve and the Jacobian
-    share one map.
+    The secure fixpoint is solved for on the map restricted to the
+    flag-diagonal cells (``_secure_fixpoint``).  None means that it did not
+    converge within the budget or does not purify (fidelity <= 1/2).
+    Otherwise up to ``_POLISH_STEPS`` more Newton steps on the restricted
+    map take its residual from ``tol`` to rounding level, and the result is
+    the spectral radius of the whole map's Jacobian at the polished
+    fixpoint, less one.  That Jacobian is block-triangular, as the subspace
+    is invariant, so its spectral radius covers both the stability within
+    the subspace and the decay of weight off it.
     """
-    start, cells = _flag_diagonal(s0)
-    qmap = _fitting_map(noise, _vector_of(start)[0])
-    result = _newton_fixpoint(noise, start, cells, tol, max_iter, qmap)
-    if not result.converged or result.fidelity <= 0.5 + REGIME_FUZZ:
+    try:
+        qmap, cells, sub, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
+    except EnsembleAnnihilated:
         return None
-    x = _vector_of(result.state)[0].copy()
-    cc, eye = np.ix_(cells, cells), np.eye(len(cells))
+    # the fidelity: Phi+ has one flag-diagonal cell, the first
+    if not converged or x[0] <= 0.5 + REGIME_FUZZ:
+        return None
+    eye = np.eye(sub.dim)
     residual = np.inf
     for _ in range(_POLISH_STEPS):
-        image, _ = qmap.apply(x)
-        step = x[cells] - image[cells]
+        image, _ = sub.apply(x)
+        step = x - image
         size = np.max(np.abs(step))
         if not 0.0 < size < residual:  # at rounding level already
             break
         residual = size
-        x[cells] += np.linalg.solve(jacobian(qmap, x)[cc] - eye, step)
-    return spectral_radius(jacobian(qmap, x)) - 1.0
+        x += np.linalg.solve(jacobian(sub, x) - eye, step)
+    full = np.zeros(qmap.dim)
+    full[cells] = x
+    return spectral_radius(jacobian(qmap, full)) - 1.0
 
 
 def _secure(margin: float | None) -> bool:
@@ -419,14 +471,16 @@ def secure_by_stability(
 
     The setting is secure iff the secure fixpoint, reached from the
     projection of the probe state onto the flag-diagonal subspace (a 30-step
-    plain iteration, then Newton's method), converges within the budget,
-    purifies (fidelity > 1/2) and attracts: the spectral radius of the full
-    step's Jacobian there, measured after a few more Newton steps, is below
-    one.  This is the sign of the margin rho - 1 that ``find_critical``
-    solves for.  The solve takes tens of steps even at a multiple root of
-    the subspace map, where the plain iteration converges only
-    algebraically, and near the boundary, where the approach that
-    ``classify_regime`` follows slows down without bound.
+    plain iteration, then Newton's method, both on the map restricted to
+    that subspace), converges within the budget, purifies (fidelity > 1/2)
+    and attracts: the spectral radius of the full step's Jacobian there,
+    measured after a few more Newton steps, is below one.  This is the sign
+    of the margin rho - 1 that ``find_critical`` solves for.  The solve
+    takes tens of steps even at a multiple root of the subspace map, where
+    the plain iteration converges only algebraically, and near the
+    boundary, where the approach that ``classify_regime`` follows slows down
+    without bound.  Raises ValueError for a negative ``max_iter`` or a
+    ``tol`` not finite and nonnegative.
     """
     s0 = _probe_state(noise) if s0 is None else s0
     return _secure(_stability_margin(noise, s0, tol, max_iter))
@@ -447,30 +501,33 @@ def find_critical(
     its solve and the basin checks.  As a basin check, the limit of the
     family's start state at both bracket ends must lie in the regime the
     verdict gives there.  That limit is solved for by ``_newton_fixpoint``
-    with every cell free: where the plain iteration converges within the
-    30-step warm start it is that iteration's result; elsewhere Newton
-    decides it in tens of steps, both at the binary threshold f0 = 3/4,
-    where the plain iteration needs far more than the budget, and at a
-    secure end near the boundary, where it needs thousands.  Raises
-    ValueError for a negative ``halvings``, when the verdict does not change
-    across the bracket or a basin check disagrees with it; ``halvings = 0``
-    returns the bracket's midpoint.
+    on the whole map, every cell free: where the plain iteration converges
+    within the 30-step warm start it is that iteration's result; elsewhere
+    Newton decides it in tens of steps, both at the binary threshold
+    f0 = 3/4, where the plain iteration needs far more than the budget, and
+    at a secure end near the boundary, where it needs thousands.  Raises
+    ValueError for a negative ``halvings``, a bad ``tol`` or ``max_iter``,
+    when the verdict does not change across the bracket or when a basin
+    check disagrees with it; ``halvings = 0`` returns the bracket's
+    midpoint.
 
     The search keeps a bracket on which the verdict changes.  It bisects it
     until the margin is defined at both ends (a purifying secure fixpoint
     converged there), and from then on probes the regula-falsi point of the
-    margins, the Illinois variant: an end kept twice in a row has its margin
-    halved for the next point.  Near the boundary the polished margin is
-    smooth and linear, so the root takes a handful of probes.  The search
-    stops when the bracket is at most its first width over 2**halvings, after
-    ``halvings`` bisections (rounded midpoints can leave the width a few ulps
-    above that), when no float lies inside it, or when a margin is exactly
-    zero (that point is returned).  A probe keeps half that width, and at
-    least one float, from either end, so a root next to an end closes the
-    bracket in one probe.
-    The result is the regula-falsi point of the final bracket (its midpoint
-    if the margin is undefined at an end), so it lies within the first
-    width over 2**halvings of the root.
+    margins.  An end kept twice in a row has its margin scaled for the next
+    point by Anderson and Bjorck's factor 1 - g_new / g_old, where g_old is
+    the margin at the end just replaced and g_new the margin replacing it,
+    or by 1/2 if that factor is not positive (Illinois' constant 1/2 takes
+    one or two more probes a search).  Near the boundary the polished margin
+    is smooth and nearly linear, so the root takes a handful of probes.  The
+    search stops when the bracket is at most its first width over
+    2**halvings, after ``halvings`` bisections (rounded midpoints can leave
+    the width a few ulps above that), when no float lies inside it, or when
+    a margin is exactly zero (that point is returned).  A probe keeps half
+    that width, and at least one float, from either end, so a root next to
+    an end closes the bracket in one probe.  The result is the regula-falsi
+    point of the final bracket (its midpoint if the margin is undefined at
+    an end), so it lies within the first width over 2**halvings of the root.
     """
     if halvings < 0:
         raise ValueError(f"halvings = {halvings} < 0")
@@ -486,8 +543,7 @@ def find_critical(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
     for (param, noise_or_map, start), secure in zip(ends, (sec_lo, sec_hi)):
-        every_cell = range(len(_vector_of(start)[0]))
-        result = _newton_fixpoint(noise_or_map, start, every_cell, tol, max_iter)
+        result = _basin_limit(noise_or_map, start, tol, max_iter)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
             raise ValueError(
@@ -516,18 +572,27 @@ def find_critical(
         falsi = x != mid
         bisections += not falsi
         if _secure(g) == sec_lo:
-            lo, g_lo, w_lo = x, g, g
             if falsi and replaced == -1:
-                w_hi /= 2.0
+                w_hi *= _anderson_bjorck(g, g_lo)
+            lo, g_lo, w_lo = x, g, g
             replaced = -1 if falsi else 0
         else:
-            hi, g_hi, w_hi = x, g, g
             if falsi and replaced == 1:
-                w_lo /= 2.0
+                w_lo *= _anderson_bjorck(g, g_hi)
+            hi, g_hi, w_hi = x, g, g
             replaced = 1 if falsi else 0
     if g_lo is None or g_hi is None:
         return mid
     return lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+
+
+def _anderson_bjorck(g_new: float, g_old: float) -> float:
+    """The factor on the kept end's margin when a regula-falsi probe replaces
+    the same end twice in a row: m = 1 - g_new / g_old, with g_old the
+    replaced end's margin, or 1/2 when m <= 0 (Anderson & Bjorck, BIT 13,
+    253 (1973))."""
+    m = 1.0 - g_new / g_old
+    return m if m > 0.0 else 0.5
 
 
 # --- regimes ----------------------------------------------------------------

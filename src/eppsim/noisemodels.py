@@ -13,7 +13,8 @@ build exactly.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping
+from functools import cached_property
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -99,15 +100,23 @@ class BinaryNoiseModel:
         """Combined weight of the one-sided flips."""
         return self.f01 + self.f10
 
-    @property
-    def f(self) -> np.ndarray:
-        """The joint Pauli table f[mu, nu] of the embedded channel."""
-        return self.embed().f
-
-    def embed(self) -> NoiseModel:
+    def _table(self) -> np.ndarray:
         f = np.zeros((4, 4))
         f[:2, :2] = [[self.f00, self.f01], [self.f10, self.f11]]
-        return NoiseModel(f)
+        return f
+
+    @cached_property
+    def f(self) -> np.ndarray:
+        """The joint Pauli table f[mu, nu] of the embedded channel, read-only.
+
+        It is made once, and equals ``embed().f`` to the bit.
+        """
+        f = _validated(self._table())
+        f.setflags(write=False)
+        return f
+
+    def embed(self) -> NoiseModel:
+        return NoiseModel(self._table())
 
     @classmethod
     def uncorrelated(cls, f0: float) -> "BinaryNoiseModel":
@@ -199,34 +208,73 @@ def noise_to_config(model: NoiseModel | BinaryNoiseModel) -> dict[str, str]:
     return cfg
 
 
+def _white_from_config(cfg: Mapping[str, str]) -> NoiseModel:
+    w = one_qubit_white(float(cfg["f0"]))
+    return product(w, w)
+
+
+def _ideal_from_config(cfg: Mapping[str, str]) -> NoiseModel:
+    w = one_qubit_white(1.0)
+    return product(w, w)
+
+
+_BINARY_KEYS = ("f00", "f01", "f10", "f11")
+
+
+def _binary_from_config(cfg: Mapping[str, str]) -> BinaryNoiseModel:
+    if "f0" not in cfg:
+        return BinaryNoiseModel(*(float(cfg[key]) for key in _BINARY_KEYS))
+    if any(key in cfg for key in _BINARY_KEYS):
+        raise ValueError("model 'binary' takes f0 or f00..f11, not both")
+    return BinaryNoiseModel.uncorrelated(float(cfg["f0"]))
+
+
+def _p1p2_from_config(cfg: Mapping[str, str]) -> NoiseModel:
+    both = cfg.get("both_labs", "false").strip().lower() in ("1", "true", "yes")
+    return from_p1_p2(float(cfg["p1"]), float(cfg["p2"]), both_labs=both)
+
+
+_GENERAL_KEYS = tuple(f"f.{mu}{nu}" for mu in PAULI_LABELS for nu in PAULI_LABELS)
+
+
+def _general_from_config(cfg: Mapping[str, str]) -> NoiseModel:
+    missing = [key for key in _GENERAL_KEYS if key not in cfg]
+    if missing:
+        raise KeyError(f"missing channel weight {missing[0]}")
+    return NoiseModel(np.array([float(cfg[key]) for key in _GENERAL_KEYS]).reshape(4, 4))
+
+
+#: Every noise model a config can name: the keys it reads and its builder.
+NOISE_MODELS: dict[str, tuple[tuple[str, ...], Callable]] = {
+    "white": (("f0",), _white_from_config),
+    "binary": (("f0", *_BINARY_KEYS), _binary_from_config),
+    "p1p2": (("p1", "p2", "both_labs"), _p1p2_from_config),
+    "general": (_GENERAL_KEYS, _general_from_config),
+    "ideal": ((), _ideal_from_config),
+}
+#: The keys of every model: a config holds only those of the model it names.
+NOISE_KEYS = tuple(dict.fromkeys(key for keys, _ in NOISE_MODELS.values() for key in keys))
+
+
 def noise_from_config(cfg: Mapping[str, str]) -> NoiseModel | BinaryNoiseModel:
     """Build a channel from flat key-value settings.
 
     ``model`` selects the family: ``white`` (key f0), ``ideal`` (no keys:
     the noiseless channel, white with f0 = 1), ``binary`` (keys f00..f11, or
-    f0 for uncorrelated flips), ``p1p2`` (keys p1, p2, optional both_labs),
-    or ``general`` (16 keys f.<mu><nu> with two-bit labels).
+    f0 for uncorrelated flips, not both), ``p1p2`` (keys p1, p2, optional
+    both_labs), or ``general`` (16 keys f.<mu><nu> with two-bit labels);
+    ``NOISE_MODELS`` lists them.  Keys that are no model's are ignored.
+    Raises ValueError for an unknown model or a key of another model, and
+    KeyError for a missing key.
     """
     kind = cfg.get("model", "general")
-    if kind in ("white", "ideal"):
-        w = one_qubit_white(1.0 if kind == "ideal" else float(cfg["f0"]))
-        return product(w, w)
-    if kind == "binary":
-        if "f0" in cfg:
-            return BinaryNoiseModel.uncorrelated(float(cfg["f0"]))
-        return BinaryNoiseModel(
-            float(cfg["f00"]), float(cfg["f01"]), float(cfg["f10"]), float(cfg["f11"])
+    if kind not in NOISE_MODELS:
+        raise ValueError(f"unknown noise model kind {kind!r}")
+    keys, build = NOISE_MODELS[kind]
+    foreign = [key for key in NOISE_KEYS if key in cfg and key not in keys]
+    if foreign:
+        raise ValueError(
+            f"model {kind!r} does not read {', '.join(foreign)} "
+            f"(its keys: {', '.join(keys) or 'none'})"
         )
-    if kind == "p1p2":
-        both = cfg.get("both_labs", "false").strip().lower() in ("1", "true", "yes")
-        return from_p1_p2(float(cfg["p1"]), float(cfg["p2"]), both_labs=both)
-    if kind == "general":
-        f = np.zeros((4, 4))
-        for mu in range(4):
-            for nu in range(4):
-                key = f"f.{PAULI_LABELS[mu]}{PAULI_LABELS[nu]}"
-                if key not in cfg:
-                    raise KeyError(f"missing channel weight {key}")
-                f[mu, nu] = float(cfg[key])
-        return NoiseModel(f)
-    raise ValueError(f"unknown noise model kind {kind!r}")
+    return build(cfg)

@@ -146,6 +146,20 @@ _ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 _BINARY_CELLS = (0, 1, 4, 5)
 
 
+def _binary_route_arrays() -> tuple[np.ndarray, np.ndarray]:
+    """The kept routes whose output, source and target cells are all binary
+    cells, in ``routed_terms`` order: their flat (output, source, target)
+    index in a 4 x 4 x 4 table of binary variables, and their (mu, nu) entry."""
+    position = np.full(16, -1)
+    position[list(_BINARY_CELLS)] = range(4)
+    out, src, tgt = (position[c] for c in np.unravel_index(_ROUTE_CELL, (16, 16, 16)))
+    binary = (out >= 0) & (src >= 0) & (tgt >= 0)
+    return ((out * 4 + src) * 4 + tgt)[binary], _ROUTE_PAULI[binary]
+
+
+_BINARY_ROUTE_CELL, _BINARY_ROUTE_PAULI = _binary_route_arrays()
+
+
 @dataclass(frozen=True)
 class QuadraticMap:
     """One purification step as normalized quadratic forms a'_j = a M_j a / N."""
@@ -171,6 +185,18 @@ class QuadraticMap:
             raise EnsembleAnnihilated(f"keep probability {n} <= {ANNIHILATION_EPS}")
         return q / n, float(n)
 
+    def restricted(self, cells) -> "QuadraticMap":
+        """The forms M_j[k, l] with j, k and l among ``cells``.
+
+        This is the step on the subspace the cells span, exactly, where the
+        step maps that subspace into itself (M_j[k, l] = 0 for every j off
+        the cells and k, l on them).
+        """
+        cells = list(cells)
+        return QuadraticMap(
+            m=self.m[np.ix_(cells, cells, cells)], names=tuple(self.names[c] for c in cells)
+        )
+
     def to_json_dict(self) -> dict:
         return {
             "names": list(self.names),
@@ -190,17 +216,25 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
 
     A binary channel enters through its embedded Pauli table.
     """
+    return _map_of_routes(noise, _ROUTE_CELL, _ROUTE_PAULI, COEFF_NAMES)
+
+
+def _map_of_routes(noise, route_cell, route_pauli, names) -> QuadraticMap:
+    n = len(names)
     # bincount adds the routes in index order, as np.add.at would
-    weights = noise.f.take(_ROUTE_PAULI)
-    m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)
-    m = 0.5 * (m + m.transpose(0, 2, 1))
-    return QuadraticMap(m=m, names=COEFF_NAMES)
+    weights = noise.f.take(route_pauli)
+    m = np.bincount(route_cell, weights=weights, minlength=n**3).reshape(n, n, n)
+    return QuadraticMap(m=0.5 * (m + m.transpose(0, 2, 1)), names=names)
 
 
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
-    """The step matrices restricted to the closed binary sub-family."""
-    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
-    return QuadraticMap(m=generate_map(noise).m[cells], names=BINARY_NAMES)
+    """The step matrices restricted to the closed binary sub-family.
+
+    Only the routes among binary cells are added up, in the order
+    ``generate_map`` adds them, so the result is its map's binary slice to
+    the bit.
+    """
+    return _map_of_routes(noise, _BINARY_ROUTE_CELL, _BINARY_ROUTE_PAULI, BINARY_NAMES)
 
 
 # --- states ---------------------------------------------------------------

@@ -27,7 +27,13 @@ from eppsim.dynamics import (
     regime_scan,
     secure_by_stability,
 )
-from eppsim.noisemodels import PAULI_LABELS, BinaryNoiseModel, NoiseModel, noise_from_config
+from eppsim.noisemodels import (
+    NOISE_MODELS,
+    PAULI_LABELS,
+    BinaryNoiseModel,
+    NoiseModel,
+    noise_from_config,
+)
 from eppsim.recurrence import BellDiagonalState, ideal_step
 
 
@@ -128,11 +134,43 @@ _MINIMAL_NOISE_KEYS = {
 }
 
 
-@pytest.mark.parametrize("model", dict(cli._NOISE_FLAGS)["--model"]["choices"])
+@pytest.mark.parametrize("model", NOISE_MODELS)
 def test_every_model_choice_builds_a_channel(model):
-    # the CLI's --model choices and noise_from_config's kinds cannot drift apart
+    # the CLI's --model choices are noise_from_config's table, so they
+    # cannot drift apart
+    assert dict(cli._NOISE_FLAGS)["--model"]["choices"] == tuple(NOISE_MODELS)
     noise = noise_from_config({"model": model, **_MINIMAL_NOISE_KEYS[model]})
     assert isinstance(noise, (NoiseModel, BinaryNoiseModel))
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--model", "ideal", "--f0", "0.5", "--p1", "0.3"],
+         "model 'ideal' does not read f0, p1 (its keys: none)"),
+        (["--model", "white", "--f0", "0.95", "--p2", "0.1", "--f11", "0.7"],
+         "model 'white' does not read f11, p2 (its keys: f0)"),
+        (["--model", "binary", "--f0", "0.9", "--f00", "0.5", "--f01", "0.5", "--f10", "0",
+          "--f11", "0"], "model 'binary' takes f0 or f00..f11, not both"),
+    ],
+    ids=["ideal-with-f0-p1", "white-with-p2-f11", "binary-with-f0-and-f00"],
+)
+def test_a_noise_flag_of_another_model_is_a_usage_error(tmp_path, capsys, args, message):
+    # these ran before, ignored the flags and recorded them in the manifest
+    out = tmp_path / "out"
+    assert main(["fixpoint", *args, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_a_config_setting_of_another_model_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\n")
+    out = tmp_path / "out"
+    assert main(["fixpoint", "--config", str(cfgfile), "--model", "ideal",
+                 "--out", str(out)]) == 2
+    assert "model 'ideal' does not read f0" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
 
 
 def test_non_finite_input_is_usage_error(tmp_path, capsys):

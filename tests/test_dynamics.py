@@ -29,6 +29,7 @@ from eppsim.dynamics import (
 from eppsim.noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
+    from_p1_p2,
     general,
     one_qubit_white,
     product,
@@ -373,9 +374,16 @@ def test_stability_verdict_needs_flag_diagonal_weight():
 
 
 def secure_fixpoint(noise, start, tol, max_iter):
-    """The Newton solve of ``secure_by_stability``: the flag-diagonal cells
-    free, from the projection of the start state."""
-    return dynamics._newton_fixpoint(noise, *dynamics._flag_diagonal(start), tol, max_iter)
+    """The Newton solve of ``secure_by_stability``: the map restricted to the
+    flag-diagonal cells, from the projection of the start state; the result
+    is embedded in a state of the start's kind."""
+    qmap, cells, _, (x, iterations, converged, residual) = dynamics._secure_fixpoint(
+        noise, start, tol, max_iter
+    )
+    full = np.zeros(qmap.dim)
+    full[cells] = x
+    _, wrap = dynamics._vector_of(start)
+    return dynamics.FixpointResult(wrap(full), iterations, converged, residual)
 
 
 @pytest.mark.parametrize("f0", [0.76, 0.7718, 0.7719, 0.8, 0.9])
@@ -482,6 +490,87 @@ def test_newton_verdict_matches_plain_iteration_on_random_channels():
     assert newton_runs > 0
 
 
+def reference_margin(noise, s0, tol=1e-12, max_iter=dynamics.CRITICAL_MAX_ITER):
+    """The stability margin solved on the whole state: Newton's method with
+    the flag-diagonal cells of the whole vector free and each Jacobian the
+    slice J[D, D] of the whole map's, the plain steps on the whole map, and
+    the polish on the same slices."""
+    a, wrap = dynamics._vector_of(s0)
+    cells = dynamics._FLAG_DIAGONAL_CELLS[type(s0)]
+    cc, eye = np.ix_(cells, cells), np.eye(len(cells))
+    diag = np.zeros_like(a)
+    diag[cells] = a[cells] / a[cells].sum()
+    qmap = dynamics._fitting_map(noise, a)
+    warm = iterate_to_fixpoint(wrap(diag), noise, tol, dynamics._NEWTON_WARM_START)
+    result, spent = warm, warm.iterations
+    if not warm.converged:
+        x = dynamics._vector_of(warm.state)[0].copy()
+        for _ in range(dynamics._NEWTON_MAX_STEPS):
+            spent += 1
+            image, _ = qmap.apply(x)
+            if np.max(np.abs(image - x)) <= tol:
+                result = dynamics.FixpointResult(wrap(image), spent, True, 0.0)
+                break
+            x[cells] += np.linalg.solve(jacobian(qmap, x)[cc] - eye, x[cells] - image[cells])
+            if x.min() < -dynamics._NEWTON_CLIP_FLOOR:
+                break
+            np.maximum(x, 0.0, out=x)
+        if not result.converged:
+            result = iterate_to_fixpoint(warm.state, noise, tol, max_iter - spent)
+    if not result.converged or result.fidelity <= 0.5 + dynamics.REGIME_FUZZ:
+        return None
+    x = dynamics._vector_of(result.state)[0].copy()
+    residual = np.inf
+    for _ in range(dynamics._POLISH_STEPS):
+        image, _ = qmap.apply(x)
+        step = x[cells] - image[cells]
+        size = np.max(np.abs(step))
+        if not 0.0 < size < residual:
+            break
+        residual = size
+        x[cells] += np.linalg.solve(jacobian(qmap, x)[cc] - eye, step)
+    return spectral_radius(jacobian(qmap, x)) - 1.0
+
+
+def p1p2_family(p1):
+    """p2 at a fixed p1, with the Werner probe."""
+    def family(p2):
+        return generate_map(from_p1_p2(p1, p2)), embed(BellDiagonalState.werner(0.85))
+    return family
+
+
+@pytest.mark.parametrize(
+    "family, grid",
+    [
+        (binary_family, np.append(np.linspace(0.745, 0.90, 32), 0.75)),
+        (white_noise_family,
+         np.append(np.linspace(0.85, 0.95, 24), np.linspace(0.8982, 0.8988, 13))),
+        (p1p2_family(0.98),
+         np.append(np.linspace(0.80, 0.90, 24), np.linspace(0.8498, 0.8507, 10))),
+    ],
+    ids=["binary", "white", "p1p2-0.98"],
+)
+def test_margin_on_the_restricted_map_matches_the_whole_state_solve(family, grid):
+    # each grid crosses its family's boundary, with fine points between the
+    # purification threshold and the security boundary, where the margin is
+    # positive; binary f0 = 3/4 is a double root, where a residual of 1e-12
+    # places the fixpoint only within about 1e-4, so only the verdict is
+    # compared there
+    signs = set()
+    for param in grid:
+        noise, probe = family(float(param))
+        got = dynamics._stability_margin(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER)
+        want = reference_margin(noise, probe)
+        assert (got is None) == (want is None), param
+        if got is None:
+            continue
+        assert (got < 0.0) == (want < 0.0), param
+        signs.add(got < 0.0)
+        if param != 0.75:
+            assert abs(got - want) <= 1e-13, param
+    assert signs == {True, False}
+
+
 #: Points within 1e-3 of each boundary: binary f0 = 3/4 and 0.77184, white
 #: noise's fold near 0.89831 and its security boundary near 0.89870.
 near_the_boundaries = pytest.mark.parametrize(
@@ -526,8 +615,7 @@ def test_find_critical_basin_check_at_the_insecure_end():
 
 def basin_limit(noise, start, max_iter=dynamics.CRITICAL_MAX_ITER):
     """The solve of ``find_critical``'s basin check: every cell free."""
-    every_cell = range(len(dynamics._vector_of(start)[0]))
-    return dynamics._newton_fixpoint(noise, start, every_cell, 1e-12, max_iter)
+    return dynamics._basin_limit(noise, start, 1e-12, max_iter)
 
 
 def ends_secure(result):
@@ -556,13 +644,15 @@ def test_critical_searches_take_few_solve_steps():
     # a deterministic cost guard: the solve steps, plain and Newton, summed
     # over every solve of a search (about 5,000 each with a 200-step warm
     # start and negative Newton points replaced by plain steps), and the
-    # family calls, one per probe (26, 42 and 42 when the search bisected)
+    # family calls, one per probe (26, 42 and 42 when the search bisected;
+    # 15, 11 and 17 with Illinois' halving in place of Anderson-Bjorck's
+    # factor)
     spent, calls = [], []
     original = dynamics._newton_fixpoint
 
     def counted(*args):
         result = original(*args)
-        spent.append(result.iterations)
+        spent.append(result[1])
         return result
 
     def probed(family):
@@ -573,9 +663,9 @@ def test_critical_searches_take_few_solve_steps():
 
     searches = [
         (lambda: find_critical(
-            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 16),
-        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 16),
-        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 18),  # CLI default
+            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 14),
+        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 10),
+        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 15),  # CLI default
     ]
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(dynamics, "_newton_fixpoint", counted)

@@ -175,6 +175,13 @@ def test_binary_embed_roundtrip():
         assert np.array_equal(b.f, b.embed().f)  # the table a map or a round reads
 
 
+def test_binary_table_is_made_once_and_read_only():
+    b = BinaryNoiseModel.uncorrelated(0.9)
+    assert b.f is b.f
+    with pytest.raises(ValueError, match="read-only"):
+        b.f[0, 0] = 1.0
+
+
 def test_to_binary_rejects_wider_support():
     with pytest.raises(ValueError, match="outside"):
         product(one_qubit_white(0.9), one_qubit_white(0.9)).to_binary()
@@ -204,3 +211,26 @@ def test_config_shorthand_models():
         noise_from_config({"model": "martian"})
     with pytest.raises(KeyError):
         noise_from_config({"model": "general", "f.0000": "1.0"})
+
+
+def test_a_key_of_another_model_is_an_error():
+    with pytest.raises(ValueError, match=r"model 'ideal' does not read f0, p1 \(its keys: none\)"):
+        noise_from_config({"model": "ideal", "f0": "0.5", "p1": "0.3"})
+    with pytest.raises(ValueError, match="model 'white' does not read f11, p2"):
+        noise_from_config({"model": "white", "f0": "0.95", "p2": "0.1", "f11": "0.7"})
+    with pytest.raises(ValueError, match="model 'general' does not read f0"):
+        noise_from_config({"model": "general", "f0": "0.9"})
+    # keys that are no model's, such as a start state's, are left alone
+    w = noise_from_config({"model": "white", "f0": "0.9", "werner": "0.8", "steps": "3"})
+    assert w.f00 == pytest.approx(0.81)
+
+
+def test_binary_takes_f0_or_the_four_weights_not_both():
+    cfg = {"model": "binary", "f0": "0.9", "f00": "0.5", "f01": "0.5", "f10": "0", "f11": "0"}
+    with pytest.raises(ValueError, match="takes f0 or f00..f11, not both"):
+        noise_from_config(cfg)
+    with pytest.raises(ValueError, match="not both"):
+        noise_from_config({"model": "binary", "f0": "0.9", "f11": "0"})
+    b = noise_from_config({k: v for k, v in cfg.items() if k != "f0"})
+    assert (b.f00, b.f01, b.f10, b.f11) == (0.5, 0.5, 0.0, 0.0)
+

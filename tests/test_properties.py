@@ -13,6 +13,7 @@ from eppsim.noisemodels import (
     noise_from_config,
     noise_to_config,
 )
+from eppsim.dynamics import jacobian
 from eppsim.recurrence import EnsembleAnnihilated, generate_map
 
 weights16 = st.lists(
@@ -45,6 +46,39 @@ def test_flag_diagonal_subspace_is_invariant_for_any_channel(channel):
     off = [j for j in range(16) if j not in diag]
     m = generate_map(general(normalized(channel))).m
     assert not m[np.ix_(off, diag, diag)].any()
+
+
+weights4 = st.lists(
+    st.floats(0.0, 1.0, allow_subnormal=False), min_size=4, max_size=4
+).filter(lambda w: sum(w) > 1e-3)
+
+
+@given(channel=weights16, diagonal=weights4)
+def test_the_restricted_map_is_the_step_on_the_flag_diagonal_subspace(channel, diagonal):
+    # at a flag-diagonal state the map restricted to the flag-diagonal cells
+    # D gives the whole map's image on D and its Jacobian block J[D, D], and
+    # the block J[O, D] of the other cells O is exactly zero: J is
+    # block-triangular there, and its spectral radius is the larger of the
+    # two diagonal blocks'
+    diag = [0, 5, 10, 15]
+    off = [j for j in range(16) if j not in diag]
+    qmap = generate_map(general(normalized(channel)))
+    sub = qmap.restricted(diag)
+    x = normalized(diagonal)
+    full = np.zeros(16)
+    full[diag] = x
+    try:
+        image, keep = qmap.apply(full)
+        sub_image, sub_keep = sub.apply(x)
+    except EnsembleAnnihilated:
+        assume(False)
+    assert sub.names == tuple(qmap.names[j] for j in diag)
+    assert np.allclose(sub_image, image[diag], rtol=0.0, atol=1e-15)
+    assert not image[off].any()
+    assert abs(sub_keep - keep) <= 1e-15
+    jac = jacobian(qmap, full)
+    assert np.allclose(jacobian(sub, x), jac[np.ix_(diag, diag)], rtol=0.0, atol=1e-15)
+    assert not jac[np.ix_(off, diag)].any()
 
 
 def keep_form(f):

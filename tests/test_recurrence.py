@@ -164,6 +164,18 @@ def test_binary_step_matches_restricted_generator():
         assert np.abs(got.as_array - expect).max() < 1e-12
 
 
+def test_binary_map_is_the_binary_slice_of_the_full_map_to_the_bit():
+    # built from the 64 routes among binary cells, in generate_map's order
+    rng = np.random.default_rng(9)
+    cells = np.ix_([0, 1, 4, 5], [0, 1, 4, 5], [0, 1, 4, 5])
+    channels = [BinaryNoiseModel.uncorrelated(f0) for f0 in rng.uniform(0.0, 1.0, 100)]
+    channels += [binary(*rng.dirichlet(np.ones(4))) for _ in range(100)]
+    for noise in channels:
+        qmap = binary_quadratic_map(noise)
+        assert np.array_equal(qmap.m, generate_map(noise).m[cells])
+        assert qmap.names == BINARY_NAMES
+
+
 def test_full_generator_matches_binary_step_on_embedded_states():
     rng = np.random.default_rng(8)
     for _ in range(25):
