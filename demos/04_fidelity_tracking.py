@@ -1,7 +1,7 @@
 # Analytic recurrence vs the pair-level Monte Carlo.
 #
 # The recurrence predicts the per-round ensemble exactly in the infinite
-# limit; the Monte Carlo plays the actual game: shuffle, couple, sample one
+# limit; the Monte Carlo plays the actual game: couple the pairs, sample one
 # joint Pauli error per couple, run the circuit, keep or discard.  With a
 # million pairs the two agree to within binomial noise, and the shrinking
 # ensemble makes the scatter grow round by round.

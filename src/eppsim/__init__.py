@@ -74,7 +74,6 @@ from .recurrence import (
     embed,
     generate_map,
     ideal_step,
-    routed_terms,
     step,
 )
 

@@ -1,19 +1,25 @@
 """Pair-level stochastic simulation of the distillation process.
 
 An ensemble is a uint8 array of packed cells, 4 * (Bell index) + (error
-flag), the cell layout of the recurrence map.  A round shuffles the
-ensemble, splits it into source/target couples, samples one joint Pauli
-error per couple, and looks each errored couple up in the fixed circuit,
-which gives the kept source pair's cell or marks the couple discarded when
-the (simulated) measurements disagree.  Target pairs are always discarded;
-an odd leftover pair is carried into the next round unchanged.  The error
-is drawn from ``noise.f``, which a binary channel gives embedded in the full
-table.  The protocol is the two-way recurrence of Deutsch et al., PRL 77,
-2818 (1996).
+flag), the cell layout of the recurrence map.  A round couples the pairs in
+order, source ``cells[0::2]`` with target ``cells[1::2]``, samples one joint
+Pauli error per couple, and looks each errored couple up in the fixed
+circuit, which gives the kept source pair's cell or marks the couple
+discarded when the (simulated) measurements disagree.  Target pairs are
+always discarded; an odd pair out is carried into the next round unchanged,
+at a uniform slot among the survivors.  The error is drawn from
+``noise.f``, which a binary channel gives embedded in the full table.  The
+protocol is the two-way recurrence of Deutsch et al., PRL 77, 2818 (1996).
 
-Apart from the shuffles, every pass over the pairs runs in chunks of
-``_CHUNK`` draws, so its temporaries stay in cache whatever the ensemble's
-size:
+No round shuffles, yet every count has the law of a round that shuffles
+the ensemble before coupling.  The initial draws are iid, hence
+exchangeable, and the survivors of in-order couples of an exchangeable
+ensemble are exchangeable given their number, so a shuffle would leave the
+law as it is; the uniform slot of the odd pair out does to it what the next
+round's shuffle did.
+
+Every pass over the pairs runs in chunks of ``_CHUNK`` draws, so its
+temporaries stay in cache whatever the ensemble's size:
 
 - ``_categorical`` draws what ``rng.choice(len(p), size, p=p)`` draws.
   choice takes one ``rng.random()`` double u per draw and returns the number
@@ -123,13 +129,26 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarr
 
 
 def init_ensemble(cfg: MCConfig) -> np.ndarray:
-    """Sample the initial ensemble as uint8 cells: Bell indices from the
-    post-twirl weights, all flags zero, order randomized."""
+    """Sample the initial ensemble as uint8 cells: iid Bell indices from the
+    post-twirl weights, in the order drawn, all flags zero."""
     rng = _round_rng(cfg.seed, 0)
     bell = _categorical(rng, cfg.initial.coeffs, cfg.n_pairs)
-    rng.shuffle(bell)
     bell <<= 2
     return bell
+
+
+def _checked_cells(cells) -> np.ndarray:
+    """``cells`` as a uint8 array, once every entry is known to be a cell."""
+    cells = np.asarray(cells)
+    if cells.ndim != 1 or not np.issubdtype(cells.dtype, np.integer):
+        raise ValueError(
+            f"cells must be a 1-d integer array, got {cells.dtype} of shape {cells.shape}"
+        )
+    if cells.size and ((cells.dtype.kind == "i" and cells.min() < 0) or cells.max() > 15):
+        raise ValueError(
+            f"cells must lie in 0..15, got values in [{cells.min()}, {cells.max()}]"
+        )
+    return cells.astype(np.uint8, copy=False)
 
 
 def purification_round(
@@ -139,32 +158,39 @@ def purification_round(
 ) -> np.ndarray:
     """One distillation round over the whole ensemble.
 
-    A copy of the pairs is shuffled in place, then coupled in order; an odd
-    pair out is kept as it is.  The shuffle draws what ``rng.permutation(n)``
-    would, whatever the dtype, so the couples are those of that permutation
-    without its n indices.  The couples are routed and the survivors packed
-    chunk by chunk.  Returns the surviving cells as uint8.
+    ``cells`` must be in random order, as ``init_ensemble`` and this
+    function return them; shuffle a sorted ensemble first.  The pairs are
+    coupled in order, source ``cells[0::2]`` with target ``cells[1::2]``,
+    after one joint error draw per couple; the couples are routed and the
+    survivors packed chunk by chunk.  An odd pair out then takes the slot
+    j = ``rng.integers(kept + 1)`` among the kept survivors, whose pair j
+    moves to the end.  The input is only read.  Returns the surviving
+    cells as uint8; raises ValueError for anything but 1-d integer cells
+    in 0..15.
     """
-    cell = np.array(cells, dtype=np.uint8)
-    n = len(cell)
+    cells = _checked_cells(cells)
+    n = len(cells)
     if n < 2:
-        return cell
-    rng.shuffle(cell)
-    couples = cell[: n - n % 2].reshape(-1, 2)
+        return cells.copy()
+    couples = n // 2
+    sources, targets = cells[0:2 * couples:2], cells[1::2]
 
-    joint = _categorical(rng, noise.f.ravel(), len(couples))
-    out = np.empty(len(couples) + n % 2, dtype=np.uint8)
+    joint = _categorical(rng, noise.f.ravel(), couples)
+    out = np.empty(couples + n % 2, dtype=np.uint8)
     kept = 0
-    for start in range(0, len(couples), _CHUNK):
-        chunk = couples[start:start + _CHUNK]
-        index = np.left_shift(joint[start:start + _CHUNK], 8, dtype=np.uint16)
-        index |= chunk[:, 0] << 4
-        index |= chunk[:, 1]
+    for start in range(0, couples, _CHUNK):
+        stop = start + _CHUNK
+        index = np.left_shift(joint[start:stop], 8, dtype=np.uint16)
+        index |= sources[start:stop] << 4
+        index |= targets[start:stop]
         routed = _NOISY_CIRCUIT.take(index)
         routed = routed[routed != DISCARDED]
         out[kept:kept + routed.size] = routed
         kept += routed.size
-    out[kept:kept + n % 2] = cell[2 * len(couples):]
+    if n % 2:
+        slot = rng.integers(kept + 1)
+        out[kept] = out[slot]
+        out[slot] = cells[-1]
     return out[: kept + n % 2]
 
 

@@ -21,8 +21,7 @@ Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
 its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
 ``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for
 any noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source /
-target / error combinations through that table; ``routed_terms`` routes
-them through ``bellbits`` directly and is kept as the reference.
+target / error combinations through that table.
 
 The closed forms ``binary_step`` and ``ideal_step`` are kept as oracles;
 the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.
@@ -32,19 +31,15 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterator
 
 import numpy as np
 
 from .bellbits import (
     BellIndex,
     FlagPair,
-    PauliIndex,
     epp_unitary,
-    flag_flip,
     flag_update,
     keep_predicate,
-    pauli_on_bell,
 )
 from .noisemodels import BinaryNoiseModel, NoiseModel
 
@@ -72,24 +67,6 @@ def cell_index(bell: BellIndex, flag: FlagPair) -> int:
 def cell_parts(cell: int) -> tuple[BellIndex, FlagPair]:
     """Inverse of ``cell_index``."""
     return BellIndex.from_index(cell >> 2), FlagPair.from_index(cell & 3)
-
-
-def routed_terms() -> Iterator[tuple[int, int, int, int, int | None]]:
-    """All 4096 routed terms of one noisy step.
-
-    Yields (source cell, target cell, mu, nu, output cell), with output cell
-    ``None`` for discarded combinations.  mu and nu are packed Pauli indices
-    on the source and target pair.  The term's weight is
-    f[mu, nu] * a[source cell] * a[target cell].
-    """
-    for src, tgt, mu, nu in itertools.product(range(16), range(16), range(4), range(4)):
-        (src_bell, src_flag), (tgt_bell, tgt_flag) = cell_parts(src), cell_parts(tgt)
-        err_src, err_tgt = PauliIndex.from_index(mu), PauliIndex.from_index(nu)
-        out_s, out_t = epp_unitary(
-            pauli_on_bell(err_src, src_bell), pauli_on_bell(err_tgt, tgt_bell)
-        )
-        out_flag = flag_update(flag_flip(src_flag, err_src), flag_flip(tgt_flag, err_tgt))
-        yield src, tgt, mu, nu, cell_index(out_s, out_flag) if keep_predicate(out_t) else None
 
 
 def _circuit_table() -> np.ndarray:
@@ -127,7 +104,7 @@ NOISY_CIRCUIT = _noisy_circuit_table()
 
 
 def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the kept routes, in ``routed_terms`` order: the
+    """Flat indices of the kept routes, in (source, target, mu, nu) order: the
     (output, source, target) cell of a 16 x 16 x 16 table, and the (mu, nu)
     entry of the 4 x 4 Pauli table."""
     src, tgt, joint = np.ogrid[:16, :16, :16]
@@ -148,7 +125,7 @@ _BINARY_CELLS = (0, 1, 4, 5)
 
 def _binary_route_arrays() -> tuple[np.ndarray, np.ndarray]:
     """The kept routes whose output, source and target cells are all binary
-    cells, in ``routed_terms`` order: their flat (output, source, target)
+    cells, in (source, target, mu, nu) order: their flat (output, source, target)
     index in a 4 x 4 x 4 table of binary variables, and their (mu, nu) entry."""
     position = np.full(16, -1)
     position[list(_BINARY_CELLS)] = range(4)

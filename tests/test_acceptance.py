@@ -40,8 +40,9 @@ from eppsim.recurrence import (
     BellDiagonalState,
     BinaryFlaggedState,
     embed,
-    routed_terms,
 )
+
+from route_reference import routed_terms
 
 BINARY_CRITICAL = 0.77184451
 

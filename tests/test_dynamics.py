@@ -923,7 +923,7 @@ def test_import_does_not_load_scipy():
 
 def test_import_builds_the_routes_from_the_circuit_table():
     # the route table comes from CIRCUIT (256 circuit compositions), not from
-    # routing all 4096 terms through routed_terms, and the noisy circuit is
+    # routing all 4096 terms through bellbits, and the noisy circuit is
     # tabulated once, for the map and the Monte Carlo alike
     code = (
         "import collections, sys, numpy\n"
@@ -934,12 +934,11 @@ def test_import_builds_the_routes_from_the_circuit_table():
         "sys.setprofile(count)\n"
         "import eppsim\n"
         "sys.setprofile(None)\n"
-        "print(calls['routed_terms'], calls['epp_unitary'], calls['noisy_circuit'])\n"
+        "print(calls['epp_unitary'], calls['noisy_circuit'])\n"
     )
     out = fresh_python(code)
     assert out.returncode == 0, out.stderr
-    routed, unitary, noisy = map(int, out.stdout.split())
-    assert routed == 0
+    unitary, noisy = map(int, out.stdout.split())
     assert unitary <= 256
     assert noisy == 1
 

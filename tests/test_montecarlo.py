@@ -1,3 +1,5 @@
+import functools
+import itertools
 import tracemalloc
 
 import numpy as np
@@ -18,6 +20,7 @@ from eppsim.montecarlo import (
 from eppsim.noisemodels import BinaryNoiseModel, general
 from eppsim.recurrence import (
     DISCARDED,
+    NOISY_CIRCUIT,
     BellDiagonalState,
     embed,
     generate_map,
@@ -98,41 +101,144 @@ def test_noiseless_round_halves_and_keeps_phi_plus():
 
 def test_odd_leftover_carried_unchanged():
     identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
-    bell = np.array([0, 0, 3], dtype=np.uint8)  # marked pair may become the leftover
-    flag = np.array([0, 0, 3], dtype=np.uint8)
-    seen_leftover = False
+    ens = np.array([0, 0, 4 * 3 + 3], dtype=np.uint8)  # the last pair is the odd one out
+    slots = set()
     for seed in range(20):
-        out = purification_round(4 * bell + flag, identity, _round_rng(seed, 1))
-        out_bell, out_flag = out >> 2, out & 3
-        if 3 in out_bell:
-            # marked pair was the odd one out: carried with bits untouched
-            assert len(out) == 2
-            assert tuple(out_bell[out_flag == 3]) == (3,)
-            seen_leftover = True
-    assert seen_leftover
+        out = purification_round(ens, identity, _round_rng(seed, 1)).tolist()
+        assert sorted(out) == [0, 15]  # carried with its bits untouched
+        slots.add(out.index(15))
+    assert slots == {0, 1}  # at either slot among the survivors
 
 
-def permutation_round(ens, noise, rng):
-    """A round coupled through the indices of ``rng.permutation``."""
+def in_order_round(ens, noise, rng):
+    """The round drawn through ``rng.choice`` and routed through
+    ``noisy_circuit``: couples in order, the odd pair out at a uniform slot."""
     n = len(ens)
-    order = rng.permutation(n)
-    leftover = order[n - n % 2:]
-    src, tgt = order[0:n - n % 2:2], order[1:n - n % 2:2]
-    joint = rng.choice(16, size=src.shape[0], p=noise.f.ravel())
+    couples = n // 2
+    joint = rng.choice(16, size=couples, p=noise.f.ravel())
     mu, nu = np.divmod(joint.astype(np.uint8), 4)
-    out = noisy_circuit(ens[src], ens[tgt], mu, nu)
-    return np.concatenate([out[out != DISCARDED], ens[leftover]])
+    out = noisy_circuit(ens[0:2 * couples:2], ens[1::2], mu, nu)
+    out = out[out != DISCARDED]
+    if n % 2:
+        slot = rng.integers(len(out) + 1)
+        out = np.append(out, ens[-1])
+        out[[slot, -1]] = out[[-1, slot]]
+    return out
 
 
 @pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 300_000, 300_001])
-def test_round_couples_the_pairs_of_the_permutation(pairs):
+def test_round_couples_the_pairs_in_order(pairs):
     noise = tracking_noise()
     ens = init_ensemble(cfg(pairs=pairs, seed=3))
     before = ens.copy()
     for r in (1, 2):
         out = purification_round(ens, noise, _round_rng(3, r))
-        assert np.array_equal(out, permutation_round(ens, noise, _round_rng(3, r)))
-    assert np.array_equal(ens, before)  # the round leaves its input as it was
+        assert out.dtype == np.uint8
+        assert np.array_equal(out, in_order_round(ens, noise, _round_rng(3, r)))
+        assert np.array_equal(ens, before)  # the round leaves its input as it was
+        ens, before = out, out.copy()
+
+
+# An iid ensemble over three cells, one of them flagged, and a channel of
+# three joint errors: small enough to enumerate every outcome of two rounds.
+LAW_CELLS = {0: 0.5, 4: 0.3, 5: 0.2}
+LAW_JOINTS = {0: 0.6, 1: 0.25, 5: 0.15}
+LAW_NOISE = general(np.bincount(list(LAW_JOINTS), list(LAW_JOINTS.values()), 16).reshape(4, 4))
+
+
+class ScriptedRng:
+    """Stands in for a Generator in one round: ``random`` returns doubles
+    that ``_categorical`` maps to the given joint errors, ``integers`` the
+    given slot."""
+
+    def __init__(self, joints, slot):
+        f = LAW_NOISE.f.ravel()
+        cdf = f.cumsum() / f.sum()
+        self.doubles = np.array([cdf[j - 1] if j else 0.0 for j in joints])
+        self.slot = slot
+
+    def random(self, size):
+        assert size == len(self.doubles)
+        return self.doubles
+
+    def integers(self, high):
+        assert 0 <= self.slot < high
+        return self.slot
+
+
+def add_law(law, outcome, weight):
+    law[outcome] = law.get(outcome, 0.0) + weight
+
+
+@functools.cache
+def in_order_law(ens):
+    """Law of the output sequence of ``purification_round`` on ``ens``, by
+    enumerating the error of every couple and the slot of the odd pair."""
+    if len(ens) < 2:
+        return {ens: 1.0}
+    law = {}
+    for joints in itertools.product(LAW_JOINTS, repeat=len(ens) // 2):
+        weight = np.prod([LAW_JOINTS[j] for j in joints])
+        kept = sum(NOISY_CIRCUIT[j, s, t] != DISCARDED
+                   for j, s, t in zip(joints, ens[0::2], ens[1::2]))
+        slots = range(kept + 1) if len(ens) % 2 else [0]
+        for slot in slots:
+            out = purification_round(np.array(ens, dtype=np.uint8), LAW_NOISE,
+                                     ScriptedRng(joints, slot))
+            add_law(law, tuple(out.tolist()), weight / len(slots))
+    return law
+
+
+@functools.cache
+def shuffled_law(ens):
+    """Law of the output multiset of a round that shuffles the ensemble
+    uniformly, couples it in order and keeps the odd pair out at the end."""
+    if len(ens) < 2:
+        return {ens: 1.0}
+    law = {}
+    orders = list(itertools.permutations(ens))
+    for order in orders:
+        for joints in itertools.product(LAW_JOINTS, repeat=len(ens) // 2):
+            out = [NOISY_CIRCUIT[j, s, t] for j, s, t in zip(joints, order[0::2], order[1::2])]
+            out = [int(c) for c in out if c != DISCARDED] + list(order[2 * len(joints):])
+            weight = np.prod([LAW_JOINTS[j] for j in joints]) / len(orders)
+            add_law(law, tuple(sorted(out)), weight)
+    return law
+
+
+@pytest.mark.parametrize("pairs", [4, 5])
+def test_round_counts_have_the_law_of_a_shuffled_round(pairs):
+    """Joint law of the cell counts after rounds 1 and 2 of an iid ensemble,
+    exactly: the in-order round against the round that shuffles first."""
+    ours, theirs = {}, {}
+    for ens in itertools.product(LAW_CELLS, repeat=pairs):
+        weight = np.prod([LAW_CELLS[c] for c in ens])
+        for first, w1 in in_order_law(ens).items():
+            for second, w2 in in_order_law(first).items():
+                add_law(ours, (tuple(sorted(first)), tuple(sorted(second))), weight * w1 * w2)
+        # the shuffled round sees only the multiset, whose weight this adds up
+        for first, w1 in shuffled_law(tuple(sorted(ens))).items():
+            for second, w2 in shuffled_law(first).items():
+                add_law(theirs, (first, second), weight * w1 * w2)
+    assert sum(ours.values()) == pytest.approx(1.0, abs=1e-12)
+    assert ours.keys() == theirs.keys()
+    assert max(abs(ours[k] - theirs[k]) for k in ours) <= 1e-12
+
+
+@pytest.mark.parametrize(
+    "cells",
+    [
+        np.array([16, 0]),  # 16 << 4 would set a bit of the joint error
+        np.array([17, 17, 0, 0], dtype=np.int64),
+        np.array([-1, 0], dtype=np.int64),  # uint8 would wrap it to 255
+        np.array([0.5, 0.0]),
+    ],
+    ids=["16", "int64-17", "int64-minus-1", "float"],
+)
+def test_round_rejects_what_is_not_a_cell(cells):
+    identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
+    with pytest.raises(ValueError, match="cells must"):
+        purification_round(cells, identity, _round_rng(0, 1))
 
 
 @pytest.mark.parametrize(
@@ -155,7 +261,7 @@ def test_categorical_draws_what_choice_draws(p, size):
 
 
 def test_run_memory_stays_within_a_few_chunks():
-    """Traced peak of a 1e6-pair run, 4 rounds: about 3.8 MB.  Draws made
+    """Traced peak of a 1e6-pair run, 4 rounds: about 2.8 MB.  Draws made
     through ``rng.choice`` and routed all at once take 16 MB: float64 draws
     and int64 indices for every pair."""
     config = cfg(pairs=10**6, rounds=4)

@@ -37,9 +37,10 @@ from eppsim.recurrence import (
     embed,
     generate_map,
     ideal_step,
-    routed_terms,
     step,
 )
+
+from route_reference import routed_terms
 
 IDENTITY_TABLE = np.outer([1, 0, 0, 0], [1, 0, 0, 0])
 
