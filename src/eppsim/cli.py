@@ -34,14 +34,13 @@ from .dynamics import (
     regime_scan,
     white_noise_family,
 )
-from .montecarlo import MCConfig, analytic_trajectory, resource_curve, run as mc_run
+from .montecarlo import MCConfig, _pairs_needed, analytic_trajectory, resource_curve, run as mc_run
 from .noisemodels import NOISE_KEYS, NOISE_MODELS, noise_from_config
 from .recurrence import (
     COEFF_NAMES,
     BellDiagonalState,
     EnsembleAnnihilated,
     embed,
-    generate_map,
 )
 
 ITERATE_HEADER = ["n", "F", "F_cond", "N_keep", *COEFF_NAMES]
@@ -214,8 +213,7 @@ def _cmd_iterate(args, cfg, noise, start):
 
 
 def _cmd_fixpoint(args, cfg, noise, start):
-    qmap = generate_map(noise)
-    result = iterate_to_fixpoint(embed(start), qmap, tol=args.tol, max_iter=args.max_iter)
+    result = iterate_to_fixpoint(embed(start), noise, tol=args.tol, max_iter=args.max_iter)
     if result.failure is not None:
         raise EnsembleAnnihilated(result.failure)
     payload = {
@@ -310,7 +308,7 @@ def _cmd_resources(args, cfg, noise, start):
     if args.eps_min > args.eps_max:
         raise ConfigError(f"--eps-min must be at most --eps-max, got {args.eps_min} > {args.eps_max}")
     rows = [
-        [r, eps, int(np.ceil(cost))]
+        [r, eps, _pairs_needed(r, cost)]
         for r, eps, cost in resource_curve(noise, start, args.rounds)
         if args.eps_min <= eps <= args.eps_max
     ]

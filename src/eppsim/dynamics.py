@@ -23,8 +23,8 @@ solved for by Newton's method after a short plain warm start, in tens of
 steps even where the plain iteration converges only algebraically, and is
 polished to rounding level; the margin is then measured once, on the whole
 map's Jacobian.  The limits that the basin checks of a critical search
-take for the start state are solved by the same Newton solve on the whole
-map, with every cell free.
+take for the start state go through the plain iteration's body to the
+same Newton solve on the whole map, with every cell free.
 Convergence times of the plain iteration diverge at the boundary, much like
 a phase transition.  Every solve runs on flagged states, 16-cell or binary;
 a Bell-diagonal state enters through ``embed``, noiseless or not.
@@ -162,20 +162,6 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
     return cur, iterations, False, float(residual)
 
 
-def _iterate_binary(a: np.ndarray, noise: BinaryNoiseModel, tol, max_iter):
-    a0, a1, b0, b1 = a.tolist()
-    f00, f11, fs = noise.f00, noise.f11, noise.fs
-    residual = np.inf
-    iterations = 0
-    for iterations in range(1, max_iter + 1):
-        na0, na1, nb0, nb1, _ = binary_step_raw(a0, a1, b0, b1, f00, f11, fs)
-        residual = max(abs(na0 - a0), abs(na1 - a1), abs(nb0 - b0), abs(nb1 - b1))
-        a0, a1, b0, b1 = na0, na1, nb0, nb1
-        if residual <= tol:
-            return (a0, a1, b0, b1), iterations, True, residual
-    return (a0, a1, b0, b1), iterations, False, residual
-
-
 def _vector_of(state):
     """A state's weight vector and the function that wraps a vector back up."""
     if isinstance(state, FlaggedEnsembleState):
@@ -183,6 +169,24 @@ def _vector_of(state):
     if isinstance(state, BinaryFlaggedState):
         return state.as_array, lambda v: BinaryFlaggedState(*v)
     raise TypeError(f"expected a flagged state, got {type(state).__name__}; use embed()")
+
+
+def _solve(s0, noise_or_map, tol: float, max_iter: int, newton: bool = False) -> FixpointResult:
+    """Every whole-state solve, as ``iterate_to_fixpoint`` documents it: the
+    plain loop of the map that fits ``s0``, or with ``newton`` (the basin
+    checks) ``_newton_fixpoint`` on that map, every cell free."""
+    _check_budget(tol, max_iter)
+    a, wrap = _vector_of(s0)
+    qmap = _fitting_map(noise_or_map, a)
+    plain = _plain_loop(noise_or_map, s0, qmap)
+    try:
+        if newton:
+            vec, it, ok, res = _newton_fixpoint(a.copy(), qmap, plain, tol, max_iter)
+        else:
+            vec, it, ok, res = plain(a.copy(), tol, max_iter)
+    except EnsembleAnnihilated as exc:
+        return FixpointResult(s0, 0, False, np.inf, failure=str(exc))
+    return FixpointResult(wrap(vec), it, ok, res)
 
 
 def iterate_to_fixpoint(
@@ -195,25 +199,15 @@ def iterate_to_fixpoint(
 
     Accepts a flagged 16-variable or binary state with a map or noise model
     that fits it.  A binary state with a binary noise model runs the scalar
-    closed-form loop, as it is faster (2.7 against 12.1 us a step on the
-    4-variable map); every other pair runs the array loop.  ``s0`` is left
-    unchanged.  Annihilation of the ensemble is reported as non-convergence
-    with a cause, zero iterations and an infinite residual.  Raises
-    TypeError for any other state, and ValueError for a negative
+    closed-form loop of ``_plain_loop``, as it is faster (2.7 against 12.1
+    us a step on the 4-variable map); every other pair runs the array loop.
+    ``s0`` is left unchanged.  Annihilation of the ensemble is reported as
+    non-convergence with a cause, zero iterations and an infinite residual.
+    Raises TypeError for any other state, and ValueError for a negative
     ``max_iter``, a ``tol`` not finite and nonnegative, or a state that does
     not fit the map; zero ``max_iter`` reports non-convergence.
     """
-    _check_budget(tol, max_iter)
-    a, wrap = _vector_of(s0)
-    if isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel):
-        loop, step = _iterate_binary, noise_or_map
-    else:
-        loop, step, a = _iterate_array, _fitting_map(noise_or_map, a), a.copy()
-    try:
-        vec, it, ok, res = loop(a, step, tol, max_iter)
-    except EnsembleAnnihilated as exc:
-        return FixpointResult(s0, 0, False, np.inf, failure=str(exc))
-    return FixpointResult(wrap(vec), it, ok, res)
+    return _solve(s0, noise_or_map, tol, max_iter)
 
 
 def binary_fixpoint_analytic(f0: float) -> BinaryFlaggedState:
@@ -317,9 +311,9 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap, cells=slice(None)):
 
     It is called as ``_iterate_array`` is, with a weight vector of ``qmap``
     that it may overwrite, and returns a vector of ``qmap`` too.  A binary
-    state and channel run the scalar loop on the binary vector that is zero
-    off ``cells``; the step keeps those zeros exactly where the cells span
-    an invariant subspace.
+    state and channel run the scalar loop of ``binary_step_raw`` on the
+    binary vector that is zero off ``cells``; the step keeps those zeros
+    exactly where the cells span an invariant subspace.
     """
     if not (isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel)):
         return lambda x, tol, max_iter: _iterate_array(x, qmap, tol, max_iter)
@@ -327,8 +321,17 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap, cells=slice(None)):
     def scalar(x, tol, max_iter):
         a = np.zeros(4)
         a[cells] = x
-        vec, iterations, converged, residual = _iterate_binary(a, noise_or_map, tol, max_iter)
-        return np.array(vec)[cells], iterations, converged, residual
+        a0, a1, b0, b1 = a.tolist()
+        f00, f11, fs = noise_or_map.f00, noise_or_map.f11, noise_or_map.fs
+        residual = np.inf
+        iterations = 0
+        for iterations in range(1, max_iter + 1):
+            na0, na1, nb0, nb1, _ = binary_step_raw(a0, a1, b0, b1, f00, f11, fs)
+            residual = max(abs(na0 - a0), abs(na1 - a1), abs(nb0 - b0), abs(nb1 - b1))
+            a0, a1, b0, b1 = na0, na1, nb0, nb1
+            if residual <= tol:
+                break
+        return np.array([a0, a1, b0, b1])[cells], iterations, residual <= tol, residual
 
     return scalar
 
@@ -352,11 +355,11 @@ def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_i
     where no fixpoint lies within Newton's reach (it circles the ghost of a
     fold) or Newton heads for another fixpoint.
 
-    The basin checks hand it a state's whole map, and the stability margin
-    the map restricted to the flag-diagonal cells.  Returns (vector,
-    iterations, converged, residual) as ``_iterate_array`` does: converged
-    means max |step(x) - x| <= tol within ``max_iter`` steps in all, plain
-    and Newton alike, and the vector is step(x).  At the binary family's
+    The basin checks hand it a state's whole map (``_solve``), and the
+    stability margin the map restricted to the flag-diagonal cells.
+    Returns (vector, iterations, converged, residual) as ``_iterate_array``
+    does: converged means max |step(x) - x| <= tol within ``max_iter``
+    steps in all, plain and Newton alike, and the vector is step(x).  At the binary family's
     f0 = 3/4, where the fixpoint is a multiple root, Newton converges only
     linearly, but in tens of steps where the plain iteration needs more than
     500k.  ``tol`` and ``max_iter`` are not checked here; an annihilated
@@ -379,22 +382,6 @@ def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_i
     spent += k
     vec, iterations, converged, residual = plain(warm, tol, max_iter - spent)
     return vec, spent + iterations, converged, residual
-
-
-def _basin_limit(noise_or_map, start, tol: float, max_iter: int) -> FixpointResult:
-    """The limit of ``start``'s iteration, by ``_newton_fixpoint`` on the
-    state's whole map; annihilation is reported as ``iterate_to_fixpoint``
-    reports it.  Raises ValueError for a bad ``tol`` or ``max_iter``."""
-    _check_budget(tol, max_iter)
-    a, wrap = _vector_of(start)
-    qmap = _fitting_map(noise_or_map, a)
-    try:
-        x, iterations, converged, residual = _newton_fixpoint(
-            a.copy(), qmap, _plain_loop(noise_or_map, start, qmap), tol, max_iter
-        )
-    except EnsembleAnnihilated as exc:
-        return FixpointResult(start, 0, False, np.inf, failure=str(exc))
-    return FixpointResult(wrap(x), iterations, converged, residual)
 
 
 def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
@@ -500,16 +487,16 @@ def find_critical(
     the verdict of ``secure_by_stability``; ``tol`` and ``max_iter`` bound
     its solve and the basin checks.  As a basin check, the limit of the
     family's start state at both bracket ends must lie in the regime the
-    verdict gives there.  That limit is solved for by ``_newton_fixpoint``
-    on the whole map, every cell free: where the plain iteration converges
-    within the 30-step warm start it is that iteration's result; elsewhere
-    Newton decides it in tens of steps, both at the binary threshold
-    f0 = 3/4, where the plain iteration needs far more than the budget, and
-    at a secure end near the boundary, where it needs thousands.  Raises
-    ValueError for a negative ``halvings``, a bad ``tol`` or ``max_iter``,
-    when the verdict does not change across the bracket or when a basin
-    check disagrees with it; ``halvings = 0`` returns the bracket's
-    midpoint.
+    verdict gives there.  That limit is solved for by ``_solve`` with
+    ``_newton_fixpoint`` on the whole map, every cell free: where the plain
+    iteration converges within the 30-step warm start it is that
+    iteration's result; elsewhere Newton decides it in tens of steps, both
+    at the binary threshold f0 = 3/4, where the plain iteration needs far
+    more than the budget, and at a secure end near the boundary, where it
+    needs thousands.  Raises ValueError for a negative ``halvings``, a bad
+    ``tol`` or ``max_iter``, when the verdict does not change across the
+    bracket or when a basin check disagrees with it; ``halvings = 0``
+    returns the bracket's midpoint.
 
     The search keeps a bracket on which the verdict changes.  It bisects it
     until the margin is defined at both ends (a purifying secure fixpoint
@@ -543,7 +530,7 @@ def find_critical(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
     for (param, noise_or_map, start), secure in zip(ends, (sec_lo, sec_hi)):
-        result = _basin_limit(noise_or_map, start, tol, max_iter)
+        result = _solve(start, noise_or_map, tol, max_iter, newton=True)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
             raise ValueError(

@@ -160,9 +160,9 @@ def purification_round(
 
     ``cells`` must be in random order, as ``init_ensemble`` and this
     function return them; shuffle a sorted ensemble first.  The pairs are
-    coupled in order, source ``cells[0::2]`` with target ``cells[1::2]``,
-    after one joint error draw per couple; the couples are routed and the
-    survivors packed chunk by chunk.  An odd pair out then takes the slot
+    coupled in order, source ``cells[0::2]`` with target ``cells[1::2]``;
+    chunk by chunk, one joint error is drawn per couple, the couples are
+    routed and the survivors packed.  An odd pair out then takes the slot
     j = ``rng.integers(kept + 1)`` among the kept survivors, whose pair j
     moves to the end.  The input is only read.  Returns the surviving
     cells as uint8; raises ValueError for anything but 1-d integer cells
@@ -175,12 +175,12 @@ def purification_round(
     couples = n // 2
     sources, targets = cells[0:2 * couples:2], cells[1::2]
 
-    joint = _categorical(rng, noise.f.ravel(), couples)
     out = np.empty(couples + n % 2, dtype=np.uint8)
     kept = 0
     for start in range(0, couples, _CHUNK):
-        stop = start + _CHUNK
-        index = np.left_shift(joint[start:stop], 8, dtype=np.uint16)
+        stop = min(start + _CHUNK, couples)
+        joint = _categorical(rng, noise.f.ravel(), stop - start)
+        index = np.left_shift(joint, 8, dtype=np.uint16)
         index |= sources[start:stop] << 4
         index |= targets[start:stop]
         routed = _NOISY_CIRCUIT.take(index)
@@ -225,6 +225,13 @@ def resource_curve(
         yield r, 1.0 - state.conditional_fidelity, cost
 
 
+def _pairs_needed(r: int, cost: float) -> int:
+    """Round ``r``'s cost in whole pairs; ValueError once it overflowed."""
+    if np.isinf(cost):
+        raise ValueError(f"the cost in initial pairs per surviving pair at round {r} overflows")
+    return int(np.ceil(cost))
+
+
 def resources(
     noise: NoiseModel | BinaryNoiseModel,
     initial: BellDiagonalState,
@@ -241,7 +248,7 @@ def resources(
     eps = 1.0 - initial.fidelity  # the best when no round runs
     for r, eps, cost in resource_curve(noise, initial, max_rounds):
         if eps <= target_eps:
-            return int(np.ceil(cost)), r
+            return _pairs_needed(r, cost), r
     raise ValueError(
         f"security parameter {target_eps} not reached within {max_rounds} rounds "
         f"(best {eps})"

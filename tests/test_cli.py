@@ -574,6 +574,17 @@ def test_resources_csv(tmp_path):
     assert all(b > a for a, b in zip(n, n[1:]))  # cost grows round over round
 
 
+def test_resources_cost_that_overflows_is_an_error(tmp_path, capsys):
+    # white noise at f0 = 0.9 doubles the cost and more each round; from
+    # round 654 on it is more pairs than a float holds
+    args = ["resources", "--model", "white", "--f0", "0.9", "--eps-min", "0"]
+    assert main(args + ["--rounds", "653", "--out", str(tmp_path / "653")]) == 0
+    assert main(args + ["--rounds", "654", "--out", str(tmp_path / "654")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "round 654 overflows" in err and err.count("\n") == 1
+    assert list((tmp_path / "654").iterdir()) == []
+
+
 def test_version_flag(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["--version"])

@@ -615,11 +615,27 @@ def test_find_critical_basin_check_at_the_insecure_end():
 
 def basin_limit(noise, start, max_iter=dynamics.CRITICAL_MAX_ITER):
     """The solve of ``find_critical``'s basin check: every cell free."""
-    return dynamics._basin_limit(noise, start, 1e-12, max_iter)
+    return dynamics._solve(start, noise, 1e-12, max_iter, newton=True)
 
 
 def ends_secure(result):
     return regime_of(result) is Regime.SECURITY
+
+
+@pytest.mark.parametrize("kind", ["binary", "flagged"])
+def test_plain_and_basin_solves_report_annihilation_alike(kind):
+    if kind == "binary":  # both bits always flip, so every couple is discarded
+        noise, start = BinaryNoiseModel(0.0, 1.0, 0.0, 0.0), BinaryFlaggedState(1, 0, 0, 0)
+    else:  # f[I, X] = 1 flips one bit of every target pair
+        f = np.zeros((4, 4))
+        f[0, 1] = 1.0
+        noise, start = NoiseModel(f), embed(BellDiagonalState.werner(1.0))
+    plain, basin = iterate_to_fixpoint(start, noise), basin_limit(noise, start)
+    assert plain.failure is not None and "keep probability" in plain.failure
+    assert basin.failure == plain.failure
+    for r in (plain, basin):
+        assert r.state is start
+        assert (r.iterations, r.converged, r.residual) == (0, False, np.inf)
 
 
 def test_basin_limit_at_the_binary_threshold_is_decided_by_newton():

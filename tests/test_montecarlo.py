@@ -17,7 +17,7 @@ from eppsim.montecarlo import (
     resources,
     run,
 )
-from eppsim.noisemodels import BinaryNoiseModel, general
+from eppsim.noisemodels import BinaryNoiseModel, general, noise_from_config
 from eppsim.recurrence import (
     DISCARDED,
     NOISY_CIRCUIT,
@@ -261,7 +261,7 @@ def test_categorical_draws_what_choice_draws(p, size):
 
 
 def test_run_memory_stays_within_a_few_chunks():
-    """Traced peak of a 1e6-pair run, 4 rounds: about 2.8 MB.  Draws made
+    """Traced peak of a 1e6-pair run, 4 rounds: about 2.4 MB.  Draws made
     through ``rng.choice`` and routed all at once take 16 MB: float64 draws
     and int64 indices for every pair."""
     config = cfg(pairs=10**6, rounds=4)
@@ -393,6 +393,14 @@ def test_resources_monotone_in_target():
     initial = BellDiagonalState.werner(0.85)
     costs = [resources(noise, initial, eps)[0] for eps in (1e-1, 1e-2, 1e-3, 1e-4)]
     assert all(b > a for a, b in zip(costs, costs[1:]))
+
+
+def test_resources_cost_that_overflows_is_an_error():
+    # close above the white-noise boundary eps reaches 1e-6 only at round
+    # 1484, long after the cost has overflowed to infinity
+    noise = noise_from_config({"model": "white", "f0": "0.8988"})
+    with pytest.raises(ValueError, match="round 1484 overflows"):
+        resources(noise, BellDiagonalState.werner(0.85), 1e-6, max_rounds=3000)
 
 
 def test_resources_unreachable_target():
