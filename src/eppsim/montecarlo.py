@@ -77,6 +77,10 @@ class MCConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        if not isinstance(self.initial, BellDiagonalState):
+            raise TypeError(f"initial must be a BellDiagonalState, got {self.initial!r}")
+        if not isinstance(self.noise, (NoiseModel, BinaryNoiseModel)):
+            raise TypeError(f"noise must be a noise model, got {type(self.noise).__name__}")
         if self.n_pairs < 2:
             raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
         if self.rounds < 0:
@@ -206,6 +210,18 @@ def run(cfg: MCConfig) -> list[RoundStats]:
     return stats
 
 
+def _steps(
+    noise: NoiseModel | BinaryNoiseModel, initial: BellDiagonalState, rounds: int
+) -> Iterator[tuple[FlaggedEnsembleState, float]]:
+    """The recurrence from ``embed(initial)``, lazily: (state, keep prob)
+    after each of rounds 1 to ``rounds``."""
+    qmap = generate_map(noise)
+    state = embed(initial)
+    for _ in range(rounds):
+        state, keep = step(state, qmap)
+        yield state, keep
+
+
 def resource_curve(
     noise: NoiseModel | BinaryNoiseModel, initial: BellDiagonalState, rounds: int
 ) -> Iterator[tuple[int, float, float]]:
@@ -216,11 +232,8 @@ def resource_curve(
     initial pairs per surviving pair, which each round multiplies by
     2 / (keep probability).
     """
-    qmap = generate_map(noise)
-    state: FlaggedEnsembleState = embed(initial)
     cost = 1.0
-    for r in range(1, rounds + 1):
-        state, keep = step(state, qmap)
+    for r, (state, keep) in enumerate(_steps(noise, initial, rounds), 1):
         cost *= 2.0 / keep
         yield r, 1.0 - state.conditional_fidelity, cost
 
@@ -260,10 +273,4 @@ def analytic_trajectory(
 ) -> list[tuple[FlaggedEnsembleState, float]]:
     """Recurrence prediction matching a Monte Carlo run: (state, keep prob)
     per round, entry 0 being the initial state with keep probability 1."""
-    qmap = generate_map(noise)
-    state = embed(initial)
-    out = [(state, 1.0)]
-    for _ in range(rounds):
-        state, keep = step(state, qmap)
-        out.append((state, keep))
-    return out
+    return [(embed(initial), 1.0), *_steps(noise, initial, rounds)]

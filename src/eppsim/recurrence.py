@@ -21,10 +21,11 @@ Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
 its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
 ``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for
 any noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source /
-target / error combinations through that table.
-
-The closed forms ``binary_step`` and ``ideal_step`` are kept as oracles;
-the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.
+target / error combinations through that table.  It is the one map
+builder: the binary sub-family's map (``binary_quadratic_map``) is its map
+sliced to the four binary cells, and the noiseless map is ``generate_map``
+of the channel with f[I, I] = 1.  The closed forms ``binary_step`` and
+``ideal_step`` are kept as oracles.
 """
 
 from __future__ import annotations
@@ -120,21 +121,7 @@ _ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 # The binary sub-family, closed under a binary channel's step: Bell states
 # {Phi+, Psi+} with a one-bit (amplitude) flag; variables (A0, A1, B0, B1)
 # live at cells (Phi+, 00), (Phi+, 01), (Psi+, 00), (Psi+, 01).
-_BINARY_CELLS = (0, 1, 4, 5)
-
-
-def _binary_route_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """The kept routes whose output, source and target cells are all binary
-    cells, in (source, target, mu, nu) order: their flat (output, source, target)
-    index in a 4 x 4 x 4 table of binary variables, and their (mu, nu) entry."""
-    position = np.full(16, -1)
-    position[list(_BINARY_CELLS)] = range(4)
-    out, src, tgt = (position[c] for c in np.unravel_index(_ROUTE_CELL, (16, 16, 16)))
-    binary = (out >= 0) & (src >= 0) & (tgt >= 0)
-    return ((out * 4 + src) * 4 + tgt)[binary], _ROUTE_PAULI[binary]
-
-
-_BINARY_ROUTE_CELL, _BINARY_ROUTE_PAULI = _binary_route_arrays()
+_BINARY_CELLS = [0, 1, 4, 5]
 
 
 @dataclass(frozen=True)
@@ -146,9 +133,12 @@ class QuadraticMap:
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
+        n = len(self.names)
+        if m.shape != (n, n, n):
+            raise ValueError(f"map of shape {m.shape} for {n} names; expected {(n, n, n)}")
         object.__setattr__(self, "m", m)
         m.setflags(write=False)
-        object.__setattr__(self, "_m2", m.reshape(m.shape[0], -1))
+        object.__setattr__(self, "_m2", m.reshape(n, -1))
 
     @property
     def dim(self) -> int:
@@ -182,9 +172,15 @@ class QuadraticMap:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuadraticMap":
+        """The map ``to_json_dict`` wrote.  Raises ValueError unless every
+        entry is finite and nonnegative and every M_j is symmetric."""
         names = tuple(d["names"])
         n = len(names)
-        m = np.array([d["matrices"][name] for name in names]).reshape(n, n, n)
+        m = np.array([d["matrices"][name] for name in names], dtype=float).reshape(n, n, n)
+        if not (np.isfinite(m).all() and (m >= 0.0).all()):
+            raise ValueError("map entries must be finite and nonnegative")
+        if not np.array_equal(m, m.transpose(0, 2, 1)):
+            raise ValueError("every matrix M_j of the map must be symmetric")
         return cls(m=m, names=names)
 
 
@@ -193,25 +189,17 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
 
     A binary channel enters through its embedded Pauli table.
     """
-    return _map_of_routes(noise, _ROUTE_CELL, _ROUTE_PAULI, COEFF_NAMES)
-
-
-def _map_of_routes(noise, route_cell, route_pauli, names) -> QuadraticMap:
-    n = len(names)
     # bincount adds the routes in index order, as np.add.at would
-    weights = noise.f.take(route_pauli)
-    m = np.bincount(route_cell, weights=weights, minlength=n**3).reshape(n, n, n)
-    return QuadraticMap(m=0.5 * (m + m.transpose(0, 2, 1)), names=names)
+    weights = noise.f.take(_ROUTE_PAULI)
+    m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)
+    return QuadraticMap(m=0.5 * (m + m.transpose(0, 2, 1)), names=COEFF_NAMES)
 
 
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
-    """The step matrices restricted to the closed binary sub-family.
-
-    Only the routes among binary cells are added up, in the order
-    ``generate_map`` adds them, so the result is its map's binary slice to
-    the bit.
-    """
-    return _map_of_routes(noise, _BINARY_ROUTE_CELL, _BINARY_ROUTE_PAULI, BINARY_NAMES)
+    """The step matrices of the closed binary sub-family: ``generate_map``'s
+    map sliced to the binary cells, with the variables (A0, A1, B0, B1)."""
+    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
+    return QuadraticMap(generate_map(noise).m[cells], BINARY_NAMES)
 
 
 # --- states ---------------------------------------------------------------
@@ -345,9 +333,9 @@ class BinaryFlaggedState:
         return self.a0 + self.b1
 
     def embed(self) -> FlaggedEnsembleState:
-        a = np.zeros((4, 4))
-        a[0, 0], a[0, 1], a[1, 0], a[1, 1] = self.a0, self.a1, self.b0, self.b1
-        return FlaggedEnsembleState(a)
+        a = np.zeros(16)
+        a[_BINARY_CELLS] = self.as_array
+        return FlaggedEnsembleState(a.reshape(4, 4))
 
 
 # --- stepping -------------------------------------------------------------

@@ -61,6 +61,21 @@ def test_seed_outside_the_64_bit_range_is_rejected(seed):
         cfg(seed=seed)
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("initial", embed(BellDiagonalState.werner(0.85))),
+     ("noise", generate_map(BinaryNoiseModel.uncorrelated(0.9)))],
+    ids=["flagged-initial", "map-noise"],
+)
+def test_config_rejects_an_initial_state_or_channel_of_the_wrong_type(field, value):
+    # run would otherwise fail deep inside with an AttributeError
+    kwargs = dict(n_pairs=100, initial=BellDiagonalState.werner(0.85),
+                  noise=tracking_noise(), rounds=2, seed=1)
+    kwargs[field] = value
+    with pytest.raises(TypeError, match=field):
+        MCConfig(**kwargs)
+
+
 def test_init_pure_werner():
     ens = init_ensemble(cfg(pairs=1000, fid=1.0))
     assert len(ens) == 1000

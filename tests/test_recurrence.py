@@ -166,7 +166,8 @@ def test_binary_step_matches_restricted_generator():
 
 
 def test_binary_map_is_the_binary_slice_of_the_full_map_to_the_bit():
-    # built from the 64 routes among binary cells, in generate_map's order
+    # binary_quadratic_map slices generate_map's map, so this pins the slice's
+    # cells and names
     rng = np.random.default_rng(9)
     cells = np.ix_([0, 1, 4, 5], [0, 1, 4, 5], [0, 1, 4, 5])
     channels = [BinaryNoiseModel.uncorrelated(f0) for f0 in rng.uniform(0.0, 1.0, 100)]
@@ -414,6 +415,28 @@ def test_named_coeffs_and_json_roundtrip():
     assert named["A00"] == s.a[0, 0]
     back = FlaggedEnsembleState.from_named(json.loads(json.dumps(named)))
     assert np.allclose(back.a, s.a, atol=0)
+
+
+def test_quadratic_map_of_the_wrong_shape_is_rejected():
+    with pytest.raises(ValueError, match="shape"):
+        QuadraticMap(m=np.ones((4, 4)), names=("a",) * 4)
+    with pytest.raises(ValueError, match="shape"):
+        QuadraticMap(m=np.ones((4, 4, 4)), names=BINARY_NAMES[:3])
+
+
+@pytest.mark.parametrize(
+    "entry, value, match",
+    [(5, float("nan"), "finite"), (5, float("inf"), "finite"), (5, -0.25, "nonnegative"),
+     (1, 0.25, "symmetric")],
+    ids=["nan", "inf", "negative", "asymmetric"],
+)
+def test_quadratic_map_json_with_a_bad_entry_is_rejected(entry, value, match):
+    # entry 5 of A1's matrix is its diagonal [1, 1]; entry 1 is [0, 1] without [1, 0]
+    qm = binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.9))
+    d = json.loads(json.dumps(qm.to_json_dict()))
+    d["matrices"]["A1"][entry] = value
+    with pytest.raises(ValueError, match=match):
+        QuadraticMap.from_json_dict(d)
 
 
 def test_quadratic_map_json_roundtrip():
