@@ -19,35 +19,33 @@ from __future__ import annotations
 from typing import NamedTuple
 
 
+def _packed(bits) -> int:
+    """Packed index 2 * (phase bit) + (amplitude bit) of a two-bit label;
+    ``BellIndex``, ``PauliIndex`` and ``FlagPair`` all pack this way."""
+    return 2 * bits[0] + bits[1]
+
+
+def _unpacked(cls, k: int):
+    """The label of packed index k, the inverse of ``index``."""
+    return cls((k >> 1) & 1, k & 1)
+
+
 class BellIndex(NamedTuple):
-    """Bell state as (phase bit, amplitude bit)."""
+    """Bell state as (phase bit, amplitude bit); index order Phi+, Psi+, Phi-, Psi-."""
 
     phase: int
     amplitude: int
-
-    @property
-    def index(self) -> int:
-        """Packed index 2*phase + amplitude (Phi+, Psi+, Phi-, Psi-)."""
-        return 2 * self.phase + self.amplitude
-
-    @classmethod
-    def from_index(cls, k: int) -> "BellIndex":
-        return cls((k >> 1) & 1, k & 1)
+    index = property(_packed)
+    from_index = classmethod(_unpacked)
 
 
 class PauliIndex(NamedTuple):
-    """Pauli operator as (phase-flip bit, amplitude-flip bit)."""
+    """Pauli operator as (phase-flip bit, amplitude-flip bit); index order I, X, Z, Y."""
 
     phase_flip: int
     amplitude_flip: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.phase_flip + self.amplitude_flip
-
-    @classmethod
-    def from_index(cls, k: int) -> "PauliIndex":
-        return cls((k >> 1) & 1, k & 1)
+    index = property(_packed)
+    from_index = classmethod(_unpacked)
 
 
 class FlagPair(NamedTuple):
@@ -55,14 +53,8 @@ class FlagPair(NamedTuple):
 
     phase_error: int
     amplitude_error: int
-
-    @property
-    def index(self) -> int:
-        return 2 * self.phase_error + self.amplitude_error
-
-    @classmethod
-    def from_index(cls, k: int) -> "FlagPair":
-        return cls((k >> 1) & 1, k & 1)
+    index = property(_packed)
+    from_index = classmethod(_unpacked)
 
 
 PHI_PLUS = BellIndex(0, 0)

@@ -178,15 +178,31 @@ def _resolve_noise(args, cfg: dict[str, str]):
         raise ConfigError(str(exc)) from exc
 
 
+def _setting(cfg: dict[str, str], key: str, parse: Callable, default: str | None = None):
+    """``parse`` of the config's ``key`` (or of ``default``); a value that
+    does not parse is a ConfigError that names the key."""
+    text = cfg.get(key, default)
+    try:
+        return parse(text)
+    except ValueError as exc:
+        raise ConfigError(f"config {key}={text!r}: {exc}") from exc
+
+
+def _abcd_state(text: str) -> BellDiagonalState:
+    weights = [float(x) for x in text.split(",")]
+    if len(weights) != 4:
+        raise ValueError(f"expected 4 comma-separated weights A,B,C,D, got {len(weights)}")
+    return BellDiagonalState.from_abcd(*weights)
+
+
 def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
-    werner = getattr(args, "werner", None)
-    if werner is None and "werner" in cfg:
-        werner = float(cfg["werner"])
-    if werner is not None:
-        return BellDiagonalState.werner(float(werner))
+    """--werner, else the config's werner, else its abcd, else Werner 0.85."""
+    if getattr(args, "werner", None) is not None:
+        return BellDiagonalState.werner(args.werner)
+    if "werner" in cfg:
+        return _setting(cfg, "werner", lambda text: BellDiagonalState.werner(float(text)))
     if "abcd" in cfg:
-        a, b, c, d = (float(x) for x in cfg["abcd"].split(","))
-        return BellDiagonalState.from_abcd(a, b, c, d)
+        return _setting(cfg, "abcd", _abcd_state)
     return BellDiagonalState.werner(0.85)
 
 
@@ -202,7 +218,7 @@ def _resolve_run(args):
 # resolved from the config, exit code).
 
 def _cmd_iterate(args, cfg, noise, start):
-    steps = args.steps if args.steps is not None else int(cfg.get("steps", "20"))
+    steps = args.steps if args.steps is not None else _setting(cfg, "steps", int, "20")
     if steps < 0:
         raise ConfigError(f"--steps must be at least 0, got {steps}")
     rows = [
@@ -268,8 +284,8 @@ def _cmd_scan(args):
 
 
 def _cmd_mc(args, cfg, noise, start):
-    pairs = args.pairs if args.pairs is not None else int(cfg.get("pairs", "100000"))
-    rounds = args.rounds if args.rounds is not None else int(cfg.get("rounds", "8"))
+    pairs = args.pairs if args.pairs is not None else _setting(cfg, "pairs", int, "100000")
+    rounds = args.rounds if args.rounds is not None else _setting(cfg, "rounds", int, "8")
     stats = mc_run(MCConfig(pairs, start, noise, rounds, args.seed))
     rows = [
         [s.round, s.pairs_remaining, s.f_hat, s.f_cond_hat, *s.cells.tolist()] for s in stats

@@ -24,21 +24,23 @@ _SUM_TOL = 1e-3  # printed channel tables carry ~5 significant digits
 _NEG_TOL = 1e-15
 
 
-def _validated_vector(vec: np.ndarray, labels: tuple[str, ...]) -> np.ndarray:
+def _validated_vector(vec, labels: tuple[str, ...], sum_tol: float, neg_tol: float) -> np.ndarray:
+    """The weights clipped at zero and scaled to sum to one: the one check of
+    channels and states.  Raises ValueError, naming the weight by its label,
+    for a weight that is not finite or is below -neg_tol, and for a sum off 1
+    by more than sum_tol (so a table of zeros too)."""
     vec = np.asarray(vec, dtype=float)
     bad = ~np.isfinite(vec)
     if bad.any():
         k = int(bad.argmax())
-        raise ValueError(f"non-finite channel weight {labels[k]} = {vec[k]}")
+        raise ValueError(f"non-finite weight {labels[k]} = {vec[k]}")
     lo = vec.min()
-    if lo < -_NEG_TOL:
-        raise ValueError(f"negative channel weight {labels[int(vec.argmin())]} = {lo}")
+    if lo < -neg_tol:
+        raise ValueError(f"negative weight {labels[int(vec.argmin())]} = {lo}")
     vec = np.clip(vec, 0.0, None)
     total = vec.sum()
-    if total <= 0.0:
-        raise ValueError("channel weights sum to zero")
-    if abs(total - 1.0) > _SUM_TOL:
-        raise ValueError(f"channel weights sum to {total}, expected 1")
+    if abs(total - 1.0) > sum_tol:
+        raise ValueError(f"weights sum to {total}, expected 1")
     return vec / total
 
 
@@ -47,7 +49,7 @@ _JOINT_LABELS = tuple(f"f[{m}{n}]" for m in PAULI_LABELS for n in PAULI_LABELS)
 
 def _validated(f: np.ndarray) -> np.ndarray:
     f = np.asarray(f, dtype=float).reshape(4, 4)
-    return _validated_vector(f.ravel(), _JOINT_LABELS).reshape(4, 4)
+    return _validated_vector(f.ravel(), _JOINT_LABELS, _SUM_TOL, _NEG_TOL).reshape(4, 4)
 
 
 @dataclass(frozen=True)
@@ -91,7 +93,7 @@ class BinaryNoiseModel:
 
     def __post_init__(self):
         names = ("f00", "f01", "f10", "f11")
-        vec = _validated_vector(np.array([self.f00, self.f01, self.f10, self.f11]), names)
+        vec = _validated_vector([getattr(self, k) for k in names], names, _SUM_TOL, _NEG_TOL)
         for name, v in zip(names, vec):
             object.__setattr__(self, name, float(v))
 
@@ -230,8 +232,10 @@ def _binary_from_config(cfg: Mapping[str, str]) -> BinaryNoiseModel:
 
 
 def _p1p2_from_config(cfg: Mapping[str, str]) -> NoiseModel:
-    both = cfg.get("both_labs", "false").strip().lower() in ("1", "true", "yes")
-    return from_p1_p2(float(cfg["p1"]), float(cfg["p2"]), both_labs=both)
+    both = cfg.get("both_labs", "false").strip().lower()
+    if both not in ("1", "true", "yes", "0", "false", "no"):
+        raise ValueError(f"both_labs must be 1/true/yes or 0/false/no, got {cfg['both_labs']!r}")
+    return from_p1_p2(float(cfg["p1"]), float(cfg["p2"]), both_labs=both in ("1", "true", "yes"))
 
 
 _GENERAL_KEYS = tuple(f"f.{mu}{nu}" for mu in PAULI_LABELS for nu in PAULI_LABELS)
@@ -262,7 +266,8 @@ def noise_from_config(cfg: Mapping[str, str]) -> NoiseModel | BinaryNoiseModel:
     ``model`` selects the family: ``white`` (key f0), ``ideal`` (no keys:
     the noiseless channel, white with f0 = 1), ``binary`` (keys f00..f11, or
     f0 for uncorrelated flips, not both), ``p1p2`` (keys p1, p2, optional
-    both_labs), or ``general`` (16 keys f.<mu><nu> with two-bit labels);
+    both_labs: 1/true/yes or 0/false/no in any case, default false), or
+    ``general`` (16 keys f.<mu><nu> with two-bit labels);
     ``NOISE_MODELS`` lists them.  Keys that are no model's are ignored.
     Raises ValueError for an unknown model or a key of another model, and
     KeyError for a missing key.

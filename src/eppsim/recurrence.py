@@ -42,7 +42,7 @@ from .bellbits import (
     flag_update,
     keep_predicate,
 )
-from .noisemodels import BinaryNoiseModel, NoiseModel
+from .noisemodels import BinaryNoiseModel, NoiseModel, _validated_vector
 
 ANNIHILATION_EPS = 1e-15
 
@@ -126,9 +126,14 @@ _BINARY_CELLS = [0, 1, 4, 5]
 
 @dataclass(frozen=True)
 class QuadraticMap:
-    """One purification step as normalized quadratic forms a'_j = a M_j a / N."""
+    """One purification step as normalized quadratic forms a'_j = a M_j a / N.
 
-    m: np.ndarray  # (n, n, n); m[j] symmetric with nonnegative entries
+    Every map, however made, is checked here: construction raises ValueError
+    unless ``m`` is an (n, n, n) cube of finite, nonnegative entries for n
+    names and every M_j is symmetric, which ``jacobian`` assumes.
+    """
+
+    m: np.ndarray
     names: tuple[str, ...]
 
     def __post_init__(self):
@@ -136,6 +141,10 @@ class QuadraticMap:
         n = len(self.names)
         if m.shape != (n, n, n):
             raise ValueError(f"map of shape {m.shape} for {n} names; expected {(n, n, n)}")
+        if not (m.min() >= 0.0 and m.max() < np.inf):  # a NaN fails both
+            raise ValueError("map entries must be finite and nonnegative")
+        if not (m == m.transpose(0, 2, 1)).all():
+            raise ValueError("every matrix M_j of the map must be symmetric")
         object.__setattr__(self, "m", m)
         m.setflags(write=False)
         object.__setattr__(self, "_m2", m.reshape(n, -1))
@@ -172,15 +181,10 @@ class QuadraticMap:
 
     @classmethod
     def from_json_dict(cls, d: dict) -> "QuadraticMap":
-        """The map ``to_json_dict`` wrote.  Raises ValueError unless every
-        entry is finite and nonnegative and every M_j is symmetric."""
+        """The map ``to_json_dict`` wrote; the constructor checks its entries."""
         names = tuple(d["names"])
         n = len(names)
         m = np.array([d["matrices"][name] for name in names], dtype=float).reshape(n, n, n)
-        if not (np.isfinite(m).all() and (m >= 0.0).all()):
-            raise ValueError("map entries must be finite and nonnegative")
-        if not np.array_equal(m, m.transpose(0, 2, 1)):
-            raise ValueError("every matrix M_j of the map must be symmetric")
         return cls(m=m, names=names)
 
 
@@ -204,19 +208,6 @@ def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
 
 # --- states ---------------------------------------------------------------
 
-def _clean_weights(w: np.ndarray, sum_tol: float) -> np.ndarray:
-    w = np.asarray(w, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError(f"non-finite weight in {w.ravel().tolist()}")
-    if w.min() < -1e-12:
-        raise ValueError(f"negative weight {w.min()}")
-    w = np.clip(w, 0.0, None)
-    total = w.sum()
-    if abs(total - 1.0) > sum_tol:
-        raise ValueError(f"weights sum to {total}, expected 1")
-    return w / total
-
-
 @dataclass(frozen=True)
 class BellDiagonalState:
     """Four Bell weights in Bell-index order (Phi+, Psi+, Phi-, Psi-)."""
@@ -224,7 +215,7 @@ class BellDiagonalState:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        w = _clean_weights(np.asarray(self.coeffs, dtype=float).reshape(4), 1e-9)
+        w = _validated_vector(np.reshape(self.coeffs, 4), LETTER_OF_BELL, 1e-9, 1e-12)
         object.__setattr__(self, "coeffs", w)
         w.setflags(write=False)
 
@@ -265,7 +256,7 @@ class FlaggedEnsembleState:
     a: np.ndarray
 
     def __post_init__(self):
-        w = _clean_weights(np.asarray(self.a, dtype=float).reshape(4, 4), 1e-7)
+        w = _validated_vector(np.reshape(self.a, 16), COEFF_NAMES, 1e-7, 1e-12).reshape(4, 4)
         object.__setattr__(self, "a", w)
         w.setflags(write=False)
 
@@ -316,7 +307,7 @@ class BinaryFlaggedState:
     b1: float
 
     def __post_init__(self):
-        vec = _clean_weights(np.array([self.a0, self.a1, self.b0, self.b1]), 1e-9)
+        vec = _validated_vector([self.a0, self.a1, self.b0, self.b1], BINARY_NAMES, 1e-9, 1e-12)
         for name, v in zip(("a0", "a1", "b0", "b1"), vec):
             object.__setattr__(self, name, float(v))
 
@@ -349,9 +340,7 @@ def step(state: FlaggedEnsembleState, qmap: QuadraticMap) -> tuple[FlaggedEnsemb
 def ideal_step(state: BellDiagonalState) -> BellDiagonalState:
     """Noiseless recurrence on the four Bell weights."""
     a, b, c, d = state.a, state.b, state.c, state.d
-    n = (a + b) ** 2 + (c + d) ** 2
-    if n <= ANNIHILATION_EPS:
-        raise EnsembleAnnihilated(f"keep probability {n} <= {ANNIHILATION_EPS}")
+    n = (a + b) ** 2 + (c + d) ** 2  # at least 1/2, as a + b + c + d = 1
     return BellDiagonalState.from_abcd(
         (a * a + b * b) / n, 2.0 * c * d / n, (c * c + d * d) / n, 2.0 * a * b / n
     )

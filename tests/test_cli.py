@@ -27,6 +27,7 @@ from eppsim.dynamics import (
     regime_scan,
     secure_by_stability,
 )
+from eppsim.montecarlo import analytic_trajectory
 from eppsim.noisemodels import (
     NOISE_MODELS,
     PAULI_LABELS,
@@ -101,6 +102,66 @@ def test_negative_steps_from_config_is_usage_error(tmp_path, capsys):
     assert main(["iterate", "--config", str(cfgfile), "--out", str(out)]) == 2
     assert capsys.readouterr().err == "error: --steps must be at least 0, got -3\n"
     assert list(out.iterdir()) == []
+
+
+def test_config_abcd_start_runs_as_from_abcd(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nabcd=0.7,0.15,0.1,0.05\nsteps=3\n")
+    assert main(["iterate", "--config", str(cfgfile), "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "iterate.csv")
+    start = BellDiagonalState.from_abcd(0.7, 0.15, 0.1, 0.05)
+    expected = analytic_trajectory(noise_from_config({"model": "white", "f0": "0.95"}), start, 3)
+    assert [[float(x) for x in row[4:]] for row in rows] == [
+        state.flat.tolist() for state, _ in expected
+    ]
+
+
+@pytest.mark.parametrize(
+    "command, setting",
+    [("iterate", "abcd=0.8,0.1,0.1"), ("iterate", "abcd=0.7,0.1,x,0.1"),
+     ("iterate", "werner=high"), ("iterate", "steps=1.5"),
+     ("mc", "pairs=1e5"), ("mc", "rounds=two")],
+)
+def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, command, setting):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"model=white\nf0=0.95\n{setting}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    key, _, value = setting.partition("=")
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config {key}={value!r}: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("value", ["maybe", "on", "flase"])
+def test_config_both_labs_of_another_spelling_is_a_usage_error(tmp_path, capsys, value):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"model=p1p2\np1=0.96\np2=0.968\nboth_labs={value}\n")
+    out = tmp_path / "out"
+    assert main(["fixpoint", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert f"both_labs must be 1/true/yes or 0/false/no, got '{value}'" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
+def test_missing_config_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    missing = tmp_path / "absent.cfg"
+    assert main(["fixpoint", "--config", str(missing), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
+    assert list(out.iterdir()) == []
+
+
+def test_iterate_json_numbers_match_the_csv(tmp_path):
+    # the only table whose rows carry numpy floats through _coerce
+    args = ["iterate", "--model", "white", "--f0", "0.95", "--steps", "4"]
+    assert main(args + ["--out", str(tmp_path)]) == 0
+    assert main(args + ["--format", "json", "--out", str(tmp_path)]) == 0
+    header, rows = read_csv(tmp_path / "iterate.csv")
+    records = json.loads((tmp_path / "iterate.json").read_text())
+    assert [list(record) for record in records] == [sorted(header)] * len(rows)
+    for record, row in zip(records, rows):
+        assert record["n"] == int(row[0])
+        assert [record[h] for h in header[1:]] == [float(x) for x in row[1:]]
 
 
 def test_iterate_binary_model(tmp_path):

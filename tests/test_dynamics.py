@@ -166,6 +166,20 @@ def test_iterate_dimension_mismatch():
         iterate_to_fixpoint(binary_probe(), generate_map(tracking_noise()))
 
 
+def test_iterate_with_a_channel_that_is_neither_model_nor_map_is_a_type_error():
+    with pytest.raises(TypeError, match="QuadraticMap or noise model"):
+        iterate_to_fixpoint(embed(BellDiagonalState.werner(0.85)), tracking_noise().f)
+
+
+def test_unconverged_run_that_has_decayed_is_high_noise():
+    # 20 steps leave the run short of its fixpoint, but F is already 1/4
+    noise, start = white_noise_family(0.8)
+    r = iterate_to_fixpoint(start, noise, max_iter=20)
+    assert not r.converged and r.failure is None
+    assert r.fidelity == pytest.approx(0.25, abs=1e-12)
+    assert regime_of(r) is Regime.HIGH_NOISE
+
+
 @pytest.mark.parametrize("f0", [0.70, 0.75, 0.76, 0.7718, 0.78, 0.8, 0.9, 1.0])
 def test_scalar_binary_loop_agrees_with_the_array_loop(f0, monkeypatch):
     # a binary state with a binary channel runs the scalar loop, and the same
@@ -362,6 +376,12 @@ def test_stability_verdict_matches_classify_regime_on_random_channels():
             assert secure_by_stability(noise) == dynamical, f00
             verdicts.append(dynamical)
     assert any(verdicts) and not all(verdicts)
+
+
+def test_stability_verdict_is_insecure_where_the_secure_solve_annihilates():
+    # both bits always flip, so every couple is discarded
+    noise, start = BinaryNoiseModel(0.0, 1.0, 0.0, 0.0), BinaryFlaggedState(1, 0, 0, 0)
+    assert not secure_by_stability(noise, start)
 
 
 def test_stability_verdict_needs_flag_diagonal_weight():

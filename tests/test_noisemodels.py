@@ -135,6 +135,26 @@ def test_from_p1_p2_both_labs_squares_reliabilities():
     assert a.f00 == pytest.approx(0.83981, abs=2e-4)
 
 
+_P1P2 = {"model": "p1p2", "p1": "0.96", "p2": "0.968"}
+
+
+@pytest.mark.parametrize(
+    "text, both",
+    [("1", True), ("true", True), ("YES", True), ("True", True),
+     ("0", False), ("false", False), ("No", False), (" FALSE ", False)],
+)
+def test_p1p2_config_reads_both_labs_spellings(text, both):
+    got = noise_from_config({**_P1P2, "both_labs": text})
+    assert np.array_equal(got.f, from_p1_p2(0.96, 0.968, both_labs=both).f)
+
+
+@pytest.mark.parametrize("text", ["maybe", "on", "off", "ture", ""])
+def test_p1p2_config_rejects_any_other_both_labs_value(text):
+    # these used to build the single-lab channel without a word
+    with pytest.raises(ValueError, match=f"both_labs must be .*, got '{text}'"):
+        noise_from_config({**_P1P2, "both_labs": text})
+
+
 def test_from_p1_p2_equals_explicit_composition():
     rng = np.random.default_rng(3)
     for _ in range(10):

@@ -9,6 +9,7 @@ noise weights.
 
 import itertools
 import json
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -407,6 +408,22 @@ def test_non_finite_state_weights_rejected(build, bad):
         build(bad)
 
 
+@pytest.mark.parametrize(
+    "build, message",
+    [
+        (lambda: BellDiagonalState(np.array([0.9, 0.2, -0.1, 0.0])), "negative weight D = -0.1"),
+        (lambda: BellDiagonalState.from_abcd(0.5, np.nan, 0.5, 0.0), "non-finite weight B = nan"),
+        (lambda: FlaggedEnsembleState(np.r_[1.1, -0.1, np.zeros(14)].reshape(4, 4)),
+         "negative weight A01 = -0.1"),
+        (lambda: BinaryFlaggedState(0.5, 0.5, np.inf, 0.0), "non-finite weight B0 = inf"),
+    ],
+    ids=["BellDiagonalState", "from_abcd", "FlaggedEnsembleState", "BinaryFlaggedState"],
+)
+def test_a_bad_state_weight_is_named(build, message):
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        build()
+
+
 def test_named_coeffs_and_json_roundtrip():
     rng = np.random.default_rng(16)
     s = FlaggedEnsembleState(rng.dirichlet(np.ones(16)).reshape(4, 4))
@@ -437,6 +454,10 @@ def test_quadratic_map_json_with_a_bad_entry_is_rejected(entry, value, match):
     d["matrices"]["A1"][entry] = value
     with pytest.raises(ValueError, match=match):
         QuadraticMap.from_json_dict(d)
+    m = qm.m.copy()  # the same entry in a map made in code
+    m[1].flat[entry] = value
+    with pytest.raises(ValueError, match=match):
+        QuadraticMap(m, qm.names)
 
 
 def test_quadratic_map_json_roundtrip():
