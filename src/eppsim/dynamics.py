@@ -24,7 +24,8 @@ steps even where the plain iteration converges only algebraically, and is
 polished to rounding level; the margin is then measured once, on the whole
 map's Jacobian.  The limits that the basin checks of a critical search
 take for the start state go through the plain iteration's body to the
-same Newton solve on the whole map, with every cell free.
+same Newton solve on the whole map, with every cell free, and a Newton
+limit counts there only if it attracts.
 Convergence times of the plain iteration diverge at the boundary, much like
 a phase transition.  Every solve runs on flagged states, 16-cell or binary;
 a Bell-diagonal state enters through ``embed``, noiseless or not.
@@ -124,43 +125,85 @@ def _fitting_map(noise_or_map, a: np.ndarray) -> QuadraticMap:
     return qmap
 
 
+#: Steps of the plain loop between two residual passes: the first block's,
+#: and the most any block takes.
+_FIRST_BLOCK = 8
+_BLOCK_CAP = 32
+
+
 def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
-    """Iterate the normalized step from ``a``, which is overwritten.
+    """Iterate the normalized step from ``a``, which is left unchanged.
 
     Each step is a' = (M (a x a)) / N with N = sum(M (a x a)), and the
-    residual is max |a' - a|.  The outer product, the image, the next state
-    and the difference live in buffers allocated once per call, and the two
-    state buffers swap roles each step, so a step allocates nothing; the
-    arithmetic is that of ``QuadraticMap.apply``, operation for operation.
+    residual is max |a' - a|.  Steps run in blocks: row 0 of a buffer of
+    ``_BLOCK_CAP + 1`` rows holds the block's start, and each step writes
+    its normalized state into the next row with four calls (the outer
+    product, the image, N and the divide), so a step allocates nothing and
+    its arithmetic is that of ``QuadraticMap.apply``, operation for
+    operation.  After the block one pass over the stacked rows takes every
+    step's residual, and the first row whose residual is <= tol is the
+    result; the steps after it are discarded.  Otherwise the last row is
+    the next block's start.  Every vector, iteration count, residual and
+    annihilation is the one a step-by-step loop gives: a step that
+    annihilates the ensemble raises EnsembleAnnihilated only if no earlier
+    row of its block converged.
+
+    The first block takes ``_FIRST_BLOCK`` steps.  Each later one takes the
+    steps that the residual, decaying geometrically at the last block's
+    mean ratio, needs to reach ``tol``: at least two, so that the block
+    has a ratio, and at most ``_BLOCK_CAP``, which it also takes where the
+    residual does not decay or ``tol`` is zero.  The budget cuts the last
+    block short.
     """
     m2 = qmap._m2
     n = a.shape[0]
+    cap = _BLOCK_CAP
+    rows = np.empty((cap + 1, n))
+    rows[0] = a
+    # step k reads row k as a column and as a row, whose dot is the outer
+    # product (each entry one rounded product), and writes row k + 1
+    cols, tops, nexts = rows[:-1, :, None], rows[:-1, None, :], rows[1:]
     sq = np.empty((n, n))
     flat = sq.reshape(-1)
     q = np.empty(n)
-    diff = np.empty(n)
-    cur, nxt = a, np.empty(n)
-    cur_col, nxt_col = cur[:, None], nxt[:, None]  # column views for the outer product
-    multiply, matmul, divide, subtract, absolute = (
-        np.multiply, np.matmul, np.divide, np.subtract, np.absolute
-    )
-    add_reduce, max_reduce = np.add.reduce, np.maximum.reduce
-    iterations = 0
-    residual = np.inf
-    for iterations in range(1, max_iter + 1):
-        multiply(cur_col, cur, out=sq)
-        matmul(m2, flat, out=q)
-        keep = add_reduce(q)
-        if keep <= ANNIHILATION_EPS:
-            raise EnsembleAnnihilated(f"keep probability {keep} at iteration {iterations}")
-        divide(q, keep, out=nxt)
-        subtract(nxt, cur, out=diff)
-        absolute(diff, out=diff)
-        residual = max_reduce(diff)
-        cur, nxt, cur_col, nxt_col = nxt, cur, nxt_col, cur_col
-        if residual <= tol:
-            return cur, iterations, True, float(residual)
-    return cur, iterations, False, float(residual)
+    diff = np.empty((cap, n))
+    dot, divide, add_reduce = np.dot, np.divide, np.add.reduce
+
+    def residuals(length):
+        d = diff[:length]
+        np.subtract(rows[1:length + 1], rows[:length], out=d)
+        np.absolute(d, out=d)
+        r = np.maximum.reduce(d, axis=1)
+        return r, np.flatnonzero(r <= tol)
+
+    done, block, residual = 0, min(_FIRST_BLOCK, cap), np.inf
+    while done < max_iter:
+        length = min(block, max_iter - done)
+        for k, col, row, nxt in zip(range(length), cols, tops, nexts):
+            dot(col, row, out=sq)
+            dot(m2, flat, out=q)
+            keep = add_reduce(q)
+            if keep <= ANNIHILATION_EPS:
+                r, hits = residuals(k)  # of the rows the block made before
+                if hits.size:
+                    break
+                raise EnsembleAnnihilated(f"keep probability {keep} at iteration {done + k + 1}")
+            divide(q, keep, out=nxt)
+        else:
+            r, hits = residuals(length)
+        if hits.size:
+            k = int(hits[0])
+            return rows[k + 1], done + k + 1, True, float(r[k])
+        done += length
+        rows[0] = rows[length]
+        first, residual = float(r[0]), float(r[-1])
+        if length > 1:
+            ratio = (residual / first) ** (1.0 / (length - 1))
+            block = cap
+            if 0.0 < ratio < 1.0 and tol > 0.0:
+                need = (math.log(tol) - math.log(residual)) / math.log(ratio)
+                block = min(cap, max(2, math.ceil(need)))
+    return rows[0], done, False, float(residual)
 
 
 def _vector_of(state):
@@ -183,9 +226,9 @@ def _solve(s0, noise_or_map, tol: float, max_iter: int, newton: bool = False) ->
     plain = _plain_loop(noise_or_map, s0, qmap)
     try:
         if newton:
-            vec, it, ok, res = _newton_fixpoint(a.copy(), qmap, plain, tol, max_iter)
+            vec, it, ok, res = _newton_fixpoint(a, qmap, plain, tol, max_iter, attracting=True)
         else:
-            vec, it, ok, res = plain(a.copy(), tol, max_iter)
+            vec, it, ok, res = plain(a, tol, max_iter)
     except EnsembleAnnihilated as exc:
         return FixpointResult(s0, 0, False, np.inf, failure=str(exc))
     return FixpointResult(wrap(vec), it, ok, res)
@@ -202,7 +245,7 @@ def iterate_to_fixpoint(
     Accepts a flagged 16-variable or binary state with a map or noise model
     that fits it.  A binary state with a binary noise model runs the scalar
     closed-form loop of ``_plain_loop`` and builds no map, as it is faster
-    (1.8 against 8.9 us a step on the 4-variable map, on a 2-vCPU Xeon);
+    (2.1 against 5.7 us a step on the 4-variable map, on a 2-vCPU Xeon);
     every other pair runs the array loop.
     ``s0`` is left unchanged.  Annihilation of the ensemble is reported as
     non-convergence with a cause, zero iterations and an infinite residual.
@@ -313,7 +356,7 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None)):
     cells ``cells`` of ``s0``'s vector, as ``iterate_to_fixpoint`` runs it.
 
     It is called as ``_iterate_array`` is, with a weight vector of ``qmap``
-    that it may overwrite, and returns a vector of ``qmap`` too.  A binary
+    that it leaves unchanged, and returns a vector of ``qmap`` too.  A binary
     state and channel run the scalar loop of ``binary_step_raw`` on the
     binary vector that is zero off ``cells``, and read no map; the step
     keeps those zeros exactly where the cells span an invariant subspace.
@@ -343,7 +386,9 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None)):
     return scalar
 
 
-def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_iter: int):
+def _newton_fixpoint(
+    x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_iter: int, *, attracting=False
+):
     """A fixpoint of ``qmap`` reached from the weight vector ``x``, solved by
     Newton's method on every cell of the map.
 
@@ -360,10 +405,15 @@ def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_i
     plain iteration takes the rest of the budget from where the warm start
     stopped, so the result is the limit of the plain iteration; that happens
     where no fixpoint lies within Newton's reach (it circles the ghost of a
-    fold) or Newton heads for another fixpoint.
+    fold) or Newton heads for another fixpoint.  With ``attracting``, a
+    fixpoint Newton converges to counts only if it attracts: the spectral
+    radius of the ``jacobian`` there exceeds one by at most
+    ``REGIME_FUZZ``.  A saddle's limit is no trajectory's, so the plain
+    iteration takes over from the warm start as above.
 
-    The basin checks hand it a state's whole map (``_solve``), and the
-    stability margin the map restricted to the flag-diagonal cells.
+    The basin checks hand it a state's whole map (``_solve``), with
+    ``attracting``, and the stability margin the map restricted to the
+    flag-diagonal cells, without: the margin is that spectral radius.
     Returns (vector, iterations, converged, residual) as ``_iterate_array``
     does: converged means max |step(x) - x| <= tol within ``max_iter``
     steps in all, plain and Newton alike, and the vector is step(x).  At the binary family's
@@ -381,7 +431,9 @@ def _newton_fixpoint(x: np.ndarray, qmap: QuadraticMap, plain, tol: float, max_i
         image, _ = qmap.apply(x)
         residual = float(np.max(np.abs(image - x)))
         if residual <= tol:
-            return image, spent + k, True, residual
+            if not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ:
+                return image, spent + k, True, residual
+            break
         x += np.linalg.solve(jacobian(qmap, x) - eye, x - image)
         if x.min() < -_NEWTON_CLIP_FLOOR:
             break
@@ -500,7 +552,9 @@ def find_critical(
     iteration's result; elsewhere Newton decides it in tens of steps, both
     at the binary threshold f0 = 3/4, where the plain iteration needs far
     more than the budget, and at a secure end near the boundary, where it
-    needs thousands.  Raises ValueError for a negative ``halvings``, a bad
+    needs thousands.  A Newton limit that does not attract (a saddle) is
+    no trajectory's limit, and the plain iteration goes on from the warm
+    start instead.  Raises ValueError for a negative ``halvings``, a bad
     ``tol`` or ``max_iter``, when the verdict does not change across the
     bracket or when a basin check disagrees with it; ``halvings = 0``
     returns the bracket's midpoint.

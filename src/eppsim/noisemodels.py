@@ -210,8 +210,18 @@ def noise_to_config(model: NoiseModel | BinaryNoiseModel) -> dict[str, str]:
     return cfg
 
 
+def _number(cfg: Mapping[str, str], key: str) -> float:
+    """The config's ``key`` as a float; a value that does not parse is a
+    ValueError that names the key."""
+    text = cfg[key]
+    try:
+        return float(text)
+    except ValueError as exc:
+        raise ValueError(f"config {key}={text!r}: {exc}") from exc
+
+
 def _white_from_config(cfg: Mapping[str, str]) -> NoiseModel:
-    w = one_qubit_white(float(cfg["f0"]))
+    w = one_qubit_white(_number(cfg, "f0"))
     return product(w, w)
 
 
@@ -225,17 +235,19 @@ _BINARY_KEYS = ("f00", "f01", "f10", "f11")
 
 def _binary_from_config(cfg: Mapping[str, str]) -> BinaryNoiseModel:
     if "f0" not in cfg:
-        return BinaryNoiseModel(*(float(cfg[key]) for key in _BINARY_KEYS))
+        return BinaryNoiseModel(*(_number(cfg, key) for key in _BINARY_KEYS))
     if any(key in cfg for key in _BINARY_KEYS):
         raise ValueError("model 'binary' takes f0 or f00..f11, not both")
-    return BinaryNoiseModel.uncorrelated(float(cfg["f0"]))
+    return BinaryNoiseModel.uncorrelated(_number(cfg, "f0"))
 
 
 def _p1p2_from_config(cfg: Mapping[str, str]) -> NoiseModel:
     both = cfg.get("both_labs", "false").strip().lower()
     if both not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(f"both_labs must be 1/true/yes or 0/false/no, got {cfg['both_labs']!r}")
-    return from_p1_p2(float(cfg["p1"]), float(cfg["p2"]), both_labs=both in ("1", "true", "yes"))
+    return from_p1_p2(
+        _number(cfg, "p1"), _number(cfg, "p2"), both_labs=both in ("1", "true", "yes")
+    )
 
 
 _GENERAL_KEYS = tuple(f"f.{mu}{nu}" for mu in PAULI_LABELS for nu in PAULI_LABELS)
@@ -245,7 +257,7 @@ def _general_from_config(cfg: Mapping[str, str]) -> NoiseModel:
     missing = [key for key in _GENERAL_KEYS if key not in cfg]
     if missing:
         raise KeyError(f"missing channel weight {missing[0]}")
-    return NoiseModel(np.array([float(cfg[key]) for key in _GENERAL_KEYS]).reshape(4, 4))
+    return NoiseModel(np.array([_number(cfg, key) for key in _GENERAL_KEYS]).reshape(4, 4))
 
 
 #: Every noise model a config can name: the keys it reads and its builder.
@@ -269,8 +281,9 @@ def noise_from_config(cfg: Mapping[str, str]) -> NoiseModel | BinaryNoiseModel:
     both_labs: 1/true/yes or 0/false/no in any case, default false), or
     ``general`` (16 keys f.<mu><nu> with two-bit labels);
     ``NOISE_MODELS`` lists them.  Keys that are no model's are ignored.
-    Raises ValueError for an unknown model or a key of another model, and
-    KeyError for a missing key.
+    Raises ValueError for an unknown model, a key of another model or a
+    value that does not parse (naming its key), and KeyError for a missing
+    key.
     """
     kind = cfg.get("model", "general")
     if kind not in NOISE_MODELS:

@@ -130,14 +130,15 @@ class QuadraticMap:
 
     Every map, however made, is checked here: construction raises ValueError
     unless ``m`` is an (n, n, n) cube of finite, nonnegative entries for n
-    names and every M_j is symmetric, which ``jacobian`` assumes.
+    names and every M_j is symmetric, which ``jacobian`` assumes.  The map
+    holds a read-only copy of ``m``; the caller's array stays writable.
     """
 
     m: np.ndarray
     names: tuple[str, ...]
 
     def __post_init__(self):
-        m = np.asarray(self.m, dtype=float)
+        m = np.array(self.m, dtype=float)  # a copy, frozen below
         n = len(self.names)
         if m.shape != (n, n, n):
             raise ValueError(f"map of shape {m.shape} for {n} names; expected {(n, n, n)}")

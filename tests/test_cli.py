@@ -133,6 +133,21 @@ def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, comm
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize(
+    "config, key",
+    [("model=white\nf0=0.9x\n", "f0"), ("model=binary\nf0=0.9x\n", "f0"),
+     ("model=p1p2\np1=0.96\np2=0.9x\n", "p2")],
+)
+def test_a_noise_setting_that_does_not_parse_names_its_key(tmp_path, capsys, config, key):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(config)
+    out = tmp_path / "out"
+    assert main(["fixpoint", "--config", str(cfgfile), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: config {key}='0.9x': could not convert string to float: '0.9x'\n"
+    assert list(out.iterdir()) == []
+
+
 @pytest.mark.parametrize("value", ["maybe", "on", "flase"])
 def test_config_both_labs_of_another_spelling_is_a_usage_error(tmp_path, capsys, value):
     cfgfile = tmp_path / "run.cfg"

@@ -161,6 +161,72 @@ def test_fixpoint_loop_single_step_and_start_untouched():
     assert np.array_equal(probe.flat, probe_before)
 
 
+BLOCK_CAPS = [1, 2, 32]
+BUDGETS = [0, 1, 7, 8, 9, 31, 32, 33, 30_000]
+
+
+def test_blocked_loop_matches_the_one_step_reference(monkeypatch):
+    # the loop takes its residuals once per block of steps; every budget
+    # around the first block (8) and the cap (32), on 16- and 4-variable
+    # maps, both where tol = 0 is met exactly (a float fixpoint, after 40
+    # and 2,429 steps) and where the budget runs out first
+    rng = np.random.default_rng(21)
+    maps = [
+        generate_map(random_channel(rng, 0.9)),
+        binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.8)),
+        binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.7)),
+    ]
+    outcomes = set()
+    for qmap in maps:
+        start = rng.dirichlet(np.ones(qmap.dim))
+        for tol in (0.0, 1e-12):
+            for budget in BUDGETS:
+                vec, *want = reference_fixpoint(start, qmap, tol, budget)
+                for cap in BLOCK_CAPS:
+                    monkeypatch.setattr(dynamics, "_BLOCK_CAP", cap)
+                    a = start.copy()
+                    got, *rest = dynamics._iterate_array(a, qmap, tol, budget)
+                    assert rest == want, (qmap.dim, tol, budget, cap)
+                    assert got.tobytes() == vec.tobytes(), (qmap.dim, tol, budget, cap)
+                    assert a.tobytes() == start.tobytes()
+                outcomes.add((qmap.dim, tol, budget == 30_000, want[1]))
+    # tol = 0 is met on both map sizes, and f0 = 0.7 runs the whole budget
+    assert {(16, 0.0, True, True), (4, 0.0, True, True), (4, 0.0, True, False)} <= outcomes
+
+
+def annihilating_map():
+    """x, x -> x and x, y -> y with weight 2000: the x weight shrinks by
+    about 4000 a step, and the keep probability with it, until it is below
+    ``ANNIHILATION_EPS`` at the seventh step from (0.9, 0.1)."""
+    m = np.zeros((2, 2, 2))
+    m[0, 0, 0] = 1.0
+    m[1, 0, 1] = m[1, 1, 0] = 2000.0
+    return recurrence.QuadraticMap(m, ("x", "y"))
+
+
+@pytest.mark.parametrize("cap", BLOCK_CAPS)
+def test_blocked_loop_annihilates_mid_block_as_the_reference_does(cap, monkeypatch):
+    monkeypatch.setattr(dynamics, "_BLOCK_CAP", cap)
+    qmap, start = annihilating_map(), np.array([0.9, 0.1])
+    a, residuals = start, []
+    while True:
+        try:
+            nxt, _ = qmap.apply(a)
+        except recurrence.EnsembleAnnihilated:
+            break
+        residuals.append(float(np.max(np.abs(nxt - a))))
+        a = nxt
+    assert len(residuals) == 6  # the seventh step annihilates
+    with pytest.raises(recurrence.EnsembleAnnihilated, match=r"at iteration 7$"):
+        dynamics._iterate_array(start, qmap, 0.0, 100)
+    # a row of the block that converged before the step that annihilates is
+    # the result (residuals 1.4e-10, 3.5e-14 at steps 4 and 5)
+    vec, *rest = reference_fixpoint(start, qmap, 1e-12, 100)
+    got, *got_rest = dynamics._iterate_array(start, qmap, 1e-12, 100)
+    assert got_rest == rest == [5, True, residuals[4]]
+    assert got.tobytes() == vec.tobytes()
+
+
 def test_iterate_dimension_mismatch():
     with pytest.raises(ValueError, match="variables"):
         iterate_to_fixpoint(binary_probe(), generate_map(tracking_noise()))
@@ -642,6 +708,25 @@ def ends_secure(result):
     return regime_of(result) is Regime.SECURITY
 
 
+def test_a_newton_limit_that_does_not_attract_is_not_the_basin_limit():
+    # white noise at 0.9025: the secure fixpoint swapped with itself (its
+    # 16 cells xor-convolved with themselves) keeps weight on the
+    # flag-diagonal cells only.  The plain iteration takes it to F = 1/4 in
+    # 47 steps; Newton converged on a saddle at F = 0.7187 (rho = 1.1874)
+    noise, probe = white_noise_family(0.9025)
+    secure = secure_fixpoint(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER).state.flat
+    cells = np.arange(16)
+    swapped = np.zeros(16)
+    np.add.at(swapped, cells[:, None] ^ cells, np.multiply.outer(secure, secure))
+    start = FlaggedEnsembleState(swapped.reshape(4, 4))
+    plain = iterate_to_fixpoint(start, noise, max_iter=dynamics.CRITICAL_MAX_ITER)
+    assert plain.converged and regime_of(plain) is Regime.HIGH_NOISE
+    limit = basin_limit(noise, start)
+    assert limit.converged and regime_of(limit) is Regime.HIGH_NOISE
+    assert limit.iterations > dynamics._NEWTON_WARM_START  # Newton ran and was left
+    np.testing.assert_allclose(limit.state.flat, plain.state.flat, rtol=0, atol=1e-9)
+
+
 @pytest.mark.parametrize("kind", ["binary", "flagged"])
 def test_plain_and_basin_solves_report_annihilation_alike(kind):
     if kind == "binary":  # both bits always flip, so every couple is discarded
@@ -686,8 +771,8 @@ def test_critical_searches_take_few_solve_steps():
     spent, calls = [], []
     original = dynamics._newton_fixpoint
 
-    def counted(*args):
-        result = original(*args)
+    def counted(*args, **kwargs):
+        result = original(*args, **kwargs)
         spent.append(result[1])
         return result
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from eppsim.noisemodels import (
+    NOISE_MODELS,
     BinaryNoiseModel,
     NoiseModel,
     binary,
@@ -243,6 +244,25 @@ def test_a_key_of_another_model_is_an_error():
     # keys that are no model's, such as a start state's, are left alone
     w = noise_from_config({"model": "white", "f0": "0.9", "werner": "0.8", "steps": "3"})
     assert w.f00 == pytest.approx(0.81)
+
+
+_GOOD_CONFIGS = [
+    {"model": "white", "f0": "0.9"},
+    {"model": "binary", "f0": "0.9"},
+    {"model": "binary", "f00": "0.85", "f01": "0.05", "f10": "0.05", "f11": "0.05"},
+    {"model": "p1p2", "p1": "0.96", "p2": "0.968"},
+    {"model": "general", **{key: "0.0625" for key in NOISE_MODELS["general"][0]}},
+]
+
+
+@pytest.mark.parametrize(
+    "cfg, key", [(cfg, key) for cfg in _GOOD_CONFIGS for key in cfg if key != "model"]
+)
+def test_a_noise_value_that_does_not_parse_names_its_key(cfg, key):
+    noise_from_config(cfg)  # parses as it stands
+    with pytest.raises(ValueError) as info:
+        noise_from_config({**cfg, key: "0.9x"})
+    assert str(info.value) == f"config {key}='0.9x': could not convert string to float: '0.9x'"
 
 
 def test_binary_takes_f0_or_the_four_weights_not_both():

@@ -441,6 +441,14 @@ def test_quadratic_map_of_the_wrong_shape_is_rejected():
         QuadraticMap(m=np.ones((4, 4, 4)), names=BINARY_NAMES[:3])
 
 
+def test_quadratic_map_leaves_the_callers_array_writable():
+    m = np.ones((2, 2, 2))
+    qm = QuadraticMap(m, ("a", "b"))
+    m[0, 0, 0] = 2.0
+    assert qm.m[0, 0, 0] == 1.0
+    assert not qm.m.flags.writeable
+
+
 @pytest.mark.parametrize(
     "entry, value, match",
     [(5, float("nan"), "finite"), (5, float("inf"), "finite"), (5, -0.25, "nonnegative"),
