@@ -34,7 +34,6 @@ from .dynamics import (
     fit_intermediate,
     iterate_to_fixpoint,
     jacobian,
-    purification_curve,
     regime_scan,
     secure_by_stability,
     spectral_radius,

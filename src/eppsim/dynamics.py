@@ -722,48 +722,7 @@ def regime_scan(
     return {regime: counts[regime] / samples for regime in Regime}
 
 
-# --- purification curve and the intermediate-regime fit ---------------------
-
-def purification_curve(
-    noise: BinaryNoiseModel | NoiseModel | QuadraticMap,
-    n_max: int,
-    segment_points: int = 32,
-    start=None,
-) -> list[np.ndarray]:
-    """Conditional-fidelity return map as concatenated curve segments.
-
-    A seed state and its one-step image are joined by a straight line in
-    state space; pushing that line through the n-th iterate of the step and
-    reading off (F_cond before, F_cond after) gives segment n.  Segments join
-    continuously because the line's endpoints are one step apart.  Raises
-    ValueError for a negative ``n_max``, no ``segment_points`` or a start
-    that does not fit the map.
-    """
-    if n_max < 0:
-        raise ValueError(f"n_max = {n_max} < 0")
-    if segment_points < 1:
-        raise ValueError(f"segment_points = {segment_points} < 1")
-    if start is None:
-        binary = isinstance(noise, BinaryNoiseModel)
-        start = BinaryFlaggedState(0.6, 0.0, 0.4, 0.0) if binary else _WERNER_PROBE
-    x0, _ = _vector_of(start)
-    qmap = _fitting_map(noise, x0)
-    diagonal = _FLAG_DIAGONAL_CELLS[type(start)]
-    x1, _ = qmap.apply(x0)
-    ts = np.linspace(0.0, 1.0, segment_points)
-    line = [(1.0 - t) * x0 + t * x1 for t in ts]
-    segments = []
-    for _ in range(n_max):
-        seg = np.empty((segment_points, 2))
-        nxt = []
-        for k, v in enumerate(line):
-            image, _ = qmap.apply(v)
-            seg[k] = (v[diagonal].sum(), image[diagonal].sum())
-            nxt.append(image)
-        segments.append(seg)
-        line = nxt
-    return segments
-
+# --- the intermediate-regime fit ----------------------------------------------
 
 def fit_intermediate(points: Sequence[tuple[float, float]]) -> tuple[float, float, float]:
     """Least-squares fit of c0 + c1 * sqrt(f0 - x0) to (f0, F_cond) samples.

@@ -650,15 +650,19 @@ def test_resources_csv(tmp_path):
     assert all(b > a for a, b in zip(n, n[1:]))  # cost grows round over round
 
 
-def test_resources_cost_that_overflows_is_an_error(tmp_path, capsys):
+def test_resources_cost_past_2_53_is_an_error(tmp_path, capsys):
     # white noise at f0 = 0.9 doubles the cost and more each round; from
-    # round 654 on it is more pairs than a float holds
+    # round 34 on it is past 2**53, where a float holds no exact count (and
+    # from round 654 on it overflows)
     args = ["resources", "--model", "white", "--f0", "0.9", "--eps-min", "0"]
-    assert main(args + ["--rounds", "653", "--out", str(tmp_path / "653")]) == 0
-    assert main(args + ["--rounds", "654", "--out", str(tmp_path / "654")]) == 2
+    assert main(args + ["--rounds", "33", "--out", str(tmp_path / "33")]) == 0
+    _, rows = read_csv(tmp_path / "33" / "resources.csv")
+    assert rows[-1][2] == "3172765097653904"
+    assert main(args + ["--rounds", "34", "--out", str(tmp_path / "34")]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error: ") and "round 654 overflows" in err and err.count("\n") == 1
-    assert list((tmp_path / "654").iterdir()) == []
+    assert err.startswith("error: ") and "round 34 is 9.395e+15, past 2**53" in err
+    assert err.count("\n") == 1
+    assert list((tmp_path / "34").iterdir()) == []
 
 
 def test_version_flag(capsys):

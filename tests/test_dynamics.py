@@ -19,7 +19,6 @@ from eppsim.dynamics import (
     fit_intermediate,
     iterate_to_fixpoint,
     jacobian,
-    purification_curve,
     regime_of,
     regime_scan,
     secure_by_stability,
@@ -886,91 +885,12 @@ def test_regime_scan_deterministic_in_seed():
     assert one == two
 
 
-# --- purification curve -------------------------------------------------------------
-
-
-def test_noiseless_curve_lies_above_diagonal():
-    segs = purification_curve(BinaryNoiseModel.uncorrelated(1.0), n_max=10)
-    pts = np.vstack(segs)
-    inside = pts[(pts[:, 0] > 0.5 + 1e-9) & (pts[:, 0] < 1.0 - 1e-9)]
-    assert (inside[:, 1] > inside[:, 0]).all()
-
-
-def test_curve_slope_at_fixpoint_near_critical():
-    # marginally above the boundary the return map is tangent to the diagonal
-    segs = purification_curve(
-        BinaryNoiseModel.uncorrelated(BINARY_CRITICAL), n_max=3000, segment_points=8
-    )
-    pts = np.vstack(segs)
-    tail = pts[-5:]
-    slope = (np.diff(tail[:, 1]) / np.diff(tail[:, 0])).mean()
-    assert slope == pytest.approx(1.0, abs=1e-3)
-
-    segs = purification_curve(
-        BinaryNoiseModel.uncorrelated(BINARY_CRITICAL + 0.002), n_max=600, segment_points=8
-    )
-    pts = np.vstack(segs)
-    tail = pts[-5:]
-    slope = (np.diff(tail[:, 1]) / np.diff(tail[:, 0])).mean()
-    assert slope < 1.0 - 1e-4
-    assert pts[-1, 0] > 1.0 - 1e-5  # the curve actually reaches the fixpoint
-
-
-def test_curve_crosses_diagonal_at_interior_attractor():
-    noise = BinaryNoiseModel.uncorrelated(0.76)
-    attractor = iterate_to_fixpoint(binary_probe(), noise).conditional_fidelity
-    assert 0.5 < attractor < 1.0 - 1e-9
-
-    # from the standard seed the curve stays above the diagonal and ends there
-    rising = np.vstack(purification_curve(noise, n_max=400))
-    assert (rising[:, 1] >= rising[:, 0] - 1e-12).all()
-    assert rising[-1, 0] == pytest.approx(attractor, abs=1e-6)
-
-    # seeding near the (unstable) fully-correlated fixpoint produces a branch
-    # that dips below the diagonal and crosses it at the interior attractor
-    fp = binary_fixpoint_analytic(0.76).as_array
-    start = BinaryFlaggedState(*(0.9 * fp + 0.1 * np.full(4, 0.25)))
-    upper = np.vstack(purification_curve(noise, n_max=400, start=start))
-    gap = upper[:, 1] - upper[:, 0]
-    assert gap.min() < -1e-3
-    flips = np.where(np.diff(np.sign(gap)) != 0)[0]
-    assert np.abs(upper[flips, 0] - attractor).min() < 0.01
-    assert upper[-1, 0] == pytest.approx(attractor, abs=1e-4)
-
-
-def test_curve_on_full_model():
-    segs = purification_curve(tracking_noise(), n_max=12, segment_points=8)
-    pts = np.vstack(segs)
-    assert pts[-1, 1] > 0.999  # security regime: heads for unit conditional fidelity
-
-
-@pytest.mark.parametrize(
-    "noise, kwargs, message",
-    [
-        (tracking_noise(), dict(start=binary_probe()), "4 variables but map has 16"),
-        (binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.8)), {},
-         "16 variables but map has 4"),
-        (tracking_noise(), dict(n_max=-1), "n_max = -1 < 0"),
-        (tracking_noise(), dict(segment_points=0), "segment_points = 0 < 1"),
-    ],
-    ids=["binary-start-full-noise", "binary-map-no-start", "negative-n_max",
-         "no-segment-points"],
-)
-def test_curve_input_checks(noise, kwargs, message):
-    kwargs = {"n_max": 3, **kwargs}
-    with pytest.raises(ValueError, match=message):
-        purification_curve(noise, **kwargs)
-
-
 @pytest.mark.parametrize("f0", [0.76, 0.9])
 def test_binary_noise_on_a_flagged_state_runs_the_16_cell_map(f0):
     # a binary channel steps a flagged state with generate_map's map of it
     noise = BinaryNoiseModel.uncorrelated(f0)
     qmap = generate_map(noise)
     flagged = embed(BellDiagonalState.werner(0.85))
-    curve = purification_curve(noise, 3, start=flagged)
-    assert all(np.array_equal(a, b) for a, b in zip(
-        curve, purification_curve(qmap, 3, start=flagged), strict=True))
     one, two = iterate_to_fixpoint(flagged, noise), iterate_to_fixpoint(flagged, qmap)
     assert (one.iterations, one.converged, one.residual) == (two.iterations, two.converged,
                                                              two.residual)
@@ -980,14 +900,13 @@ def test_binary_noise_on_a_flagged_state_runs_the_16_cell_map(f0):
     assert secure_by_stability(noise, flagged) == secure_by_stability(noise)
 
 
-def test_curve_needs_a_flagged_start():
+def test_the_engine_needs_a_flagged_start():
     # the engine rejects a plain Bell-diagonal state in one place, naming embed
     qmap, plain = noiseless_map(), BellDiagonalState.werner(0.85)
     for solve in (
         lambda: iterate_to_fixpoint(plain, qmap),
         lambda: classify_regime(qmap, plain),
         lambda: secure_by_stability(qmap, plain),
-        lambda: purification_curve(qmap, 3, start=plain),
     ):
         with pytest.raises(TypeError, match=r"got BellDiagonalState; use embed\(\)"):
             solve()

@@ -5,12 +5,17 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from eppsim import montecarlo
 from eppsim.montecarlo import (
     _CHUNK,
+    _ROUTES,
     MCConfig,
     RoundStats,
     _categorical,
+    _errors,
+    _pairs_needed,
     _round_rng,
+    _sparse,
     analytic_trajectory,
     init_ensemble,
     purification_round,
@@ -125,13 +130,25 @@ def test_odd_leftover_carried_unchanged():
     assert slots == {0, 1}  # at either slot among the survivors
 
 
+def dense_draws(rng, p, size):
+    """``size`` iid draws from ``p`` as one array: the mode everywhere, and
+    ``_errors``'s draws over it chunk by chunk."""
+    law = _sparse(p)
+    out = np.full(size, law.mode, dtype=np.uint8)
+    for start in range(0, size, _CHUNK):
+        positions, values = _errors(rng, law, min(_CHUNK, size - start))
+        out[start + positions] = values
+    return out
+
+
 def in_order_round(ens, noise, rng):
-    """The round drawn through ``rng.choice`` and routed through
-    ``noisy_circuit``: couples in order, the odd pair out at a uniform slot."""
+    """The round with one joint error per couple drawn by ``dense_draws`` and
+    routed through ``noisy_circuit``: couples in order, the odd pair out at a
+    uniform slot."""
     n = len(ens)
     couples = n // 2
-    joint = rng.choice(16, size=couples, p=noise.f.ravel())
-    mu, nu = np.divmod(joint.astype(np.uint8), 4)
+    joint = dense_draws(rng, noise.f.ravel(), couples)
+    mu, nu = np.divmod(joint, 4)
     out = noisy_circuit(ens[0:2 * couples:2], ens[1::2], mu, nu)
     out = out[out != DISCARDED]
     if n % 2:
@@ -144,7 +161,9 @@ def in_order_round(ens, noise, rng):
 @pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 300_000, 300_001])
 def test_round_couples_the_pairs_in_order(pairs):
     noise = tracking_noise()
-    ens = init_ensemble(cfg(pairs=pairs, seed=3))
+    config = cfg(pairs=pairs, seed=3)
+    ens = init_ensemble(config)
+    assert np.array_equal(ens, dense_draws(_round_rng(3, 0), config.initial.coeffs, pairs) << 2)
     before = ens.copy()
     for r in (1, 2):
         out = purification_round(ens, noise, _round_rng(3, r))
@@ -154,27 +173,122 @@ def test_round_couples_the_pairs_in_order(pairs):
         ens, before = out, out.copy()
 
 
+def test_route_table_reads_a_couples_two_bytes():
+    # entry (joint << 12) | (tgt << 8) | src, on every one of the 4096 routes
+    joint, src, tgt = (a.ravel() for a in np.indices((16, 16, 16)))
+    assert np.array_equal(_ROUTES[(joint << 12) | (tgt << 8) | src],
+                          NOISY_CIRCUIT[joint, src, tgt])
+    assert _ROUTES.dtype == np.uint8 and not _ROUTES.flags.writeable
+    couple = np.array([3, 14], dtype=np.uint8).view(montecarlo._TWO_CELLS)
+    assert couple[0] == 3 | 14 << 8  # source byte first, on any host
+
+
+@pytest.mark.parametrize("n", [0, 1, 7, _CHUNK - 1, _CHUNK + 1, 2 * _CHUNK - 1, 2 * _CHUNK + 1,
+                               3 * _CHUNK + 5])
+def test_round_stats_count_what_bincount_counts(n):
+    cells = np.random.default_rng(n).integers(0, 16, n, dtype=np.uint8)
+    stats = RoundStats.of(2, cells)
+    assert stats.cells.tolist() == np.bincount(cells, minlength=16).tolist()
+    assert stats.pairs_remaining == n
+
+
+class Uniforms:
+    """Stands in for a Generator: call k of ``random`` returns the k-th
+    scripted list, padded with ``fill`` to the size asked for."""
+
+    def __init__(self, *calls, fill=0.5):
+        self.calls, self.fill, self.sizes = list(calls), fill, []
+
+    def random(self, size):
+        self.sizes.append(size)
+        script = self.calls.pop(0) if self.calls else []
+        assert len(script) <= size
+        return np.array(script + [self.fill] * (size - len(script)))
+
+
+def test_errors_invert_one_double_per_gap():
+    law = _sparse(np.array([0.5, 0.25, 0.25, 0.0]))  # q = 1/2: gap 1 + floor(log2(1 / (1 - u)))
+    # gaps 2, 1, 3, then 1s: positions 1, 2, 5, and 6 lies past the chunk
+    rng = Uniforms([0.5, 0.0, 0.75], [0.1, 0.6, 0.9], fill=0.0)
+    positions, values = _errors(rng, law, 6)
+    assert positions.tolist() == [1, 2, 5]
+    assert values.dtype == np.uint8 and values.tolist() == [1, 2, 2]  # cdf of the rest: 0, 1/2, 1
+    assert rng.sizes[1] == rng.sizes[0]  # a value for every gap drawn, kept or not
+
+
+def test_errors_draw_another_batch_until_the_chunk_ends():
+    law = _sparse(np.array([0.999, 0.001]))
+    rng = Uniforms([], [0.9999999], [], fill=0.0)  # a first batch of gaps of 1, then a long gap
+    positions, values = _errors(rng, law, 1000)
+    assert positions.tolist() == list(range(rng.sizes[0]))
+    assert rng.sizes[0] < 1000 and len(rng.sizes) == 3
+    assert (values == 1).all()
+
+
+def test_errors_of_a_tiny_q_end_the_chunk_without_overflow():
+    # log(1 - u) / log(1 - q) is near 1e300 here; unclipped, the integer cast overflows
+    law = _sparse(np.array([1.0, 1e-300]))
+    assert law.q == 1e-300
+    rng = Uniforms([0.0, 0.0], [0.5])  # gaps 1, 1, then past the end
+    positions, values = _errors(rng, law, _CHUNK)
+    assert positions.tolist() == [0, 1] and values.tolist() == [1, 1]
+    positions, _ = _errors(Uniforms([], fill=1.0 - 2.0**-53), law, _CHUNK)
+    assert positions.size == 0
+
+
+def test_errors_of_a_mode_only_law_draw_nothing():
+    rng = Uniforms()
+    positions, values = _errors(rng, _sparse(np.array([0.0, 1.0, 0.0, 0.0])), _CHUNK)
+    assert positions.size == 0 and values.size == 0 and rng.sizes == []
+
+
+@pytest.mark.parametrize(
+    "p",
+    [
+        BellDiagonalState.werner(0.85).coeffs,
+        tracking_noise().f.ravel(),
+        BinaryNoiseModel.uncorrelated(0.95).f.ravel(),  # trailing zeros
+        np.array([0.5, 0.0, 0.3, 0.2]),  # an interior zero
+    ],
+    ids=["werner-0.85", "tracking-noise", "binary-embedded", "interior-zero"],
+)
+def test_sparse_draws_have_the_iid_law(p):
+    """Single and lag-1 pair frequencies of 2**22 draws, within 4 binomial
+    errors; the pairs at even and at odd offsets are two sets of iid pairs."""
+    n, k = 2**22, len(p)
+    p = p / p.sum()
+    draws = dense_draws(_round_rng(1, 1), p, n)
+    for got, want in [(draws, p),
+                      (draws[0::2] * k + draws[1::2], np.outer(p, p).ravel()),
+                      (draws[1:-1:2] * k + draws[2::2], np.outer(p, p).ravel())]:
+        counts = np.bincount(got, minlength=want.size)
+        assert counts.size == want.size
+        assert (counts[want == 0] == 0).all()
+        sigma = np.sqrt(got.size * want * (1 - want))
+        z = np.abs(counts - got.size * want)[want > 0] / sigma[want > 0]
+        assert z.max() <= 4.0, f"worst z = {z.max():.2f}"
+
+
 # An iid ensemble over three cells, one of them flagged, and a channel of
 # three joint errors: small enough to enumerate every outcome of two rounds.
 LAW_CELLS = {0: 0.5, 4: 0.3, 5: 0.2}
 LAW_JOINTS = {0: 0.6, 1: 0.25, 5: 0.15}
 LAW_NOISE = general(np.bincount(list(LAW_JOINTS), list(LAW_JOINTS.values()), 16).reshape(4, 4))
+LAW_NOISE_MODE = 0
 
 
 class ScriptedRng:
-    """Stands in for a Generator in one round: ``random`` returns doubles
-    that ``_categorical`` maps to the given joint errors, ``integers`` the
+    """Stands in for a Generator in one round: ``errors`` gives the couples
+    whose joint error is not the mode, with their errors, ``integers`` the
     given slot."""
 
     def __init__(self, joints, slot):
-        f = LAW_NOISE.f.ravel()
-        cdf = f.cumsum() / f.sum()
-        self.doubles = np.array([cdf[j - 1] if j else 0.0 for j in joints])
-        self.slot = slot
+        self.joints, self.slot = np.array(joints, dtype=np.uint8), slot
 
-    def random(self, size):
-        assert size == len(self.doubles)
-        return self.doubles
+    def errors(self, size):
+        assert size == len(self.joints)
+        positions = np.flatnonzero(self.joints != LAW_NOISE_MODE)
+        return positions, self.joints[positions]
 
     def integers(self, high):
         assert 0 <= self.slot < high
@@ -183,6 +297,11 @@ class ScriptedRng:
 
 def add_law(law, outcome, weight):
     law[outcome] = law.get(outcome, 0.0) + weight
+
+
+def scripted_errors(rng, law, size):
+    assert law.mode == LAW_NOISE_MODE
+    return rng.errors(size)
 
 
 @functools.cache
@@ -222,9 +341,11 @@ def shuffled_law(ens):
 
 
 @pytest.mark.parametrize("pairs", [4, 5])
-def test_round_counts_have_the_law_of_a_shuffled_round(pairs):
+def test_round_counts_have_the_law_of_a_shuffled_round(pairs, monkeypatch):
     """Joint law of the cell counts after rounds 1 and 2 of an iid ensemble,
     exactly: the in-order round against the round that shuffles first."""
+    monkeypatch.setattr(montecarlo, "_errors", scripted_errors)
+    in_order_law.cache_clear()
     ours, theirs = {}, {}
     for ens in itertools.product(LAW_CELLS, repeat=pairs):
         weight = np.prod([LAW_CELLS[c] for c in ens])
@@ -276,7 +397,7 @@ def test_categorical_draws_what_choice_draws(p, size):
 
 
 def test_run_memory_stays_within_a_few_chunks():
-    """Traced peak of a 1e6-pair run, 4 rounds: about 2.4 MB.  Draws made
+    """Traced peak of a 1e6-pair run, 4 rounds: about 2.3 MB.  Draws made
     through ``rng.choice`` and routed all at once take 16 MB: float64 draws
     and int64 indices for every pair."""
     config = cfg(pairs=10**6, rounds=4)
@@ -361,11 +482,15 @@ def test_run_depletes_pairs_and_fluctuations_grow():
     stats = run(cfg(pairs=200_000, rounds=6))
     remaining = [s.pairs_remaining for s in stats]
     assert all(b < a for a, b in zip(remaining, remaining[1:]))
-    # nominal binomial error bar keeps growing as the ensemble depletes
-    widths = [
-        np.sqrt(max(s.f_cond_hat * (1 - s.f_cond_hat), 1e-8) / s.pairs_remaining)
-        for s in stats
-    ]
+    # nominal binomial error bar keeps growing as the ensemble depletes; the
+    # Agresti-Coull estimate (k + 2) / (n + 4) keeps it from vanishing when
+    # every pair left is on the flag diagonal, which at round 6 (about 900
+    # pairs at F_cond = 0.9973) happens with probability 0.09
+    widths = []
+    for s in stats:
+        n = s.pairs_remaining + 4
+        p = (s.cells[::5].sum() + 2) / n
+        widths.append(np.sqrt(p * (1 - p) / n))
     assert widths[-1] > widths[0]
 
 
@@ -416,6 +541,15 @@ def test_resources_cost_that_overflows_is_an_error():
     noise = noise_from_config({"model": "white", "f0": "0.8988"})
     with pytest.raises(ValueError, match="round 1484 overflows"):
         resources(noise, BellDiagonalState.werner(0.85), 1e-6, max_rounds=3000)
+
+
+def test_pairs_needed_refuses_a_cost_past_2_53():
+    assert _pairs_needed(3, 2.0**53) == 2**53
+    assert _pairs_needed(3, 2.0**51 + 0.5) == 2**51 + 1
+    with pytest.raises(ValueError, match=r"round 7 is 9\.007e\+15, past 2\*\*53"):
+        _pairs_needed(7, np.nextafter(2.0**53, np.inf))
+    with pytest.raises(ValueError, match="round 8 overflows"):
+        _pairs_needed(8, np.inf)
 
 
 def test_resources_unreachable_target():

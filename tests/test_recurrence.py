@@ -16,7 +16,6 @@ import numpy as np
 import pytest
 
 from eppsim.bellbits import BellIndex, FlagPair, epp_unitary, flag_update, keep_predicate
-from eppsim import montecarlo
 from eppsim.noisemodels import BinaryNoiseModel, NoiseModel, binary, general, product
 from eppsim.recurrence import (
     _ROUTE_CELL,
@@ -269,8 +268,6 @@ def test_noisy_circuit_table_equals_routed_terms_on_every_term():
     for src, tgt, mu, nu, out in routed_terms():
         assert NOISY_CIRCUIT[4 * mu + nu, src, tgt] == (DISCARDED if out is None else out)
     assert NOISY_CIRCUIT.dtype == np.uint8 and not NOISY_CIRCUIT.flags.writeable
-    # the Monte Carlo routes through the same table, not a second tabulation
-    assert np.shares_memory(montecarlo._NOISY_CIRCUIT, NOISY_CIRCUIT)
 
 
 def test_route_arrays_equal_those_built_from_routed_terms():
