@@ -28,17 +28,22 @@ def _validated_vector(vec, labels: tuple[str, ...], sum_tol: float, neg_tol: flo
     """The weights clipped at zero and scaled to sum to one: the one check of
     channels and states.  Raises ValueError, naming the weight by its label,
     for a weight that is not finite or is below -neg_tol, and for a sum off 1
-    by more than sum_tol (so a table of zeros too)."""
+    by more than sum_tol (so a table of zeros too).
+
+    Weights that are all positive with a finite sum pass as they are: they
+    are finite, and clipping leaves their bits alone.  A zero weight takes
+    the full check, as clipping turns -0.0 into +0.0."""
     vec = np.asarray(vec, dtype=float)
-    bad = ~np.isfinite(vec)
-    if bad.any():
-        k = int(bad.argmax())
-        raise ValueError(f"non-finite weight {labels[k]} = {vec[k]}")
-    lo = vec.min()
-    if lo < -neg_tol:
-        raise ValueError(f"negative weight {labels[int(vec.argmin())]} = {lo}")
-    vec = np.clip(vec, 0.0, None)
-    total = vec.sum()
+    lo, total = vec.min(), vec.sum()
+    if not (lo > 0.0 and total < np.inf):  # a NaN fails both
+        bad = ~np.isfinite(vec)
+        if bad.any():
+            k = int(bad.argmax())
+            raise ValueError(f"non-finite weight {labels[k]} = {vec[k]}")
+        if lo < -neg_tol:
+            raise ValueError(f"negative weight {labels[int(vec.argmin())]} = {lo}")
+        vec = np.clip(vec, 0.0, None)
+        total = vec.sum()
     if abs(total - 1.0) > sum_tol:
         raise ValueError(f"weights sum to {total}, expected 1")
     return vec / total

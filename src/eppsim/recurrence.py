@@ -12,20 +12,22 @@ flag bits, e.g. ``A00`` or ``C01``.
 One noisy purification step is a normalized quadratic form: sixteen
 symmetric matrices M_j, one per output cell, with
 
-    a'_j = (a M_j a) / N,    N = sum_j a M_j a,
+    a'_j = (a M_j a) / N,    N = sum_j a M_j a = a S a,
 
-where N is the keep probability.  The circuit itself is fixed: ``CIRCUIT``
-tabulates, from the exact bit algebra of ``bellbits``, the kept source
-pair's output cell for each (source cell, target cell), or ``DISCARDED``.
-Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
-its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
-``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for
-any noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source /
-target / error combinations through that table.  It is the one map
-builder: the binary sub-family's map (``binary_quadratic_map``) is its map
-sliced to the four binary cells, and the noiseless map is ``generate_map``
-of the channel with f[I, I] = 1.  The closed forms ``binary_step`` and
-``ideal_step`` are kept as oracles.
+where N is the keep probability and S = sum_j M_j the keep form, which a
+``QuadraticMap`` carries as one more slab after the M_j, so that one
+matrix-vector product gives a step's image and N together.  The circuit
+itself is fixed: ``CIRCUIT`` tabulates, from the exact bit algebra of
+``bellbits``, the kept source pair's output cell for each (source cell,
+target cell), or ``DISCARDED``.  Pauli noise only relabels cells: an error
+mu flips a pair's Bell bits and its flag bits alike, so cell c becomes
+c ^ 5 mu (``noisy_circuit``, with ``NOISY_CIRCUIT`` its table).
+``generate_map`` derives the matrices for any noise channel by routing all
+16 * 16 * 4 * 4 = 4096 weighted source / target / error combinations
+through that table.  It is the one map builder: the binary sub-family's map
+(``binary_quadratic_map``) is its map sliced to the four binary cells, and
+the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.  The
+closed forms ``binary_step`` and ``ideal_step`` are kept as oracles.
 """
 
 from __future__ import annotations
@@ -131,14 +133,18 @@ class QuadraticMap:
     Every map, however made, is checked here: construction raises ValueError
     unless ``m`` is an (n, n, n) cube of finite, nonnegative entries for n
     names and every M_j is symmetric, which ``jacobian`` assumes.  The map
-    holds a read-only copy of ``m``; the caller's array stays writable.
+    holds one read-only (n + 1, n, n) buffer ``forms``: its first n slabs
+    are a copy of the M_j, which ``m`` views, and slab n is the keep form
+    S = sum_j M_j, so that N = a S a.  One product with ``forms`` gives a
+    state's image and its keep probability together.  The caller's array
+    stays writable.
     """
 
     m: np.ndarray
     names: tuple[str, ...]
 
     def __post_init__(self):
-        m = np.array(self.m, dtype=float)  # a copy, frozen below
+        m = np.asarray(self.m, dtype=float)
         n = len(self.names)
         if m.shape != (n, n, n):
             raise ValueError(f"map of shape {m.shape} for {n} names; expected {(n, n, n)}")
@@ -146,9 +152,12 @@ class QuadraticMap:
             raise ValueError("map entries must be finite and nonnegative")
         if not (m == m.transpose(0, 2, 1)).all():
             raise ValueError("every matrix M_j of the map must be symmetric")
-        object.__setattr__(self, "m", m)
-        m.setflags(write=False)
-        object.__setattr__(self, "_m2", m.reshape(n, -1))
+        forms = np.empty((n + 1, n, n))
+        forms[:n] = m
+        forms[:n].sum(axis=0, out=forms[n])
+        forms.setflags(write=False)  # before the view, which inherits it
+        object.__setattr__(self, "forms", forms)
+        object.__setattr__(self, "m", forms[:n])
 
     @property
     def dim(self) -> int:
@@ -156,11 +165,11 @@ class QuadraticMap:
 
     def apply(self, a: np.ndarray) -> tuple[np.ndarray, float]:
         """Contract with a weight vector; returns (normalized image, keep probability)."""
-        q = self._m2 @ np.multiply.outer(a, a).ravel()
-        n = q.sum()
+        q = self.forms.reshape(len(self.forms), -1) @ np.multiply.outer(a, a).ravel()
+        n = q[-1]
         if n <= ANNIHILATION_EPS:
             raise EnsembleAnnihilated(f"keep probability {n} <= {ANNIHILATION_EPS}")
-        return q / n, float(n)
+        return q[:-1] / n, float(n)
 
     def restricted(self, cells) -> "QuadraticMap":
         """The forms M_j[k, l] with j, k and l among ``cells``.

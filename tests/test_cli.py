@@ -657,7 +657,7 @@ def test_resources_cost_past_2_53_is_an_error(tmp_path, capsys):
     args = ["resources", "--model", "white", "--f0", "0.9", "--eps-min", "0"]
     assert main(args + ["--rounds", "33", "--out", str(tmp_path / "33")]) == 0
     _, rows = read_csv(tmp_path / "33" / "resources.csv")
-    assert rows[-1][2] == "3172765097653904"
+    assert rows[-1][2] == "3172765097653889"
     assert main(args + ["--rounds", "34", "--out", str(tmp_path / "34")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "round 34 is 9.395e+15, past 2**53" in err

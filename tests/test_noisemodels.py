@@ -47,6 +47,14 @@ def test_general_rejects_negative_entries():
         general(f)
 
 
+def test_general_stores_a_negative_zero_weight_as_zero():
+    # a zero weight takes the clipping path, which clears the sign of -0.0;
+    # only tables of positive weights skip it
+    f = np.full(16, 1 / 15)
+    f[5] = -0.0
+    assert not np.signbit(general(f).f).any()
+
+
 def test_general_rejects_zero_sum():
     with pytest.raises(ValueError):
         general(np.zeros(16))

@@ -106,6 +106,14 @@ def test_map_forms_are_nonnegative_symmetric_and_sum_to_the_keep_form(channel):
     assert np.allclose(m.sum(axis=0), keep_form(noise.f), rtol=0.0, atol=1e-15)
 
 
+@given(channel=weights16)
+def test_the_last_slab_of_a_maps_forms_is_its_keep_form(channel):
+    noise = general(normalized(channel))
+    qmap = generate_map(noise)
+    assert np.array_equal(qmap.forms[16], qmap.m.sum(axis=0))
+    assert np.allclose(qmap.forms[16], keep_form(noise.f), rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=20)
 @given(channel=weights16, state=weights16, seed=st.integers(0, 2**32 - 1))
 def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):

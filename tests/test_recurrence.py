@@ -446,6 +446,45 @@ def test_quadratic_map_leaves_the_callers_array_writable():
     assert not qm.m.flags.writeable
 
 
+def test_quadratic_map_forms_and_their_view_are_read_only():
+    m = np.ones((2, 2, 2))
+    qm = QuadraticMap(m, ("a", "b"))
+    assert qm.forms.shape == (3, 2, 2)
+    assert np.shares_memory(qm.m, qm.forms)
+    for frozen in (qm.forms, qm.m):
+        assert not frozen.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            frozen[0, 0, 0] = 2.0
+    assert m.flags.writeable
+
+
+def test_a_restricted_map_carries_the_sum_of_its_own_forms():
+    # the cells (0, 1, 4, 5) span no invariant subspace of a general
+    # channel's map, so the whole map's keep form sliced to them differs
+    cells = [0, 1, 4, 5]
+    rng = np.random.default_rng(23)
+    qmap = generate_map(general(rng.dirichlet(np.ones(16)).reshape(4, 4)))
+    sub = qmap.restricted(cells)
+    assert sub.forms.shape == (5, 4, 4)
+    assert np.array_equal(sub.forms[4], sub.m.sum(axis=0))
+    assert not np.allclose(sub.forms[4], qmap.forms[16][np.ix_(cells, cells)])
+    binary_map = binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.9))
+    assert np.array_equal(binary_map.forms[4], binary_map.m.sum(axis=0))
+
+
+def test_apply_takes_the_keep_probability_from_the_keep_form():
+    # N = a S a, from the same product as the image, is the sum of the
+    # image before normalisation up to rounding
+    rng = np.random.default_rng(24)
+    for _ in range(200):
+        qmap = generate_map(general(rng.dirichlet(np.ones(16)).reshape(4, 4)))
+        a = rng.dirichlet(np.ones(16))
+        image, keep = qmap.apply(a)
+        raw = qmap.m.reshape(16, -1) @ np.multiply.outer(a, a).ravel()
+        assert abs(keep - raw.sum()) <= 16 * np.spacing(keep)
+        assert np.allclose(image, raw / keep, rtol=1e-15, atol=0.0)
+
+
 @pytest.mark.parametrize(
     "entry, value, match",
     [(5, float("nan"), "finite"), (5, float("inf"), "finite"), (5, -0.25, "nonnegative"),
