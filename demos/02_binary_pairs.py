@@ -15,7 +15,6 @@ import numpy as np
 from eppsim import (
     BinaryFlaggedState,
     BinaryNoiseModel,
-    binary,
     binary_fixpoint_analytic,
     binary_step,
     fit_intermediate,
@@ -24,7 +23,7 @@ from eppsim import (
 
 # -- 1. trajectory at a fixed noise level ----------------------------------
 
-noise = binary(0.8575, 0.0475, 0.0475, 0.0475)
+noise = BinaryNoiseModel(0.8575, 0.0475, 0.0475, 0.0475)
 state = BinaryFlaggedState(0.8, 0.0, 0.2, 0.0)
 history = [state]
 for _ in range(25):

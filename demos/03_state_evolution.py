@@ -8,15 +8,14 @@
 
 import numpy as np
 
-from eppsim import BellDiagonalState, embed, generate_map, iterate_to_fixpoint, step
-from eppsim.noisemodels import general
+from eppsim import BellDiagonalState, NoiseModel, embed, generate_map, iterate_to_fixpoint, step
 from eppsim.recurrence import LETTER_OF_BELL
 
 f = np.full((4, 4), 0.003712)
 f[0, :] = 0.021131
 f[:, 0] = 0.021131
 f[0, 0] = 0.83981
-noise = general(f)
+noise = NoiseModel(f)
 qmap = generate_map(noise)
 
 

@@ -8,15 +8,14 @@
 
 import numpy as np
 
-from eppsim import BellDiagonalState, MCConfig, analytic_trajectory
+from eppsim import BellDiagonalState, MCConfig, NoiseModel, analytic_trajectory
 from eppsim.montecarlo import run
-from eppsim.noisemodels import general
 
 f = np.full((4, 4), 0.0020968)
 f[0, :] = 0.0113896
 f[:, 0] = 0.0113896
 f[0, 0] = 0.91279120
-noise = general(f)
+noise = NoiseModel(f)
 
 config = MCConfig(
     n_pairs=10**6,

@@ -4,7 +4,7 @@
 # spectral radius of the step's Jacobian at the secure (flag-diagonal)
 # fixpoint crosses one.  It is found as the root of that radius less one,
 # by a bracketed regula-falsi solve (Anderson-Bjorck) that calls the binary
-# family 10 times and the white-noise one 14 times.  That fixpoint is
+# family 9 times and the white-noise one 14 times.  That fixpoint is
 # solved for by Newton's method on the flag-diagonal cells after a 30-step
 # warm start, in tens of steps even at the binary threshold f0 = 3/4, and
 # so is the limit of the start state, on every cell, that the basin check

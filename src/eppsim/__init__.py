@@ -51,10 +51,8 @@ from .montecarlo import (
 from .noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
-    binary,
     compose,
     from_p1_p2,
-    general,
     noise_from_config,
     noise_to_config,
     one_qubit_white,

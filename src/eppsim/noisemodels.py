@@ -72,20 +72,6 @@ class NoiseModel:
         """Probability that no error occurs."""
         return float(self.f[0, 0])
 
-    def source_marginal(self) -> np.ndarray:
-        return self.f.sum(axis=1)
-
-    def target_marginal(self) -> np.ndarray:
-        return self.f.sum(axis=0)
-
-    def to_binary(self) -> "BinaryNoiseModel":
-        """Inverse of :meth:`BinaryNoiseModel.embed`; requires support on {I, X}^2."""
-        outside = self.f.sum() - self.f[:2, :2].sum()
-        if outside > 1e-12:
-            raise ValueError(f"channel has weight {outside} outside the (I, X) block")
-        b = self.f[:2, :2]
-        return BinaryNoiseModel(b[0, 0], b[0, 1], b[1, 0], b[1, 1])
-
 
 @dataclass(frozen=True)
 class BinaryNoiseModel:
@@ -132,11 +118,6 @@ class BinaryNoiseModel:
             raise ValueError(f"f0 = {f0} outside [0, 1]")
         f1 = 1.0 - f0
         return cls(f0 * f0, f0 * f1, f1 * f0, f1 * f1)
-
-
-def general(f16) -> NoiseModel:
-    """Validate an arbitrary 16-entry probability table (any 4x4-shapeable array)."""
-    return NoiseModel(np.asarray(f16, dtype=float).reshape(4, 4))
 
 
 def product(fa, fb) -> NoiseModel:
@@ -191,10 +172,6 @@ def from_p1_p2(p1: float, p2: float, both_labs: bool = False) -> NoiseModel:
         p1, p2 = p1 * p1, p2 * p2
     single = _depolarizing_one(p1)
     return compose(product(single, single), _depolarizing_two(p2))
-
-
-def binary(f00: float, f01: float, f10: float, f11: float) -> BinaryNoiseModel:
-    return BinaryNoiseModel(f00, f01, f10, f11)
 
 
 # --- flat key-value (de)serialization ------------------------------------

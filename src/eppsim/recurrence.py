@@ -25,7 +25,7 @@ c ^ 5 mu (``noisy_circuit``, with ``NOISY_CIRCUIT`` its table).
 ``generate_map`` derives the matrices for any noise channel by routing all
 16 * 16 * 4 * 4 = 4096 weighted source / target / error combinations
 through that table.  It is the one map builder: the binary sub-family's map
-(``binary_quadratic_map``) is its map sliced to the four binary cells, and
+(``binary_quadratic_map``) is its map restricted to the four binary cells, and
 the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.  The
 closed forms ``binary_step`` and ``ideal_step`` are kept as oracles.
 """
@@ -130,24 +130,23 @@ _BINARY_CELLS = [0, 1, 4, 5]
 class QuadraticMap:
     """One purification step as normalized quadratic forms a'_j = a M_j a / N.
 
-    Every map, however made, is checked here: construction raises ValueError
-    unless ``m`` is an (n, n, n) cube of finite, nonnegative entries for n
-    names and every M_j is symmetric, which ``jacobian`` assumes.  The map
-    holds one read-only (n + 1, n, n) buffer ``forms``: its first n slabs
-    are a copy of the M_j, which ``m`` views, and slab n is the keep form
-    S = sum_j M_j, so that N = a S a.  One product with ``forms`` gives a
-    state's image and its keep probability together.  The caller's array
-    stays writable.
+    A map is its forms and nothing else.  Every map, however made, is
+    checked here: construction raises ValueError unless ``m`` is an
+    (n, n, n) cube of finite, nonnegative entries and every M_j is
+    symmetric, which ``jacobian`` assumes.  The map holds one read-only
+    (n + 1, n, n) buffer ``forms``: its first n slabs are a copy of the
+    M_j, which ``m`` views, and slab n is the keep form S = sum_j M_j, so
+    that N = a S a.  One product with ``forms`` gives a state's image and
+    its keep probability together.  The caller's array stays writable.
     """
 
     m: np.ndarray
-    names: tuple[str, ...]
 
     def __post_init__(self):
         m = np.asarray(self.m, dtype=float)
-        n = len(self.names)
-        if m.shape != (n, n, n):
-            raise ValueError(f"map of shape {m.shape} for {n} names; expected {(n, n, n)}")
+        if m.ndim != 3 or len(set(m.shape)) != 1:
+            raise ValueError(f"map of shape {m.shape}; expected an (n, n, n) cube")
+        n = len(m)
         if not (m.min() >= 0.0 and m.max() < np.inf):  # a NaN fails both
             raise ValueError("map entries must be finite and nonnegative")
         if not (m == m.transpose(0, 2, 1)).all():
@@ -172,30 +171,15 @@ class QuadraticMap:
         return q[:-1] / n, float(n)
 
     def restricted(self, cells) -> "QuadraticMap":
-        """The forms M_j[k, l] with j, k and l among ``cells``.
+        """The map of the forms M_j[k, l] with j, k and l among ``cells``, in
+        the cells' order; its keep form is summed afresh over those M_j.
 
         This is the step on the subspace the cells span, exactly, where the
         step maps that subspace into itself (M_j[k, l] = 0 for every j off
-        the cells and k, l on them).
+        the cells and k, l on them).  ``binary_quadratic_map`` is one such
+        restriction.
         """
-        cells = list(cells)
-        return QuadraticMap(
-            m=self.m[np.ix_(cells, cells, cells)], names=tuple(self.names[c] for c in cells)
-        )
-
-    def to_json_dict(self) -> dict:
-        return {
-            "names": list(self.names),
-            "matrices": {name: self.m[j].ravel().tolist() for j, name in enumerate(self.names)},
-        }
-
-    @classmethod
-    def from_json_dict(cls, d: dict) -> "QuadraticMap":
-        """The map ``to_json_dict`` wrote; the constructor checks its entries."""
-        names = tuple(d["names"])
-        n = len(names)
-        m = np.array([d["matrices"][name] for name in names], dtype=float).reshape(n, n, n)
-        return cls(m=m, names=names)
+        return QuadraticMap(self.m[np.ix_(cells, cells, cells)])
 
 
 def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
@@ -206,14 +190,13 @@ def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
     # bincount adds the routes in index order, as np.add.at would
     weights = noise.f.take(_ROUTE_PAULI)
     m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)
-    return QuadraticMap(m=0.5 * (m + m.transpose(0, 2, 1)), names=COEFF_NAMES)
+    return QuadraticMap(0.5 * (m + m.transpose(0, 2, 1)))
 
 
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
     """The step matrices of the closed binary sub-family: ``generate_map``'s
-    map sliced to the binary cells, with the variables (A0, A1, B0, B1)."""
-    cells = np.ix_(_BINARY_CELLS, _BINARY_CELLS, _BINARY_CELLS)
-    return QuadraticMap(generate_map(noise).m[cells], BINARY_NAMES)
+    map restricted to the binary cells, with the variables (A0, A1, B0, B1)."""
+    return generate_map(noise).restricted(_BINARY_CELLS)
 
 
 # --- states ---------------------------------------------------------------
@@ -293,11 +276,6 @@ class FlaggedEnsembleState:
 
     def named_coeffs(self) -> dict[str, float]:
         return {name: float(self.flat[k]) for k, name in enumerate(COEFF_NAMES)}
-
-    @classmethod
-    def from_named(cls, coeffs: dict[str, float]) -> "FlaggedEnsembleState":
-        flat = np.array([coeffs[name] for name in COEFF_NAMES])
-        return cls(flat.reshape(4, 4))
 
 
 def embed(state: BellDiagonalState) -> FlaggedEnsembleState:

@@ -35,7 +35,13 @@ from eppsim.matrixoracle import (
     two_pair_vector,
 )
 from eppsim.montecarlo import MCConfig, analytic_trajectory, resources, run as mc_run
-from eppsim.noisemodels import BinaryNoiseModel, from_p1_p2, general, one_qubit_white, product
+from eppsim.noisemodels import (
+    BinaryNoiseModel,
+    NoiseModel,
+    from_p1_p2,
+    one_qubit_white,
+    product,
+)
 from eppsim.recurrence import (
     BellDiagonalState,
     BinaryFlaggedState,
@@ -58,7 +64,7 @@ def showcase_noise():
     f[0, :] = 0.021131
     f[:, 0] = 0.021131
     f[0, 0] = 0.83981
-    return general(f)
+    return NoiseModel(f)
 
 
 def tracking_noise():
@@ -66,7 +72,7 @@ def tracking_noise():
     f[0, :] = 0.0113896
     f[:, 0] = 0.0113896
     f[0, 0] = 0.91279120
-    return general(f)
+    return NoiseModel(f)
 
 
 def test_criterion_01_bit_algebra_vs_dense_oracle():

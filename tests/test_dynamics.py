@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import eppsim
-from eppsim import dynamics, recurrence
+from eppsim import dynamics, matrixoracle, recurrence
 from eppsim.dynamics import (
     Regime,
     binary_family,
@@ -29,13 +29,13 @@ from eppsim.noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
     from_p1_p2,
-    general,
     one_qubit_white,
     product,
 )
 from eppsim.recurrence import (
     BellDiagonalState,
     BinaryFlaggedState,
+    EnsembleAnnihilated,
     FlaggedEnsembleState,
     binary_quadratic_map,
     binary_step,
@@ -51,7 +51,7 @@ def tracking_noise():
     f[0, :] = 0.0113896
     f[:, 0] = 0.0113896
     f[0, 0] = 0.91279120
-    return general(f)
+    return NoiseModel(f)
 
 
 def white(f0):
@@ -200,7 +200,7 @@ def annihilating_map():
     m = np.zeros((2, 2, 2))
     m[0, 0, 0] = 1.0
     m[1, 0, 1] = m[1, 1, 0] = 2000.0
-    return recurrence.QuadraticMap(m, ("x", "y"))
+    return recurrence.QuadraticMap(m)
 
 
 @pytest.mark.parametrize("cap", BLOCK_CAPS)
@@ -311,7 +311,7 @@ def test_jacobian_matches_finite_differences():
     rng = np.random.default_rng(21)
     h = 1e-6
     for _ in range(50):
-        qm = generate_map(general(rng.dirichlet(np.ones(16))))
+        qm = generate_map(NoiseModel(rng.dirichlet(np.ones(16))))
         a = rng.dirichlet(np.ones(16))
         jac = jacobian(qm, a)
         for k in rng.choice(16, size=4, replace=False):
@@ -376,6 +376,33 @@ def test_binary_critical_point_is_the_closed_form_root():
     root = closed_form_binary_root()
     assert abs(root - BINARY_CRITICAL) < 5e-9
     assert abs(find_critical(binary_family, (0.75, 0.85)) - root) <= 4 * math.ulp(root)
+
+
+@pytest.mark.parametrize(
+    "mirrored, root", [(False, 0.7718445063460382), (True, 1.6 - 0.7718445063460382)],
+    ids=["secure-at-hi", "secure-at-lo"],
+)
+def test_find_critical_scales_the_kept_end_on_either_side(mirrored, root, monkeypatch):
+    # mirrored, the binary family is secure at the bracket's low end, so the
+    # regula-falsi probes replace lo and Anderson-Bjorck's factor scales hi's
+    # margin: the same search from the other side, to the bit
+    calls, replaced = [], []
+    factor = dynamics._anderson_bjorck
+
+    def counted(g_new, g_old):
+        # g_old is the margin of the end just replaced; lo is the secure one
+        # exactly when the family is mirrored
+        replaced.append("lo" if dynamics._secure(g_old) == mirrored else "hi")
+        return factor(g_new, g_old)
+
+    def family(p):
+        calls.append(p)
+        return binary_family(1.6 - p if mirrored else p)
+
+    monkeypatch.setattr(dynamics, "_anderson_bjorck", counted)
+    assert find_critical(family, (0.75, 0.85)) == root
+    assert len(calls) == 9
+    assert replaced == ["lo" if mirrored else "hi"] * 3
 
 
 def test_find_critical_halvings():
@@ -1001,3 +1028,38 @@ def test_iteration_count_diverges_near_critical():
     far = iterations(0.9)
     assert near > far  # strictly slower at the boundary
     assert near >= 10 * far
+
+
+# --- input checks and branches no other test reaches ---------------------------------
+
+
+def fit_of_falling_data():
+    # F_cond falls with f0, so the least-squares slope is negative at every
+    # onset and the fit clips it to zero, leaving the mean
+    x = np.linspace(0.76, 0.77, 8)
+    y = 0.9 - 0.5 * np.sqrt(x - 0.75)
+    c0, c1, _ = fit_intermediate(np.column_stack([x, y]))
+    assert (c0, c1) == (y.mean(), 0.0)
+
+
+@pytest.mark.parametrize(
+    "call, error, match",
+    [
+        (lambda: BinaryNoiseModel.uncorrelated(1.5), ValueError, "outside"),
+        (lambda: binary_fixpoint_analytic(1.01), ValueError, "> 1"),
+        (lambda: product(np.ones(3) / 3, np.ones(4) / 4), ValueError, "length-4"),
+        (lambda: matrixoracle.twirl(np.eye(2) / 2), ValueError, "shape"),
+        (lambda: jacobian(
+            binary_quadratic_map(BinaryNoiseModel(0, 1, 0, 0)), np.array([1.0, 0, 0, 0])),
+         EnsembleAnnihilated, "keep probability"),
+        (fit_of_falling_data, None, None),
+    ],
+    ids=["uncorrelated", "binary_fixpoint_analytic", "product", "twirl", "jacobian",
+         "fit_intermediate"],
+)
+def test_an_input_check_or_branch_no_other_test_reaches(call, error, match):
+    if error is None:
+        call()
+        return
+    with pytest.raises(error, match=match):
+        call()

@@ -22,7 +22,7 @@ from eppsim.montecarlo import (
     resources,
     run,
 )
-from eppsim.noisemodels import BinaryNoiseModel, general, noise_from_config
+from eppsim.noisemodels import BinaryNoiseModel, NoiseModel, noise_from_config
 from eppsim.recurrence import (
     DISCARDED,
     NOISY_CIRCUIT,
@@ -39,7 +39,7 @@ def tracking_noise():
     f[0, :] = 0.0113896
     f[:, 0] = 0.0113896
     f[0, 0] = 0.91279120
-    return general(f)
+    return NoiseModel(f)
 
 
 def cfg(pairs=10**6, fid=0.85, noise=None, rounds=8, seed=1):
@@ -111,7 +111,7 @@ def test_empty_ensemble_has_no_estimates():
 
 
 def test_noiseless_round_halves_and_keeps_phi_plus():
-    identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
+    identity = NoiseModel(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     ens = init_ensemble(cfg(pairs=10_000, fid=1.0, noise=identity))
     out = purification_round(ens, identity, _round_rng(1, 1))
     assert len(out) == 5000
@@ -120,7 +120,7 @@ def test_noiseless_round_halves_and_keeps_phi_plus():
 
 
 def test_odd_leftover_carried_unchanged():
-    identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
+    identity = NoiseModel(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     ens = np.array([0, 0, 4 * 3 + 3], dtype=np.uint8)  # the last pair is the odd one out
     slots = set()
     for seed in range(20):
@@ -273,7 +273,7 @@ def test_sparse_draws_have_the_iid_law(p):
 # three joint errors: small enough to enumerate every outcome of two rounds.
 LAW_CELLS = {0: 0.5, 4: 0.3, 5: 0.2}
 LAW_JOINTS = {0: 0.6, 1: 0.25, 5: 0.15}
-LAW_NOISE = general(np.bincount(list(LAW_JOINTS), list(LAW_JOINTS.values()), 16).reshape(4, 4))
+LAW_NOISE = NoiseModel(np.bincount(list(LAW_JOINTS), list(LAW_JOINTS.values()), 16).reshape(4, 4))
 LAW_NOISE_MODE = 0
 
 
@@ -372,7 +372,7 @@ def test_round_counts_have_the_law_of_a_shuffled_round(pairs, monkeypatch):
     ids=["16", "int64-17", "int64-minus-1", "float"],
 )
 def test_round_rejects_what_is_not_a_cell(cells):
-    identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
+    identity = NoiseModel(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     with pytest.raises(ValueError, match="cells must"):
         purification_round(cells, identity, _round_rng(0, 1))
 
@@ -412,7 +412,7 @@ def test_run_memory_stays_within_a_few_chunks():
 
 
 def test_single_pair_round_is_identity():
-    identity = general(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
+    identity = NoiseModel(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     ens = np.array([4 * 2 + 1], dtype=np.uint8)
     out = purification_round(ens, identity, _round_rng(0, 1))
     assert len(out) == 1 and out[0] >> 2 == 2 and out[0] & 3 == 1
@@ -434,7 +434,7 @@ def test_one_round_matches_recurrence_on_all_cells():
     rng = np.random.default_rng(123)
     n = 10**6
     for trial in range(10):
-        noise = general(rng.dirichlet(np.ones(16)))
+        noise = NoiseModel(rng.dirichlet(np.ones(16)))
         initial = BellDiagonalState(rng.dirichlet(np.ones(4)) * 0.4 + [0.6, 0, 0, 0])
         config = MCConfig(n, initial, noise, 1, seed=1000 + trial)
         ens = purification_round(init_ensemble(config), noise, _round_rng(config.seed, 1))

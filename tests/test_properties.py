@@ -9,7 +9,6 @@ from eppsim.noisemodels import (
     BinaryNoiseModel,
     NoiseModel,
     compose,
-    general,
     noise_from_config,
     noise_to_config,
 )
@@ -28,7 +27,7 @@ def normalized(w):
 
 @given(channel=weights16, state=weights16)
 def test_apply_keeps_weights_on_the_simplex(channel, state):
-    qmap = generate_map(general(normalized(channel)))
+    qmap = generate_map(NoiseModel(normalized(channel)))
     try:
         image, keep = qmap.apply(normalized(state))
     except EnsembleAnnihilated:
@@ -44,7 +43,7 @@ def test_flag_diagonal_subspace_is_invariant_for_any_channel(channel):
     # in an off-diagonal cell, whatever the channel's weights
     diag = [0, 5, 10, 15]
     off = [j for j in range(16) if j not in diag]
-    m = generate_map(general(normalized(channel))).m
+    m = generate_map(NoiseModel(normalized(channel))).m
     assert not m[np.ix_(off, diag, diag)].any()
 
 
@@ -62,7 +61,7 @@ def test_the_restricted_map_is_the_step_on_the_flag_diagonal_subspace(channel, d
     # two diagonal blocks'
     diag = [0, 5, 10, 15]
     off = [j for j in range(16) if j not in diag]
-    qmap = generate_map(general(normalized(channel)))
+    qmap = generate_map(NoiseModel(normalized(channel)))
     sub = qmap.restricted(diag)
     x = normalized(diagonal)
     full = np.zeros(16)
@@ -72,7 +71,7 @@ def test_the_restricted_map_is_the_step_on_the_flag_diagonal_subspace(channel, d
         sub_image, sub_keep = sub.apply(x)
     except EnsembleAnnihilated:
         assume(False)
-    assert sub.names == tuple(qmap.names[j] for j in diag)
+    assert np.array_equal(sub.m, qmap.m[np.ix_(diag, diag, diag)])
     assert np.allclose(sub_image, image[diag], rtol=0.0, atol=1e-15)
     assert not image[off].any()
     assert abs(sub_keep - keep) <= 1e-15
@@ -99,7 +98,7 @@ def keep_form(f):
 
 @given(channel=weights16)
 def test_map_forms_are_nonnegative_symmetric_and_sum_to_the_keep_form(channel):
-    noise = general(normalized(channel))
+    noise = NoiseModel(normalized(channel))
     m = generate_map(noise).m
     assert m.min() >= 0.0
     assert np.array_equal(m, m.transpose(0, 2, 1))
@@ -108,7 +107,7 @@ def test_map_forms_are_nonnegative_symmetric_and_sum_to_the_keep_form(channel):
 
 @given(channel=weights16)
 def test_the_last_slab_of_a_maps_forms_is_its_keep_form(channel):
-    noise = general(normalized(channel))
+    noise = NoiseModel(normalized(channel))
     qmap = generate_map(noise)
     assert np.array_equal(qmap.forms[16], qmap.m.sum(axis=0))
     assert np.allclose(qmap.forms[16], keep_form(noise.f), rtol=0.0, atol=1e-15)
@@ -118,7 +117,7 @@ def test_the_last_slab_of_a_maps_forms_is_its_keep_form(channel):
 @given(channel=weights16, state=weights16, seed=st.integers(0, 2**32 - 1))
 def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):
     # flagged start cells too, so the flag half of the circuit table is reached
-    noise, weights = general(normalized(channel)), normalized(state)
+    noise, weights = NoiseModel(normalized(channel)), normalized(state)
     try:
         predicted, _ = generate_map(noise).apply(weights)
     except EnsembleAnnihilated:
@@ -135,7 +134,7 @@ def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):
 
 @given(a=weights16, b=weights16, c=weights16)
 def test_compose_is_commutative_and_associative(a, b, c):
-    n1, n2, n3 = (general(normalized(w)) for w in (a, b, c))
+    n1, n2, n3 = (NoiseModel(normalized(w)) for w in (a, b, c))
     assert np.allclose(compose(n1, n2).f, compose(n2, n1).f, rtol=0.0, atol=1e-15)
     left, right = compose(compose(n1, n2), n3), compose(n1, compose(n2, n3))
     assert np.allclose(left.f, right.f, rtol=0.0, atol=1e-15)
@@ -143,7 +142,7 @@ def test_compose_is_commutative_and_associative(a, b, c):
 
 @given(channel=weights16)
 def test_general_channel_config_round_trip(channel):
-    noise = general(normalized(channel))
+    noise = NoiseModel(normalized(channel))
     back = noise_from_config(noise_to_config(noise))
     assert isinstance(back, NoiseModel)
     assert np.allclose(back.f, noise.f, rtol=1e-15, atol=0.0)
