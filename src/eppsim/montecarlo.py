@@ -32,12 +32,17 @@ Stim, Quantum 5, 497 (2021)):
   ``_categorical`` over the other weights.  A chunk of s draws takes about
   2 q s doubles: 0.17 per couple and 0.3 per initial pair above, against
   one per draw when every draw is made.  A law with q = 0 draws nothing.
-- ``init_ensemble`` fills the ensemble with the mode and scatters the rest.
-- ``purification_round`` reads each couple's two cells as one uint16,
-  source | target << 8, and routes every couple with one ``take`` from
-  ``_ROUTES``, ``NOISY_CIRCUIT`` laid out as (joint << 12) | (target << 8)
-  | source, as if it drew the mode; then it routes the errored couples
-  again with their own joint errors.
+- The initial ensemble is drawn in blocks of two chunks, each block the
+  mode with the rest scattered over it.  ``run`` routes every block
+  straight into round 1 and counts round 0 from the draws, so it never
+  holds the n-byte initial ensemble; ``init_ensemble`` gathers the blocks.
+- A round reads each couple's two cells as one uint16, source | target
+  << 8, and routes every couple with one ``take`` from ``_ROUTES``,
+  ``NOISY_CIRCUIT`` laid out as (joint << 12) | (target << 8) | source, as
+  if it drew the mode; then it routes the errored couples again with their
+  own joint errors.  One body, ``_route``, does this block by block, for
+  ``purification_round`` over its array and for ``run`` over the initial
+  blocks.
 - ``RoundStats.of`` counts two cells at a time, with ``bincount`` over the
   same uint16 view (4096 bins), and folds the result to 16 counts.
 
@@ -52,7 +57,7 @@ stream never depends on how work is scheduled.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterator, NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -132,6 +137,12 @@ class RoundStats:
         counts = both.sum(axis=0) + both.sum(axis=1)
         if n % 2:
             counts[cells[-1]] += 1
+        return cls._of_counts(round_index, counts)
+
+    @classmethod
+    def _of_counts(cls, round_index: int, counts: np.ndarray) -> "RoundStats":
+        """The stats of an ensemble given by its 16 cell counts."""
+        n = int(counts.sum())
         # Phi+ is Bell index 0; the flag equals the Bell index on every fifth cell
         f_hat = float(counts[:4].sum()) / n if n else None
         f_cond_hat = float(counts[::5].sum()) / n if n else None
@@ -143,17 +154,23 @@ def _round_rng(seed: int, label: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarray:
-    """The draws of ``rng.choice(len(p), size=size, p=p)``, as uint8.
+def _edges(p: np.ndarray) -> np.ndarray:
+    """The edges ``_categorical`` counts for the weights ``p``: the entries
+    of ``cdf = p.cumsum() / p.cumsum()[-1]`` below 1."""
+    cdf = p.cumsum()
+    cdf /= cdf[-1]
+    return cdf[cdf < 1.0]
+
+
+def _categorical(rng: np.random.Generator, edges: np.ndarray, size: int) -> np.ndarray:
+    """The draws of ``rng.choice(len(p), size=size, p=p)``, as uint8, given
+    ``edges = _edges(p)``.
 
     choice takes one double u per draw and returns the number of entries of
     ``cdf = p.cumsum() / p.cumsum()[-1]`` that are <= u; the same count is
     made here.  An entry equal to 1 never counts, as u < 1.  The callers
     keep ``size`` within a chunk.
     """
-    cdf = p.cumsum()
-    cdf /= cdf[-1]
-    edges = cdf[cdf < 1.0]
     u = rng.random(size)
     out = np.zeros(size, dtype=np.uint8)
     for edge in edges:
@@ -163,12 +180,13 @@ def _categorical(rng: np.random.Generator, p: np.ndarray, size: int) -> np.ndarr
 
 class _Sparse(NamedTuple):
     """A categorical law split for sparse draws: its mode, the weight q of
-    everything else, log(1 - q), and the weights with the mode's set to 0."""
+    everything else, log(1 - q), and the ``_edges`` of the weights with the
+    mode's set to 0."""
 
     mode: int
     q: float
     log_keep: float
-    rest: np.ndarray
+    edges: np.ndarray
 
 
 def _sparse(p: np.ndarray) -> _Sparse:
@@ -177,7 +195,8 @@ def _sparse(p: np.ndarray) -> _Sparse:
     rest = p.copy()
     rest[mode] = 0.0
     q = float(rest.sum() / p.sum())
-    return _Sparse(mode, q, float(np.log1p(-q)), rest)
+    edges = _edges(rest) if q else np.zeros(0)  # a law with q = 0 draws nothing
+    return _Sparse(mode, q, float(np.log1p(-q)), edges)
 
 
 def _errors(rng: np.random.Generator, law: _Sparse, size: int) -> tuple[np.ndarray, np.ndarray]:
@@ -194,9 +213,10 @@ def _errors(rng: np.random.Generator, law: _Sparse, size: int) -> tuple[np.ndarr
     gets a value from ``_categorical`` over the other weights, dropped with
     its position if that lies past the chunk, so that chunks of one size
     allocate arrays of one size: a process that repeats 4e6-pair runs then
-    peaks 0.3-0.5 MB lower.  A law with q = 0 draws nothing.
+    peaks 0.3-0.5 MB lower.  A law with q = 0 draws nothing, and so does an
+    empty chunk.
     """
-    if law.q == 0.0:
+    if law.q == 0.0 or size == 0:
         return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.uint8)
     mean = size * law.q
     batch = int(mean + 4.0 * np.sqrt(mean)) + 2  # one batch almost always reaches the end
@@ -213,22 +233,45 @@ def _errors(rng: np.random.Generator, law: _Sparse, size: int) -> tuple[np.ndarr
         found.append(positions)
         last = int(positions[-1])
     positions = found[0] if len(found) == 1 else np.concatenate(found)
-    values = _categorical(rng, law.rest, positions.size)
+    values = _categorical(rng, law.edges, positions.size)
     inside = positions.searchsorted(size)
     return positions[:inside], values[:inside]
 
 
-def init_ensemble(cfg: MCConfig) -> np.ndarray:
-    """Sample the initial ensemble as uint8 cells: iid Bell indices from the
-    post-twirl weights, in the order drawn, all flags zero."""
+def _initial_blocks(cfg: MCConfig, counts: np.ndarray) -> Iterator[np.ndarray]:
+    """The initial ensemble in order, in blocks of two chunks of draws of the
+    round-0 generator, so 2 * ``_CHUNK`` cells but for a shorter last block.
+    Every block is written into one buffer, which the next block overwrites.
+    Adds the ensemble's 16 cell counts to ``counts``: each pair counts as
+    the mode's cell until a draw off the mode moves it to its own.
+    """
     rng = _round_rng(cfg.seed, 0)
     law = _sparse(cfg.initial.coeffs)
-    cells = np.full(cfg.n_pairs, law.mode << 2, dtype=np.uint8)
-    for start in range(0, cfg.n_pairs, _CHUNK):
-        chunk = cells[start:start + _CHUNK]
-        positions, bell = _errors(rng, law, chunk.size)
-        bell <<= 2
-        chunk[positions] = bell
+    n = cfg.n_pairs
+    counts[law.mode << 2] += n
+    buffer = np.empty(2 * _CHUNK, dtype=np.uint8)
+    for start in range(0, n, 2 * _CHUNK):
+        block = buffer[:min(2 * _CHUNK, n - start)]
+        block.fill(law.mode << 2)
+        for half in range(0, block.size, _CHUNK):
+            chunk = block[half:half + _CHUNK]
+            positions, bell = _errors(rng, law, chunk.size)
+            bell <<= 2
+            chunk[positions] = bell
+            counts += np.bincount(bell, minlength=16)
+            counts[law.mode << 2] -= bell.size
+        yield block
+
+
+def init_ensemble(cfg: MCConfig) -> np.ndarray:
+    """Sample the initial ensemble as uint8 cells: iid Bell indices from the
+    post-twirl weights, in the order drawn, all flags zero.  ``run`` routes
+    the same cells into round 1 block by block instead."""
+    cells = np.empty(cfg.n_pairs, dtype=np.uint8)
+    start = 0
+    for block in _initial_blocks(cfg, np.zeros(16, dtype=np.intp)):
+        cells[start:start + block.size] = block
+        start += block.size
     return cells
 
 
@@ -245,6 +288,39 @@ def _checked_cells(cells) -> np.ndarray:
             f"cells must lie in 0..15, got values in [{cells.min()}, {cells.max()}]"
         )
     return np.ascontiguousarray(cells, dtype=np.uint8)
+
+
+def _route(
+    blocks: Iterable[np.ndarray],
+    n: int,
+    noise: NoiseModel | BinaryNoiseModel,
+    rng: np.random.Generator,
+) -> np.ndarray:
+    """``purification_round`` over ``n`` >= 2 cells that come in ``blocks``
+    of at most 2 * ``_CHUNK`` cells, in order, every block but the last of
+    even length.  A block is read before the next is asked for, and the
+    last block's last cell is the odd pair out of an odd ``n``."""
+    law = _sparse(noise.f.ravel())
+    mode_routes = _ROUTES[law.mode << 12:(law.mode + 1) << 12]
+
+    out = np.empty(n // 2 + n % 2, dtype=np.uint8)
+    kept = 0
+    for block in blocks:
+        couples = block[:block.size - block.size % 2].view(_TWO_CELLS)
+        routed = mode_routes.take(couples)
+        positions, joint = _errors(rng, law, couples.size)
+        index = np.left_shift(joint, 12, dtype=np.uint16)
+        index |= couples[positions]
+        routed[positions] = _ROUTES.take(index)
+        survives = routed != DISCARDED  # compress packs 4x faster than routed[survives]
+        size = np.count_nonzero(survives)
+        np.compress(survives, routed, out=out[kept:kept + size])
+        kept += size
+    if n % 2:
+        slot = rng.integers(kept + 1)
+        out[kept] = out[slot]
+        out[slot] = block[-1]
+    return out[: kept + n % 2]
 
 
 def purification_round(
@@ -269,35 +345,28 @@ def purification_round(
     n = len(cells)
     if n < 2:
         return cells.copy()
-    couples = cells[:n - n % 2].view(_TWO_CELLS)
-    law = _sparse(noise.f.ravel())
-    mode_routes = _ROUTES[law.mode << 12:(law.mode + 1) << 12]
-
-    out = np.empty(len(couples) + n % 2, dtype=np.uint8)
-    kept = 0
-    for start in range(0, len(couples), _CHUNK):
-        chunk = couples[start:start + _CHUNK]
-        routed = mode_routes.take(chunk)
-        positions, joint = _errors(rng, law, chunk.size)
-        index = np.left_shift(joint, 12, dtype=np.uint16)
-        index |= chunk[positions]
-        routed[positions] = _ROUTES.take(index)
-        survives = routed != DISCARDED  # compress packs 4x faster than routed[survives]
-        size = np.count_nonzero(survives)
-        np.compress(survives, routed, out=out[kept:kept + size])
-        kept += size
-    if n % 2:
-        slot = rng.integers(kept + 1)
-        out[kept] = out[slot]
-        out[slot] = cells[-1]
-    return out[: kept + n % 2]
+    blocks = (cells[start:start + 2 * _CHUNK] for start in range(0, n, 2 * _CHUNK))
+    return _route(blocks, n, noise, rng)
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:
-    """Full distillation run; stats entry 0 describes the initial ensemble."""
-    cells = init_ensemble(cfg)
-    stats = [RoundStats.of(0, cells)]
-    for r in range(1, cfg.rounds + 1):
+    """Full distillation run; stats entry 0 describes the initial ensemble.
+
+    The run never holds the initial ensemble: ``init_ensemble``'s cells are
+    drawn a block at a time and routed straight into round 1, and entry 0
+    is counted from the draws.  Every entry is the one that
+    ``init_ensemble``, ``purification_round`` and ``RoundStats.of`` give
+    composed round by round, bit for bit.
+    """
+    counts = np.zeros(16, dtype=np.intp)
+    blocks = _initial_blocks(cfg, counts)
+    if not cfg.rounds:
+        for _ in blocks:
+            pass
+        return [RoundStats._of_counts(0, counts)]
+    cells = _route(blocks, cfg.n_pairs, cfg.noise, _round_rng(cfg.seed, 1))
+    stats = [RoundStats._of_counts(0, counts), RoundStats.of(1, cells)]
+    for r in range(2, cfg.rounds + 1):
         if len(cells) < 2:
             break
         cells = purification_round(cells, cfg.noise, _round_rng(cfg.seed, r))

@@ -164,15 +164,28 @@ BLOCK_CAPS = [1, 2, 32]
 BUDGETS = [0, 1, 7, 8, 9, 31, 32, 33, 30_000]
 
 
+def absorbing_map(n):
+    """Cell 0 absorbs: a'_0 = a_0^2 + 2 a_0 (a_1 + ... ), a'_j = a_j^2 for
+    j > 0, all over N.  The other weights square each step until they
+    underflow to 0, and the next step lands on (1, 0, ...) exactly, a
+    float fixpoint that no rounding moves."""
+    m = np.zeros((n, n, n))
+    m[0, 0, :] = m[0, :, 0] = 1.0
+    for j in range(1, n):
+        m[j, j, j] = 1.0
+    return recurrence.QuadraticMap(m)
+
+
 def test_blocked_loop_matches_the_one_step_reference(monkeypatch):
     # the loop takes its residuals once per block of steps; every budget
     # around the first block (8) and the cap (32), on 16- and 4-variable
-    # maps, both where tol = 0 is met exactly (a float fixpoint, after 34
-    # and 1,476 steps) and where the budget runs out first
+    # maps, both where tol = 0 is met exactly (the absorbing maps, after
+    # 11 and 15 steps from these starts) and where the budget runs out first
     rng = np.random.default_rng(21)
     maps = [
         generate_map(random_channel(rng, 0.9)),
-        binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.82)),
+        absorbing_map(16),
+        absorbing_map(4),
         binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.7)),
     ]
     outcomes = set()

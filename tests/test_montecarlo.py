@@ -1,5 +1,6 @@
 import functools
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -12,6 +13,7 @@ from eppsim.montecarlo import (
     MCConfig,
     RoundStats,
     _categorical,
+    _edges,
     _errors,
     _pairs_needed,
     _round_rng,
@@ -158,7 +160,8 @@ def in_order_round(ens, noise, rng):
     return out
 
 
-@pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 300_000, 300_001])
+@pytest.mark.parametrize("pairs", [2, 3, 1_000, 1_001, 50_000, 50_001, 2 * _CHUNK + 1, 300_000,
+                                   300_001])
 def test_round_couples_the_pairs_in_order(pairs):
     noise = tracking_noise()
     config = cfg(pairs=pairs, seed=3)
@@ -253,8 +256,10 @@ def test_errors_of_a_mode_only_law_draw_nothing():
     ids=["werner-0.85", "tracking-noise", "binary-embedded", "interior-zero"],
 )
 def test_sparse_draws_have_the_iid_law(p):
-    """Single and lag-1 pair frequencies of 2**22 draws, within 4 binomial
-    errors; the pairs at even and at odd offsets are two sets of iid pairs."""
+    """Single and lag-1 pair frequencies of 2**22 draws, each count within
+    the exact two-sided binomial tail of 2 Phi(-4); the pairs at even and
+    at odd offsets are two sets of iid pairs.  Lag-1 cells expect as few as
+    9 counts, where a normal bound's tail is too thin."""
     n, k = 2**22, len(p)
     p = p / p.sum()
     draws = dense_draws(_round_rng(1, 1), p, n)
@@ -264,9 +269,40 @@ def test_sparse_draws_have_the_iid_law(p):
         counts = np.bincount(got, minlength=want.size)
         assert counts.size == want.size
         assert (counts[want == 0] == 0).all()
-        sigma = np.sqrt(got.size * want * (1 - want))
-        z = np.abs(counts - got.size * want)[want > 0] / sigma[want > 0]
-        assert z.max() <= 4.0, f"worst z = {z.max():.2f}"
+        level = min(2.0 * binomial_tail(int(c), got.size, w)
+                    for c, w in zip(counts, want) if 0.0 < w < 1.0)
+        assert level >= math.erfc(4.0 / math.sqrt(2.0)), f"two-sided tail {level:.2e}"
+
+
+def binomial_tail(k, n, p):
+    """The tail of Binomial(n, p) on k's side of the mean: P(X <= k) if
+    k <= n p, else P(X >= k), for 0 < p < 1.  It sums the terms from
+    P(X = k) outwards over 40 standard deviations and 100 terms more, past
+    which they are far below a double's precision of the first; checked
+    against scipy.stats.binom to 1e-7 relative for n up to 2**22."""
+    log_pk = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)
+              + k * math.log(p) + (n - k) * math.log1p(-p))
+    width = int(40.0 * math.sqrt(n * p * (1.0 - p))) + 100
+    if k <= n * p:  # P(X = i - 1) / P(X = i) for i = k, k - 1, ..., 1
+        i = np.arange(k, max(k - width, 0), -1, dtype=float)
+        ratios = i * (1.0 - p) / ((n - i + 1.0) * p)
+    else:  # P(X = i + 1) / P(X = i) for i = k, k + 1, ..., n - 1
+        i = np.arange(k, min(k + width, n), dtype=float)
+        ratios = (n - i) * p / ((i + 1.0) * (1.0 - p))
+    return math.exp(log_pk) * (1.0 + np.cumprod(ratios).sum())
+
+
+def test_binomial_tail_sums_the_terms_of_its_side():
+    # Binomial(4, 1/2): P(X <= 1) = 5/16, P(X >= 3) = 5/16, P(X <= 2) = 11/16
+    assert binomial_tail(1, 4, 0.5) == pytest.approx(5 / 16, rel=1e-12)
+    assert binomial_tail(3, 4, 0.5) == pytest.approx(5 / 16, rel=1e-12)
+    assert binomial_tail(2, 4, 0.5) == pytest.approx(11 / 16, rel=1e-12)
+    assert binomial_tail(0, 10, 0.1) == pytest.approx(0.9**10, rel=1e-12)
+    # near Poisson's limit: P(X >= 25) at mean 9 is 8.7e-6, against 4.8e-8
+    # for a normal tail at z = 16 / 3
+    n, mean = 2**21, 9.0
+    poisson = 1.0 - sum(math.exp(-mean) * mean**i / math.factorial(i) for i in range(25))
+    assert binomial_tail(25, n, mean / n) == pytest.approx(poisson, rel=1e-4)
 
 
 # An iid ensemble over three cells, one of them flagged, and a channel of
@@ -390,14 +426,14 @@ def test_round_rejects_what_is_not_a_cell(cells):
 @pytest.mark.parametrize("size", [1, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 5])
 def test_categorical_draws_what_choice_draws(p, size):
     ours, theirs = _round_rng(5, 1), _round_rng(5, 1)
-    got = _categorical(ours, p, size)
+    got = _categorical(ours, _edges(p), size)
     assert got.dtype == np.uint8
     assert np.array_equal(got, theirs.choice(len(p), size=size, p=p))
     assert np.array_equal(ours.random(3), theirs.random(3))  # the stream is left where choice leaves it
 
 
 def test_run_memory_stays_within_a_few_chunks():
-    """Traced peak of a 1e6-pair run, 4 rounds: about 2.3 MB.  Draws made
+    """Traced peak of a 1e6-pair run, 4 rounds: about 1.5 MB.  Draws made
     through ``rng.choice`` and routed all at once take 16 MB: float64 draws
     and int64 indices for every pair."""
     config = cfg(pairs=10**6, rounds=4)
@@ -409,6 +445,49 @@ def test_run_memory_stays_within_a_few_chunks():
     finally:
         tracemalloc.stop()
     assert peak <= 8e6, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def test_run_never_holds_the_initial_ensemble():
+    """Traced peak of an 8e6-pair run of one round: 5.0 MB, round 1's
+    survivors (n / 2 bytes) and a few chunks.  Holding the initial
+    ensemble as well, as composing ``init_ensemble`` with
+    ``purification_round`` does, takes 12.8 MB."""
+    config = cfg(pairs=8 * 10**6, rounds=1)
+    run(cfg(pairs=1000, rounds=1))
+    tracemalloc.start()
+    try:
+        run(config)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < config.n_pairs, f"traced peak {peak / 1e6:.1f} MB"
+
+
+def composed_run(config):
+    """``run`` as its parts compose: the whole initial ensemble, then one
+    ``purification_round`` and ``RoundStats.of`` per round."""
+    cells = init_ensemble(config)
+    stats = [RoundStats.of(0, cells)]
+    for r in range(1, config.rounds + 1):
+        if len(cells) < 2:
+            break
+        cells = purification_round(cells, config.noise, _round_rng(config.seed, r))
+        stats.append(RoundStats.of(r, cells))
+    return stats
+
+
+@pytest.mark.parametrize("rounds", [0, 1, 3])
+@pytest.mark.parametrize("pairs", [2, 3, 1_001, 2 * _CHUNK, 2 * _CHUNK + 1, 2 * _CHUNK + 3,
+                                   5 * _CHUNK + 1])
+def test_run_is_the_composed_run_bit_for_bit(pairs, rounds):
+    # at 2 * _CHUNK + 1 the last block is the odd pair out alone
+    config = cfg(pairs=pairs, rounds=rounds, seed=4)
+    got, want = run(config), composed_run(config)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert (a.round, a.pairs_remaining) == (b.round, b.pairs_remaining)
+        assert a.cells.dtype == b.cells.dtype and np.array_equal(a.cells, b.cells)
+        assert (a.f_hat, a.f_cond_hat) == (b.f_hat, b.f_cond_hat)
 
 
 def test_single_pair_round_is_identity():
