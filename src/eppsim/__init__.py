@@ -54,7 +54,6 @@ from .noisemodels import (
     compose,
     from_p1_p2,
     noise_from_config,
-    noise_to_config,
     one_qubit_white,
     product,
 )

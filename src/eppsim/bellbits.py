@@ -10,6 +10,10 @@ the amplitude bit iff a = 1, i.e. (0,0) = Id, (0,1) = X, (1,0) = Z,
 (1,1) = Y.  Global phases are dropped everywhere; the dense-matrix oracle in
 ``matrixoracle`` verifies each identity up to a global phase.
 
+The circuit is one map on labels, bilateral x-rotations then BCNOT
+(``epp_unitary``); the error corrector is that map on Pauli labels, and the
+flag update is the corrector of the two flags, with a reset.
+
 Everything here is a pure function on immutable tuples and is safe to call
 from any number of threads.
 """
@@ -95,11 +99,7 @@ def bcnot(src: BellIndex, tgt: BellIndex) -> tuple[BellIndex, BellIndex]:
 
 def epp_unitary(src: BellIndex, tgt: BellIndex) -> tuple[BellIndex, BellIndex]:
     """Unitary part of one 2-EPP step: bilateral x-rotations, then BCNOT."""
-    i, j = src
-    i2, j2 = tgt
-    s = BellIndex(i ^ i2, i ^ j)
-    t = BellIndex(i2, i2 ^ j2 ^ i ^ j)
-    return s, t
+    return bcnot(bilateral_xrot(src), bilateral_xrot(tgt))
 
 
 def epp_with_errors(
@@ -117,12 +117,9 @@ def keep_predicate(tgt_out: BellIndex) -> bool:
 
 def error_corrector(e_src: PauliIndex, e_tgt: PauliIndex) -> tuple[PauliIndex, PauliIndex]:
     """Pauli pair that undoes, *after* the 2-EPP unitary, an error pair that
-    acted before it."""
-    p, a = e_src
-    p2, a2 = e_tgt
-    c_src = PauliIndex(p ^ p2, p ^ a)
-    c_tgt = PauliIndex(p2, p2 ^ a2 ^ p ^ a)
-    return c_src, c_tgt
+    acted before it: the unitary's map applied to the error labels."""
+    c_src, c_tgt = epp_unitary(BellIndex(*e_src), BellIndex(*e_tgt))
+    return PauliIndex(*c_src), PauliIndex(*c_tgt)
 
 
 def flag_flip(f: FlagPair, op: PauliIndex) -> FlagPair:
@@ -134,12 +131,12 @@ def flag_flip(f: FlagPair, op: PauliIndex) -> FlagPair:
 def flag_update(f_src: FlagPair, f_tgt: FlagPair) -> FlagPair:
     """Flag of the kept source pair as a function of both parents' flags.
 
-    The corrector bits are propagated when the target carries no amplitude
-    error; otherwise the flag is reset to (0,0).  The reset is what builds up
-    strict state/flag correlations during distillation.
+    The corrector of the two flags gives the new flag: its source part is
+    propagated when its target part carries no amplitude flip; otherwise the
+    flag is reset to (0,0).  The reset is what builds up strict state/flag
+    correlations during distillation.
     """
-    p, a = f_src
-    p2, a2 = f_tgt
-    if p2 ^ a2 ^ p ^ a:
+    c_src, c_tgt = error_corrector(f_src, f_tgt)
+    if c_tgt.amplitude_flip:
         return FlagPair(0, 0)
-    return FlagPair(p ^ p2, p ^ a)
+    return FlagPair(*c_src)

@@ -35,7 +35,7 @@ from .dynamics import (
     white_noise_family,
 )
 from .montecarlo import MCConfig, _pairs_needed, analytic_trajectory, resource_curve, run as mc_run
-from .noisemodels import NOISE_KEYS, NOISE_MODELS, noise_from_config
+from .noisemodels import NOISE_KEYS, NOISE_MODELS, _parsed, noise_from_config
 from .recurrence import (
     COEFF_NAMES,
     BellDiagonalState,
@@ -178,16 +178,6 @@ def _resolve_noise(args, cfg: dict[str, str]):
         raise ConfigError(str(exc)) from exc
 
 
-def _setting(cfg: dict[str, str], key: str, parse: Callable, default: str | None = None):
-    """``parse`` of the config's ``key`` (or of ``default``); a value that
-    does not parse is a ConfigError that names the key."""
-    text = cfg.get(key, default)
-    try:
-        return parse(text)
-    except ValueError as exc:
-        raise ConfigError(f"config {key}={text!r}: {exc}") from exc
-
-
 def _abcd_state(text: str) -> BellDiagonalState:
     weights = [float(x) for x in text.split(",")]
     if len(weights) != 4:
@@ -200,9 +190,9 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
     if getattr(args, "werner", None) is not None:
         return BellDiagonalState.werner(args.werner)
     if "werner" in cfg:
-        return _setting(cfg, "werner", lambda text: BellDiagonalState.werner(float(text)))
+        return _parsed(cfg, "werner", lambda text: BellDiagonalState.werner(float(text)))
     if "abcd" in cfg:
-        return _setting(cfg, "abcd", _abcd_state)
+        return _parsed(cfg, "abcd", _abcd_state)
     return BellDiagonalState.werner(0.85)
 
 
@@ -218,7 +208,7 @@ def _resolve_run(args):
 # resolved from the config, exit code).
 
 def _cmd_iterate(args, cfg, noise, start):
-    steps = args.steps if args.steps is not None else _setting(cfg, "steps", int, "20")
+    steps = args.steps if args.steps is not None else _parsed(cfg, "steps", int, "20")
     if steps < 0:
         raise ConfigError(f"--steps must be at least 0, got {steps}")
     rows = [
@@ -284,8 +274,8 @@ def _cmd_scan(args):
 
 
 def _cmd_mc(args, cfg, noise, start):
-    pairs = args.pairs if args.pairs is not None else _setting(cfg, "pairs", int, "100000")
-    rounds = args.rounds if args.rounds is not None else _setting(cfg, "rounds", int, "8")
+    pairs = args.pairs if args.pairs is not None else _parsed(cfg, "pairs", int, "100000")
+    rounds = args.rounds if args.rounds is not None else _parsed(cfg, "rounds", int, "8")
     stats = mc_run(MCConfig(pairs, start, noise, rounds, args.seed))
     rows = [
         [s.round, s.pairs_remaining, s.f_hat, s.f_cond_hat, *s.cells.tolist()] for s in stats
@@ -465,12 +455,12 @@ def _check_loop_flags(args) -> None:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     row = _SUBCOMMANDS[args.command]
-    Path(args.out).mkdir(parents=True, exist_ok=True)
     try:
+        Path(args.out).mkdir(parents=True, exist_ok=True)
         _check_loop_flags(args)
         rows, resolved, code = row.run(args, *(_resolve_run(args) if row.noise else ()))
         _write_outputs(args, row.header, rows, **resolved)
-    except (ValueError, EnsembleAnnihilated) as exc:
+    except (ValueError, OSError, EnsembleAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return code

@@ -327,8 +327,9 @@ _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState
 
 #: Plain steps that start each Newton solve, and the Newton steps it takes at
 #: most.  The warm start only has to bring Newton within reach of the
-#: fixpoint; with 30 steps a critical search's solves sum to 829
-#: (white noise at 24 halvings) and 433 (binary) steps.
+#: fixpoint; with 30 steps a critical search's solves sum to 829 steps
+#: (white noise at 24 halvings) and 413 steps over 11 solves and 9 family
+#: calls (binary).
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 

@@ -52,11 +52,6 @@ def _validated_vector(vec, labels: tuple[str, ...], sum_tol: float, neg_tol: flo
 _JOINT_LABELS = tuple(f"f[{m}{n}]" for m in PAULI_LABELS for n in PAULI_LABELS)
 
 
-def _validated(f: np.ndarray) -> np.ndarray:
-    f = np.asarray(f, dtype=float).reshape(4, 4)
-    return _validated_vector(f.ravel(), _JOINT_LABELS, _SUM_TOL, _NEG_TOL).reshape(4, 4)
-
-
 @dataclass(frozen=True)
 class NoiseModel:
     """Joint Pauli error probabilities f[mu, nu] on the (source, target) qubits."""
@@ -64,7 +59,8 @@ class NoiseModel:
     f: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "f", _validated(self.f))
+        f = _validated_vector(np.reshape(self.f, 16), _JOINT_LABELS, _SUM_TOL, _NEG_TOL)
+        object.__setattr__(self, "f", f.reshape(4, 4))
         self.f.setflags(write=False)
 
     @property
@@ -93,23 +89,16 @@ class BinaryNoiseModel:
         """Combined weight of the one-sided flips."""
         return self.f01 + self.f10
 
-    def _table(self) -> np.ndarray:
-        f = np.zeros((4, 4))
-        f[:2, :2] = [[self.f00, self.f01], [self.f10, self.f11]]
-        return f
-
     @cached_property
     def f(self) -> np.ndarray:
-        """The joint Pauli table f[mu, nu] of the embedded channel, read-only.
-
-        It is made once, and equals ``embed().f`` to the bit.
-        """
-        f = _validated(self._table())
-        f.setflags(write=False)
-        return f
+        """The joint Pauli table f[mu, nu] of the embedded channel, read-only
+        and made once."""
+        return self.embed().f
 
     def embed(self) -> NoiseModel:
-        return NoiseModel(self._table())
+        f = np.zeros((4, 4))
+        f[:2, :2] = [[self.f00, self.f01], [self.f10, self.f11]]
+        return NoiseModel(f)
 
     @classmethod
     def uncorrelated(cls, f0: float) -> "BinaryNoiseModel":
@@ -174,36 +163,21 @@ def from_p1_p2(p1: float, p2: float, both_labs: bool = False) -> NoiseModel:
     return compose(product(single, single), _depolarizing_two(p2))
 
 
-# --- flat key-value (de)serialization ------------------------------------
+# --- flat key-value parsing ----------------------------------------------
 
-def noise_to_config(model: NoiseModel | BinaryNoiseModel) -> dict[str, str]:
-    if isinstance(model, BinaryNoiseModel):
-        return {
-            "model": "binary",
-            "f00": repr(model.f00),
-            "f01": repr(model.f01),
-            "f10": repr(model.f10),
-            "f11": repr(model.f11),
-        }
-    cfg = {"model": "general"}
-    for mu in range(4):
-        for nu in range(4):
-            cfg[f"f.{PAULI_LABELS[mu]}{PAULI_LABELS[nu]}"] = repr(float(model.f[mu, nu]))
-    return cfg
-
-
-def _number(cfg: Mapping[str, str], key: str) -> float:
-    """The config's ``key`` as a float; a value that does not parse is a
-    ValueError that names the key."""
-    text = cfg[key]
+def _parsed(cfg: Mapping[str, str], key: str, parse: Callable = float, default: str | None = None):
+    """``parse`` of the config's ``key``, or of ``default`` where the key is
+    missing; a missing key without a default is a KeyError, and a value that
+    does not parse a ValueError that names the key."""
+    text = cfg[key] if default is None else cfg.get(key, default)
     try:
-        return float(text)
+        return parse(text)
     except ValueError as exc:
         raise ValueError(f"config {key}={text!r}: {exc}") from exc
 
 
 def _white_from_config(cfg: Mapping[str, str]) -> NoiseModel:
-    w = one_qubit_white(_number(cfg, "f0"))
+    w = one_qubit_white(_parsed(cfg, "f0"))
     return product(w, w)
 
 
@@ -217,10 +191,10 @@ _BINARY_KEYS = ("f00", "f01", "f10", "f11")
 
 def _binary_from_config(cfg: Mapping[str, str]) -> BinaryNoiseModel:
     if "f0" not in cfg:
-        return BinaryNoiseModel(*(_number(cfg, key) for key in _BINARY_KEYS))
+        return BinaryNoiseModel(*(_parsed(cfg, key) for key in _BINARY_KEYS))
     if any(key in cfg for key in _BINARY_KEYS):
         raise ValueError("model 'binary' takes f0 or f00..f11, not both")
-    return BinaryNoiseModel.uncorrelated(_number(cfg, "f0"))
+    return BinaryNoiseModel.uncorrelated(_parsed(cfg, "f0"))
 
 
 def _p1p2_from_config(cfg: Mapping[str, str]) -> NoiseModel:
@@ -228,7 +202,7 @@ def _p1p2_from_config(cfg: Mapping[str, str]) -> NoiseModel:
     if both not in ("1", "true", "yes", "0", "false", "no"):
         raise ValueError(f"both_labs must be 1/true/yes or 0/false/no, got {cfg['both_labs']!r}")
     return from_p1_p2(
-        _number(cfg, "p1"), _number(cfg, "p2"), both_labs=both in ("1", "true", "yes")
+        _parsed(cfg, "p1"), _parsed(cfg, "p2"), both_labs=both in ("1", "true", "yes")
     )
 
 
@@ -239,7 +213,7 @@ def _general_from_config(cfg: Mapping[str, str]) -> NoiseModel:
     missing = [key for key in _GENERAL_KEYS if key not in cfg]
     if missing:
         raise KeyError(f"missing channel weight {missing[0]}")
-    return NoiseModel(np.array([_number(cfg, key) for key in _GENERAL_KEYS]).reshape(4, 4))
+    return NoiseModel(np.array([_parsed(cfg, key) for key in _GENERAL_KEYS]).reshape(4, 4))
 
 
 #: Every noise model a config can name: the keys it reads and its builder.

@@ -18,16 +18,17 @@ where N is the keep probability and S = sum_j M_j the keep form, which a
 ``QuadraticMap`` carries as one more slab after the M_j, so that one
 matrix-vector product gives a step's image and N together.  The circuit
 itself is fixed: ``CIRCUIT`` tabulates, from the exact bit algebra of
-``bellbits``, the kept source pair's output cell for each (source cell,
-target cell), or ``DISCARDED``.  Pauli noise only relabels cells: an error
-mu flips a pair's Bell bits and its flag bits alike, so cell c becomes
-c ^ 5 mu (``noisy_circuit``, with ``NOISY_CIRCUIT`` its table).
-``generate_map`` derives the matrices for any noise channel by routing all
-16 * 16 * 4 * 4 = 4096 weighted source / target / error combinations
-through that table.  It is the one map builder: the binary sub-family's map
-(``binary_quadratic_map``) is its map restricted to the four binary cells, and
-the noiseless map is ``generate_map`` of the channel with f[I, I] = 1.  The
-closed forms ``binary_step`` and ``ideal_step`` are kept as oracles.
+``bellbits`` on the Bell pairs and the flag pairs apart, the kept source
+pair's output cell for each (source cell, target cell), or ``DISCARDED``.
+Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
+its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
+``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for any
+noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source / target
+/ error combinations through that table.  It is the one map builder: the
+binary sub-family's map (``binary_quadratic_map``) is its map restricted to
+the four binary cells, and the noiseless map is ``generate_map`` of the
+channel with f[I, I] = 1.  The closed forms ``binary_step`` and
+``ideal_step`` are kept as oracles.
 """
 
 from __future__ import annotations
@@ -38,6 +39,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bellbits import (
+    ALL_BELLS,
+    ALL_FLAGS,
     BellIndex,
     FlagPair,
     epp_unitary,
@@ -73,12 +76,16 @@ def cell_parts(cell: int) -> tuple[BellIndex, FlagPair]:
 
 
 def _circuit_table() -> np.ndarray:
+    """``CIRCUIT``, built from the Bell pairs and the flag pairs apart: Bell
+    labels and flags transform separately, and the Bell part alone decides
+    whether a couple is kept."""
+    flags = {pair: flag_update(*pair) for pair in itertools.product(ALL_FLAGS, repeat=2)}
     table = np.full((16, 16), DISCARDED, dtype=np.uint8)
-    for src, tgt in itertools.product(range(16), repeat=2):
-        (src_bell, src_flag), (tgt_bell, tgt_flag) = cell_parts(src), cell_parts(tgt)
-        out_s, out_t = epp_unitary(src_bell, tgt_bell)
+    for src, tgt in itertools.product(ALL_BELLS, repeat=2):
+        out_s, out_t = epp_unitary(src, tgt)
         if keep_predicate(out_t):
-            table[src, tgt] = cell_index(out_s, flag_update(src_flag, tgt_flag))
+            for (f_src, f_tgt), flag in flags.items():
+                table[cell_index(src, f_src), cell_index(tgt, f_tgt)] = cell_index(out_s, flag)
     table.setflags(write=False)
     return table
 

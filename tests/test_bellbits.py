@@ -99,11 +99,6 @@ def test_epp_unitary(src, tgt, out):
     assert (tuple(s), tuple(t)) == out
 
 
-def test_epp_unitary_is_bcnot_after_xrot():
-    for src, tgt in itertools.product(ALL_BELLS, repeat=2):
-        assert epp_unitary(src, tgt) == bcnot(bilateral_xrot(src), bilateral_xrot(tgt))
-
-
 def test_epp_with_errors_no_error_case():
     for src, tgt in itertools.product(ALL_BELLS, repeat=2):
         assert epp_with_errors(src, tgt, IDENTITY, IDENTITY) == epp_unitary(src, tgt)

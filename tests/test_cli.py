@@ -27,7 +27,7 @@ from eppsim.dynamics import (
     regime_scan,
     secure_by_stability,
 )
-from eppsim.montecarlo import analytic_trajectory
+from eppsim.montecarlo import analytic_trajectory, resource_curve
 from eppsim.noisemodels import (
     NOISE_MODELS,
     PAULI_LABELS,
@@ -164,6 +164,23 @@ def test_missing_config_file_is_usage_error(tmp_path, capsys):
     assert main(["fixpoint", "--config", str(missing), "--out", str(out)]) == 2
     assert capsys.readouterr().err == f"error: config file not found: {missing}\n"
     assert list(out.iterdir()) == []
+
+
+def test_a_config_that_is_a_directory_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["fixpoint", "--config", str(tmp_path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Is a directory" in err and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_an_out_that_is_a_file_is_usage_error(tmp_path, capsys):
+    out = tmp_path / "out"
+    out.write_text("kept\n")
+    assert main(["fixpoint", "--model", "white", "--f0", "0.93", "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "File exists" in err and err.count("\n") == 1
+    assert out.read_text() == "kept\n"
 
 
 def test_iterate_json_numbers_match_the_csv(tmp_path):
@@ -655,9 +672,12 @@ def test_resources_cost_past_2_53_is_an_error(tmp_path, capsys):
     # round 34 on it is past 2**53, where a float holds no exact count (and
     # from round 654 on it overflows)
     args = ["resources", "--model", "white", "--f0", "0.9", "--eps-min", "0"]
+    noise = noise_from_config({"model": "white", "f0": "0.9"})
+    *_, (_, _, cost33), (_, _, cost34) = resource_curve(noise, BellDiagonalState.werner(0.85), 34)
+    assert cost33 <= 2**53 < cost34
     assert main(args + ["--rounds", "33", "--out", str(tmp_path / "33")]) == 0
     _, rows = read_csv(tmp_path / "33" / "resources.csv")
-    assert rows[-1][2] == "3172765097653889"
+    assert rows[-1][2] == str(math.ceil(cost33))
     assert main(args + ["--rounds", "34", "--out", str(tmp_path / "34")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "round 34 is 9.395e+15, past 2**53" in err

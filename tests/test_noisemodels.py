@@ -3,12 +3,12 @@ import pytest
 
 from eppsim.noisemodels import (
     NOISE_MODELS,
+    PAULI_LABELS,
     BinaryNoiseModel,
     NoiseModel,
     compose,
     from_p1_p2,
     noise_from_config,
-    noise_to_config,
     one_qubit_white,
     product,
 )
@@ -211,13 +211,18 @@ def test_binary_table_is_made_once_and_read_only():
 
 def test_config_roundtrip_general():
     n = from_p1_p2(0.96, 0.968)
-    back = noise_from_config(noise_to_config(n))
+    cfg = {
+        f"f.{PAULI_LABELS[mu]}{PAULI_LABELS[nu]}": repr(float(w))
+        for (mu, nu), w in np.ndenumerate(n.f)
+    }
+    back = noise_from_config({"model": "general", **cfg})
     assert np.allclose(back.f, n.f, atol=0)
 
 
 def test_config_roundtrip_binary():
     b = BinaryNoiseModel(0.8575, 0.0475, 0.0475, 0.0475)
-    back = noise_from_config(noise_to_config(b))
+    cfg = {key: repr(getattr(b, key)) for key in ("f00", "f01", "f10", "f11")}
+    back = noise_from_config({"model": "binary", **cfg})
     assert isinstance(back, BinaryNoiseModel)
     assert back.f00 == pytest.approx(b.f00, abs=0)
 

@@ -6,11 +6,11 @@ from hypothesis import strategies as st
 
 from eppsim.montecarlo import RoundStats, _round_rng, purification_round
 from eppsim.noisemodels import (
+    PAULI_LABELS,
     BinaryNoiseModel,
     NoiseModel,
     compose,
     noise_from_config,
-    noise_to_config,
 )
 from eppsim.dynamics import jacobian
 from eppsim.recurrence import EnsembleAnnihilated, generate_map
@@ -143,7 +143,11 @@ def test_compose_is_commutative_and_associative(a, b, c):
 @given(channel=weights16)
 def test_general_channel_config_round_trip(channel):
     noise = NoiseModel(normalized(channel))
-    back = noise_from_config(noise_to_config(noise))
+    cfg = {
+        f"f.{PAULI_LABELS[mu]}{PAULI_LABELS[nu]}": repr(float(w))
+        for (mu, nu), w in np.ndenumerate(noise.f)
+    }
+    back = noise_from_config({"model": "general", **cfg})
     assert isinstance(back, NoiseModel)
     assert np.allclose(back.f, noise.f, rtol=1e-15, atol=0.0)
 
@@ -152,7 +156,8 @@ def test_general_channel_config_round_trip(channel):
        .filter(lambda w: sum(w) > 1e-3))
 def test_binary_channel_config_round_trip(weights):
     noise = BinaryNoiseModel(*normalized(weights))
-    back = noise_from_config(noise_to_config(noise))
+    cfg = {key: repr(getattr(noise, key)) for key in ("f00", "f01", "f10", "f11")}
+    back = noise_from_config({"model": "binary", **cfg})
     assert isinstance(back, BinaryNoiseModel)
     got = np.array([back.f00, back.f01, back.f10, back.f11])
     want = np.array([noise.f00, noise.f01, noise.f10, noise.f11])
