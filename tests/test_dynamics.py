@@ -1002,8 +1002,9 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_builds_the_routes_from_the_circuit_table():
-    # the route table comes from CIRCUIT (256 circuit compositions), not from
-    # routing all 4096 terms through bellbits, and the noisy circuit is
+    # the route table comes from CIRCUIT (32 epp_unitary calls: 16 on the Bell
+    # pairs, 16 through flag_update on the flag pairs), not from routing all
+    # 4096 terms through bellbits, and the noisy circuit is
     # tabulated once, for the map and the Monte Carlo alike
     code = (
         "import collections, sys, numpy\n"

@@ -397,20 +397,33 @@ def test_round_counts_have_the_law_of_a_shuffled_round(pairs, monkeypatch):
     assert max(abs(ours[k] - theirs[k]) for k in ours) <= 1e-12
 
 
-@pytest.mark.parametrize(
+#: What a round and the round statistics both reject.
+not_cells = pytest.mark.parametrize(
     "cells",
     [
         np.array([16, 0]),  # 16 << 4 would set a bit of the joint error
+        np.array([0, 16]),  # the couple 16 << 8 would overrun the 4096 two-cell bins
         np.array([17, 17, 0, 0], dtype=np.int64),
         np.array([-1, 0], dtype=np.int64),  # uint8 would wrap it to 255
         np.array([0.5, 0.0]),
+        np.array([2.7, 3]),  # uint8 would truncate it to a cell
+        np.array([3, 5, 200]),  # the odd pair out would index past the 16 counts
     ],
-    ids=["16", "int64-17", "int64-minus-1", "float"],
+    ids=["16", "second-16", "int64-17", "int64-minus-1", "float", "float-2.7", "odd-200"],
 )
+
+
+@not_cells
 def test_round_rejects_what_is_not_a_cell(cells):
     identity = NoiseModel(np.outer([1, 0, 0, 0], [1, 0, 0, 0]))
     with pytest.raises(ValueError, match="cells must"):
         purification_round(cells, identity, _round_rng(0, 1))
+
+
+@not_cells
+def test_round_stats_reject_what_is_not_a_cell(cells):
+    with pytest.raises(ValueError, match="cells must"):
+        RoundStats.of(1, cells)
 
 
 @pytest.mark.parametrize(
@@ -592,6 +605,22 @@ def test_run_deterministic():
     for x, y in zip(a, b):
         assert x.pairs_remaining == y.pairs_remaining
         assert np.array_equal(x.cells, y.cells)
+
+
+def test_round_streams_are_distinct_where_entropy_lists_collide():
+    # default_rng([seed, round]) gives (2**32, 0) and (0, 1) one stream
+    assert not np.array_equal(_round_rng(0, 1).random(8), _round_rng(2**32, 0).random(8))
+
+
+def test_rounds_of_one_seed_draw_different_streams():
+    draws = [tuple(_round_rng(4, r).random(8)) for r in range(11)]
+    assert len(set(draws)) == len(draws)
+
+
+@pytest.mark.parametrize("seed", [2**64 - 1, np.uint64(3)], ids=["2**64-1", "uint64-3"])
+def test_run_takes_any_seed_in_range(seed):
+    stats = run(cfg(pairs=1000, rounds=2, seed=seed))
+    assert [s.round for s in stats] == [0, 1, 2]
 
 
 # --- resource accounting -------------------------------------------------------
