@@ -25,6 +25,7 @@ from . import __version__
 from .dynamics import (
     CRITICAL_MAX_ITER,
     DEFAULT_MAX_ITER,
+    DEFAULT_TOL,
     SCAN_MAX_ITER,
     Regime,
     binary_family,
@@ -430,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
         if row.header is not None:
             p.add_argument("--format", choices=("csv", "json"), default="csv")
         if row.max_iter is not None:
-            p.add_argument("--tol", type=float, default=1e-12, help="fixpoint tolerance")
+            p.add_argument("--tol", type=float, default=DEFAULT_TOL, help="fixpoint tolerance")
             p.add_argument(
                 "--max-iter", type=int, default=row.max_iter,
                 help="iteration budget (default %(default)s)",

@@ -41,7 +41,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .noisemodels import BinaryNoiseModel, NoiseModel, one_qubit_white, product
+from .noisemodels import BinaryNoiseModel, NoiseModel, _checked_seed, one_qubit_white, product
 from .recurrence import (
     ANNIHILATION_EPS,
     BellDiagonalState,
@@ -680,13 +680,9 @@ def _probe_state(noise):
 
 def regime_of(result: FixpointResult) -> Regime:
     """The regime a fixpoint result shows, by the rule of ``classify_regime``."""
-    if not result.converged:
-        if result.failure is None and result.fidelity <= 0.5 + REGIME_FUZZ:
-            return Regime.HIGH_NOISE
-        return Regime.INTERMEDIATE
-    if result.fidelity <= 0.5 + REGIME_FUZZ:
+    if (result.converged or result.failure is None) and result.fidelity <= 0.5 + REGIME_FUZZ:
         return Regime.HIGH_NOISE
-    if result.conditional_fidelity >= 1.0 - REGIME_FUZZ:
+    if result.converged and result.conditional_fidelity >= 1.0 - REGIME_FUZZ:
         return Regime.SECURITY
     return Regime.INTERMEDIATE
 
@@ -709,9 +705,7 @@ def regime_scan(
         raise ValueError(f"f00 = {f00} outside [0, 1]")
     if samples < 1:
         raise ValueError(f"samples = {samples} < 1")
-    if not 0 <= int(seed) < 2**64:
-        raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(_checked_seed(seed))
     counts = {regime: 0 for regime in Regime}
     for _ in range(samples):
         free = rng.dirichlet(np.ones(15)) * (1.0 - f00)

@@ -40,11 +40,11 @@ Stim, Quantum 5, 497 (2021)):
   << 8, and routes every couple with one ``take`` from ``_ROUTES``,
   ``NOISY_CIRCUIT`` laid out as (joint << 12) | (target << 8) | source, as
   if it drew the mode; then it routes the errored couples again with their
-  own joint errors.  One body, ``_route``, does this block by block, for
-  ``purification_round`` over its array and for ``run`` over the initial
-  blocks.
+  own joint errors.  One body, ``_route``, does this block by block in
+  every round: over the initial blocks in round 1 of ``run``, else over
+  the ``_blocks`` of an array, the one cut of an array into blocks.
 - ``RoundStats.of`` counts two cells at a time, with ``bincount`` over the
-  same uint16 view (4096 bins), and folds the result to 16 counts.
+  same uint16 view of the same blocks (4096 bins), and folds to 16 counts.
 
 The draws have the law of one iid draw per pair through ``rng.choice``;
 the stream, and so what a given seed gives, is another.
@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .noisemodels import BinaryNoiseModel, NoiseModel
+from .noisemodels import BinaryNoiseModel, NoiseModel, _checked_seed
 from .recurrence import (
     DISCARDED,
     NOISY_CIRCUIT,
@@ -103,10 +103,11 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_pairs", "rounds", "seed"):
+        for name in ("n_pairs", "rounds"):
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
                 raise TypeError(f"{name} must be an integer, got {value!r}")
+        _checked_seed(self.seed)
         if not isinstance(self.initial, BellDiagonalState):
             raise TypeError(f"initial must be a BellDiagonalState, got {self.initial!r}")
         if not isinstance(self.noise, (NoiseModel, BinaryNoiseModel)):
@@ -115,8 +116,6 @@ class MCConfig:
             raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
         if self.rounds < 0:
             raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
-        if not 0 <= int(self.seed) < 2**64:
-            raise ValueError(f"seed must be in [0, 2**64), got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -132,14 +131,13 @@ class RoundStats:
         """The stats of ``cells``; raises ValueError, as a round does, for
         anything but 1-d integer cells in 0..15."""
         cells = _checked_cells(cells)
-        n = len(cells)
-        two = cells[:n - n % 2].view(_TWO_CELLS)
         both = np.zeros(4096, dtype=np.intp)
-        for start in range(0, len(two), _CHUNK):
-            both += np.bincount(two[start:start + _CHUNK], minlength=4096)
+        for block in _blocks(cells):
+            two = block[:block.size - block.size % 2].view(_TWO_CELLS)
+            both += np.bincount(two, minlength=4096)
         both = both.reshape(16, 256)[:, :16]  # [second cell, first cell]
         counts = both.sum(axis=0) + both.sum(axis=1)
-        if n % 2:
+        if len(cells) % 2:
             counts[cells[-1]] += 1
         return cls._of_counts(round_index, counts)
 
@@ -274,14 +272,9 @@ def _initial_blocks(cfg: MCConfig, counts: np.ndarray) -> Iterator[np.ndarray]:
 
 def init_ensemble(cfg: MCConfig) -> np.ndarray:
     """Sample the initial ensemble as uint8 cells: iid Bell indices from the
-    post-twirl weights, in the order drawn, all flags zero.  ``run`` routes
-    the same cells into round 1 block by block instead."""
-    cells = np.empty(cfg.n_pairs, dtype=np.uint8)
-    start = 0
-    for block in _initial_blocks(cfg, np.zeros(16, dtype=np.intp)):
-        cells[start:start + block.size] = block
-        start += block.size
-    return cells
+    post-twirl weights, in the order drawn, all flags zero: the blocks that
+    ``run`` routes into round 1, each copied before the next overwrites it."""
+    return np.concatenate([b.copy() for b in _initial_blocks(cfg, np.zeros(16, dtype=np.intp))])
 
 
 def _checked_cells(cells) -> np.ndarray:
@@ -297,6 +290,11 @@ def _checked_cells(cells) -> np.ndarray:
             f"cells must lie in 0..15, got values in [{cells.min()}, {cells.max()}]"
         )
     return np.ascontiguousarray(cells, dtype=np.uint8)
+
+
+def _blocks(cells: np.ndarray) -> Iterator[np.ndarray]:
+    """Contiguous uint8 ``cells`` in blocks of 2 * ``_CHUNK``, as ``_route`` takes them."""
+    return (cells[start:start + 2 * _CHUNK] for start in range(0, len(cells), 2 * _CHUNK))
 
 
 def _route(
@@ -341,46 +339,43 @@ def purification_round(
 
     ``cells`` must be in random order, as ``init_ensemble`` and this
     function return them; shuffle a sorted ensemble first.  The pairs are
-    coupled in order, source ``cells[0::2]`` with target ``cells[1::2]``;
-    chunk by chunk, every couple is routed as if it drew the channel's
-    most likely joint error, the couples ``_errors`` says drew another are
-    routed again with theirs, and the survivors are packed.  An odd pair
-    out then takes the slot j = ``rng.integers(kept + 1)`` among the kept
-    survivors, whose pair j moves to the end.  The input is only read.
-    Returns the surviving cells as uint8; raises ValueError for anything
-    but 1-d integer cells in 0..15.
+    coupled in order, source ``cells[0::2]`` with target ``cells[1::2]``.
+    ``_route``, run on the ``_blocks`` of the cells as every round of
+    ``run`` is, routes every couple as if it drew the channel's most likely
+    joint error, routes again with theirs the couples ``_errors`` says drew
+    another, and packs the survivors.  An odd pair out then takes the slot
+    j = ``rng.integers(kept + 1)`` among the kept survivors, whose pair j
+    moves to the end.  The input is only read.  Returns the surviving cells
+    as uint8; raises ValueError for anything but 1-d integer cells in 0..15.
     """
     cells = _checked_cells(cells)
-    n = len(cells)
-    if n < 2:
+    if len(cells) < 2:
         return cells.copy()
-    blocks = (cells[start:start + 2 * _CHUNK] for start in range(0, n, 2 * _CHUNK))
-    return _route(blocks, n, noise, rng)
+    return _route(_blocks(cells), len(cells), noise, rng)
 
 
 def run(cfg: MCConfig) -> list[RoundStats]:
     """Full distillation run; stats entry 0 describes the initial ensemble.
 
-    The run never holds the initial ensemble: ``init_ensemble``'s cells are
-    drawn a block at a time and routed straight into round 1, and entry 0
-    is counted from the draws.  Every entry is the one that
+    Round r routes the blocks of round r - 1 through ``_route``, round 1
+    those of ``_initial_blocks`` as they are drawn, so the run never holds
+    the initial ensemble.  Entry 0 is counted from the draws, drained after
+    the loop even when no round ran.  Every entry is the one that
     ``init_ensemble``, ``purification_round`` and ``RoundStats.of`` give
     composed round by round, bit for bit.
     """
     counts = np.zeros(16, dtype=np.intp)
-    blocks = _initial_blocks(cfg, counts)
-    if not cfg.rounds:
-        for _ in blocks:
-            pass
-        return [RoundStats._of_counts(0, counts)]
-    cells = _route(blocks, cfg.n_pairs, cfg.noise, _round_rng(cfg.seed, 1))
-    stats = [RoundStats._of_counts(0, counts), RoundStats.of(1, cells)]
-    for r in range(2, cfg.rounds + 1):
-        if len(cells) < 2:
+    initial = _initial_blocks(cfg, counts)
+    blocks, n, stats = initial, cfg.n_pairs, []
+    for r in range(1, cfg.rounds + 1):
+        if n < 2:
             break
-        cells = purification_round(cells, cfg.noise, _round_rng(cfg.seed, r))
+        cells = _route(blocks, n, cfg.noise, _round_rng(cfg.seed, r))
         stats.append(RoundStats.of(r, cells))
-    return stats
+        blocks, n = _blocks(cells), len(cells)
+    for _ in initial:
+        pass
+    return [RoundStats._of_counts(0, counts), *stats]
 
 
 def _steps(

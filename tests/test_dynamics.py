@@ -11,6 +11,7 @@ import pytest
 import eppsim
 from eppsim import dynamics, matrixoracle, recurrence
 from eppsim.dynamics import (
+    FixpointResult,
     Regime,
     binary_family,
     binary_fixpoint_analytic,
@@ -256,6 +257,22 @@ def test_unconverged_run_that_has_decayed_is_high_noise():
     assert not r.converged and r.failure is None
     assert r.fidelity == pytest.approx(0.25, abs=1e-12)
     assert regime_of(r) is Regime.HIGH_NOISE
+
+
+@pytest.mark.parametrize(
+    "converged, failure, weights, regime",
+    [
+        (True, None, (0.25, 0.0, 0.0, 0.75), Regime.HIGH_NOISE),
+        (True, None, (1.0, 0.0, 0.0, 0.0), Regime.SECURITY),
+        (True, None, (0.9, 0.1, 0.0, 0.0), Regime.INTERMEDIATE),
+        (False, None, (0.25, 0.0, 0.0, 0.75), Regime.HIGH_NOISE),  # decayed short of its limit
+        (False, None, (1.0, 0.0, 0.0, 0.0), Regime.INTERMEDIATE),  # secure only at a limit
+        (False, "annihilated", (0.25, 0.0, 0.0, 0.75), Regime.INTERMEDIATE),
+    ],
+)
+def test_regime_of_every_branch(converged, failure, weights, regime):
+    result = FixpointResult(BinaryFlaggedState(*weights), 1, converged, 0.0, failure)
+    assert regime_of(result) is regime
 
 
 @pytest.mark.parametrize("f0", [0.70, 0.75, 0.76, 0.7718, 0.78, 0.8, 0.9, 1.0])
@@ -997,8 +1014,10 @@ def fresh_python(code):
 
 
 def test_import_does_not_load_scipy():
-    code = "import eppsim, sys; sys.exit('scipy' in sys.modules)"
-    assert fresh_python(code).returncode == 0
+    # the library and its console entry point alike
+    for module in ("eppsim", "eppsim.cli"):
+        code = f"import {module}, sys; sys.exit('scipy' in sys.modules)"
+        assert fresh_python(code).returncode == 0, module
 
 
 def test_import_builds_the_routes_from_the_circuit_table():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from eppsim import montecarlo
+from eppsim.dynamics import regime_scan
 from eppsim.montecarlo import (
     _CHUNK,
     _ROUTES,
@@ -66,6 +67,24 @@ def test_seed_outside_the_64_bit_range_is_rejected(seed):
     # a masked seed would alias: -1 would run the stream of 2**64 - 1, 2**64 that of 0
     with pytest.raises(ValueError, match=r"seed must be in \[0, 2\*\*64\)"):
         cfg(seed=seed)
+
+
+@pytest.mark.parametrize(
+    "seed", [True, 1.5, "3", -1, 2**64], ids=["True", "1.5", "str-3", "-1", "2**64"]
+)
+def test_scan_and_run_reject_a_seed_alike(seed):
+    # one rule: a bool or a string is no seed, though int() would take it
+    with pytest.raises((TypeError, ValueError)) as scan:
+        regime_scan(0.9, 2, seed)
+    with pytest.raises((TypeError, ValueError)) as mc:
+        cfg(seed=seed)
+    assert type(scan.value) is type(mc.value)
+    assert str(scan.value) == str(mc.value)
+
+
+def test_scan_takes_a_numpy_seed_as_its_int():
+    # a run takes it too: test_run_takes_any_seed_in_range
+    assert regime_scan(0.9, 2, np.uint64(3)) == regime_scan(0.9, 2, 3)
 
 
 @pytest.mark.parametrize(
@@ -243,6 +262,30 @@ def test_errors_of_a_mode_only_law_draw_nothing():
     rng = Uniforms()
     positions, values = _errors(rng, _sparse(np.array([0.0, 1.0, 0.0, 0.0])), _CHUNK)
     assert positions.size == 0 and values.size == 0 and rng.sizes == []
+
+
+@pytest.mark.parametrize("layout", ["every-third", "int64"])
+@pytest.mark.parametrize("n", [2 * _CHUNK - 1, 2 * _CHUNK, 2 * _CHUNK + 1, 4 * _CHUNK + 3])
+def test_round_and_stats_read_any_layout_of_cells(n, layout):
+    # the blocks are cut from a contiguous uint8 copy, never viewed in place
+    base = np.random.default_rng(n).integers(0, 16, 3 * n, dtype=np.uint8)
+    cells = base[::3] if layout == "every-third" else base[:n].astype(np.int64)
+    plain = np.ascontiguousarray(cells, np.uint8)
+    ours, theirs = _round_rng(6, 1), _round_rng(6, 1)
+    got = purification_round(cells, tracking_noise(), ours)
+    assert np.array_equal(got, purification_round(plain, tracking_noise(), theirs))
+    assert ours.bit_generator.state == theirs.bit_generator.state
+    assert RoundStats.of(1, cells).cells.tolist() == RoundStats.of(1, plain).cells.tolist()
+
+
+@pytest.mark.parametrize("n", [0, 1])
+def test_round_of_fewer_than_two_cells_copies_them_and_draws_nothing(n):
+    cells = np.full(n, 4 * 2 + 1, dtype=np.uint8)
+    rng = _round_rng(2, 1)
+    before = rng.bit_generator.state
+    out = purification_round(cells, tracking_noise(), rng)
+    assert rng.bit_generator.state == before
+    assert np.array_equal(out, cells) and out is not cells and out.base is None
 
 
 @pytest.mark.parametrize(
