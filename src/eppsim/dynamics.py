@@ -22,10 +22,12 @@ one.  On raw weight vectors of that restricted map, the secure fixpoint is
 solved for by Newton's method after a short plain warm start, in tens of
 steps even where the plain iteration converges only algebraically, and is
 polished to rounding level; the margin is then measured once, on the whole
-map's Jacobian.  The limits that the basin checks of a critical search
-take for the start state go through the plain iteration's body to the
-same Newton solve on the whole map, with every cell free, and a Newton
-limit counts there only if it attracts.
+map's Jacobian.  Where no fixpoint lies within Newton's reach, as below a
+fold, Newton's corrections stop shrinking, and the solve hands over to the
+plain iteration within a few steps.  The limits that the basin checks of
+a critical search take for the start state go through the plain
+iteration's body to the same Newton solve on the whole map, with every
+cell free, and a Newton limit counts there only if it attracts.
 Convergence times of the plain iteration diverge at the boundary, much like
 a phase transition.  Every solve runs on flagged states, 16-cell or binary;
 a Bell-diagonal state enters through ``embed``, noiseless or not.
@@ -34,6 +36,7 @@ a Bell-diagonal state enters through ``embed``, noiseless or not.
 from __future__ import annotations
 
 import math
+import threading
 import warnings
 from dataclasses import dataclass
 from enum import Enum
@@ -41,7 +44,14 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .noisemodels import BinaryNoiseModel, NoiseModel, _checked_seed, one_qubit_white, product
+from .noisemodels import (
+    BinaryNoiseModel,
+    NoiseModel,
+    _checked_int,
+    _checked_seed,
+    one_qubit_white,
+    product,
+)
 from .recurrence import (
     ANNIHILATION_EPS,
     BellDiagonalState,
@@ -131,6 +141,28 @@ _FIRST_BLOCK = 8
 _BLOCK_CAP = 32
 
 
+_THREAD = threading.local()
+
+
+def _workspace(n: int):
+    """The plain loop's buffers for an ``n``-cell map, made once per thread
+    and ``_BLOCK_CAP``: the block's rows, the outer product ``sq`` and its
+    flat view, the product ``q`` of image and keep probability and its
+    image view, the residual rows ``diff``, and each step k's views
+    (k, row k as a column, row k as a row, row k + 1)."""
+    cache = _THREAD.__dict__.setdefault("workspaces", {})
+    key = (n, _BLOCK_CAP)
+    if key not in cache:
+        cap = _BLOCK_CAP
+        rows, diff = np.empty((cap + 1, n)), np.empty((cap, n))
+        sq, q = np.empty((n, n)), np.empty(n + 1)
+        # step k reads row k as a column and as a row, whose dot is the
+        # outer product (each entry one rounded product), and writes row k + 1
+        steps = list(zip(range(cap), rows[:-1, :, None], rows[:-1, None, :], rows[1:]))
+        cache[key] = rows, sq, sq.reshape(-1), q, q[:n], diff, steps
+    return cache[key]
+
+
 def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
     """Iterate the normalized step from ``a``, which is left unchanged.
 
@@ -141,7 +173,9 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
     outer product, one product with the map's ``forms`` that gives the
     image and N, and the divide), so a step allocates nothing and its
     arithmetic is that of ``QuadraticMap.apply``, operation for operation.
-    After the block one pass over the stacked rows takes every step's
+    The buffers and each step's views of them come from ``_workspace``,
+    made once per thread for a map size, and the result is a copy of its
+    row.  After the block one pass over the stacked rows takes every step's
     residual, and the first row whose residual is <= tol is the result; the
     steps after it are discarded.  Otherwise the last row is
     the next block's start.  Every vector, iteration count, residual and
@@ -159,16 +193,8 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
     n = a.shape[0]
     forms = qmap.forms.reshape(n + 1, -1)
     cap = _BLOCK_CAP
-    rows = np.empty((cap + 1, n))
+    rows, sq, flat, q, image, diff, steps = _workspace(n)
     rows[0] = a
-    # step k reads row k as a column and as a row, whose dot is the outer
-    # product (each entry one rounded product), and writes row k + 1
-    cols, tops, nexts = rows[:-1, :, None], rows[:-1, None, :], rows[1:]
-    sq = np.empty((n, n))
-    flat = sq.reshape(-1)
-    q = np.empty(n + 1)
-    image = q[:n]
-    diff = np.empty((cap, n))
     dot, divide = np.dot, np.divide
 
     def residuals(length):
@@ -181,7 +207,7 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
     done, block, residual = 0, min(_FIRST_BLOCK, cap), np.inf
     while done < max_iter:
         length = min(block, max_iter - done)
-        for k, col, row, nxt in zip(range(length), cols, tops, nexts):
+        for k, col, row, nxt in steps[:length]:
             dot(col, row, out=sq)
             dot(forms, flat, out=q)
             keep = q[n]
@@ -195,7 +221,7 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
             r, hits = residuals(length)
         if hits.size:
             k = int(hits[0])
-            return rows[k + 1], done + k + 1, True, float(r[k])
+            return rows[k + 1].copy(), done + k + 1, True, float(r[k])
         done += length
         rows[0] = rows[length]
         first, residual = float(r[0]), float(r[-1])
@@ -205,7 +231,7 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
             if 0.0 < ratio < 1.0 and tol > 0.0:
                 need = (math.log(tol) - math.log(residual)) / math.log(ratio)
                 block = min(cap, max(2, math.ceil(need)))
-    return rows[0], done, False, float(residual)
+    return rows[0].copy(), done, False, float(residual)
 
 
 def _vector_of(state):
@@ -222,7 +248,7 @@ def _solve(s0, noise_or_map, tol: float, max_iter: int, newton: bool = False) ->
     plain loop of the map that fits ``s0``, or with ``newton`` (the basin
     checks) ``_newton_fixpoint`` on that map, every cell free.  Only Newton
     needs the map here; the plain loop builds it if it reads it."""
-    _check_budget(tol, max_iter)
+    max_iter = _checked_budget(tol, max_iter)
     a, wrap = _vector_of(s0)
     qmap = _fitting_map(noise_or_map, a) if newton else None
     plain = _plain_loop(noise_or_map, s0, qmap)
@@ -247,13 +273,14 @@ def iterate_to_fixpoint(
     Accepts a flagged 16-variable or binary state with a map or noise model
     that fits it.  A binary state with a binary noise model runs the scalar
     closed-form loop of ``_plain_loop`` and builds no map, as it is faster
-    (1.1 against 2.1 us a step on the 4-variable map, on a 2-vCPU Xeon);
+    (1.25 against 2.06 us a step on the 4-variable map, on a 2-vCPU Xeon);
     every other pair runs the array loop.
     ``s0`` is left unchanged.  Annihilation of the ensemble is reported as
     non-convergence with a cause, zero iterations and an infinite residual.
-    Raises TypeError for any other state, and ValueError for a negative
-    ``max_iter``, a ``tol`` not finite and nonnegative, or a state that does
-    not fit the map; zero ``max_iter`` reports non-convergence.
+    Raises TypeError for any other state and for a ``max_iter`` that is no
+    integer (a bool or a float, even a whole one), and ValueError for a
+    negative ``max_iter``, a ``tol`` not finite and nonnegative, or a state
+    that does not fit the map; zero ``max_iter`` reports non-convergence.
     """
     return _solve(s0, noise_or_map, tol, max_iter)
 
@@ -327,9 +354,9 @@ _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState
 
 #: Plain steps that start each Newton solve, and the Newton steps it takes at
 #: most.  The warm start only has to bring Newton within reach of the
-#: fixpoint; with 30 steps a critical search's solves sum to 829 steps
-#: (white noise at 24 halvings) and 413 steps over 11 solves and 9 family
-#: calls (binary).
+#: fixpoint; with 30 steps a critical search's 16 solves take 871 steps
+#: and 71 linear solves (white noise at 24 halvings), and its 11 solves
+#: over 9 family calls 413 steps and 91 linear solves (binary).
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
@@ -340,6 +367,15 @@ _NEWTON_MAX_STEPS = 50
 #: the solve leaves Newton for the plain iteration.
 _NEWTON_CLIP_FLOOR = 1e-5
 
+#: A Newton correction longer than the one before means that no fixpoint
+#: lies within Newton's reach (Deuflhard's monotonicity test), and the solve
+#: leaves Newton for the plain iteration, unless the residual is at most
+#: this floor.  Below it, rounding sets the corrections' lengths: at the
+#: binary f0 = 3/4 multiple root they grow and shrink with residuals of
+#: 1.7e-12 to 5.0e-10, while a fold's ghost keeps residuals of 7.9e-6 and
+#: more (white noise just below 0.89831).
+_NEWTON_ROUNDING_FLOOR = 1e-9
+
 #: Newton steps that polish a converged secure fixpoint before its stability
 #: is measured.  Near the boundary rho - 1 is as small as the error a
 #: fixpoint solved to ``tol`` leaves in it; polished to rounding level, the
@@ -347,11 +383,14 @@ _NEWTON_CLIP_FLOOR = 1e-5
 _POLISH_STEPS = 3
 
 
-def _check_budget(tol: float, max_iter: int) -> None:
+def _checked_budget(tol: float, max_iter: int) -> int:
+    """``max_iter`` as an int, once the budget is valid."""
+    max_iter = _checked_int("max_iter", max_iter)
     if max_iter < 0:
         raise ValueError(f"max_iter = {max_iter} < 0")
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol = {tol} is not finite and nonnegative")
+    return max_iter
 
 
 def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None)):
@@ -403,12 +442,16 @@ def _newton_fixpoint(
     to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected Newton
     step): a secure fixpoint's cells with flag other than Bell index are
     zero, on the edge of the simplex, and Newton overshoots them by up to
-    about 1e-6.  If Newton has not converged within ``_NEWTON_MAX_STEPS``
-    steps, or a Newton point has a weight below ``-_NEWTON_CLIP_FLOOR``, the
-    plain iteration takes the rest of the budget from where the warm start
-    stopped, so the result is the limit of the plain iteration; that happens
-    where no fixpoint lies within Newton's reach (it circles the ghost of a
-    fold) or Newton heads for another fixpoint.  With ``attracting``, a
+    about 1e-6.  The plain iteration takes the rest of the budget from
+    where the warm start stopped, so the result is the limit of the plain
+    iteration, if Newton has not converged within ``_NEWTON_MAX_STEPS``
+    steps, if a Newton point has a weight below ``-_NEWTON_CLIP_FLOOR``, or
+    if a correction is longer than the one before (squared 2-norms,
+    ``dx @ dx``) while the residual is above ``_NEWTON_ROUNDING_FLOOR``.
+    That happens where no fixpoint lies within Newton's reach (it circles
+    the ghost of a fold, and its corrections stop shrinking: Deuflhard's
+    monotonicity test) or Newton heads for another fixpoint.  The longer
+    correction is not taken, and its step counts.  With ``attracting``, a
     fixpoint Newton converges to counts only if it attracts: the spectral
     radius of the ``jacobian`` there exceeds one by at most
     ``REGIME_FUZZ``.  A saddle's limit is no trajectory's, so the plain
@@ -419,17 +462,20 @@ def _newton_fixpoint(
     flag-diagonal cells, without: the margin is that spectral radius.
     Returns (vector, iterations, converged, residual) as ``_iterate_array``
     does: converged means max |step(x) - x| <= tol within ``max_iter``
-    steps in all, plain and Newton alike, and the vector is step(x).  At the binary family's
-    f0 = 3/4, where the fixpoint is a multiple root, Newton converges only
-    linearly, but in tens of steps where the plain iteration needs more than
-    500k.  ``tol`` and ``max_iter`` are not checked here; an annihilated
-    ensemble raises EnsembleAnnihilated.
+    steps in all, plain and Newton alike, and the vector is step(x).  At
+    the binary family's f0 = 3/4, where the fixpoint is a multiple root,
+    Newton converges only linearly, but in tens of steps where the plain
+    iteration needs more than 500k; its corrections there grow and shrink
+    at residuals below the rounding floor, which keeps it with Newton.
+    ``tol`` and ``max_iter`` are not checked here; an annihilated ensemble
+    raises EnsembleAnnihilated.
     """
     warm, spent, converged, residual = plain(x, tol, min(_NEWTON_WARM_START, max_iter))
     if converged or spent == max_iter:
         return warm, spent, converged, residual
     x = np.array(warm)  # the warm start's end stays for the fallback
     eye = np.eye(qmap.dim)
+    last = np.inf  # the squared length of the last correction
     for k in range(1, min(_NEWTON_MAX_STEPS, max_iter - spent) + 1):
         image, _ = qmap.apply(x)
         residual = float(np.max(np.abs(image - x)))
@@ -437,7 +483,12 @@ def _newton_fixpoint(
             if not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ:
                 return image, spent + k, True, residual
             break
-        x += np.linalg.solve(jacobian(qmap, x) - eye, x - image)
+        dx = np.linalg.solve(jacobian(qmap, x) - eye, x - image)
+        size = dx @ dx
+        if size > last and residual > _NEWTON_ROUNDING_FLOOR:
+            break
+        last = size
+        x += dx
         if x.min() < -_NEWTON_CLIP_FLOOR:
             break
         np.maximum(x, 0.0, out=x)
@@ -459,7 +510,7 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     or ``max_iter``, a map that does not fit ``s0`` or a start with no
     flag-diagonal weight, and EnsembleAnnihilated.
     """
-    _check_budget(tol, max_iter)
+    max_iter = _checked_budget(tol, max_iter)
     a, _ = _vector_of(s0)
     cells = _FLAG_DIAGONAL_CELLS[type(s0)]
     mass = a[cells].sum()
@@ -557,7 +608,8 @@ def find_critical(
     more than the budget, and at a secure end near the boundary, where it
     needs thousands.  A Newton limit that does not attract (a saddle) is
     no trajectory's limit, and the plain iteration goes on from the warm
-    start instead.  Raises ValueError for a negative ``halvings``, a bad
+    start instead.  Raises TypeError for a ``halvings`` or ``max_iter``
+    that is no integer, and ValueError for a negative ``halvings``, a bad
     ``tol`` or ``max_iter``, when the verdict does not change across the
     bracket or when a basin check disagrees with it; ``halvings = 0``
     returns the bracket's midpoint.
@@ -580,6 +632,7 @@ def find_critical(
     point of the final bracket (its midpoint if the margin is undefined at
     an end), so it lies within the first width over 2**halvings of the root.
     """
+    halvings = _checked_int("halvings", halvings)
     if halvings < 0:
         raise ValueError(f"halvings = {halvings} < 0")
     lo, hi = bracket
@@ -699,10 +752,12 @@ def regime_scan(
     The 15 free weights are drawn uniformly on the simplex of mass 1 - f00.
     Each channel is classified as ``classify_regime`` does, but a probe that
     does not converge within ``max_iter`` counts as intermediate without a
-    warning.
+    warning.  ``samples``, ``seed`` and ``max_iter`` must be integers, as
+    ``MCConfig``'s counts are (TypeError otherwise).
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")
+    samples = _checked_int("samples", samples)
     if samples < 1:
         raise ValueError(f"samples = {samples} < 1")
     rng = np.random.default_rng(_checked_seed(seed))

@@ -63,7 +63,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .noisemodels import BinaryNoiseModel, NoiseModel, _checked_seed
+from .noisemodels import BinaryNoiseModel, NoiseModel, _checked_int, _checked_seed
 from .recurrence import (
     DISCARDED,
     NOISY_CIRCUIT,
@@ -104,9 +104,7 @@ class MCConfig:
 
     def __post_init__(self):
         for name in ("n_pairs", "rounds"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-                raise TypeError(f"{name} must be an integer, got {value!r}")
+            _checked_int(name, getattr(self, name))
         _checked_seed(self.seed)
         if not isinstance(self.initial, BellDiagonalState):
             raise TypeError(f"initial must be a BellDiagonalState, got {self.initial!r}")

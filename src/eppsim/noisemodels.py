@@ -49,13 +49,20 @@ def _validated_vector(vec, labels: tuple[str, ...], sum_tol: float, neg_tol: flo
     return vec / total
 
 
+def _checked_int(name: str, value) -> int:
+    """``value`` as an int, once it is a Python or numpy integer and no bool:
+    the one check of every count and seed.  Raises TypeError naming it."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def _checked_seed(seed) -> int:
     """``seed`` as an int, once it is an integer in [0, 2**64): every seed's check."""
-    if isinstance(seed, bool) or not isinstance(seed, (int, np.integer)):
-        raise TypeError(f"seed must be an integer, got {seed!r}")
-    if not 0 <= int(seed) < 2**64:
+    seed = _checked_int("seed", seed)
+    if not 0 <= seed < 2**64:
         raise ValueError(f"seed must be in [0, 2**64), got {seed}")
-    return int(seed)
+    return seed
 
 
 _JOINT_LABELS = tuple(f"f[{m}{n}]" for m in PAULI_LABELS for n in PAULI_LABELS)

@@ -1,8 +1,10 @@
 import math
 import os
+import re
 import subprocess
 import sys
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -205,6 +207,43 @@ def test_blocked_loop_matches_the_one_step_reference(monkeypatch):
                 outcomes.add((qmap.dim, tol, budget == 30_000, want[1]))
     # tol = 0 is met on both map sizes, and f0 = 0.7 runs the whole budget
     assert {(16, 0.0, True, True), (4, 0.0, True, True), (4, 0.0, True, False)} <= outcomes
+
+
+@pytest.mark.parametrize("cap", [2, 32])
+@pytest.mark.parametrize("other", ["4 cells", "16 cells"])
+def test_plain_loops_on_two_threads_match_their_serial_results(other, cap, monkeypatch):
+    # the loop reuses buffers, made once per thread and map size, so two
+    # threads iterating at once change no result: on maps of different sizes,
+    # and on maps of the same size, which would share buffers across threads
+    monkeypatch.setattr(dynamics, "_BLOCK_CAP", cap)
+    jobs = [(white_noise_family(0.93)[0], dynamics._WERNER_PROBE)]
+    if other == "4 cells":
+        jobs.append(
+            (binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.8)), dynamics._BINARY_PROBE))
+    else:
+        jobs.append((white_noise_family(0.91)[0], dynamics._WERNER_PROBE))
+
+    def results(qmap, start):
+        return [iterate_to_fixpoint(start, qmap, tol=1e-12 * (1 + k % 7), max_iter=20 + k)
+                for k in range(200)]
+
+    serial = [results(*job) for job in jobs]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)  # switch threads within a solve, not between solves
+    try:
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            threaded = list(pool.map(lambda job: results(*job), jobs, timeout=60))
+    finally:
+        sys.setswitchinterval(interval)
+    outcomes = set()
+    for want, got in zip(serial, threaded):
+        for a, b in zip(want, got):
+            assert (a.iterations, a.converged) == (b.iterations, b.converged)
+            assert a.residual == b.residual
+            vectors = (dynamics._vector_of(r.state)[0].tobytes() for r in (a, b))
+            assert len(set(vectors)) == 1
+            outcomes.add(a.converged)
+    assert outcomes == {True, False}
 
 
 def annihilating_map():
@@ -560,6 +599,37 @@ def test_secure_fixpoint_past_a_fold_falls_back_to_plain_steps():
     assert r.fidelity == pytest.approx(0.25, abs=1e-9)
 
 
+def counting_solves(monkeypatch):
+    """A list that gets one entry per linear solve from now on."""
+    solves, solve = [], np.linalg.solve
+
+    def counted(*args):
+        solves.append(None)
+        return solve(*args)
+
+    monkeypatch.setattr(np.linalg, "solve", counted)
+    return solves
+
+
+def test_newton_leaves_a_fold_ghost_once_its_corrections_grow(monkeypatch):
+    # white noise at 0.898125, the slowest probe of the demo 06 search, lies
+    # just below the fold.  Newton's first two corrections shrink and the
+    # third is longer, so it is not taken and the plain iteration goes on
+    # from the warm start (the clip floor stopped Newton only after 28).
+    # The result is the plain limit of the projected start, bit for bit
+    qmap, probe = white_noise_family(0.898125)
+    cells = [0, 5, 10, 15]
+    solves = counting_solves(monkeypatch)
+    *_, (x, iterations, converged, _) = dynamics._secure_fixpoint(qmap, probe, 1e-12, 30_000)
+    assert len(solves) == 3
+    start = probe.flat[cells] / probe.flat[cells].sum()
+    plain = dynamics._iterate_array(start, qmap.restricted(cells), 1e-12, 30_000)
+    assert plain[2] and converged
+    assert iterations == plain[1] + len(solves)
+    assert x.tobytes() == plain[0].tobytes()
+    assert x[0] == pytest.approx(0.25, abs=1e-15)
+
+
 def test_secure_fixpoint_budget_counts_every_step():
     noise, probe = binary_family(0.75)
     warm = dynamics._NEWTON_WARM_START
@@ -577,6 +647,34 @@ def test_negative_budget_is_an_error(family):
         secure_fixpoint(noise, probe, tol=1e-12, max_iter=-1)
     r = secure_fixpoint(noise, probe, tol=1e-12, max_iter=0)
     assert (r.iterations, r.converged) == (0, False)
+
+
+#: Every count a solver takes, as a call with that count set to n, and a
+#: value of n the call accepts.
+COUNT_CALLS = {
+    "iterate_to_fixpoint, scalar loop": (
+        lambda n: iterate_to_fixpoint(binary_probe(), binary_family(0.8)[0], max_iter=n), 3),
+    "iterate_to_fixpoint, 16 cells": (
+        lambda n: iterate_to_fixpoint(*reversed(white_noise_family(0.93)), max_iter=n), 3),
+    "classify_regime": (lambda n: classify_regime(binary_family(0.9)[0], max_iter=n), 1000),
+    "secure_by_stability": (lambda n: secure_by_stability(binary_family(0.9)[0], max_iter=n), 3),
+    "find_critical halvings": (lambda n: find_critical(binary_family, (0.75, 0.85), n), 3),
+    "find_critical max_iter": (
+        lambda n: find_critical(binary_family, (0.75, 0.85), 3, max_iter=n), 1000),
+    "regime_scan samples": (lambda n: regime_scan(0.9, n, 1), 3),
+    "regime_scan max_iter": (lambda n: regime_scan(0.9, 3, 1, max_iter=n), 3),
+}
+
+
+@pytest.mark.parametrize("name", COUNT_CALLS)
+def test_counts_must_be_integers(name):
+    # the rule of MCConfig's counts: no bool, no float, even a whole one
+    call, accepted = COUNT_CALLS[name]
+    for bad in (2.5, True, 1e5):
+        message = r"^\w+ must be an integer, got " + re.escape(repr(bad))
+        with pytest.raises(TypeError, match=message):
+            call(bad)
+    assert repr(call(np.int64(accepted))) == repr(call(accepted))
 
 
 @pytest.mark.parametrize("tol", [math.nan, -1.0, math.inf])
@@ -802,8 +900,11 @@ def test_plain_and_basin_solves_report_annihilation_alike(kind):
 def test_basin_limit_at_the_binary_threshold_is_decided_by_newton():
     # the plain iteration converges only algebraically here,
     # e' = e / (1 + e**2) for e = F - 1/2, and used to spend the whole budget
+    # Newton's corrections grow and shrink at rounding level there, with
+    # residuals of 1.7e-12 to 5.0e-10, so they must not stop it: below
+    # _NEWTON_ROUNDING_FLOOR the solve stays with Newton
     r = basin_limit(*binary_family(0.75))
-    assert r.iterations <= dynamics._NEWTON_WARM_START + dynamics._NEWTON_MAX_STEPS
+    assert r.iterations == 72
     assert r.converged and not ends_secure(r)
 
 
@@ -817,13 +918,15 @@ def test_basin_limit_at_a_secure_end_near_the_boundary_is_decided_by_newton(fami
     assert r.converged and ends_secure(r)
 
 
-def test_critical_searches_take_few_solve_steps():
+def test_critical_searches_take_few_solve_steps(monkeypatch):
     # a deterministic cost guard: the solve steps, plain and Newton, summed
     # over every solve of a search (about 5,000 each with a 200-step warm
-    # start and negative Newton points replaced by plain steps), and the
-    # family calls, one per probe (26, 42 and 42 when the search bisected;
-    # 15, 11 and 17 with Illinois' halving in place of Anderson-Bjorck's
-    # factor)
+    # start and negative Newton points replaced by plain steps), the
+    # linear solves, Newton's and the polish's (115, 91 and 121 when Newton
+    # went on while its corrections grew), and the family calls, one per
+    # probe (26, 42 and 42 when the search bisected; 15, 11 and 17 with
+    # Illinois' halving in place of Anderson-Bjorck's factor)
+    solves = counting_solves(monkeypatch)
     spent, calls = [], []
     original = dynamics._newton_fixpoint
 
@@ -840,18 +943,19 @@ def test_critical_searches_take_few_solve_steps():
 
     searches = [
         (lambda: find_critical(
-            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 14),
-        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 10),
-        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 15),  # CLI default
+            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 80, 14),
+        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 91, 10),
+        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 85, 15),  # CLI default
     ]
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(dynamics, "_newton_fixpoint", counted)
-        for search, most_calls in searches:
-            spent.clear()
-            calls.clear()
-            search()
-            assert 0 < sum(spent) <= 2_000
-            assert 0 < len(calls) <= most_calls
+    monkeypatch.setattr(dynamics, "_newton_fixpoint", counted)
+    for search, most_solves, most_calls in searches:
+        spent.clear()
+        solves.clear()
+        calls.clear()
+        search()
+        assert 0 < sum(spent) <= 2_000
+        assert 0 < len(solves) <= most_solves
+        assert 0 < len(calls) <= most_calls
 
 
 def test_basin_limit_matches_plain_iteration_on_random_channels():
