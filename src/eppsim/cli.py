@@ -3,8 +3,8 @@
 Each subcommand runs one reproducible computation and writes a CSV or JSON
 table plus a run manifest (resolved parameters, seed, tool version, output
 paths).  Re-running a manifest reproduces the outputs byte for byte.  CSV
-headers are fixed per subcommand and numbers use the dot decimal separator
-regardless of locale.
+headers are fixed per subcommand; ``csv`` and ``json`` write each value as it
+is, a float as its repr (dot decimal separator regardless of locale).
 
 Subcommands: iterate, fixpoint, critical, scan, mc, curve, resources.
 """
@@ -78,14 +78,6 @@ def _load_config(path: str | None) -> dict[str, str]:
     return parse_config_text(p.read_text(), source=str(path))
 
 
-def _fmt(x) -> str:
-    if x is None:
-        return ""
-    if isinstance(x, (float, np.floating)):
-        return repr(float(x))
-    return str(x)
-
-
 def _json_text(obj) -> str:
     """Indented, key-sorted JSON; NaN or infinity raises ValueError, since it
     is not valid JSON."""
@@ -94,41 +86,29 @@ def _json_text(obj) -> str:
 
 def _write_table(path: Path, header: list[str], rows: list[list], fmt: str) -> None:
     if fmt == "json":
-        records = [dict(zip(header, [_coerce(v) for v in row])) for row in rows]
-        path.write_text(_json_text(records))
+        path.write_text(_json_text([dict(zip(header, row)) for row in rows]))
         return
     with path.open("w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        writer.writerows(rows)
 
 
-def _coerce(v):
-    if isinstance(v, (np.floating,)):
-        return float(v)
-    if isinstance(v, (np.integer,)):
-        return int(v)
-    return v
-
-
-def _write_outputs(args, header: list[str] | None, rows, **resolved) -> None:
+def _write_outputs(args, header: list[str] | None, rows) -> None:
     """Write the subcommand's table and the manifest that replays it.
 
     With a header, ``rows`` go to ``<command>.<format>``; without one,
     ``rows`` is a payload written as ``<command>.json``.  The manifest
-    records every parsed flag; ``resolved`` replaces flags left unset with
-    the values taken from the config file.  Every JSON text is made before
+    records every attribute of ``args``.  Every JSON text is made before
     its file is written, so a value JSON cannot hold writes no file.
     """
     out = Path(args.out)
     table = out / f"{args.command}.{'json' if header is None else args.format}"
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    params.update(resolved)
     manifest = _json_text(
         {
             "subcommand": args.command,
-            "params": {k: _coerce(v) for k, v in params.items()},
+            "params": params,
             "seed": params.get("seed"),
             "version": __version__,
             "outputs": [table.name],
@@ -146,17 +126,11 @@ def replay_manifest(path: str | Path) -> int:
     manifest = json.loads(Path(path).read_text())
     argv = [manifest["subcommand"]]
     for key, value in manifest["params"].items():
-        if value is None:
+        if value is None or value is False:
             continue
-        if isinstance(value, bool):
-            if value:
-                argv.append(f"--{key.replace('_', '-')}")
-            continue
-        if isinstance(value, list):
-            argv.append(f"--{key.replace('_', '-')}")
-            argv.extend(str(v) for v in value)
-            continue
-        argv.extend([f"--{key.replace('_', '-')}", str(value)])
+        argv.append(f"--{key.replace('_', '-')}")
+        if value is not True:  # a store_true flag takes no value
+            argv.extend(str(v) for v in (value if isinstance(value, list) else [value]))
     argv.extend(["--out", str(Path(path).parent)])
     return main(argv)
 
@@ -197,29 +171,37 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
     return BellDiagonalState.werner(0.85)
 
 
+#: The counts a config may set, with their defaults; a flag overrides them.
+_CONFIG_COUNTS = {"steps": "20", "pairs": "100000", "rounds": "8"}
+
+
 def _resolve_run(args):
-    """Config, noise model and start state of a noise-driven subcommand."""
+    """Noise model and start state of a noise-driven subcommand.  Each of its
+    counts left unset is set on ``args`` from the config, so the manifest
+    records the value that ran."""
     cfg = _load_config(args.config)
-    return cfg, _resolve_noise(args, cfg), _resolve_start(args, cfg)
+    noise, start = _resolve_noise(args, cfg), _resolve_start(args, cfg)
+    for key, default in _CONFIG_COUNTS.items():
+        if key in vars(args) and getattr(args, key) is None:
+            setattr(args, key, _parsed(cfg, key, int, default))
+    return noise, start
 
 
 # --- subcommands -------------------------------------------------------------
-# A handler takes the parsed flags, and a noise-driven one also the config,
-# noise model and start state; it returns (rows or JSON payload, values
-# resolved from the config, exit code).
+# A handler takes the parsed flags, and a noise-driven one also the noise
+# model and start state; it returns (rows or JSON payload, exit code).
 
-def _cmd_iterate(args, cfg, noise, start):
-    steps = args.steps if args.steps is not None else _parsed(cfg, "steps", int, "20")
-    if steps < 0:
-        raise ConfigError(f"--steps must be at least 0, got {steps}")
+def _cmd_iterate(args, noise, start):
+    if args.steps < 0:
+        raise ConfigError(f"--steps must be at least 0, got {args.steps}")
     rows = [
         [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
-        for n, (state, keep) in enumerate(analytic_trajectory(noise, start, steps))
+        for n, (state, keep) in enumerate(analytic_trajectory(noise, start, args.steps))
     ]
-    return rows, {"steps": steps}, 0
+    return rows, 0
 
 
-def _cmd_fixpoint(args, cfg, noise, start):
+def _cmd_fixpoint(args, noise, start):
     result = iterate_to_fixpoint(embed(start), noise, tol=args.tol, max_iter=args.max_iter)
     if result.failure is not None:
         raise EnsembleAnnihilated(result.failure)
@@ -233,7 +215,7 @@ def _cmd_fixpoint(args, cfg, noise, start):
         "regime": regime_of(result).value,
         "state": result.state.named_coeffs(),
     }
-    return payload, {}, 0 if result.converged else 1
+    return payload, 0 if result.converged else 1
 
 
 _FAMILIES = {"binary-uncorrelated": binary_family, "white-noise": white_noise_family}
@@ -252,7 +234,7 @@ def _cmd_critical(args):
         "bracket_achieved": [value - width, value + width],
         "halvings": args.halvings,
     }
-    return payload, {}, 0
+    return payload, 0
 
 
 def _cmd_scan(args):
@@ -271,17 +253,15 @@ def _cmd_scan(args):
                 freq[Regime.SECURITY],
             ]
         )
-    return rows, {}, 0
+    return rows, 0
 
 
-def _cmd_mc(args, cfg, noise, start):
-    pairs = args.pairs if args.pairs is not None else _parsed(cfg, "pairs", int, "100000")
-    rounds = args.rounds if args.rounds is not None else _parsed(cfg, "rounds", int, "8")
-    stats = mc_run(MCConfig(pairs, start, noise, rounds, args.seed))
+def _cmd_mc(args, noise, start):
+    stats = mc_run(MCConfig(args.pairs, start, noise, args.rounds, args.seed))
     rows = [
         [s.round, s.pairs_remaining, s.f_hat, s.f_cond_hat, *s.cells.tolist()] for s in stats
     ]
-    return rows, {"pairs": pairs, "rounds": rounds}, 0
+    return rows, 0
 
 
 def _cmd_curve(args):
@@ -303,10 +283,10 @@ def _cmd_curve(args):
                 regime_of(result).value,
             ]
         )
-    return rows, {}, 0 if all_converged else 1
+    return rows, 0 if all_converged else 1
 
 
-def _cmd_resources(args, cfg, noise, start):
+def _cmd_resources(args, noise, start):
     if args.rounds < 1:
         raise ConfigError(f"--rounds must be at least 1, got {args.rounds}")
     for flag, eps in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
@@ -319,7 +299,7 @@ def _cmd_resources(args, cfg, noise, start):
         for r, eps, cost in resource_curve(noise, start, args.rounds)
         if args.eps_min <= eps <= args.eps_max
     ]
-    return rows, {}, 0
+    return rows, 0
 
 
 # --- the subcommand table ----------------------------------------------------
@@ -459,8 +439,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
         _check_loop_flags(args)
-        rows, resolved, code = row.run(args, *(_resolve_run(args) if row.noise else ()))
-        _write_outputs(args, row.header, rows, **resolved)
+        rows, code = row.run(args, *(_resolve_run(args) if row.noise else ()))
+        _write_outputs(args, row.header, rows)
     except (ValueError, OSError, EnsembleAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -183,17 +183,34 @@ def test_an_out_that_is_a_file_is_usage_error(tmp_path, capsys):
     assert out.read_text() == "kept\n"
 
 
-def test_iterate_json_numbers_match_the_csv(tmp_path):
-    # the only table whose rows carry numpy floats through _coerce
+def test_tables_hold_the_library_values_as_they_are(tmp_path):
+    # csv and json write each value as it is: a float cell is the repr of the
+    # library's float, the JSON table parses back to it exactly, and an
+    # emptied ensemble's estimates are empty fields and null.  A numpy whose
+    # float64 text differs from float's fails here
     args = ["iterate", "--model", "white", "--f0", "0.95", "--steps", "4"]
     assert main(args + ["--out", str(tmp_path)]) == 0
     assert main(args + ["--format", "json", "--out", str(tmp_path)]) == 0
+    noise = noise_from_config({"model": "white", "f0": "0.95"})
+    want = [
+        [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
+        for n, (state, keep) in enumerate(
+            analytic_trajectory(noise, BellDiagonalState.werner(0.85), 4))
+    ]
     header, rows = read_csv(tmp_path / "iterate.csv")
+    assert rows == [[str(row[0]), *(repr(float(v)) for v in row[1:])] for row in want]
     records = json.loads((tmp_path / "iterate.json").read_text())
-    assert [list(record) for record in records] == [sorted(header)] * len(rows)
-    for record, row in zip(records, rows):
-        assert record["n"] == int(row[0])
-        assert [record[h] for h in header[1:]] == [float(x) for x in row[1:]]
+    assert [list(record) for record in records] == [sorted(header)] * len(want)
+    assert [[record[h] for h in header] for record in records] == want
+
+    mc = ["mc", "--config", str(annihilating_config(tmp_path)), "--werner", "1",
+          "--pairs", "10", "--rounds", "1"]
+    assert main(mc + ["--out", str(tmp_path)]) == 0
+    assert main(mc + ["--format", "json", "--out", str(tmp_path)]) == 0
+    assert read_csv(tmp_path / "mc.csv")[1][1] == ["1", "0", "", "", *["0"] * 16]
+    record = json.loads((tmp_path / "mc.json").read_text())[1]
+    assert record == {**dict.fromkeys(MC_HEADER, 0), "round": 1, "F_hat": None,
+                      "F_cond_hat": None}
 
 
 def test_iterate_binary_model(tmp_path):
