@@ -2,9 +2,10 @@
 
 Each subcommand runs one reproducible computation and writes a CSV or JSON
 table plus a run manifest (resolved parameters, seed, tool version, output
-paths).  Re-running a manifest reproduces the outputs byte for byte.  CSV
-headers are fixed per subcommand; ``csv`` and ``json`` write each value as it
-is, a float as its repr (dot decimal separator regardless of locale).
+paths, and the config file's sha256).  Re-running a manifest reproduces the
+outputs byte for byte, and refuses a config file that changed.  CSV headers
+are fixed per subcommand; ``csv`` and ``json`` write each value as it is, a
+float as its repr (dot decimal separator regardless of locale).
 
 Subcommands: iterate, fixpoint, critical, scan, mc, curve, resources.
 """
@@ -13,6 +14,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import hashlib
 import json
 import math
 import sys
@@ -69,13 +71,23 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
     return cfg
 
 
-def _load_config(path: str | None) -> dict[str, str]:
-    if path is None:
+def _load_config(args) -> dict[str, str]:
+    """The settings of ``--config``, none without one.  Sets ``args.config``
+    to the file's absolute path and ``args.config_sha256`` to its digest; a
+    replay's ``args`` carry the run's digest, and a file that no longer has
+    it is a ConfigError."""
+    if args.config is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    path = Path(args.config).absolute()
+    if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    return parse_config_text(p.read_text(), source=str(path))
+    data = path.read_bytes()
+    digest = hashlib.sha256(data).hexdigest()
+    pinned = getattr(args, "config_sha256", None)
+    if pinned is not None and digest != pinned:
+        raise ConfigError(f"config file {path} changed since the run: sha256 {digest}")
+    args.config, args.config_sha256 = str(path), digest
+    return parse_config_text(data.decode(), source=str(path))
 
 
 def _json_text(obj) -> str:
@@ -99,12 +111,14 @@ def _write_outputs(args, header: list[str] | None, rows) -> None:
 
     With a header, ``rows`` go to ``<command>.<format>``; without one,
     ``rows`` is a payload written as ``<command>.json``.  The manifest
-    records every attribute of ``args``.  Every JSON text is made before
-    its file is written, so a value JSON cannot hold writes no file.
+    records every attribute of ``args`` as a parameter, the config's
+    digest beside them.  Every JSON text is made before its file is
+    written, so a value JSON cannot hold writes no file.
     """
     out = Path(args.out)
     table = out / f"{args.command}.{'json' if header is None else args.format}"
     params = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    digest = params.pop("config_sha256", None)
     manifest = _json_text(
         {
             "subcommand": args.command,
@@ -112,6 +126,7 @@ def _write_outputs(args, header: list[str] | None, rows) -> None:
             "seed": params.get("seed"),
             "version": __version__,
             "outputs": [table.name],
+            **({"config_sha256": digest} if digest is not None else {}),
         }
     )
     if header is None:
@@ -122,7 +137,8 @@ def _write_outputs(args, header: list[str] | None, rows) -> None:
 
 
 def replay_manifest(path: str | Path) -> int:
-    """Re-run the computation recorded in a manifest (outputs land next to it)."""
+    """Re-run the computation recorded in a manifest (outputs land next to it);
+    a config file that is gone or changed is an error, and writes no file."""
     manifest = json.loads(Path(path).read_text())
     argv = [manifest["subcommand"]]
     for key, value in manifest["params"].items():
@@ -132,7 +148,9 @@ def replay_manifest(path: str | Path) -> int:
         if value is not True:  # a store_true flag takes no value
             argv.extend(str(v) for v in (value if isinstance(value, list) else [value]))
     argv.extend(["--out", str(Path(path).parent)])
-    return main(argv)
+    args = build_parser().parse_args(argv)
+    args.config_sha256 = manifest.get("config_sha256")
+    return _run(args)
 
 
 # --- noise resolution -------------------------------------------------------
@@ -179,7 +197,7 @@ def _resolve_run(args):
     """Noise model and start state of a noise-driven subcommand.  Each of its
     counts left unset is set on ``args`` from the config, so the manifest
     records the value that ran."""
-    cfg = _load_config(args.config)
+    cfg = _load_config(args)
     noise, start = _resolve_noise(args, cfg), _resolve_start(args, cfg)
     for key, default in _CONFIG_COUNTS.items():
         if key in vars(args) and getattr(args, key) is None:
@@ -434,7 +452,10 @@ def _check_loop_flags(args) -> None:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    return _run(build_parser().parse_args(argv))
+
+
+def _run(args) -> int:
     row = _SUBCOMMANDS[args.command]
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)

@@ -503,12 +503,14 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     The projection onto the flag-diagonal cells, renormalized, and the map
     restricted to those cells are made once, and ``_newton_fixpoint``
     solves on the restricted map: the step never leaves the subspace, so
-    that is the whole map's solve with every other cell held at zero.
-    Returns the whole map of ``noise`` on ``s0``'s cells, the flag-diagonal
-    cells, the restricted map and the solve's (vector on those cells,
-    iterations, converged, residual).  Raises ValueError for a bad ``tol``
-    or ``max_iter``, a map that does not fit ``s0`` or a start with no
-    flag-diagonal weight, and EnsembleAnnihilated.
+    that is the whole map's solve with every other cell held at zero.  A
+    fixpoint that converged and purifies (fidelity > 1/2) is then polished:
+    up to ``_POLISH_STEPS`` more Newton steps on the restricted map take its
+    residual from ``tol`` to rounding level.  Returns the whole map of
+    ``noise`` on ``s0``'s cells and (the vector on every cell, the solve's
+    iterations, converged and residual).  Raises ValueError for a bad
+    ``tol`` or ``max_iter``, a map that does not fit ``s0`` or a start with
+    no flag-diagonal weight, and EnsembleAnnihilated.
     """
     max_iter = _checked_budget(tol, max_iter)
     a, _ = _vector_of(s0)
@@ -519,42 +521,37 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     qmap = _fitting_map(noise, a)
     sub = qmap.restricted(cells)
     plain = _plain_loop(noise, s0, sub, cells)
-    return qmap, cells, sub, _newton_fixpoint(a[cells] / mass, sub, plain, tol, max_iter)
+    x, steps, converged, residual = _newton_fixpoint(a[cells] / mass, sub, plain, tol, max_iter)
+    # the fidelity: Phi+ has one flag-diagonal cell, the first
+    if converged and x[0] > 0.5 + REGIME_FUZZ:
+        eye, size = np.eye(sub.dim), np.inf
+        for _ in range(_POLISH_STEPS):
+            image, _ = sub.apply(x)
+            step = x - image
+            size, last = np.max(np.abs(step)), size
+            if not 0.0 < size < last:  # at rounding level already
+                break
+            x += np.linalg.solve(jacobian(sub, x) - eye, step)
+    full = np.zeros(qmap.dim)
+    full[cells] = x
+    return qmap, (full, steps, converged, residual)
 
 
 def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
-    """rho - 1 at the polished secure fixpoint, or None where there is none.
-
-    The secure fixpoint is solved for on the map restricted to the
-    flag-diagonal cells (``_secure_fixpoint``).  None means that it did not
-    converge within the budget or does not purify (fidelity <= 1/2).
-    Otherwise up to ``_POLISH_STEPS`` more Newton steps on the restricted
-    map take its residual from ``tol`` to rounding level, and the result is
-    the spectral radius of the whole map's Jacobian at the polished
-    fixpoint, less one.  That Jacobian is block-triangular, as the subspace
-    is invariant, so its spectral radius covers both the stability within
-    the subspace and the decay of weight off it.
+    """rho - 1 at the polished secure fixpoint (``_secure_fixpoint``), or
+    None where it did not converge within the budget or does not purify
+    (fidelity <= 1/2).  rho is the spectral radius of the whole map's
+    Jacobian there; that Jacobian is block-triangular, as the flag-diagonal
+    subspace is invariant, so rho covers both the stability within the
+    subspace and the decay of weight off it.
     """
     try:
-        qmap, cells, sub, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
+        qmap, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
     except EnsembleAnnihilated:
         return None
-    # the fidelity: Phi+ has one flag-diagonal cell, the first
     if not converged or x[0] <= 0.5 + REGIME_FUZZ:
         return None
-    eye = np.eye(sub.dim)
-    residual = np.inf
-    for _ in range(_POLISH_STEPS):
-        image, _ = sub.apply(x)
-        step = x - image
-        size = np.max(np.abs(step))
-        if not 0.0 < size < residual:  # at rounding level already
-            break
-        residual = size
-        x += np.linalg.solve(jacobian(sub, x) - eye, step)
-    full = np.zeros(qmap.dim)
-    full[cells] = x
-    return spectral_radius(jacobian(qmap, full)) - 1.0
+    return spectral_radius(jacobian(qmap, x)) - 1.0
 
 
 def _secure(margin: float | None) -> bool:
@@ -783,10 +780,12 @@ def fit_intermediate(points: Sequence[tuple[float, float]]) -> tuple[float, floa
     so (c0, c1 >= 0) come from linear least squares, and x0 minimizes the
     remaining residual over [min f0 - 10 * span, min f0] by a 201-point grid
     search refined by golden-section search.  Returns (offset c0, scale c1,
-    onset x0).
+    onset x0).  ``points`` must have shape (n, 2), n >= 5.
     """
     pts = np.asarray(points, dtype=float)
-    if pts.ndim != 2 or pts.shape[0] < 5:
+    if pts.ndim != 2 or pts.shape[1] != 2:
+        raise ValueError(f"need (f0, F_cond) pairs, of shape (n, 2), got shape {pts.shape}")
+    if pts.shape[0] < 5:
         raise ValueError("need at least 5 (f0, F_cond) points")
     if not np.isfinite(pts).all():
         raise ValueError("(f0, F_cond) points must be finite")

@@ -94,6 +94,15 @@ def _route_table() -> np.ndarray:
 _ROUTES = _route_table()
 
 
+def _checked_rounds(name: str, rounds) -> int:
+    """``rounds`` as an int, once it is an integer (``_checked_int``) and
+    not negative: the check of a run's rounds and of the ledger's."""
+    rounds = _checked_int(name, rounds)
+    if rounds < 0:
+        raise ValueError(f"{name} must be nonnegative, got {rounds}")
+    return rounds
+
+
 @dataclass(frozen=True)
 class MCConfig:
     n_pairs: int
@@ -103,8 +112,8 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        for name in ("n_pairs", "rounds"):
-            _checked_int(name, getattr(self, name))
+        _checked_int("n_pairs", self.n_pairs)
+        _checked_rounds("rounds", self.rounds)
         _checked_seed(self.seed)
         if not isinstance(self.initial, BellDiagonalState):
             raise TypeError(f"initial must be a BellDiagonalState, got {self.initial!r}")
@@ -112,8 +121,6 @@ class MCConfig:
             raise TypeError(f"noise must be a noise model, got {type(self.noise).__name__}")
         if self.n_pairs < 2:
             raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
-        if self.rounds < 0:
-            raise ValueError(f"rounds must be nonnegative, got {self.rounds}")
 
 
 @dataclass(frozen=True)
@@ -380,7 +387,7 @@ def _steps(
     noise: NoiseModel | BinaryNoiseModel, initial: BellDiagonalState, rounds: int
 ) -> Iterator[tuple[FlaggedEnsembleState, float]]:
     """The recurrence from ``embed(initial)``, lazily: (state, keep prob)
-    after each of rounds 1 to ``rounds``."""
+    after each of rounds 1 to ``rounds``, a checked count."""
     qmap = generate_map(noise)
     state = embed(initial)
     for _ in range(rounds):
@@ -396,12 +403,18 @@ def resource_curve(
 
     eps = 1 - F_cond after the round is its security parameter, and cost the
     initial pairs per surviving pair, which each round multiplies by
-    2 / (keep probability).
+    2 / (keep probability).  A ``rounds`` that is no integer raises
+    TypeError, and a negative one ValueError, at the call.
     """
-    cost = 1.0
-    for r, (state, keep) in enumerate(_steps(noise, initial, rounds), 1):
-        cost *= 2.0 / keep
-        yield r, 1.0 - state.conditional_fidelity, cost
+    rounds = _checked_rounds("rounds", rounds)
+
+    def ledger():
+        cost = 1.0
+        for r, (state, keep) in enumerate(_steps(noise, initial, rounds), 1):
+            cost *= 2.0 / keep
+            yield r, 1.0 - state.conditional_fidelity, cost
+
+    return ledger()
 
 
 def _pairs_needed(r: int, cost: float) -> int:
@@ -426,8 +439,10 @@ def resources(
     """Initial pairs needed per surviving pair at a target security parameter,
     and the rounds that takes: the first round of ``resource_curve`` with
     eps <= target_eps.  Raises ValueError when the target is below what the
-    fixpoint reaches within ``max_rounds``.
+    fixpoint reaches within ``max_rounds``, and as ``resource_curve`` does
+    for a bad ``max_rounds``.
     """
+    max_rounds = _checked_rounds("max_rounds", max_rounds)
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps = {target_eps} outside (0, 1)")
     eps = 1.0 - initial.fidelity  # the best when no round runs
@@ -444,5 +459,7 @@ def analytic_trajectory(
     noise: NoiseModel | BinaryNoiseModel, initial: BellDiagonalState, rounds: int
 ) -> list[tuple[FlaggedEnsembleState, float]]:
     """Recurrence prediction matching a Monte Carlo run: (state, keep prob)
-    per round, entry 0 being the initial state with keep probability 1."""
+    per round, entry 0 being the initial state with keep probability 1.
+    Raises as ``resource_curve`` does for a bad ``rounds``."""
+    rounds = _checked_rounds("rounds", rounds)
     return [(embed(initial), 1.0), *_steps(noise, initial, rounds)]

@@ -1,5 +1,6 @@
 import argparse
 import csv
+import hashlib
 import json
 import math
 import shlex
@@ -623,6 +624,41 @@ def test_manifest_records_config_resolved_values(tmp_path):
     assert (params["pairs"], params["rounds"]) == (3000, 2)
     assert params["config"] == str(cfgfile)
     assert not {"command", "func", "out"} & set(params)
+
+
+def test_replay_refuses_a_config_that_changed_or_is_gone(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nwerner=0.8\n")
+    run_dir = tmp_path / "run"
+    assert main(["iterate", "--config", str(cfgfile), "--steps", "3",
+                 "--out", str(run_dir)]) == 0
+    manifest = json.loads((run_dir / "iterate.manifest.json").read_text())
+    assert manifest["config_sha256"] == hashlib.sha256(cfgfile.read_bytes()).hexdigest()
+    assert "config_sha256" not in manifest["params"]
+    replay_dir = tmp_path / "replay"
+    replay_dir.mkdir()
+    replayed = replay_dir / "iterate.manifest.json"
+    replayed.write_text(json.dumps(manifest))
+    cfgfile.write_text("model=white\nf0=0.95\nwerner=0.9\n")
+    assert replay_manifest(replayed) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: config file {cfgfile} changed since the run: sha256 ")
+    assert err.count("\n") == 1
+    cfgfile.unlink()
+    assert replay_manifest(replayed) == 2
+    assert capsys.readouterr().err == f"error: config file not found: {cfgfile}\n"
+    assert list(replay_dir.iterdir()) == [replayed]
+
+
+def test_a_relative_config_replays_from_another_directory(tmp_path, monkeypatch):
+    (tmp_path / "run.cfg").write_text("model=white\nf0=0.95\nsteps=3\n")
+    monkeypatch.chdir(tmp_path)
+    assert main(["iterate", "--config", "run.cfg", "--out", "run"]) == 0
+    params = json.loads((tmp_path / "run" / "iterate.manifest.json").read_text())["params"]
+    assert params["config"] == str(tmp_path / "run.cfg")
+    (tmp_path / "elsewhere").mkdir()
+    monkeypatch.chdir(tmp_path / "elsewhere")
+    assert_replays_identically(tmp_path / "run", "iterate", tmp_path / "replay")
 
 
 def test_mc_seed_outside_64_bits_is_usage_error(tmp_path, capsys):

@@ -558,13 +558,8 @@ def secure_fixpoint(noise, start, tol, max_iter):
     """The Newton solve of ``secure_by_stability``: the map restricted to the
     flag-diagonal cells, from the projection of the start state; the result
     is embedded in a state of the start's kind."""
-    qmap, cells, _, (x, iterations, converged, residual) = dynamics._secure_fixpoint(
-        noise, start, tol, max_iter
-    )
-    full = np.zeros(qmap.dim)
-    full[cells] = x
-    _, wrap = dynamics._vector_of(start)
-    return dynamics.FixpointResult(wrap(full), iterations, converged, residual)
+    _, (x, *solve) = dynamics._secure_fixpoint(noise, start, tol, max_iter)
+    return dynamics.FixpointResult(dynamics._vector_of(start)[1](x), *solve)
 
 
 @pytest.mark.parametrize("f0", [0.76, 0.7718, 0.7719, 0.8, 0.9])
@@ -620,13 +615,13 @@ def test_newton_leaves_a_fold_ghost_once_its_corrections_grow(monkeypatch):
     qmap, probe = white_noise_family(0.898125)
     cells = [0, 5, 10, 15]
     solves = counting_solves(monkeypatch)
-    *_, (x, iterations, converged, _) = dynamics._secure_fixpoint(qmap, probe, 1e-12, 30_000)
+    _, (x, iterations, converged, _) = dynamics._secure_fixpoint(qmap, probe, 1e-12, 30_000)
     assert len(solves) == 3
     start = probe.flat[cells] / probe.flat[cells].sum()
     plain = dynamics._iterate_array(start, qmap.restricted(cells), 1e-12, 30_000)
     assert plain[2] and converged
     assert iterations == plain[1] + len(solves)
-    assert x.tobytes() == plain[0].tobytes()
+    assert x[cells].tobytes() == plain[0].tobytes() and not np.delete(x, cells).any()
     assert x[0] == pytest.approx(0.25, abs=1e-15)
 
 
@@ -1101,6 +1096,13 @@ def test_fit_on_computed_intermediate_fixpoints():
 def test_fit_needs_five_points():
     with pytest.raises(ValueError, match="at least 5"):
         fit_intermediate([(0.76, 0.8), (0.77, 0.9)])
+
+
+@pytest.mark.parametrize("shape", [(6, 3), (6, 1), (12,), (3, 6, 2)])
+def test_fit_takes_f0_f_cond_pairs_only(shape):
+    # a third column is no F_cond to drop silently
+    with pytest.raises(ValueError, match=re.escape(f"of shape (n, 2), got shape {shape}")):
+        fit_intermediate(np.full(shape, 0.8))
 
 
 def test_fit_rejects_non_finite_points():

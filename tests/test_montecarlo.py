@@ -1,6 +1,7 @@
 import functools
 import itertools
 import math
+import re
 import tracemalloc
 
 import numpy as np
@@ -22,6 +23,7 @@ from eppsim.montecarlo import (
     analytic_trajectory,
     init_ensemble,
     purification_round,
+    resource_curve,
     resources,
     run,
 )
@@ -710,3 +712,27 @@ def test_resources_unreachable_target():
         )
     with pytest.raises(ValueError):
         resources(tracking_noise(), BellDiagonalState.werner(0.85), 0.0)
+
+
+#: Each count of the ledger's rounds, as a call with that count set to n.
+LEDGER_CALLS = {
+    "analytic_trajectory": lambda n: analytic_trajectory(
+        tracking_noise(), BellDiagonalState.werner(0.85), n),
+    "resource_curve": lambda n: resource_curve(
+        tracking_noise(), BellDiagonalState.werner(0.85), n),
+    "resources": lambda n: resources(
+        tracking_noise(), BellDiagonalState.werner(0.85), 1e-2, max_rounds=n),
+}
+
+
+@pytest.mark.parametrize("name", LEDGER_CALLS)
+def test_ledger_round_counts_are_nonnegative_integers(name):
+    # MCConfig's rule, checked at the call, also by the lazy resource_curve
+    call = LEDGER_CALLS[name]
+    for bad in (True, 1.5, 2.0):
+        message = r"^\w*rounds must be an integer, got " + re.escape(repr(bad))
+        with pytest.raises(TypeError, match=message):
+            call(bad)
+    with pytest.raises(ValueError, match=r"^\w*rounds must be nonnegative, got -1$"):
+        call(-1)
+    assert repr(list(call(np.int64(40)))) == repr(list(call(40)))
