@@ -7,7 +7,15 @@ outputs byte for byte, and refuses a config file that changed.  CSV headers
 are fixed per subcommand; ``csv`` and ``json`` write each value as it is, a
 float as its repr (dot decimal separator regardless of locale).
 
-Subcommands: iterate, fixpoint, critical, scan, mc, curve, resources.
+Subcommands: iterate, fixpoint, critical, scan, mc, curve, resources.  Each
+is a row of ``_SUBCOMMANDS`` whose fields decide the flags it takes.  A
+row's integer counts are declared there once, each with its default, least
+value and help; a count comes from its flag, else from the config of a
+subcommand that takes ``--config``, else from its default, and every count
+and ``--max-iter`` is checked by ``noisemodels._checked_int``.  Such a
+subcommand reads the config keys ``model``, the noise keys, ``werner``,
+``abcd`` and its counts; any other key, or a key given twice, is a usage
+error.
 """
 
 from __future__ import annotations
@@ -38,7 +46,7 @@ from .dynamics import (
     white_noise_family,
 )
 from .montecarlo import MCConfig, _pairs_needed, analytic_trajectory, resource_curve, run as mc_run
-from .noisemodels import NOISE_KEYS, NOISE_MODELS, _parsed, noise_from_config
+from .noisemodels import NOISE_KEYS, NOISE_MODELS, _checked_int, _parsed, noise_from_config
 from .recurrence import (
     COEFF_NAMES,
     BellDiagonalState,
@@ -58,8 +66,10 @@ class ConfigError(ValueError):
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
-    """Flat key=value format; blank lines and # comments are ignored."""
+    """Flat key=value format; blank lines and # comments are ignored, and a
+    key given twice is a ConfigError that names both its lines."""
     cfg: dict[str, str] = {}
+    lines: dict[str, int] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -67,7 +77,10 @@ def parse_config_text(text: str, source: str = "<config>") -> dict[str, str]:
         if "=" not in line:
             raise ConfigError(f"{source}:{lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        cfg[key.strip()] = value.strip()
+        key = key.strip()
+        if key in lines:
+            raise ConfigError(f"{source}:{lineno}: key {key!r} repeats line {lines[key]}")
+        cfg[key], lines[key] = value.strip(), lineno
     return cfg
 
 
@@ -189,29 +202,11 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
     return BellDiagonalState.werner(0.85)
 
 
-#: The counts a config may set, with their defaults; a flag overrides them.
-_CONFIG_COUNTS = {"steps": "20", "pairs": "100000", "rounds": "8"}
-
-
-def _resolve_run(args):
-    """Noise model and start state of a noise-driven subcommand.  Each of its
-    counts left unset is set on ``args`` from the config, so the manifest
-    records the value that ran."""
-    cfg = _load_config(args)
-    noise, start = _resolve_noise(args, cfg), _resolve_start(args, cfg)
-    for key, default in _CONFIG_COUNTS.items():
-        if key in vars(args) and getattr(args, key) is None:
-            setattr(args, key, _parsed(cfg, key, int, default))
-    return noise, start
-
-
 # --- subcommands -------------------------------------------------------------
 # A handler takes the parsed flags, and a noise-driven one also the noise
 # model and start state; it returns (rows or JSON payload, exit code).
 
 def _cmd_iterate(args, noise, start):
-    if args.steps < 0:
-        raise ConfigError(f"--steps must be at least 0, got {args.steps}")
     rows = [
         [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
         for n, (state, keep) in enumerate(analytic_trajectory(noise, start, args.steps))
@@ -305,8 +300,6 @@ def _cmd_curve(args):
 
 
 def _cmd_resources(args, noise, start):
-    if args.rounds < 1:
-        raise ConfigError(f"--rounds must be at least 1, got {args.rounds}")
     for flag, eps in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
         if not math.isfinite(eps):
             raise ConfigError(f"{flag} must be finite, got {eps}")
@@ -324,14 +317,15 @@ def _cmd_resources(args, noise, start):
 
 class _Subcommand(NamedTuple):
     """One subcommand; its fields decide which flags it takes, so that it
-    takes only the flags it reads."""
+    takes only the flags it reads, and which config keys it reads."""
 
     run: Callable
     header: list[str] | None  # table columns, chosen by --format; None writes JSON
     max_iter: int | None  # default --max-iter, with --tol; None where no fixpoint is iterated
     noise: bool  # takes --config and the noise flags, runs on a resolved channel and start
     help: str
-    flags: tuple = ()  # the subcommand's own flags: (name, add_argument keywords)
+    counts: dict = {}  # integer flags: name -> (default, least value, help)
+    flags: tuple = ()  # the subcommand's other flags: (name, add_argument keywords)
 
 
 _SEED_FLAG = ("--seed", dict(type=int, default=0, help="RNG seed in [0, 2**64) (default 0)"))
@@ -341,7 +335,7 @@ _SUBCOMMANDS = {
     "iterate": _Subcommand(
         _cmd_iterate, ITERATE_HEADER, None, True,
         "analytic trajectory of F, F_cond and the 16 cells",
-        (("--steps", dict(type=int, help="number of purification steps (default 20)")),),
+        {"steps": (20, 0, "number of purification steps")},
     ),
     "fixpoint": _Subcommand(
         _cmd_fixpoint, None, DEFAULT_MAX_ITER, True,
@@ -350,47 +344,44 @@ _SUBCOMMANDS = {
     "critical": _Subcommand(
         _cmd_critical, None, CRITICAL_MAX_ITER, False,
         "solve a noise family for the security boundary",
+        {"halvings": (40, 0, "halvings of the bracket's width to solve to")},
         (
             ("--family", dict(required=True, choices=sorted(_FAMILIES))),
             ("--bracket", dict(type=float, nargs=2, required=True, metavar=("LO", "HI"))),
-            ("--halvings", dict(type=int, default=40)),
         ),
     ),
     "scan": _Subcommand(
         _cmd_scan, SCAN_HEADER, SCAN_MAX_ITER, False,
         "regime frequencies for random channels on an f00 grid",
+        {"points": (11, 1, "grid points"), "samples": (100, 1, "random channels per point")},
         (
             ("--f00-min", dict(type=float, default=0.5)),
             ("--f00-max", dict(type=float, default=1.0)),
-            ("--points", dict(type=int, default=11)),
-            ("--samples", dict(type=int, default=100)),
             _SEED_FLAG,
         ),
     ),
     "mc": _Subcommand(
         _cmd_mc, MC_HEADER, None, True,
         "Monte Carlo distillation run",
-        (
-            ("--pairs", dict(type=int, help="initial ensemble size")),
-            ("--rounds", dict(type=int, help="number of purification rounds")),
-            _SEED_FLAG,
-        ),
+        {"pairs": (100000, 2, "initial ensemble size"),
+         "rounds": (8, 0, "number of purification rounds")},
+        (_SEED_FLAG,),
     ),
     "curve": _Subcommand(
         _cmd_curve, CURVE_HEADER, DEFAULT_MAX_ITER, False,
         "family sweep of F, F_cond, iterations and regime vs parameter",
+        {"points": (15, 1, "grid points")},
         (
             ("--family", dict(default="white-noise", choices=sorted(_FAMILIES))),
             ("--f0-min", dict(type=float, default=0.88)),
             ("--f0-max", dict(type=float, default=0.95)),
-            ("--points", dict(type=int, default=15)),
         ),
     ),
     "resources": _Subcommand(
         _cmd_resources, RESOURCES_HEADER, None, True,
         "pairs needed vs security parameter",
+        {"rounds": (60, 1, "trajectory length")},
         (
-            ("--rounds", dict(type=int, default=60, help="trajectory length")),
             ("--eps-min", dict(type=float, default=1e-4)),
             ("--eps-max", dict(type=float, default=1e-1)),
         ),
@@ -436,19 +427,34 @@ def build_parser() -> argparse.ArgumentParser:
             )
         for flag, kwargs in (_NOISE_FLAGS if row.noise else ()) + row.flags:
             p.add_argument(flag, **kwargs)
+        for name, (default, _, text) in row.counts.items():
+            p.add_argument(f"--{name}", type=int, help=f"{text} (default {default})")
     return parser
 
 
-def _check_loop_flags(args) -> None:
-    if getattr(args, "max_iter", 1) < 1:
-        raise ConfigError(f"--max-iter must be at least 1, got {args.max_iter}")
-    tol = getattr(args, "tol", 0.0)
-    if not (math.isfinite(tol) and tol >= 0.0):
-        raise ConfigError(f"--tol must be finite and nonnegative, got {tol}")
-    if getattr(args, "samples", 1) < 1:
-        raise ConfigError(f"--samples must be at least 1, got {args.samples}")
-    if getattr(args, "points", 1) < 1:
-        raise ConfigError(f"--points must be at least 1, got {args.points}")
+def _resolve(args, row: _Subcommand) -> tuple:
+    """Check the flags and settings of a run before any work, and set each
+    count on ``args``: from its flag, else from the config on a noise row,
+    else from the row's default, so the manifest records the value that
+    ran.  Returns the handler's noise model and start state on a noise row,
+    nothing otherwise.  A config key the row does not read is a ConfigError:
+    a noise row reads the model, its settings, the start state and its counts."""
+    cfg = _load_config(args) if row.noise else {}
+    reads = ("model", *NOISE_KEYS, "werner", "abcd", *row.counts)
+    unread = [key for key in cfg if key not in reads]
+    if unread:
+        raise ConfigError(f"subcommand {args.command!r} does not read the config's "
+                          f"{', '.join(unread)}")
+    if row.max_iter is not None:
+        _checked_int("--max-iter", args.max_iter, least=1)
+        if not (math.isfinite(args.tol) and args.tol >= 0.0):
+            raise ConfigError(f"--tol must be finite and nonnegative, got {args.tol}")
+    for name, (default, least, _) in row.counts.items():
+        value = getattr(args, name)
+        if value is None:
+            value = _parsed(cfg, name, int) if name in cfg else default
+        setattr(args, name, _checked_int(f"--{name}", value, least))
+    return (_resolve_noise(args, cfg), _resolve_start(args, cfg)) if row.noise else ()
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -459,8 +465,7 @@ def _run(args) -> int:
     row = _SUBCOMMANDS[args.command]
     try:
         Path(args.out).mkdir(parents=True, exist_ok=True)
-        _check_loop_flags(args)
-        rows, code = row.run(args, *(_resolve_run(args) if row.noise else ()))
+        rows, code = row.run(args, *_resolve(args, row))
         _write_outputs(args, row.header, rows)
     except (ValueError, OSError, EnsembleAnnihilated) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -385,9 +385,7 @@ _POLISH_STEPS = 3
 
 def _checked_budget(tol: float, max_iter: int) -> int:
     """``max_iter`` as an int, once the budget is valid."""
-    max_iter = _checked_int("max_iter", max_iter)
-    if max_iter < 0:
-        raise ValueError(f"max_iter = {max_iter} < 0")
+    max_iter = _checked_int("max_iter", max_iter, least=0)
     if not (math.isfinite(tol) and tol >= 0.0):
         raise ValueError(f"tol = {tol} is not finite and nonnegative")
     return max_iter
@@ -629,9 +627,7 @@ def find_critical(
     point of the final bracket (its midpoint if the margin is undefined at
     an end), so it lies within the first width over 2**halvings of the root.
     """
-    halvings = _checked_int("halvings", halvings)
-    if halvings < 0:
-        raise ValueError(f"halvings = {halvings} < 0")
+    halvings = _checked_int("halvings", halvings, least=0)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")
@@ -754,9 +750,7 @@ def regime_scan(
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")
-    samples = _checked_int("samples", samples)
-    if samples < 1:
-        raise ValueError(f"samples = {samples} < 1")
+    samples = _checked_int("samples", samples, least=1)
     rng = np.random.default_rng(_checked_seed(seed))
     counts = {regime: 0 for regime in Regime}
     for _ in range(samples):

@@ -94,15 +94,6 @@ def _route_table() -> np.ndarray:
 _ROUTES = _route_table()
 
 
-def _checked_rounds(name: str, rounds) -> int:
-    """``rounds`` as an int, once it is an integer (``_checked_int``) and
-    not negative: the check of a run's rounds and of the ledger's."""
-    rounds = _checked_int(name, rounds)
-    if rounds < 0:
-        raise ValueError(f"{name} must be nonnegative, got {rounds}")
-    return rounds
-
-
 @dataclass(frozen=True)
 class MCConfig:
     n_pairs: int
@@ -112,15 +103,13 @@ class MCConfig:
     seed: int
 
     def __post_init__(self):
-        _checked_int("n_pairs", self.n_pairs)
-        _checked_rounds("rounds", self.rounds)
+        _checked_int("n_pairs", self.n_pairs, least=2)
+        _checked_int("rounds", self.rounds, least=0)
         _checked_seed(self.seed)
         if not isinstance(self.initial, BellDiagonalState):
             raise TypeError(f"initial must be a BellDiagonalState, got {self.initial!r}")
         if not isinstance(self.noise, (NoiseModel, BinaryNoiseModel)):
             raise TypeError(f"noise must be a noise model, got {type(self.noise).__name__}")
-        if self.n_pairs < 2:
-            raise ValueError(f"need at least 2 pairs, got {self.n_pairs}")
 
 
 @dataclass(frozen=True)
@@ -406,7 +395,7 @@ def resource_curve(
     2 / (keep probability).  A ``rounds`` that is no integer raises
     TypeError, and a negative one ValueError, at the call.
     """
-    rounds = _checked_rounds("rounds", rounds)
+    rounds = _checked_int("rounds", rounds, least=0)
 
     def ledger():
         cost = 1.0
@@ -442,7 +431,7 @@ def resources(
     fixpoint reaches within ``max_rounds``, and as ``resource_curve`` does
     for a bad ``max_rounds``.
     """
-    max_rounds = _checked_rounds("max_rounds", max_rounds)
+    max_rounds = _checked_int("max_rounds", max_rounds, least=0)
     if not 0.0 < target_eps < 1.0:
         raise ValueError(f"target_eps = {target_eps} outside (0, 1)")
     eps = 1.0 - initial.fidelity  # the best when no round runs
@@ -461,5 +450,5 @@ def analytic_trajectory(
     """Recurrence prediction matching a Monte Carlo run: (state, keep prob)
     per round, entry 0 being the initial state with keep probability 1.
     Raises as ``resource_curve`` does for a bad ``rounds``."""
-    rounds = _checked_rounds("rounds", rounds)
+    rounds = _checked_int("rounds", rounds, least=0)
     return [(embed(initial), 1.0), *_steps(noise, initial, rounds)]

@@ -49,12 +49,17 @@ def _validated_vector(vec, labels: tuple[str, ...], sum_tol: float, neg_tol: flo
     return vec / total
 
 
-def _checked_int(name: str, value) -> int:
-    """``value`` as an int, once it is a Python or numpy integer and no bool:
-    the one check of every count and seed.  Raises TypeError naming it."""
+def _checked_int(name: str, value, least: int | None = None) -> int:
+    """``value`` as an int, once it is a Python or numpy integer, no bool, and
+    at least ``least`` where that is given: the one check of every count and
+    seed, in the library and the CLI alike.  Raises TypeError, or
+    ValueError("<name> must be at least <least>, got <value>"), naming it."""
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
         raise TypeError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    value = int(value)
+    if least is not None and value < least:
+        raise ValueError(f"{name} must be at least {least}, got {value}")
+    return value
 
 
 def _checked_seed(seed) -> int:
@@ -252,7 +257,9 @@ def noise_from_config(cfg: Mapping[str, str]) -> NoiseModel | BinaryNoiseModel:
     f0 for uncorrelated flips, not both), ``p1p2`` (keys p1, p2, optional
     both_labs: 1/true/yes or 0/false/no in any case, default false), or
     ``general`` (16 keys f.<mu><nu> with two-bit labels);
-    ``NOISE_MODELS`` lists them.  Keys that are no model's are ignored.
+    ``NOISE_MODELS`` lists them.  Keys that are no model's are ignored:
+    the CLI hands over its whole merged config, start state and counts
+    too, and refuses a key its subcommand does not read before the call.
     Raises ValueError for an unknown model, a key of another model or a
     value that does not parse (naming its key), and KeyError for a missing
     key.

@@ -121,7 +121,7 @@ def test_config_abcd_start_runs_as_from_abcd(tmp_path):
     "command, setting",
     [("iterate", "abcd=0.8,0.1,0.1"), ("iterate", "abcd=0.7,0.1,x,0.1"),
      ("iterate", "werner=high"), ("iterate", "steps=1.5"),
-     ("mc", "pairs=1e5"), ("mc", "rounds=two")],
+     ("mc", "pairs=1e5"), ("mc", "rounds=two"), ("resources", "rounds=two")],
 )
 def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, command, setting):
     cfgfile = tmp_path / "run.cfg"
@@ -131,6 +131,43 @@ def test_a_config_value_that_does_not_parse_names_its_key(tmp_path, capsys, comm
     key, _, value = setting.partition("=")
     err = capsys.readouterr().err
     assert err.startswith(f"error: config {key}={value!r}: ") and err.count("\n") == 1
+    assert list(out.iterdir()) == []
+
+
+def test_resources_reads_rounds_from_its_config(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nrounds=3\n")
+    assert main(["resources", "--config", str(cfgfile), "--eps-min", "0", "--eps-max", "1",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "resources.csv")
+    assert [row[0] for row in rows] == ["1", "2", "3"]
+    params = json.loads((tmp_path / "resources.manifest.json").read_text())["params"]
+    assert params["rounds"] == 3
+
+
+@pytest.mark.parametrize(
+    "command, setting", [("iterate", "wernr=0.8"), ("iterate", "pairs=5"), ("fixpoint", "max_iter=5")]
+)
+def test_a_config_key_the_subcommand_does_not_read_is_a_usage_error(
+    tmp_path, capsys, command, setting
+):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"model=white\nf0=0.95\n{setting}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    key = setting.partition("=")[0]
+    assert capsys.readouterr().err == (
+        f"error: subcommand {command!r} does not read the config's {key}\n"
+    )
+    assert list(out.iterdir()) == []
+
+
+def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nf0=0.5\n")
+    out = tmp_path / "out"
+    assert main(["iterate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {cfgfile}:3: key 'f0' repeats line 2\n"
     assert list(out.iterdir()) == []
 
 
@@ -462,7 +499,7 @@ def test_critical_negative_halvings_usage_error(tmp_path, capsys):
     rc = main(["critical", "--family", "white-noise", "--bracket", "0.88", "0.92",
                "--halvings", "-2", "--out", str(tmp_path)])
     assert rc == 2
-    assert capsys.readouterr().err == "error: halvings = -2 < 0\n"
+    assert capsys.readouterr().err == "error: --halvings must be at least 0, got -2\n"
     assert list(tmp_path.iterdir()) == []
 
 
@@ -595,14 +632,61 @@ def test_manifest_holds_only_the_flags_that_ran(tmp_path):
     assert set(manifest["params"]) == {"family", "bracket", "halvings", "tol", "max_iter"}
 
 
-def test_readme_cli_examples_parse():
+def test_readme_cli_examples_run(tmp_path, monkeypatch):
+    # each example runs as written, into its out/ under a temporary directory
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
     block = readme.split("## CLI", 1)[1].split("```", 2)[1]
     examples = [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("eppsim ")]
     assert sorted(args[0] for args in examples) == sorted(cli._SUBCOMMANDS)
-    parser = cli.build_parser()
+    monkeypatch.chdir(tmp_path)
     for args in examples:
-        parser.parse_args(args)
+        assert main(args) == 0, args
+
+
+#: Every integer flag of every subcommand: (subcommand, flag, default, least value).
+COUNT_FLAGS = [
+    (command, f"--{name}", default, least)
+    for command, row in cli._SUBCOMMANDS.items()
+    for name, (default, least, _) in row.counts.items()
+] + [
+    (command, "--max-iter", row.max_iter, 1)
+    for command, row in cli._SUBCOMMANDS.items()
+    if row.max_iter is not None
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, default, least", COUNT_FLAGS, ids=[c + f for c, f, _, _ in COUNT_FLAGS]
+)
+def test_every_count_is_declared_once_and_checked_by_one_rule(
+    tmp_path, capsys, command, flag, default, least
+):
+    # --help shows the default
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    entry = text.split(f" {flag} {flag[2:].upper().replace('-', '_')} ", 1)[1]
+    assert entry.split(" --", 1)[0].endswith(f"(default {default})")
+
+    # one below the least value is a usage error before any work
+    args = next(case for case in REPLAY_CASES if case[0] == command)
+    out = tmp_path / "out"
+    assert main(args + [flag, str(least - 1), "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be at least {least}, got {least - 1}\n"
+    assert list(out.iterdir()) == []
+
+    # on a noise row a count comes from the config, unless its flag is given
+    if not cli._SUBCOMMANDS[command].noise or flag == "--max-iter":
+        return
+    name = flag[2:]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(f"model=white\nf0=0.95\n{name}={least + 1}\n")
+    for extra, want in (([], least + 1), ([flag, str(least + 2)], least + 2)):
+        run_dir = tmp_path / str(want)
+        assert main([command, "--config", str(cfgfile), *extra, "--out", str(run_dir)]) == 0
+        params = json.loads((run_dir / f"{command}.manifest.json").read_text())["params"]
+        assert params[name] == want
 
 
 def test_replay_cases_cover_every_subcommand():

@@ -733,6 +733,6 @@ def test_ledger_round_counts_are_nonnegative_integers(name):
         message = r"^\w*rounds must be an integer, got " + re.escape(repr(bad))
         with pytest.raises(TypeError, match=message):
             call(bad)
-    with pytest.raises(ValueError, match=r"^\w*rounds must be nonnegative, got -1$"):
+    with pytest.raises(ValueError, match=r"^\w*rounds must be at least 0, got -1$"):
         call(-1)
     assert repr(list(call(np.int64(40)))) == repr(list(call(40)))
