@@ -2,13 +2,16 @@
 #
 # The security boundary of a one-parameter noise family is where the
 # spectral radius of the step's Jacobian at the secure (flag-diagonal)
-# fixpoint crosses one.  It is found as the root of that radius less one,
-# by a bracketed regula-falsi solve (Anderson-Bjorck) that calls the binary
-# family 9 times and the white-noise one 14 times.  That fixpoint is
-# solved for by Newton's method on the flag-diagonal cells after a 30-step
-# warm start, in tens of steps even at the binary threshold f0 = 3/4, and
-# so is the limit of the start state, on every cell, that the basin check
-# at each bracket end compares with it.
+# fixpoint crosses one.  There the Perron root of the Jacobian's block off
+# the flag-diagonal cells crosses one, so the boundary is a regular root of
+# a small system (the secure fixpoint, that block's Perron vector and f0),
+# which Newton's method solves from the secure end of the bracket with one
+# call of the family a step: 8 calls of the binary family and 7 of the
+# white-noise one, bracket ends included.  The secure fixpoint at each end
+# is solved for by Newton's method on the flag-diagonal cells after a
+# 30-step warm start, in tens of steps even at the binary threshold
+# f0 = 3/4, and so is the limit of the start state, on every cell, that the
+# basin check at each bracket end compares with it.
 # Two families here: the analytically tractable binary flips, whose
 # boundary is known to eight digits, and one-qubit white noise on both
 # qubits, whose purification and security boundaries are a whisker apart.  Near either boundary the

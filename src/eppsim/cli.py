@@ -192,7 +192,11 @@ def _abcd_state(text: str) -> BellDiagonalState:
 
 
 def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
-    """--werner, else the config's werner, else its abcd, else Werner 0.85."""
+    """--werner, else the config's werner or its abcd, else Werner 0.85.
+    Both keys set the start state, so a config with both is a ConfigError,
+    with the flag or without it."""
+    if "werner" in cfg and "abcd" in cfg:
+        raise ConfigError("the start state takes werner or abcd, not both")
     if getattr(args, "werner", None) is not None:
         return BellDiagonalState.werner(args.werner)
     if "werner" in cfg:

@@ -12,10 +12,16 @@ maps into itself for every channel: a Pauli error flips the Bell bits and
 the flag bits alike.  Its fixpoint is the secure one, and the security
 regime is where that fixpoint purifies and attracts.  The boundary of the
 regime is therefore a root of the stability margin rho - 1, the spectral
-radius of the step's Jacobian at the secure fixpoint less one, and a
-critical search finds it by a bracketed regula-falsi solve (with
+radius of the step's Jacobian at the secure fixpoint less one.  That
+Jacobian is block-triangular, and at the boundary the Perron root of its
+block on the cells off the subspace crosses one while the block on the
+subspace stays stable, so the boundary is a regular root of a small
+system in the secure fixpoint, the Perron vector and the noise parameter.
+A critical search solves that system by Newton's method from the secure
+end of its bracket, with one family call a step, and where Newton gives
+up it falls back to a bracketed regula-falsi solve of the margin (with
 Anderson-Bjorck's scaling of a twice-kept end) after bisecting the verdict
-until the margin is defined at both ends.  Each probe projects the start
+until the margin is defined at both ends.  Each margin projects the start
 onto the subspace and restricts the map to it once, which is exact as the
 step never leaves it: four unknowns for a 16-cell state, two for a binary
 one.  On raw weight vectors of that restricted map, the secure fixpoint is
@@ -354,9 +360,10 @@ _FLAG_DIAGONAL_CELLS = {FlaggedEnsembleState: [0, 5, 10, 15], BinaryFlaggedState
 
 #: Plain steps that start each Newton solve, and the Newton steps it takes at
 #: most.  The warm start only has to bring Newton within reach of the
-#: fixpoint; with 30 steps a critical search's 16 solves take 871 steps
-#: and 71 linear solves (white noise at 24 halvings), and its 11 solves
-#: over 9 family calls 413 steps and 91 linear solves (binary).
+#: fixpoint; with 30 steps the four solves of a critical search (the two
+#: margins and the two basin checks) take 125 steps and 6 linear solves on
+#: white noise (24 halvings), and 183 steps and 65 linear solves on the
+#: binary family, whose threshold f0 = 3/4 is a multiple root.
 _NEWTON_WARM_START = 30
 _NEWTON_MAX_STEPS = 50
 
@@ -381,6 +388,24 @@ _NEWTON_ROUNDING_FLOOR = 1e-9
 #: fixpoint solved to ``tol`` leaves in it; polished to rounding level, the
 #: margin is smooth in the noise parameter and a root solve can use it.
 _POLISH_STEPS = 3
+
+#: Newton steps of a critical search's boundary solve (``_boundary_root``)
+#: at most; the boundaries of the five families in the tests take 5 or 6.
+_ROOT_MAX_STEPS = 12
+
+#: The boundary solve's first step is taken this far (at most half the
+#: bracket) from the secure end, and differences the map toward the bracket's
+#: interior for its t column: white noise is defined up to f0 = 1 only.
+_ROOT_DIFFERENCE = 1e-6
+
+#: A boundary solve has converged once a correction is at most this long
+#: (max-norm).  Its corrections shrink superlinearly, each about the product
+#: of the two before, so the next one would be at rounding level.
+_ROOT_TOL = 1e-10
+
+#: The least weight of the boundary's Perron vector that counts as
+#: nonnegative.
+_PERRON_FLOOR = 1e-12
 
 
 def _checked_budget(tol: float, max_iter: int) -> int:
@@ -535,21 +560,128 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     return qmap, (full, steps, converged, residual)
 
 
-def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
+def _secure_margin(noise, s0, tol: float, max_iter: int):
     """rho - 1 at the polished secure fixpoint (``_secure_fixpoint``), or
     None where it did not converge within the budget or does not purify
-    (fidelity <= 1/2).  rho is the spectral radius of the whole map's
-    Jacobian there; that Jacobian is block-triangular, as the flag-diagonal
-    subspace is invariant, so rho covers both the stability within the
-    subspace and the decay of weight off it.
+    (fidelity <= 1/2), with the whole map and that fixpoint: (margin, qmap,
+    x), both None if the ensemble annihilated.  rho is the spectral radius
+    of the whole map's Jacobian there; that Jacobian is block-triangular, as
+    the flag-diagonal subspace is invariant, so rho covers both the
+    stability within the subspace and the decay of weight off it.
     """
     try:
         qmap, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
     except EnsembleAnnihilated:
-        return None
+        return None, None, None
     if not converged or x[0] <= 0.5 + REGIME_FUZZ:
-        return None
-    return spectral_radius(jacobian(qmap, x)) - 1.0
+        return None, qmap, x
+    return spectral_radius(jacobian(qmap, x)) - 1.0, qmap, x
+
+
+def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
+    """The margin of ``_secure_margin`` alone."""
+    return _secure_margin(noise, s0, tol, max_iter)[0]
+
+
+def _boundary_system(qmap: QuadraticMap, z: np.ndarray, cells, off, derivative=False):
+    """The residual of the boundary system at z = (x, v, t) on ``qmap``, the
+    family's map at some t; with ``derivative`` also its exact derivative in
+    (x, v) and the whole map's Jacobian J at x, as (residual, derivative, J).
+
+    The state a is x on the flag-diagonal ``cells`` and zero elsewhere, and
+    V is v on the ``off`` cells and zero elsewhere.  The rows are
+    step(a) - a on all but the last of ``cells``, with sum(x) - 1 in place
+    of the last, then (J_OO - I) v, with J_OO the block of J on ``off``, and
+    sum(v) - 1.  With a' = q / N, J V = 2 (q(a, V) - a' (a S V)) / N, and as
+    d a'_j / d a_k = J_jk its derivative in a is
+    2 [(M_j V)_k - J_jk (a S V) - a'_j (S V)_k - (J V)_j (S a)_k] / N.
+    """
+    n, d = qmap.dim, len(cells)
+    x, v = z[:d], z[d:-1]
+    a, big_v = np.zeros(n), np.zeros(n)
+    a[cells], big_v[off] = x, v
+    fa = qmap.forms @ a  # rows M_j a, then S a
+    q, w = fa @ a, fa @ big_v  # a M_j a and a M_j V, then N and a S V
+    keep = q[-1]
+    if keep <= ANNIHILATION_EPS:
+        raise EnsembleAnnihilated(f"keep probability {keep}")
+    image = q[:-1] / keep
+    jv = (w[:-1] - image * w[-1]) * (2.0 / keep)
+    f = np.concatenate([image[cells] - x, jv[off] - v, [v.sum() - 1.0]])
+    f[d - 1] = x.sum() - 1.0
+    if not derivative:
+        return f
+    jac = jacobian(qmap, a)
+    fv = qmap.forms @ big_v  # rows M_j V, then S V
+    djv = fv[:-1] - jac * w[-1] - np.outer(image, fv[-1]) - np.outer(jv, fa[-1])
+    dfdz = np.zeros((len(f), len(f) - 1))
+    dfdz[:d, :d] = jac[np.ix_(cells, cells)] - np.eye(d)
+    dfdz[d - 1, :d] = 1.0
+    dfdz[d:-1, :d] = djv[np.ix_(off, cells)] * (2.0 / keep)
+    dfdz[d:-1, d:] = jac[np.ix_(off, off)] - np.eye(len(off))
+    dfdz[-1, d:] = 1.0
+    return f, dfdz, jac
+
+
+def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
+    """The security boundary between two bracket ends as a regular root
+    z = (x on ``cells``, v, t), solved by Newton's method from the secure
+    end, or None where Newton gives up.
+
+    ``secure_end`` is (t, qmap, x): the parameter, the family's map there
+    and its polished secure fixpoint on every cell (``_secure_margin``);
+    ``cells`` are the flag-diagonal cells.  The unknowns are x on ``cells``,
+    the Perron vector v of J_OO, the block of the whole map's Jacobian on
+    the other cells, and t; the equations are ``_boundary_system``'s, whose
+    root has an eigenvalue one of J_OO.  The start is x, v at the secure end
+    normalized to sum one, and t one ``_ROOT_DIFFERENCE`` (at most half the
+    bracket) from the secure end toward the other.  Each step makes one
+    family call, at the current t, and takes the t column as a secant over
+    the maps of the current and the last t (the secure end's for the first
+    step): the residual at the current (x, v) on both.  The solve has
+    converged once a correction is at most ``_ROOT_TOL`` long (max-norm),
+    and the corrected t is the root if it lies inside the bracket, x
+    purifies there (x[0] > 1/2 + ``REGIME_FUZZ``), no weight of v is below
+    ``-_PERRON_FLOOR`` (so one is J_OO's Perron root) and the spectral
+    radius of J's flag-diagonal block at the last iterate is below one.
+    The iterates may leave the bracket on the way: the margin is convex in
+    the binary family, and its first step from 0.85 reaches 0.7294, below
+    the bracket (0.75, 0.85).  Newton gives up when a correction is longer than the one before
+    (squared 2-norms) while the residual is above
+    ``_NEWTON_ROUNDING_FLOOR``, after ``_ROOT_MAX_STEPS`` steps, when a root
+    fails the checks above, when the family raises ValueError at an iterate
+    (one outside its domain), and where the ensemble annihilates or the
+    system is singular.
+    """
+    t_old, old, x = secure_end
+    lo, hi = sorted((t_old, other_end))
+    off = np.setdiff1d(np.arange(old.dim), cells)
+    d = len(cells)
+    values, vectors = np.linalg.eig(jacobian(old, x)[np.ix_(off, off)])
+    v = vectors[:, np.argmax(values.real)].real
+    t = t_old + math.copysign(min(_ROOT_DIFFERENCE, 0.5 * (hi - lo)), other_end - t_old)
+    z = np.concatenate([x[cells], v / v.sum(), [t]])
+    last = np.inf  # the squared length of the last correction
+    for _ in range(_ROOT_MAX_STEPS):
+        try:
+            qmap = _fitting_map(family(t)[0], x)
+            f, dfdz, jac = _boundary_system(qmap, z, cells, off, derivative=True)
+            secant = (f - _boundary_system(old, z, cells, off)) / (t - t_old)
+            dz = np.linalg.solve(np.column_stack([dfdz, secant]), -f)
+        except (ValueError, EnsembleAnnihilated):  # LinAlgError is a ValueError
+            return None
+        size = dz @ dz
+        if size > last and np.max(np.abs(f)) > _NEWTON_ROUNDING_FLOOR:
+            return None
+        last = size
+        z += dz
+        if np.max(np.abs(dz)) <= _ROOT_TOL:
+            accepted = (lo < z[-1] < hi and z[0] > 0.5 + REGIME_FUZZ
+                        and z[d:-1].min() >= -_PERRON_FLOOR
+                        and spectral_radius(jac[np.ix_(cells, cells)]) < 1.0)
+            return z if accepted else None
+        t_old, old, t = t, qmap, float(z[-1])
+    return None
 
 
 def _secure(margin: float | None) -> bool:
@@ -609,7 +741,18 @@ def find_critical(
     bracket or when a basin check disagrees with it; ``halvings = 0``
     returns the bracket's midpoint.
 
-    The search keeps a bracket on which the verdict changes.  It bisects it
+    After the basin checks the boundary is solved for as a regular root by
+    ``_boundary_root``: Newton's method on the secure fixpoint, the Perron
+    vector of the Jacobian's block off the flag-diagonal cells and the
+    parameter, from the secure end's polished fixpoint, with one family
+    call a step.  Where Newton converges and its root passes the checks,
+    that root is the result, to rounding level (the five families in the
+    tests take 5 or 6 steps), and ``halvings`` does not enter it.  Where
+    Newton gives up (its corrections grow, it runs out of steps or its root
+    fails a check), the bracket goes as it is to the loop below, and
+    ``halvings`` bounds only that loop.
+
+    The loop keeps a bracket on which the verdict changes.  It bisects it
     until the margin is defined at both ends (a purifying secure fixpoint
     converged there), and from then on probes the regula-falsi point of the
     margins.  An end kept twice in a row has its margin scaled for the next
@@ -618,7 +761,7 @@ def find_critical(
     or by 1/2 if that factor is not positive (Illinois' constant 1/2 takes
     one or two more probes a search).  Near the boundary the polished margin
     is smooth and nearly linear, so the root takes a handful of probes.  The
-    search stops when the bracket is at most its first width over
+    loop stops when the bracket is at most its first width over
     2**halvings, after ``halvings`` bisections (rounded midpoints can leave
     the width a few ulps above that), when no float lies inside it, or when
     a margin is exactly zero (that point is returned).  A probe keeps half
@@ -633,7 +776,8 @@ def find_critical(
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")
     width = math.ldexp(hi - lo, -halvings)
     ends = [(param, *family(param)) for param in (lo, hi)]
-    g_lo, g_hi = (_stability_margin(n, s, tol, max_iter) for _, n, s in ends)
+    solved = [_secure_margin(n, s, tol, max_iter) for _, n, s in ends]
+    (g_lo, *_), (g_hi, *_) = solved
     sec_lo, sec_hi = _secure(g_lo), _secure(g_hi)
     if sec_lo == sec_hi:
         raise ValueError(
@@ -650,6 +794,12 @@ def find_critical(
             )
     if halvings == 0:
         return 0.5 * (lo + hi)
+    k = int(sec_hi)  # the secure end
+    _, qmap, x = solved[k]
+    cells = _FLAG_DIAGONAL_CELLS[type(ends[k][2])]
+    root = _boundary_root(family, cells, (ends[k][0], qmap, x), ends[1 - k][0])
+    if root is not None:
+        return float(root[-1])
     least = max(width / 2.0, math.ulp(hi))  # a probe's least distance from an end
     w_lo, w_hi = g_lo, g_hi  # the margins the next regula-falsi point weighs
     replaced = 0  # -1 or 1 when the last regula-falsi probe replaced lo or hi

@@ -171,6 +171,26 @@ def test_a_config_key_given_twice_is_a_usage_error(tmp_path, capsys):
     assert list(out.iterdir()) == []
 
 
+@pytest.mark.parametrize("flag", [[], ["--werner", "0.9"]], ids=["config", "with-werner-flag"])
+def test_a_config_with_both_werner_and_abcd_is_a_usage_error(tmp_path, capsys, flag):
+    # both keys set the start state, so neither may win over the other silently
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nwerner=0.8\nabcd=0.7,0.1,0.1,0.1\n")
+    out = tmp_path / "out"
+    assert main(["iterate", "--config", str(cfgfile), *flag, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == "error: the start state takes werner or abcd, not both\n"
+    assert list(out.iterdir()) == []
+
+
+def test_the_werner_flag_overrides_the_config_abcd(tmp_path):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text("model=white\nf0=0.95\nabcd=0.7,0.1,0.1,0.1\nsteps=1\n")
+    assert main(["iterate", "--config", str(cfgfile), "--werner", "0.9",
+                 "--out", str(tmp_path)]) == 0
+    _, rows = read_csv(tmp_path / "iterate.csv")
+    assert float(rows[0][1]) == 0.9  # row 0's F is the flag's Werner fidelity
+
+
 @pytest.mark.parametrize(
     "config, key",
     [("model=white\nf0=0.9x\n", "f0"), ("model=binary\nf0=0.9x\n", "f0"),

@@ -454,7 +454,9 @@ def test_binary_critical_point_is_the_closed_form_root():
 def test_find_critical_scales_the_kept_end_on_either_side(mirrored, root, monkeypatch):
     # mirrored, the binary family is secure at the bracket's low end, so the
     # regula-falsi probes replace lo and Anderson-Bjorck's factor scales hi's
-    # margin: the same search from the other side, to the bit
+    # margin: the same search from the other side, to the bit.  With no
+    # Newton steps for the boundary solve, the search is the fallback loop.
+    monkeypatch.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
     calls, replaced = [], []
     factor = dynamics._anderson_bjorck
 
@@ -492,9 +494,11 @@ def test_find_critical_stops_when_the_interval_is_exhausted():
     assert len(calls) <= 64
 
 
-def test_find_critical_that_only_bisects_makes_halvings_probes():
-    # the margin stays undefined at 0.88, so this search only bisects; its
-    # rounded midpoints leave the width a few ulps above (0.92 - 0.88) / 16
+def test_find_critical_that_only_bisects_makes_halvings_probes(monkeypatch):
+    # the margin stays undefined at 0.88, so the fallback loop (no Newton
+    # steps for the boundary solve) only bisects; its rounded midpoints leave
+    # the width a few ulps above (0.92 - 0.88) / 16
+    monkeypatch.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
     calls = []
 
     def family(f0):
@@ -843,6 +847,77 @@ def test_find_critical_basin_check_at_the_insecure_end():
     assert basin_limit(*family(0.76), max_iter=20_000).iterations > dynamics._NEWTON_WARM_START
     with pytest.raises(ValueError, match="basin check at 0.76"):
         find_critical(family, (0.76, 0.85), halvings=4, max_iter=20_000)
+
+
+# --- the boundary as a regular root -------------------------------------------------
+
+
+def watched_boundary_root(monkeypatch):
+    """A list that gets (cells, secure end, result) of each boundary solve."""
+    seen, original = [], dynamics._boundary_root
+
+    def watched(family, cells, secure_end, other_end):
+        root = original(family, cells, secure_end, other_end)
+        seen.append((cells, secure_end, root))
+        return root
+
+    monkeypatch.setattr(dynamics, "_boundary_root", watched)
+    return seen
+
+
+def loop_critical(family, bracket, monkeypatch):
+    """``find_critical``'s bracketed loop alone: no Newton steps for the root."""
+    with monkeypatch.context() as m:
+        m.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
+        return find_critical(family, bracket)
+
+
+@pytest.mark.parametrize(
+    "family, bracket",
+    [(white_noise_family, (0.88, 0.92)), (binary_family, (0.75, 0.85)),
+     (p1p2_family(0.98), (0.84, 0.86)), (p1p2_family(0.97), (0.85, 0.87)),
+     (lambda p: p1p2_family(p)(p), (0.91, 0.93))],
+    ids=["white", "binary", "p1p2-0.98", "p1p2-0.97", "p1-equals-p2"],
+)
+def test_find_critical_solves_the_boundary_as_a_regular_root(family, bracket, monkeypatch):
+    seen = watched_boundary_root(monkeypatch)
+    crit = find_critical(family, bracket)
+    [(cells, (_, _, x_end), z)] = seen
+    assert z is not None and crit == z[-1]
+    assert abs(crit - loop_critical(family, bracket, monkeypatch)) <= 1e-12
+    # at the root: x purifies, v is J_OO's Perron vector with eigenvalue one,
+    # and the flag-diagonal block is stable
+    qmap = dynamics._fitting_map(family(crit)[0], x_end)
+    off = np.setdiff1d(np.arange(qmap.dim), cells)
+    f, dfdz, jac = dynamics._boundary_system(qmap, z, cells, off, derivative=True)
+    d = len(cells)
+    assert np.max(np.abs(f)) <= 1e-12
+    assert z[0] > 0.5 and z[d:-1].min() >= -1e-12
+    assert abs(spectral_radius(jac[np.ix_(off, off)]) - 1.0) <= 1e-12
+    assert spectral_radius(jac[np.ix_(cells, cells)]) < 1.0
+    # the system's Jacobian, its t column by central differences, is regular
+    h = 1e-7
+    above, below = (dynamics._boundary_system(
+        dynamics._fitting_map(family(crit + s)[0], x_end), z, cells, off) for s in (h, -h))
+    assert np.linalg.cond(np.column_stack([dfdz, (above - below) / (2 * h)])) < 1e3
+
+
+def test_newton_is_refused_where_its_corrections_grow(monkeypatch):
+    # from f0 = 0.99 the first correction overshoots to 0.52 and the second is
+    # longer, so the loop finds the root
+    seen = watched_boundary_root(monkeypatch)
+    assert find_critical(binary_family, (0.75, 0.99)) == 0.7718445063460382
+    assert [root for *_, root in seen] == [None]
+
+
+def test_a_secure_end_at_the_edge_of_the_family_is_no_error(monkeypatch):
+    # white noise is defined up to f0 = 1 only: the first step is taken
+    # toward the bracket's interior, and Newton, refused from there, hands
+    # the bracket to the loop
+    seen = watched_boundary_root(monkeypatch)
+    crit = find_critical(white_noise_family, (0.88, 1.0))
+    assert [root for *_, root in seen] == [None]
+    assert abs(crit - find_critical(white_noise_family, (0.88, 0.92))) <= 1e-12
 
 
 # --- the basin check's limit, solved by Newton's method -----------------------------
