@@ -348,7 +348,8 @@ _SUBCOMMANDS = {
     "critical": _Subcommand(
         _cmd_critical, None, CRITICAL_MAX_ITER, False,
         "solve a noise family for the security boundary",
-        {"halvings": (40, 0, "halvings of the bracket's width to solve to")},
+        {"halvings": (40, 0, "bracket halvings that bound only the fallback search "
+                              "and set bracket_achieved's width")},
         (
             ("--family", dict(required=True, choices=sorted(_FAMILIES))),
             ("--bracket", dict(type=float, nargs=2, required=True, metavar=("LO", "HI"))),

@@ -249,14 +249,20 @@ def _vector_of(state):
     raise TypeError(f"expected a flagged state, got {type(state).__name__}; use embed()")
 
 
-def _solve(s0, noise_or_map, tol: float, max_iter: int, newton: bool = False) -> FixpointResult:
+def _solve(
+    s0, noise_or_map, tol: float, max_iter: int, newton: bool = False, qmap=None
+) -> FixpointResult:
     """Every whole-state solve, as ``iterate_to_fixpoint`` documents it: the
     plain loop of the map that fits ``s0``, or with ``newton`` (the basin
     checks) ``_newton_fixpoint`` on that map, every cell free.  Only Newton
-    needs the map here; the plain loop builds it if it reads it."""
+    needs the map here: it is ``qmap`` where the caller has built it already
+    (a basin check is handed its bracket end's map from the stability
+    margin), and is built here otherwise.  The plain loop builds the map if
+    it reads it."""
     max_iter = _checked_budget(tol, max_iter)
     a, wrap = _vector_of(s0)
-    qmap = _fitting_map(noise_or_map, a) if newton else None
+    if newton and qmap is None:
+        qmap = _fitting_map(noise_or_map, a)
     plain = _plain_loop(noise_or_map, s0, qmap)
     try:
         if newton:
@@ -317,11 +323,36 @@ def jacobian(qmap: QuadraticMap, state) -> np.ndarray:
     """
     a = state if isinstance(state, np.ndarray) else _vector_of(state)[0]
     fa = qmap.forms @ a  # (j, k) = (M_j a)_k, using symmetry of M_j; row n is S a
-    q = fa @ a  # the images a M_j a, then N = a S a
+    return _jacobian_of(fa, fa @ a)
+
+
+def _jacobian_of(fa: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``jacobian`` at a state a from its products fa = forms @ a and q = fa @ a
+    (the images a M_j a, then N = a S a): every caller that has them takes
+    the Jacobian from them, in the same rounded operations."""
     n = q[-1]
     if n <= ANNIHILATION_EPS:
         raise EnsembleAnnihilated(f"keep probability {n}")
     return (fa[:-1] - (q[:-1] / n)[:, None] * fa[-1]) * 2.0 / n  # scaling by 2 is exact
+
+
+def _image(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """``QuadraticMap.apply``'s normalized image of ``a``, in the same rounded
+    operations, from the map's ``forms`` viewed as rows of n * n entries."""
+    q = rows @ np.multiply.outer(a, a).ravel()
+    keep = q[-1]
+    if keep <= ANNIHILATION_EPS:
+        raise EnsembleAnnihilated(f"keep probability {keep} <= {ANNIHILATION_EPS}")
+    return q[:-1] / keep
+
+
+def _newton_correction(forms: np.ndarray, x: np.ndarray, eye: np.ndarray, rhs: np.ndarray):
+    """The solution dx of (J - I) dx = ``rhs``, with J ``jacobian``'s at x on
+    a map's ``forms`` and ``eye`` its identity."""
+    fa = forms @ x
+    jac = _jacobian_of(fa, fa @ x)
+    jac -= eye
+    return np.linalg.solve(jac, rhs)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -480,6 +511,14 @@ def _newton_fixpoint(
     ``REGIME_FUZZ``.  A saddle's limit is no trajectory's, so the plain
     iteration takes over from the warm start as above.
 
+    A step makes the rounded operations of ``QuadraticMap.apply`` (step(x)
+    and the residual) and ``jacobian`` (J at x) in their order, without
+    those calls around them: ``_image`` takes step(x) from the forms'
+    flat view, made once per solve, and ``_newton_correction`` takes J from
+    ``jacobian``'s products, subtracts the solve's identity in place and
+    solves.  So every vector, count and residual is the one those calls
+    give (the tests keep such a loop as the reference).
+
     The basin checks hand it a state's whole map (``_solve``), with
     ``attracting``, and the stability margin the map restricted to the
     flag-diagonal cells, without: the margin is that spectral radius.
@@ -497,16 +536,16 @@ def _newton_fixpoint(
     if converged or spent == max_iter:
         return warm, spent, converged, residual
     x = np.array(warm)  # the warm start's end stays for the fallback
-    eye = np.eye(qmap.dim)
+    forms, rows, eye = qmap.forms, qmap.forms.reshape(qmap.dim + 1, -1), np.eye(qmap.dim)
     last = np.inf  # the squared length of the last correction
     for k in range(1, min(_NEWTON_MAX_STEPS, max_iter - spent) + 1):
-        image, _ = qmap.apply(x)
-        residual = float(np.max(np.abs(image - x)))
+        image = _image(rows, x)
+        residual = np.abs(image - x).max()
         if residual <= tol:
             if not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ:
-                return image, spent + k, True, residual
+                return image, spent + k, True, float(residual)
             break
-        dx = np.linalg.solve(jacobian(qmap, x) - eye, x - image)
+        dx = _newton_correction(forms, x, eye, x - image)
         size = dx @ dx
         if size > last and residual > _NEWTON_ROUNDING_FLOOR:
             break
@@ -531,9 +570,10 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     up to ``_POLISH_STEPS`` more Newton steps on the restricted map take its
     residual from ``tol`` to rounding level.  Returns the whole map of
     ``noise`` on ``s0``'s cells and (the vector on every cell, the solve's
-    iterations, converged and residual).  Raises ValueError for a bad
-    ``tol`` or ``max_iter``, a map that does not fit ``s0`` or a start with
-    no flag-diagonal weight, and EnsembleAnnihilated.
+    iterations, converged and residual).  The polish's steps are
+    ``_newton_fixpoint``'s: ``_image`` and ``_newton_correction``.  Raises
+    ValueError for a bad ``tol`` or ``max_iter``, a map that does not fit
+    ``s0`` or a start with no flag-diagonal weight, and EnsembleAnnihilated.
     """
     max_iter = _checked_budget(tol, max_iter)
     a, _ = _vector_of(s0)
@@ -547,14 +587,13 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     x, steps, converged, residual = _newton_fixpoint(a[cells] / mass, sub, plain, tol, max_iter)
     # the fidelity: Phi+ has one flag-diagonal cell, the first
     if converged and x[0] > 0.5 + REGIME_FUZZ:
-        eye, size = np.eye(sub.dim), np.inf
+        rows, eye, size = sub.forms.reshape(sub.dim + 1, -1), np.eye(sub.dim), np.inf
         for _ in range(_POLISH_STEPS):
-            image, _ = sub.apply(x)
-            step = x - image
-            size, last = np.max(np.abs(step)), size
+            step = x - _image(rows, x)
+            size, last = np.abs(step).max(), size
             if not 0.0 < size < last:  # at rounding level already
                 break
-            x += np.linalg.solve(jacobian(sub, x) - eye, step)
+            x += _newton_correction(sub.forms, x, eye, step)
     full = np.zeros(qmap.dim)
     full[cells] = x
     return qmap, (full, steps, converged, residual)
@@ -595,6 +634,11 @@ def _boundary_system(qmap: QuadraticMap, z: np.ndarray, cells, off, derivative=F
     sum(v) - 1.  With a' = q / N, J V = 2 (q(a, V) - a' (a S V)) / N, and as
     d a'_j / d a_k = J_jk its derivative in a is
     2 [(M_j V)_k - J_jk (a S V) - a'_j (S V)_k - (J V)_j (S a)_k] / N.
+    J is taken from the products M_j a and q that the residual has made, by
+    ``jacobian``'s expression (``_jacobian_of``), so it is
+    ``jacobian(qmap, a)`` to the byte.  The derivative's blocks are taken
+    from J by ``take``, and its identity is subtracted in place on the
+    diagonal: no index grid or identity matrix is made.
     """
     n, d = qmap.dim, len(cells)
     x, v = z[:d], z[d:-1]
@@ -611,14 +655,15 @@ def _boundary_system(qmap: QuadraticMap, z: np.ndarray, cells, off, derivative=F
     f[d - 1] = x.sum() - 1.0
     if not derivative:
         return f
-    jac = jacobian(qmap, a)
+    jac = _jacobian_of(fa, q)
     fv = qmap.forms @ big_v  # rows M_j V, then S V
-    djv = fv[:-1] - jac * w[-1] - np.outer(image, fv[-1]) - np.outer(jv, fa[-1])
-    dfdz = np.zeros((len(f), len(f) - 1))
-    dfdz[:d, :d] = jac[np.ix_(cells, cells)] - np.eye(d)
+    djv = fv[:-1] - jac * w[-1] - image[:, None] * fv[-1] - jv[:, None] * fa[-1]
+    dfdz = np.zeros((n + 1, n))
+    dfdz[:d, :d] = jac.take(cells, 0).take(cells, 1)
+    dfdz[d:-1, :d] = djv.take(off, 0).take(cells, 1) * (2.0 / keep)
+    dfdz[d:-1, d:] = jac.take(off, 0).take(off, 1)
+    dfdz.reshape(-1)[: n * n : n + 1] -= 1.0  # the identity, off both diagonal blocks
     dfdz[d - 1, :d] = 1.0
-    dfdz[d:-1, :d] = djv[np.ix_(off, cells)] * (2.0 / keep)
-    dfdz[d:-1, d:] = jac[np.ix_(off, off)] - np.eye(len(off))
     dfdz[-1, d:] = 1.0
     return f, dfdz, jac
 
@@ -651,31 +696,34 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
     ``_NEWTON_ROUNDING_FLOOR``, after ``_ROOT_MAX_STEPS`` steps, when a root
     fails the checks above, when the family raises ValueError at an iterate
     (one outside its domain), and where the ensemble annihilates or the
-    system is singular.
+    system is singular.  The system's matrix is made once per solve: each
+    step writes the derivative into its first columns and the secant
+    straight into its last one.
     """
     t_old, old, x = secure_end
     lo, hi = sorted((t_old, other_end))
-    off = np.setdiff1d(np.arange(old.dim), cells)
+    off = np.delete(np.arange(old.dim), cells)
     d = len(cells)
     values, vectors = np.linalg.eig(jacobian(old, x)[np.ix_(off, off)])
     v = vectors[:, np.argmax(values.real)].real
     t = t_old + math.copysign(min(_ROOT_DIFFERENCE, 0.5 * (hi - lo)), other_end - t_old)
     z = np.concatenate([x[cells], v / v.sum(), [t]])
+    system = np.empty((len(z), len(z)))  # the derivative in (x, v), then the t column
     last = np.inf  # the squared length of the last correction
     for _ in range(_ROOT_MAX_STEPS):
         try:
             qmap = _fitting_map(family(t)[0], x)
-            f, dfdz, jac = _boundary_system(qmap, z, cells, off, derivative=True)
-            secant = (f - _boundary_system(old, z, cells, off)) / (t - t_old)
-            dz = np.linalg.solve(np.column_stack([dfdz, secant]), -f)
+            f, system[:, :-1], jac = _boundary_system(qmap, z, cells, off, derivative=True)
+            np.divide(f - _boundary_system(old, z, cells, off), t - t_old, out=system[:, -1])
+            dz = np.linalg.solve(system, -f)
         except (ValueError, EnsembleAnnihilated):  # LinAlgError is a ValueError
             return None
         size = dz @ dz
-        if size > last and np.max(np.abs(f)) > _NEWTON_ROUNDING_FLOOR:
+        if size > last and np.abs(f).max() > _NEWTON_ROUNDING_FLOOR:
             return None
         last = size
         z += dz
-        if np.max(np.abs(dz)) <= _ROOT_TOL:
+        if np.abs(dz).max() <= _ROOT_TOL:
             accepted = (lo < z[-1] < hi and z[0] > 0.5 + REGIME_FUZZ
                         and z[d:-1].min() >= -_PERRON_FLOOR
                         and spectral_radius(jac[np.ix_(cells, cells)]) < 1.0)
@@ -735,7 +783,10 @@ def find_critical(
     more than the budget, and at a secure end near the boundary, where it
     needs thousands.  A Newton limit that does not attract (a saddle) is
     no trajectory's limit, and the plain iteration goes on from the warm
-    start instead.  Raises TypeError for a ``halvings`` or ``max_iter``
+    start instead.  Each end's basin check solves on the map that its
+    stability margin built (``_secure_margin`` returns it), so a bracket end
+    builds one map: a binary search builds 8, two ends and one per Newton
+    step below.  Raises TypeError for a ``halvings`` or ``max_iter``
     that is no integer, and ValueError for a negative ``halvings``, a bad
     ``tol`` or ``max_iter``, when the verdict does not change across the
     bracket or when a basin check disagrees with it; ``halvings = 0``
@@ -783,8 +834,8 @@ def find_critical(
         raise ValueError(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
-    for (param, noise_or_map, start), secure in zip(ends, (sec_lo, sec_hi)):
-        result = _solve(start, noise_or_map, tol, max_iter, newton=True)
+    for (param, noise_or_map, start), secure, (_, qmap, _) in zip(ends, (sec_lo, sec_hi), solved):
+        result = _solve(start, noise_or_map, tol, max_iter, newton=True, qmap=qmap)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
             raise ValueError(

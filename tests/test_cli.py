@@ -523,6 +523,17 @@ def test_critical_negative_halvings_usage_error(tmp_path, capsys):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_critical_help_says_halvings_bound_only_the_fallback(capsys):
+    # a root found by Newton's method does not depend on --halvings
+    with pytest.raises(SystemExit) as exc:
+        main(["critical", "--help"])
+    assert exc.value.code == 0
+    text = " ".join(capsys.readouterr().out.split())
+    assert ("--halvings HALVINGS bracket halvings that bound only the fallback search "
+            "and set bracket_achieved's width (default 40)") in text
+    assert "to solve to" not in text
+
+
 def test_critical_no_sign_change(tmp_path):
     rc = main(["critical", "--family", "binary-uncorrelated", "--halvings", "4",
                "--bracket", "0.95", "0.99", "--out", str(tmp_path)])

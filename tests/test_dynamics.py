@@ -46,6 +46,8 @@ from eppsim.recurrence import (
     generate_map,
 )
 
+import newton_reference
+
 BINARY_CRITICAL = 0.77184451
 
 
@@ -872,13 +874,16 @@ def loop_critical(family, bracket, monkeypatch):
         return find_critical(family, bracket)
 
 
-@pytest.mark.parametrize(
+BOUNDARY_FAMILIES = pytest.mark.parametrize(
     "family, bracket",
     [(white_noise_family, (0.88, 0.92)), (binary_family, (0.75, 0.85)),
      (p1p2_family(0.98), (0.84, 0.86)), (p1p2_family(0.97), (0.85, 0.87)),
      (lambda p: p1p2_family(p)(p), (0.91, 0.93))],
     ids=["white", "binary", "p1p2-0.98", "p1p2-0.97", "p1-equals-p2"],
 )
+
+
+@BOUNDARY_FAMILIES
 def test_find_critical_solves_the_boundary_as_a_regular_root(family, bracket, monkeypatch):
     seen = watched_boundary_root(monkeypatch)
     crit = find_critical(family, bracket)
@@ -900,6 +905,87 @@ def test_find_critical_solves_the_boundary_as_a_regular_root(family, bracket, mo
     above, below = (dynamics._boundary_system(
         dynamics._fitting_map(family(crit + s)[0], x_end), z, cells, off) for s in (h, -h))
     assert np.linalg.cond(np.column_stack([dfdz, (above - below) / (2 * h)])) < 1e3
+
+
+@BOUNDARY_FAMILIES
+def test_the_boundary_system_is_the_reference_to_the_byte(family, bracket, monkeypatch):
+    # at the root: J is jacobian's, taken from the system's own products, and
+    # the residual and derivative are those of the system written through
+    # jacobian, np.ix_ and np.eye
+    seen = watched_boundary_root(monkeypatch)
+    find_critical(family, bracket)
+    [(cells, (_, _, x_end), z)] = seen
+    qmap = dynamics._fitting_map(family(z[-1])[0], x_end)
+    off = np.setdiff1d(np.arange(qmap.dim), cells)
+    got = dynamics._boundary_system(qmap, z, cells, off, derivative=True)
+    a = np.zeros(qmap.dim)
+    a[cells] = z[:len(cells)]
+    assert got[2].tobytes() == jacobian(qmap, a).tobytes()
+    for mine, ref in zip(got, newton_reference.boundary_system(qmap, z, cells, off)):
+        assert mine.shape == ref.shape and mine.tobytes() == ref.tobytes()
+    assert dynamics._boundary_system(qmap, z, cells, off).tobytes() == got[0].tobytes()
+
+
+def test_a_search_builds_one_map_per_bracket_end_and_newton_step(monkeypatch):
+    # each bracket end's basin check solves on the map its stability margin
+    # built: binary makes 2 end maps and 6 Newton steps' maps (10 when the
+    # basin checks built their own), white noise one map per family call
+    builds, original = [], recurrence.generate_map
+
+    def counted(noise):
+        builds.append(None)
+        return original(noise)
+
+    monkeypatch.setattr(recurrence, "generate_map", counted)
+    monkeypatch.setattr(dynamics, "generate_map", counted)
+    monkeypatch.setattr(dynamics, "_WHITE_MAP_CACHE", {})
+    assert find_critical(binary_family, (0.75, 0.85)) == 0.7718445063460382
+    assert len(builds) == 8
+    builds.clear()
+    find_critical(white_noise_family, (0.88, 0.92), halvings=24, max_iter=30_000)
+    assert len(builds) == 7
+
+
+def newton_reference_cases():
+    """(noise, start) of the binary basin checks at f0 = 3/4 and 0.7719, of
+    white noise at 0.8988, and of 20 seeded random channels with the Werner
+    probe."""
+    cases = [binary_family(0.75), binary_family(0.7719), white_noise_family(0.8988)]
+    rng = np.random.default_rng(43)
+    probe = embed(BellDiagonalState.werner(0.85))
+    cases += [(random_channel(rng, f00), probe) for f00 in np.linspace(0.80, 0.95, 20)]
+    return cases
+
+
+def test_newton_fixpoint_is_the_reference_loop_to_the_byte():
+    # the trimmed Newton steps and polish make the rounded operations of
+    # qmap.apply, jacobian and np.linalg.solve, in the same order
+    newton_runs = 0
+    for noise, start in newton_reference_cases():
+        a, _ = dynamics._vector_of(start)
+        max_iter = dynamics.CRITICAL_MAX_ITER
+        # the basin check: the whole map, every cell free
+        qmap = dynamics._fitting_map(noise, a)
+        plain = dynamics._plain_loop(noise, start, qmap)
+        got = dynamics._newton_fixpoint(a, qmap, plain, 1e-12, max_iter, attracting=True)
+        want = newton_reference.newton_fixpoint(a, qmap, plain, 1e-12, max_iter, attracting=True)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1:] == want[1:] and type(got[3]) is type(want[3])
+        newton_runs += got[1] > dynamics._NEWTON_WARM_START
+        # the stability margin's solve: the restricted map, then the polish
+        cells = dynamics._FLAG_DIAGONAL_CELLS[type(start)]
+        sub = qmap.restricted(cells)
+        plain = dynamics._plain_loop(noise, start, sub, cells)
+        x, *solve = newton_reference.newton_fixpoint(
+            a[cells] / a[cells].sum(), sub, plain, 1e-12, max_iter)
+        if solve[1] and x[0] > 0.5 + dynamics.REGIME_FUZZ:
+            x = newton_reference.polished(x, sub)
+        _, (full, *secure) = dynamics._secure_fixpoint(noise, start, 1e-12, max_iter)
+        assert full[cells].tobytes() == x.tobytes() and secure == solve
+    assert newton_runs >= 15
+    # the basin check at the binary threshold converges by Newton in 72 steps
+    noise, start = binary_family(0.75)
+    assert basin_limit(noise, start).iterations == 72
 
 
 def test_newton_is_refused_where_its_corrections_grow(monkeypatch):
@@ -989,13 +1075,14 @@ def test_basin_limit_at_a_secure_end_near_the_boundary_is_decided_by_newton(fami
 
 
 def test_critical_searches_take_few_solve_steps(monkeypatch):
-    # a deterministic cost guard: the solve steps, plain and Newton, summed
-    # over every solve of a search (about 5,000 each with a 200-step warm
-    # start and negative Newton points replaced by plain steps), the
-    # linear solves, Newton's and the polish's (115, 91 and 121 when Newton
-    # went on while its corrections grew), and the family calls, one per
-    # probe (26, 42 and 42 when the search bisected; 15, 11 and 17 with
-    # Illinois' halving in place of Anderson-Bjorck's factor)
+    # a deterministic cost guard for searches that solve the boundary as a
+    # regular root: the solve steps, plain and Newton, summed over the four
+    # fixpoint solves of a search (125 on white noise, 183 on binary, where
+    # the basin check at the threshold f0 = 3/4 takes 72); the linear
+    # solves (11 on white noise: 5 of the boundary's Newton steps, 6 of the
+    # fixpoint solves and polish; 71 on binary, 65 of them in the fixpoint
+    # solves at that multiple root); and the family calls (7 on white noise
+    # and 8 on binary: the two bracket ends and one per Newton step)
     solves = counting_solves(monkeypatch)
     spent, calls = [], []
     original = dynamics._newton_fixpoint
@@ -1013,9 +1100,9 @@ def test_critical_searches_take_few_solve_steps(monkeypatch):
 
     searches = [
         (lambda: find_critical(
-            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 80, 14),
-        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 91, 10),
-        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 85, 15),  # CLI default
+            probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 12, 7),
+        (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 72, 8),
+        (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 12, 7),  # CLI default
     ]
     monkeypatch.setattr(dynamics, "_newton_fixpoint", counted)
     for search, most_solves, most_calls in searches:
@@ -1023,7 +1110,7 @@ def test_critical_searches_take_few_solve_steps(monkeypatch):
         solves.clear()
         calls.clear()
         search()
-        assert 0 < sum(spent) <= 2_000
+        assert 0 < sum(spent) <= 200
         assert 0 < len(solves) <= most_solves
         assert 0 < len(calls) <= most_calls
 
