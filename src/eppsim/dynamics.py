@@ -123,7 +123,7 @@ def _fitting_map(noise_or_map, a: np.ndarray) -> QuadraticMap:
     """The map of ``noise_or_map`` on states of ``a``'s size.
 
     A binary channel has two: ``generate_map``'s 16-cell map for a flagged
-    state, and that map's slice to the binary cells for a binary one
+    state, and that map restricted to the binary cells for a binary one
     (``binary_quadratic_map``).  Raises TypeError
     for anything but a map or a noise model, and ValueError unless the map
     fits ``a``.
@@ -333,7 +333,7 @@ def _jacobian_of(fa: np.ndarray, q: np.ndarray) -> np.ndarray:
     n = q[-1]
     if n <= ANNIHILATION_EPS:
         raise EnsembleAnnihilated(f"keep probability {n}")
-    return (fa[:-1] - (q[:-1] / n)[:, None] * fa[-1]) * 2.0 / n  # scaling by 2 is exact
+    return (fa[:-1] - (q[:-1] / n)[:, None] * fa[-1]) / (0.5 * n)  # n / 2 is exact: = 2 (...) / n
 
 
 def _image(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -346,13 +346,16 @@ def _image(rows: np.ndarray, a: np.ndarray) -> np.ndarray:
     return q[:-1] / keep
 
 
-def _newton_correction(forms: np.ndarray, x: np.ndarray, eye: np.ndarray, rhs: np.ndarray):
-    """The solution dx of (J - I) dx = ``rhs``, with J ``jacobian``'s at x on
-    a map's ``forms`` and ``eye`` its identity."""
+def _newton_correction(forms: np.ndarray, x: np.ndarray, eye: np.ndarray, d: np.ndarray):
+    """The solution dx of (I - J) dx = ``d``, with J ``jacobian``'s at x on
+    a map's ``forms`` and ``eye`` its identity.  With d = step(x) - x it is
+    the Newton correction, to the bit the solution of (J - I) dx = x -
+    step(x): negating a matrix and its right-hand side is exact, and partial
+    pivoting picks the same pivots for both signs."""
     fa = forms @ x
     jac = _jacobian_of(fa, fa @ x)
-    jac -= eye
-    return np.linalg.solve(jac, rhs)
+    np.subtract(eye, jac, out=jac)
+    return np.linalg.solve(jac, d)
 
 
 def spectral_radius(m: np.ndarray) -> float:
@@ -490,7 +493,7 @@ def _newton_fixpoint(
 
     ``plain`` is the plain iteration of ``qmap`` (``_plain_loop``), and up
     to ``_NEWTON_WARM_START`` of its steps from ``x`` come first.  Then each
-    Newton step x -> x + dx solves (J - I) dx = -(step(x) - x), with J the
+    Newton step x -> x + dx solves (I - J) dx = step(x) - x, with J the
     ``jacobian`` of ``qmap``; every column of J sums to zero, so dx keeps
     the weights summing to one.  Negative weights of the Newton point down
     to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected Newton
@@ -514,10 +517,12 @@ def _newton_fixpoint(
     A step makes the rounded operations of ``QuadraticMap.apply`` (step(x)
     and the residual) and ``jacobian`` (J at x) in their order, without
     those calls around them: ``_image`` takes step(x) from the forms'
-    flat view, made once per solve, and ``_newton_correction`` takes J from
-    ``jacobian``'s products, subtracts the solve's identity in place and
-    solves.  So every vector, count and residual is the one those calls
-    give (the tests keep such a loop as the reference).
+    flat view, made once per solve, one difference d = step(x) - x gives
+    the residual and the right-hand side, and ``_newton_correction`` takes
+    J from ``jacobian``'s products, subtracts it from the solve's identity
+    in place and solves.  So every vector, count and residual is the one
+    those calls give (the tests keep such a loop, which solves
+    (J - I) dx = x - step(x), as the reference).
 
     The basin checks hand it a state's whole map (``_solve``), with
     ``attracting``, and the stability margin the map restricted to the
@@ -540,12 +545,13 @@ def _newton_fixpoint(
     last = np.inf  # the squared length of the last correction
     for k in range(1, min(_NEWTON_MAX_STEPS, max_iter - spent) + 1):
         image = _image(rows, x)
-        residual = np.abs(image - x).max()
+        d = image - x
+        residual = np.abs(d).max()
         if residual <= tol:
             if not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ:
                 return image, spent + k, True, float(residual)
             break
-        dx = _newton_correction(forms, x, eye, x - image)
+        dx = _newton_correction(forms, x, eye, d)
         size = dx @ dx
         if size > last and residual > _NEWTON_ROUNDING_FLOOR:
             break
@@ -589,11 +595,11 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     if converged and x[0] > 0.5 + REGIME_FUZZ:
         rows, eye, size = sub.forms.reshape(sub.dim + 1, -1), np.eye(sub.dim), np.inf
         for _ in range(_POLISH_STEPS):
-            step = x - _image(rows, x)
-            size, last = np.abs(step).max(), size
+            d = _image(rows, x) - x
+            size, last = np.abs(d).max(), size
             if not 0.0 < size < last:  # at rounding level already
                 break
-            x += _newton_correction(sub.forms, x, eye, step)
+            x += _newton_correction(sub.forms, x, eye, d)
     full = np.zeros(qmap.dim)
     full[cells] = x
     return qmap, (full, steps, converged, residual)
@@ -602,19 +608,21 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
 def _secure_margin(noise, s0, tol: float, max_iter: int):
     """rho - 1 at the polished secure fixpoint (``_secure_fixpoint``), or
     None where it did not converge within the budget or does not purify
-    (fidelity <= 1/2), with the whole map and that fixpoint: (margin, qmap,
-    x), both None if the ensemble annihilated.  rho is the spectral radius
-    of the whole map's Jacobian there; that Jacobian is block-triangular, as
-    the flag-diagonal subspace is invariant, so rho covers both the
-    stability within the subspace and the decay of weight off it.
+    (fidelity <= 1/2), with the whole map, that fixpoint and the whole map's
+    Jacobian J there: (margin, qmap, x, J).  J is None with the margin, and
+    the rest too if the ensemble annihilated.  rho is the spectral radius
+    of J; J is block-triangular, as the flag-diagonal subspace is
+    invariant, so rho covers both the stability within the subspace and the
+    decay of weight off it.
     """
     try:
         qmap, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
     except EnsembleAnnihilated:
-        return None, None, None
+        return None, None, None, None
     if not converged or x[0] <= 0.5 + REGIME_FUZZ:
-        return None, qmap, x
-    return spectral_radius(jacobian(qmap, x)) - 1.0, qmap, x
+        return None, qmap, x, None
+    jac = jacobian(qmap, x)
+    return spectral_radius(jac) - 1.0, qmap, x, jac
 
 
 def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
@@ -673,8 +681,9 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
     z = (x on ``cells``, v, t), solved by Newton's method from the secure
     end, or None where Newton gives up.
 
-    ``secure_end`` is (t, qmap, x): the parameter, the family's map there
-    and its polished secure fixpoint on every cell (``_secure_margin``);
+    ``secure_end`` is (t, qmap, x, J): the parameter, the family's map
+    there, its polished secure fixpoint on every cell and the whole map's
+    Jacobian there (``_secure_margin``), whose block J_OO gives the start's v;
     ``cells`` are the flag-diagonal cells.  The unknowns are x on ``cells``,
     the Perron vector v of J_OO, the block of the whole map's Jacobian on
     the other cells, and t; the equations are ``_boundary_system``'s, whose
@@ -700,11 +709,11 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
     step writes the derivative into its first columns and the secant
     straight into its last one.
     """
-    t_old, old, x = secure_end
+    t_old, old, x, jac = secure_end
     lo, hi = sorted((t_old, other_end))
     off = np.delete(np.arange(old.dim), cells)
     d = len(cells)
-    values, vectors = np.linalg.eig(jacobian(old, x)[np.ix_(off, off)])
+    values, vectors = np.linalg.eig(jac.take(off, 0).take(off, 1))
     v = vectors[:, np.argmax(values.real)].real
     t = t_old + math.copysign(min(_ROOT_DIFFERENCE, 0.5 * (hi - lo)), other_end - t_old)
     z = np.concatenate([x[cells], v / v.sum(), [t]])
@@ -726,7 +735,7 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
         if np.abs(dz).max() <= _ROOT_TOL:
             accepted = (lo < z[-1] < hi and z[0] > 0.5 + REGIME_FUZZ
                         and z[d:-1].min() >= -_PERRON_FLOOR
-                        and spectral_radius(jac[np.ix_(cells, cells)]) < 1.0)
+                        and spectral_radius(jac.take(cells, 0).take(cells, 1)) < 1.0)
             return z if accepted else None
         t_old, old, t = t, qmap, float(z[-1])
     return None
@@ -834,7 +843,7 @@ def find_critical(
         raise ValueError(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
-    for (param, noise_or_map, start), secure, (_, qmap, _) in zip(ends, (sec_lo, sec_hi), solved):
+    for (param, noise_or_map, start), secure, (_, qmap, *_) in zip(ends, (sec_lo, sec_hi), solved):
         result = _solve(start, noise_or_map, tol, max_iter, newton=True, qmap=qmap)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
@@ -846,9 +855,8 @@ def find_critical(
     if halvings == 0:
         return 0.5 * (lo + hi)
     k = int(sec_hi)  # the secure end
-    _, qmap, x = solved[k]
     cells = _FLAG_DIAGONAL_CELLS[type(ends[k][2])]
-    root = _boundary_root(family, cells, (ends[k][0], qmap, x), ends[1 - k][0])
+    root = _boundary_root(family, cells, (ends[k][0], *solved[k][1:]), ends[1 - k][0])
     if root is not None:
         return float(root[-1])
     least = max(width / 2.0, math.ulp(hi))  # a probe's least distance from an end

@@ -22,18 +22,24 @@ itself is fixed: ``CIRCUIT`` tabulates, from the exact bit algebra of
 pair's output cell for each (source cell, target cell), or ``DISCARDED``.
 Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
 its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
-``NOISY_CIRCUIT`` its table).  ``generate_map`` derives the matrices for any
-noise channel by routing all 16 * 16 * 4 * 4 = 4096 weighted source / target
-/ error combinations through that table.  It is the one map builder: the
-binary sub-family's map (``binary_quadratic_map``) is its map restricted to
-the four binary cells, and the noiseless map is ``generate_map`` of the
-channel with f[I, I] = 1.  The closed forms ``binary_step`` and
-``ideal_step`` are kept as oracles.
+``NOISY_CIRCUIT`` its table).  Of its 4096 (source, target, mu, nu) routes
+2048 are kept, and they reach 1024 (output, source, target) cells, each
+exactly twice.  At import those cells, the Pauli entries of their two
+routes and the position of each cell's transpose become one route table
+(``_route_table``).  A map is a gather over it (``_gathered``): the route
+tensor P = f[first] + f[second], the step before symmetrisation, and the
+map's M_j[k, l] = (P[j, k, l] + P[j, l, k]) / 2.  That gather is the one map
+builder: ``generate_map`` gathers over every cell, the binary sub-family's
+map (``binary_quadratic_map``) over the four binary cells alone, which is
+``generate_map``'s map restricted to them, and the noiseless map is
+``generate_map`` of the channel with f[I, I] = 1.  The closed forms
+``binary_step`` and ``ideal_step`` are kept as oracles.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -133,6 +139,46 @@ _ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
 _BINARY_CELLS = [0, 1, 4, 5]
 
 
+def _route_table(keep) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
+    """The route table of the map restricted to the cells ``keep``, in their
+    order: (cells, pauli, transposed, n), with n the number of cells.
+
+    Every (output, source, target) cell that a kept route reaches is reached
+    by exactly two.  ``cells`` holds the flat positions, in the n x n x n
+    cube over ``keep``, of the reached cells whose three indices all lie in
+    ``keep``; ``pauli`` the (mu, nu) entries of their
+    two routes, in route order, as rows (first, second); and ``transposed``
+    the position in ``cells`` of each cell's transpose (output, target,
+    source), which the two routes of the swapped couple reach.  So the route
+    tensor P = f[first] + f[second] on ``cells``, and the map is
+    0.5 (P + P[transposed]) there and zero elsewhere (``_gathered``).
+    """
+    n = len(keep)
+    place = np.full(16, n)  # n marks a cell off ``keep``
+    place[keep] = np.arange(n)
+    order = np.argsort(_ROUTE_CELL, kind="stable")  # a cell's routes stay in route order
+    reached = _ROUTE_CELL[order][::2]
+    out, src, tgt = place[reached >> 8], place[(reached >> 4) & 15], place[reached & 15]
+    inside = (out < n) & (src < n) & (tgt < n)
+    out, src, tgt = out[inside], src[inside], tgt[inside]
+    cells = (out * n + src) * n + tgt
+    position = np.empty(n**3, dtype=np.intp)
+    position[cells] = np.arange(len(cells))
+    tables = (
+        cells,
+        np.ascontiguousarray(_ROUTE_PAULI[order].reshape(-1, 2)[inside].T),
+        position[(out * n + tgt) * n + src],
+    )
+    for table in tables:
+        table.setflags(write=False)
+    return (*tables, n)
+
+
+#: The route tables of the 16-cell map and of the binary sub-family's map.
+_ROUTES = _route_table(range(16))
+_BINARY_ROUTES = _route_table(_BINARY_CELLS)
+
+
 @dataclass(frozen=True)
 class QuadraticMap:
     """One purification step as normalized quadratic forms a'_j = a M_j a / N.
@@ -154,6 +200,8 @@ class QuadraticMap:
         if m.ndim != 3 or len(set(m.shape)) != 1:
             raise ValueError(f"map of shape {m.shape}; expected an (n, n, n) cube")
         n = len(m)
+        if n == 0:
+            raise ValueError("map of shape (0, 0, 0) has no cells")
         if not (m.min() >= 0.0 and m.max() < np.inf):  # a NaN fails both
             raise ValueError("map entries must be finite and nonnegative")
         if not (m == m.transpose(0, 2, 1)).all():
@@ -184,26 +232,53 @@ class QuadraticMap:
         This is the step on the subspace the cells span, exactly, where the
         step maps that subspace into itself (M_j[k, l] = 0 for every j off
         the cells and k, l on them).  ``binary_quadratic_map`` is one such
-        restriction.
+        restriction.  Raises ValueError, naming the cells, unless they are
+        at least one, distinct, and cells of this map.
         """
-        return QuadraticMap(self.m[np.ix_(cells, cells, cells)])
+        cells = [operator.index(cell) for cell in cells]
+        if not cells:
+            raise ValueError("no cells to restrict the map to: cells []")
+        outside = [cell for cell in cells if not 0 <= cell < self.dim]
+        if outside:
+            raise ValueError(f"cells {outside} are not among the map's {self.dim}")
+        if len(set(cells)) < len(cells):
+            repeated = sorted({cell for cell in cells if cells.count(cell) > 1})
+            raise ValueError(f"cells {repeated} are repeated in {cells}")
+        return QuadraticMap(self.m.take(cells, 0).take(cells, 1).take(cells, 2))
+
+
+def _gathered(f: np.ndarray, routes) -> QuadraticMap:
+    """The map of the Pauli table ``f`` on a route table of ``_route_table``:
+    the one gather through which every map is built.
+
+    The route tensor P = f[first] + f[second] is the sum that
+    ``np.bincount`` makes of a cell's two routes, to the bit (0.0 + w is w),
+    and the map is 0.5 (P + P at the transposed cells), the symmetric part
+    0.5 (m + m^T) of the cube m that holds P, scattered into a cube of
+    zeros."""
+    cells, pauli, transposed, n = routes
+    p = f.take(pauli)
+    p = p[0] + p[1]
+    cube = np.zeros(n**3)
+    cube[cells] = 0.5 * (p + p.take(transposed))
+    return QuadraticMap(cube.reshape(n, n, n))
 
 
 def generate_map(noise: NoiseModel | BinaryNoiseModel) -> QuadraticMap:
-    """Derive the 16-variable step matrices for a noise channel.
+    """Derive the 16-variable step matrices for a noise channel: a gather of
+    its Pauli weights over the route table ``_ROUTES``.
 
     A binary channel enters through its embedded Pauli table.
     """
-    # bincount adds the routes in index order, as np.add.at would
-    weights = noise.f.take(_ROUTE_PAULI)
-    m = np.bincount(_ROUTE_CELL, weights=weights, minlength=16**3).reshape(16, 16, 16)
-    return QuadraticMap(0.5 * (m + m.transpose(0, 2, 1)))
+    return _gathered(noise.f, _ROUTES)
 
 
 def binary_quadratic_map(noise: BinaryNoiseModel) -> QuadraticMap:
-    """The step matrices of the closed binary sub-family: ``generate_map``'s
-    map restricted to the binary cells, with the variables (A0, A1, B0, B1)."""
-    return generate_map(noise).restricted(_BINARY_CELLS)
+    """The step matrices of the closed binary sub-family, with the variables
+    (A0, A1, B0, B1): ``generate_map``'s map restricted to the binary cells,
+    gathered over those cells' routes alone (``_BINARY_ROUTES``), so no
+    16-cell map is made."""
+    return _gathered(noise.f, _BINARY_ROUTES)
 
 
 # --- states ---------------------------------------------------------------

@@ -316,20 +316,26 @@ def test_regime_of_every_branch(converged, failure, weights, regime):
     assert regime_of(result) is regime
 
 
+def counted_map_builds(monkeypatch):
+    """A list that gets one entry per map built: ``generate_map`` and
+    ``binary_quadratic_map`` both gather through ``recurrence._gathered``."""
+    builds, original = [], recurrence._gathered
+
+    def counted(f, routes):
+        builds.append(routes[-1])
+        return original(f, routes)
+
+    monkeypatch.setattr(recurrence, "_gathered", counted)
+    return builds
+
+
 @pytest.mark.parametrize("f0", [0.70, 0.75, 0.76, 0.7718, 0.78, 0.8, 0.9, 1.0])
 def test_scalar_binary_loop_agrees_with_the_array_loop(f0, monkeypatch):
     # a binary state with a binary channel runs the scalar loop, and the same
     # state with the channel's 4-variable map runs the array loop
     noise = BinaryNoiseModel.uncorrelated(f0)
     qmap = binary_quadratic_map(noise)
-    builds = []
-
-    def counting_generate_map(channel):
-        builds.append(channel)
-        return generate_map(channel)
-
-    monkeypatch.setattr(dynamics, "generate_map", counting_generate_map)
-    monkeypatch.setattr(recurrence, "generate_map", counting_generate_map)
+    builds = counted_map_builds(monkeypatch)
     scalar = iterate_to_fixpoint(binary_probe(), noise, max_iter=20_000)
     assert builds == []  # the scalar path builds no map
     array = iterate_to_fixpoint(binary_probe(), qmap, max_iter=20_000)
@@ -887,7 +893,7 @@ BOUNDARY_FAMILIES = pytest.mark.parametrize(
 def test_find_critical_solves_the_boundary_as_a_regular_root(family, bracket, monkeypatch):
     seen = watched_boundary_root(monkeypatch)
     crit = find_critical(family, bracket)
-    [(cells, (_, _, x_end), z)] = seen
+    [(cells, (_, _, x_end, _), z)] = seen
     assert z is not None and crit == z[-1]
     assert abs(crit - loop_critical(family, bracket, monkeypatch)) <= 1e-12
     # at the root: x purifies, v is J_OO's Perron vector with eigenvalue one,
@@ -914,7 +920,7 @@ def test_the_boundary_system_is_the_reference_to_the_byte(family, bracket, monke
     # jacobian, np.ix_ and np.eye
     seen = watched_boundary_root(monkeypatch)
     find_critical(family, bracket)
-    [(cells, (_, _, x_end), z)] = seen
+    [(cells, (_, _, x_end, _), z)] = seen
     qmap = dynamics._fitting_map(family(z[-1])[0], x_end)
     off = np.setdiff1d(np.arange(qmap.dim), cells)
     got = dynamics._boundary_system(qmap, z, cells, off, derivative=True)
@@ -929,21 +935,15 @@ def test_the_boundary_system_is_the_reference_to_the_byte(family, bracket, monke
 def test_a_search_builds_one_map_per_bracket_end_and_newton_step(monkeypatch):
     # each bracket end's basin check solves on the map its stability margin
     # built: binary makes 2 end maps and 6 Newton steps' maps (10 when the
-    # basin checks built their own), white noise one map per family call
-    builds, original = [], recurrence.generate_map
-
-    def counted(noise):
-        builds.append(None)
-        return original(noise)
-
-    monkeypatch.setattr(recurrence, "generate_map", counted)
-    monkeypatch.setattr(dynamics, "generate_map", counted)
+    # basin checks built their own), white noise one map per family call;
+    # each build is counted by its map's size: binary maps are 4-cell ones
+    builds = counted_map_builds(monkeypatch)
     monkeypatch.setattr(dynamics, "_WHITE_MAP_CACHE", {})
     assert find_critical(binary_family, (0.75, 0.85)) == 0.7718445063460382
-    assert len(builds) == 8
+    assert builds == [4] * 8
     builds.clear()
     find_critical(white_noise_family, (0.88, 0.92), halvings=24, max_iter=30_000)
-    assert len(builds) == 7
+    assert builds == [16] * 7
 
 
 def newton_reference_cases():

@@ -113,6 +113,17 @@ def test_the_last_slab_of_a_maps_forms_is_its_keep_form(channel):
     assert np.allclose(qmap.forms[16], keep_form(noise.f), rtol=0.0, atol=1e-15)
 
 
+@given(first=weights16, second=weights16, share=st.floats(0.0, 1.0))
+def test_the_map_is_linear_in_the_channel(first, second, share):
+    # the map of a convex combination of two channels is that combination
+    # of their maps, so its derivative along a family is the map of the
+    # channel's derivative
+    f, g = normalized(first), normalized(second)
+    mixed = generate_map(NoiseModel(share * f + (1.0 - share) * g)).m
+    map_f, map_g = (generate_map(NoiseModel(w)).m for w in (f, g))
+    assert np.allclose(mixed, share * map_f + (1.0 - share) * map_g, rtol=0.0, atol=1e-15)
+
+
 @settings(max_examples=20)
 @given(channel=weights16, state=weights16, seed=st.integers(0, 2**32 - 1))
 def test_one_mc_round_is_within_binomial_error_of_the_map(channel, state, seed):

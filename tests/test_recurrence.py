@@ -16,10 +16,18 @@ import numpy as np
 import pytest
 
 from eppsim.bellbits import BellIndex, FlagPair, epp_unitary, flag_update, keep_predicate
-from eppsim.noisemodels import BinaryNoiseModel, NoiseModel, product
+from eppsim.noisemodels import (
+    BinaryNoiseModel,
+    NoiseModel,
+    from_p1_p2,
+    one_qubit_white,
+    product,
+)
 from eppsim.recurrence import (
+    _BINARY_ROUTES,
     _ROUTE_CELL,
     _ROUTE_PAULI,
+    _ROUTES,
     CIRCUIT,
     COEFF_NAMES,
     DISCARDED,
@@ -39,6 +47,7 @@ from eppsim.recurrence import (
     step,
 )
 
+import map_reference
 from route_reference import routed_terms
 
 IDENTITY_TABLE = np.outer([1, 0, 0, 0], [1, 0, 0, 0])
@@ -214,6 +223,57 @@ def test_generate_map_equals_route_by_route_accumulation():
         assert np.array_equal(generate_map(noise).m, reference_map(noise.f))
     binary_noise = BinaryNoiseModel(0.81, 0.07, 0.05, 0.07)
     assert np.array_equal(generate_map(binary_noise).m, reference_map(binary_noise.embed().f))
+
+
+def test_gathered_maps_are_the_bincount_builder_to_the_byte():
+    # the route-table gather adds each cell's two routes as bincount does,
+    # and the binary map gathered over the binary cells alone is the slice
+    # of the 16-cell map
+    rng = np.random.default_rng(34)
+    channels = []
+    for k in range(500):
+        w = rng.dirichlet(np.ones(16))
+        if k % 3 == 0:  # zero weights too
+            w[rng.random(16) < 0.5] = 0.0
+            w[rng.integers(16)] += 0.1
+        channels.append(NoiseModel(w / w.sum()))
+    channels += [product(one_qubit_white(f0), one_qubit_white(f0))
+                 for f0 in (0.88, 0.8987009989775713, 0.92, 1.0)]
+    channels += [from_p1_p2(p1, p2) for p1, p2 in ((0.98, 0.85), (0.97, 0.862), (0.92, 0.92))]
+    binary = [BinaryNoiseModel.uncorrelated(f0) for f0 in rng.uniform(0.0, 1.0, 150)]
+    binary += [BinaryNoiseModel(*rng.dirichlet(np.ones(4))) for _ in range(140)]
+    binary += [BinaryNoiseModel.uncorrelated(f0) for f0 in (0.0, 0.5, 0.75, 0.7718, 1.0)]
+    binary += [BinaryNoiseModel(*w) for w in np.eye(4)] + [BinaryNoiseModel(0.5, 0, 0, 0.5)]
+    assert len(channels) == 507 and len(binary) == 300
+    for noise in channels + binary:
+        got, want = generate_map(noise), map_reference.generate_map(noise)
+        assert got.forms.tobytes() == want.forms.tobytes()
+    for noise in binary:
+        got, want = binary_quadratic_map(noise), map_reference.binary_quadratic_map(noise)
+        assert got.forms.tobytes() == want.forms.tobytes()
+
+
+def test_every_reached_cell_has_two_routes_in_the_read_only_route_tables():
+    counts = np.bincount(_ROUTE_CELL, minlength=16**3)
+    assert set(counts.tolist()) == {0, 2}
+    cells, pauli, transposed, n = _ROUTES
+    assert n == 16 and np.array_equal(cells, np.flatnonzero(counts))
+    # each cell's two routes, in route order
+    for k in (0, 1, 511, 1023):
+        assert np.array_equal(pauli[:, k], _ROUTE_PAULI[_ROUTE_CELL == cells[k]])
+    out, src, tgt = np.unravel_index(cells, (16, 16, 16))
+    assert np.array_equal(cells[transposed], (out * 16 + tgt) * 16 + src)
+    # the binary table: the reached cells of the 4 x 4 x 4 binary cube
+    b_cells, b_pauli, b_transposed, b_n = _BINARY_ROUTES
+    whole = np.ravel_multi_index(np.ix_([0, 1, 4, 5], [0, 1, 4, 5], [0, 1, 4, 5]), (16,) * 3)
+    assert b_n == 4 and np.array_equal(b_cells, np.flatnonzero(counts[whole]))
+    at = np.searchsorted(cells, whole.ravel()[b_cells])
+    assert np.array_equal(b_pauli, pauli[:, at])
+    assert np.array_equal(at[b_transposed], transposed[at])
+    for table in (cells, pauli, transposed, b_cells, b_pauli, b_transposed):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            table[..., 0] = 0
 
 
 def test_map_matrices_symmetric_nonnegative():
@@ -435,6 +495,38 @@ def test_quadratic_map_of_the_wrong_shape_is_rejected():
         QuadraticMap(np.ones((3, 4, 4)))
     with pytest.raises(ValueError, match="shape"):
         QuadraticMap(np.float64(1.0))
+
+
+def test_an_empty_quadratic_map_is_rejected_with_its_own_message():
+    with pytest.raises(ValueError, match=r"map of shape \(0, 0, 0\) has no cells"):
+        QuadraticMap(np.ones((0, 0, 0)))
+
+
+def test_a_restriction_is_the_sub_cube_of_its_cells_in_their_order():
+    qmap = generate_map(NoiseModel(np.random.default_rng(35).dirichlet(np.ones(16))))
+    for cells in ([0, 5, 10, 15], [5, 0, 10], [3], list(range(16))):
+        sub = qmap.restricted(cells)
+        assert sub.m.tobytes() == qmap.m[np.ix_(cells, cells, cells)].tobytes()
+    assert qmap.restricted(np.array([0, 5])).m.tobytes() == qmap.restricted([0, 5]).m.tobytes()
+
+
+def test_a_restriction_to_no_cells_is_rejected():
+    qmap = binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.9))
+    with pytest.raises(ValueError, match=r"no cells to restrict the map to: cells \[\]"):
+        qmap.restricted([])
+
+
+def test_a_restriction_to_a_repeated_cell_is_rejected():
+    qmap = generate_map(NoiseModel(IDENTITY_TABLE))
+    with pytest.raises(ValueError, match=r"cells \[0\] are repeated in \[0, 0, 5\]"):
+        qmap.restricted([0, 0, 5])
+
+
+@pytest.mark.parametrize("cells, bad", [([16], "[16]"), ([0, -1, 3], "[-1]"), ([1, 20, 2], "[20]")])
+def test_a_restriction_to_a_cell_out_of_range_is_rejected(cells, bad):
+    qmap = generate_map(NoiseModel(IDENTITY_TABLE))
+    with pytest.raises(ValueError, match=re.escape(f"cells {bad} are not among the map's 16")):
+        qmap.restricted(cells)
 
 
 def test_quadratic_map_leaves_the_callers_array_writable():
