@@ -210,6 +210,15 @@ def _resolve_start(args, cfg: dict[str, str]) -> BellDiagonalState:
 # A handler takes the parsed flags, and a noise-driven one also the noise
 # model and start state; it returns (rows or JSON payload, exit code).
 
+def _check_finite(args, *dests):
+    """ConfigError for the first flag among ``dests`` whose value is not
+    finite, before any work."""
+    for dest in dests:
+        value = getattr(args, dest)
+        if not math.isfinite(value):
+            raise ConfigError(f"--{dest.replace('_', '-')} must be finite, got {value}")
+
+
 def _cmd_iterate(args, noise, start):
     rows = [
         [n, state.fidelity, state.conditional_fidelity, keep, *state.flat]
@@ -255,6 +264,7 @@ def _cmd_critical(args):
 
 
 def _cmd_scan(args):
+    _check_finite(args, "f00_min", "f00_max")
     grid = np.linspace(args.f00_min, args.f00_max, args.points)
     rows = []
     for f00 in grid:
@@ -283,6 +293,7 @@ def _cmd_mc(args, noise, start):
 
 def _cmd_curve(args):
     """Family sweep: fixpoint observables and convergence cost per parameter."""
+    _check_finite(args, "f0_min", "f0_max")
     family = _FAMILIES[args.family]
     grid = np.linspace(args.f0_min, args.f0_max, args.points)
     rows = []
@@ -304,9 +315,7 @@ def _cmd_curve(args):
 
 
 def _cmd_resources(args, noise, start):
-    for flag, eps in (("--eps-min", args.eps_min), ("--eps-max", args.eps_max)):
-        if not math.isfinite(eps):
-            raise ConfigError(f"{flag} must be finite, got {eps}")
+    _check_finite(args, "eps_min", "eps_max")
     if args.eps_min > args.eps_max:
         raise ConfigError(f"--eps-min must be at most --eps-max, got {args.eps_min} > {args.eps_max}")
     rows = [

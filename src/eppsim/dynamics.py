@@ -17,26 +17,25 @@ Jacobian is block-triangular, and at the boundary the Perron root of its
 block on the cells off the subspace crosses one while the block on the
 subspace stays stable, so the boundary is a regular root of a small
 system in the secure fixpoint, the Perron vector and the noise parameter.
-A critical search solves that system by Newton's method from the secure
-end of its bracket, with one family call a step, and where Newton gives
-up it falls back to a bracketed regula-falsi solve of the margin (with
-Anderson-Bjorck's scaling of a twice-kept end) after bisecting the verdict
-until the margin is defined at both ends.  Each margin projects the start
-onto the subspace and restricts the map to it once, which is exact as the
-step never leaves it: four unknowns for a 16-cell state, two for a binary
-one.  On raw weight vectors of that restricted map, the secure fixpoint is
-solved for by Newton's method after a short plain warm start, in tens of
-steps even where the plain iteration converges only algebraically, and is
-polished to rounding level; the margin is then measured once, on the whole
-map's Jacobian.  Where no fixpoint lies within Newton's reach, as below a
-fold, Newton's corrections stop shrinking, and the solve hands over to the
-plain iteration within a few steps.  The limits that the basin checks of
-a critical search take for the start state go through the plain
-iteration's body to the same Newton solve on the whole map, with every
-cell free, and a Newton limit counts there only if it attracts.
-Convergence times of the plain iteration diverge at the boundary, much like
-a phase transition.  Every solve runs on flagged states, 16-cell or binary;
-a Bell-diagonal state enters through ``embed``, noiseless or not.
+A critical search solves that system by Newton's method from the secure end
+of its bracket, with one family call a step; where Newton gives up it
+bisects the verdict and solves again from each new secure end.  Each margin
+projects the start onto the subspace and restricts the map to it once,
+which is exact as the step never leaves it: four unknowns for a 16-cell
+state, two for a binary one.  On raw weight vectors of that restricted map,
+the secure fixpoint is solved for by Newton's method after a short plain
+warm start, in tens of steps even where the plain iteration converges only
+algebraically, and is polished to rounding level; the margin is then
+measured once, on the whole map's Jacobian.  Where no fixpoint lies within
+Newton's reach, as below a fold, Newton's corrections stop shrinking, and
+the solve hands over to the plain iteration within a few steps.  The limits
+that the basin checks of a critical search take for the start state go
+through the plain iteration's body to the same Newton solve on the whole
+map, with every cell free, and a Newton limit counts there only if it
+attracts.  Convergence times of the plain iteration diverge at the
+boundary, much like a phase transition.  Every solve runs on flagged
+states, 16-cell or binary; a Bell-diagonal state enters through ``embed``,
+noiseless or not.
 """
 
 from __future__ import annotations
@@ -625,11 +624,6 @@ def _secure_margin(noise, s0, tol: float, max_iter: int):
     return spectral_radius(jac) - 1.0, qmap, x, jac
 
 
-def _stability_margin(noise, s0, tol: float, max_iter: int) -> float | None:
-    """The margin of ``_secure_margin`` alone."""
-    return _secure_margin(noise, s0, tol, max_iter)[0]
-
-
 def _boundary_system(qmap: QuadraticMap, z: np.ndarray, cells, off, derivative=False):
     """The residual of the boundary system at z = (x, v, t) on ``qmap``, the
     family's map at some t; with ``derivative`` also its exact derivative in
@@ -767,7 +761,7 @@ def secure_by_stability(
     ``tol`` not finite and nonnegative.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    return _secure(_stability_margin(noise, s0, tol, max_iter))
+    return _secure(_secure_margin(noise, s0, tol, max_iter)[0])
 
 
 def find_critical(
@@ -809,36 +803,23 @@ def find_critical(
     that root is the result, to rounding level (the five families in the
     tests take 5 or 6 steps), and ``halvings`` does not enter it.  Where
     Newton gives up (its corrections grow, it runs out of steps or its root
-    fails a check), the bracket goes as it is to the loop below, and
-    ``halvings`` bounds only that loop.
-
-    The loop keeps a bracket on which the verdict changes.  It bisects it
-    until the margin is defined at both ends (a purifying secure fixpoint
-    converged there), and from then on probes the regula-falsi point of the
-    margins.  An end kept twice in a row has its margin scaled for the next
-    point by Anderson and Bjorck's factor 1 - g_new / g_old, where g_old is
-    the margin at the end just replaced and g_new the margin replacing it,
-    or by 1/2 if that factor is not positive (Illinois' constant 1/2 takes
-    one or two more probes a search).  Near the boundary the polished margin
-    is smooth and nearly linear, so the root takes a handful of probes.  The
-    loop stops when the bracket is at most its first width over
-    2**halvings, after ``halvings`` bisections (rounded midpoints can leave
-    the width a few ulps above that), when no float lies inside it, or when
-    a margin is exactly zero (that point is returned).  A probe keeps half
-    that width, and at least one float, from either end, so a root next to
-    an end closes the bracket in one probe.  The result is the regula-falsi
-    point of the final bracket (its midpoint if the margin is undefined at
-    an end), so it lies within the first width over 2**halvings of the root.
+    fails a check), the search bisects the bracket on the verdict.  A
+    probe's margin solve is the one ``_boundary_root`` starts from, so a
+    probe on the secure side becomes the new secure end and Newton solves
+    again from there, while a probe on the other side only narrows the
+    bracket.  ``halvings`` bounds the bisections: after that many, or once
+    no float lies inside the bracket, its midpoint is returned, which lies
+    within the first width over 2**halvings of the root.  A bracket that
+    reaches far from the boundary, such as white noise's (0.88, 1.0),
+    takes Newton's root from the first secure probe.
     """
     halvings = _checked_int("halvings", halvings, least=0)
     lo, hi = bracket
     if not lo < hi:
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")
-    width = math.ldexp(hi - lo, -halvings)
     ends = [(param, *family(param)) for param in (lo, hi)]
     solved = [_secure_margin(n, s, tol, max_iter) for _, n, s in ends]
-    (g_lo, *_), (g_hi, *_) = solved
-    sec_lo, sec_hi = _secure(g_lo), _secure(g_hi)
+    sec_lo, sec_hi = (_secure(margin) for margin, *_ in solved)
     if sec_lo == sec_hi:
         raise ValueError(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
@@ -856,49 +837,17 @@ def find_critical(
         return 0.5 * (lo + hi)
     k = int(sec_hi)  # the secure end
     cells = _FLAG_DIAGONAL_CELLS[type(ends[k][2])]
-    root = _boundary_root(family, cells, (ends[k][0], *solved[k][1:]), ends[1 - k][0])
-    if root is not None:
-        return float(root[-1])
-    least = max(width / 2.0, math.ulp(hi))  # a probe's least distance from an end
-    w_lo, w_hi = g_lo, g_hi  # the margins the next regula-falsi point weighs
-    replaced = 0  # -1 or 1 when the last regula-falsi probe replaced lo or hi
-    bisections = 0
-    while True:
-        mid = 0.5 * (lo + hi)
-        if hi - lo <= width or bisections == halvings or mid in (lo, hi):
-            break
-        x = mid
-        if g_lo is not None and g_hi is not None:
-            x = lo + (hi - lo) * (w_lo / (w_lo - w_hi))
-            x = min(max(x, lo + least), hi - least)
-            x = x if lo < x < hi else mid
-        g = _stability_margin(*family(x), tol, max_iter)
-        if g == 0.0:
-            return x
-        falsi = x != mid
-        bisections += not falsi
-        if _secure(g) == sec_lo:
-            if falsi and replaced == -1:
-                w_hi *= _anderson_bjorck(g, g_lo)
-            lo, g_lo, w_lo = x, g, g
-            replaced = -1 if falsi else 0
-        else:
-            if falsi and replaced == 1:
-                w_lo *= _anderson_bjorck(g, g_hi)
-            hi, g_hi, w_hi = x, g, g
-            replaced = 1 if falsi else 0
-    if g_lo is None or g_hi is None:
-        return mid
-    return lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-
-
-def _anderson_bjorck(g_new: float, g_old: float) -> float:
-    """The factor on the kept end's margin when a regula-falsi probe replaces
-    the same end twice in a row: m = 1 - g_new / g_old, with g_old the
-    replaced end's margin, or 1/2 when m <= 0 (Anderson & Bjorck, BIT 13,
-    253 (1973))."""
-    m = 1.0 - g_new / g_old
-    return m if m > 0.0 else 0.5
+    bounds, probe = [lo, hi], solved[k]
+    for bisections in range(halvings + 1):
+        if _secure(probe[0]):
+            root = _boundary_root(family, cells, (bounds[k], *probe[1:]), bounds[1 - k])
+            if root is not None:
+                return float(root[-1])
+        mid = 0.5 * (bounds[0] + bounds[1])
+        if bisections == halvings or mid in bounds:
+            return mid
+        probe = _secure_margin(*family(mid), tol, max_iter)
+        bounds[k if _secure(probe[0]) else 1 - k] = mid
 
 
 # --- regimes ----------------------------------------------------------------

@@ -423,6 +423,19 @@ def test_loop_flags_are_validated_before_any_work(tmp_path, capsys, args, flag):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("value", ["inf", "nan"])
+@pytest.mark.parametrize(
+    "command, flag",
+    [("scan", "--f00-min"), ("scan", "--f00-max"), ("curve", "--f0-min"), ("curve", "--f0-max")],
+)
+def test_a_grid_end_that_is_not_finite_is_a_usage_error(tmp_path, capsys, command, flag, value):
+    # checked before np.linspace, which would warn and make a grid of NaNs
+    args = [command, flag, value, "--points", "1", "--out", str(tmp_path)]
+    assert main(args + (["--samples", "1"] if command == "scan" else [])) == 2
+    assert capsys.readouterr().err == f"error: {flag} must be finite, got {value}\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 @pytest.mark.parametrize(
     "args, budget",
     [

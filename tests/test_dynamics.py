@@ -459,29 +459,20 @@ def test_binary_critical_point_is_the_closed_form_root():
     "mirrored, root", [(False, 0.7718445063460382), (True, 1.6 - 0.7718445063460382)],
     ids=["secure-at-hi", "secure-at-lo"],
 )
-def test_find_critical_scales_the_kept_end_on_either_side(mirrored, root, monkeypatch):
+def test_find_critical_bisects_from_either_side(mirrored, root, monkeypatch):
     # mirrored, the binary family is secure at the bracket's low end, so the
-    # regula-falsi probes replace lo and Anderson-Bjorck's factor scales hi's
-    # margin: the same search from the other side, to the bit.  With no
-    # Newton steps for the boundary solve, the search is the fallback loop.
+    # secure probes replace lo instead of hi.  With no Newton steps for the
+    # boundary solve, the search is the bisection fallback, which runs until
+    # no float lies inside the bracket: the two ends and 50 probes
     monkeypatch.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
-    calls, replaced = [], []
-    factor = dynamics._anderson_bjorck
-
-    def counted(g_new, g_old):
-        # g_old is the margin of the end just replaced; lo is the secure one
-        # exactly when the family is mirrored
-        replaced.append("lo" if dynamics._secure(g_old) == mirrored else "hi")
-        return factor(g_new, g_old)
+    calls = []
 
     def family(p):
         calls.append(p)
         return binary_family(1.6 - p if mirrored else p)
 
-    monkeypatch.setattr(dynamics, "_anderson_bjorck", counted)
-    assert find_critical(family, (0.75, 0.85)) == root
-    assert len(calls) == 9
-    assert replaced == ["lo" if mirrored else "hi"] * 3
+    assert find_critical(family, (0.75, 0.85), halvings=200) == root
+    assert len(calls) == 52
 
 
 def test_find_critical_halvings():
@@ -490,7 +481,10 @@ def test_find_critical_halvings():
     assert find_critical(binary_family, (0.76, 0.85), halvings=0) == 0.5 * (0.76 + 0.85)
 
 
-def test_find_critical_stops_when_the_interval_is_exhausted():
+def test_find_critical_stops_when_the_interval_is_exhausted(monkeypatch):
+    # with no Newton steps for the boundary solve, the bisection fallback
+    # runs out of floats before it runs out of halvings
+    monkeypatch.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
     calls = []
 
     def family(f0):
@@ -806,7 +800,7 @@ def test_margin_on_the_restricted_map_matches_the_whole_state_solve(family, grid
     signs = set()
     for param in grid:
         noise, probe = family(float(param))
-        got = dynamics._stability_margin(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER)
+        got = dynamics._secure_margin(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER)[0]
         want = reference_margin(noise, probe)
         assert (got is None) == (want is None), param
         if got is None:
@@ -874,7 +868,8 @@ def watched_boundary_root(monkeypatch):
 
 
 def loop_critical(family, bracket, monkeypatch):
-    """``find_critical``'s bracketed loop alone: no Newton steps for the root."""
+    """``find_critical``'s bisection on the verdict alone: no Newton steps
+    for the root."""
     with monkeypatch.context() as m:
         m.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
         return find_critical(family, bracket)
@@ -990,19 +985,24 @@ def test_newton_fixpoint_is_the_reference_loop_to_the_byte():
 
 def test_newton_is_refused_where_its_corrections_grow(monkeypatch):
     # from f0 = 0.99 the first correction overshoots to 0.52 and the second is
-    # longer, so the loop finds the root
+    # longer, so Newton is refused there; the first bisection probe, 0.87, is
+    # secure, and Newton from it finds the root
     seen = watched_boundary_root(monkeypatch)
-    assert find_critical(binary_family, (0.75, 0.99)) == 0.7718445063460382
-    assert [root for *_, root in seen] == [None]
+    crit = find_critical(binary_family, (0.75, 0.99))
+    [refused, root] = [root for *_, root in seen]
+    assert refused is None and crit == root[-1]
+    assert abs(crit - find_critical(binary_family, (0.75, 0.85))) <= 1e-12
 
 
 def test_a_secure_end_at_the_edge_of_the_family_is_no_error(monkeypatch):
     # white noise is defined up to f0 = 1 only: the first step is taken
     # toward the bracket's interior, and Newton, refused from there, hands
-    # the bracket to the loop
+    # over to the first bisection probe, 0.94, which is secure and from
+    # which Newton finds the root
     seen = watched_boundary_root(monkeypatch)
     crit = find_critical(white_noise_family, (0.88, 1.0))
-    assert [root for *_, root in seen] == [None]
+    [refused, root] = [root for *_, root in seen]
+    assert refused is None and crit == root[-1]
     assert abs(crit - find_critical(white_noise_family, (0.88, 0.92))) <= 1e-12
 
 
@@ -1082,7 +1082,10 @@ def test_critical_searches_take_few_solve_steps(monkeypatch):
     # solves (11 on white noise: 5 of the boundary's Newton steps, 6 of the
     # fixpoint solves and polish; 71 on binary, 65 of them in the fixpoint
     # solves at that multiple root); and the family calls (7 on white noise
-    # and 8 on binary: the two bracket ends and one per Newton step)
+    # and 8 on binary: the two bracket ends and one per Newton step).  The
+    # wide brackets white (0.88, 1.0) and binary (0.75, 0.99) add a refused
+    # Newton solve and one bisection probe: 103 and 160 solve steps, 12 and
+    # 75 linear solves, 11 and 12 family calls
     solves = counting_solves(monkeypatch)
     spent, calls = [], []
     original = dynamics._newton_fixpoint
@@ -1103,6 +1106,10 @@ def test_critical_searches_take_few_solve_steps(monkeypatch):
             probed(white_noise_family), (0.88, 0.92), halvings=24, max_iter=30_000), 12, 7),
         (lambda: find_critical(probed(binary_family), (0.75, 0.85)), 72, 8),
         (lambda: find_critical(probed(white_noise_family), (0.88, 0.92)), 12, 7),  # CLI default
+        # wide brackets: Newton is refused from the secure end and accepted
+        # from the first bisection probe
+        (lambda: find_critical(probed(white_noise_family), (0.88, 1.0)), 13, 12),
+        (lambda: find_critical(probed(binary_family), (0.75, 0.99)), 76, 12),
     ]
     monkeypatch.setattr(dynamics, "_newton_fixpoint", counted)
     for search, most_solves, most_calls in searches:
