@@ -33,7 +33,13 @@ that the basin checks of a critical search take for the start state go
 through the plain iteration's body to the same Newton solve on the whole
 map, with every cell free, and a Newton limit counts there only if it
 attracts.  Convergence times of the plain iteration diverge at the
-boundary, much like a phase transition.  Every solve runs on flagged
+boundary, much like a phase transition.  A regime verdict runs the plain
+iteration and hands a slow trajectory to Newton's method at most once,
+where the residual's decay predicts more than two blocks of further steps.
+Newton's limit is kept only where the spectral radius of the step's
+Jacobian there says that the plain iteration would reach it within half
+its budget; otherwise the plain iteration goes on where it stopped, so
+every verdict is the plain iteration's.  Every solve runs on flagged
 states, 16-cell or binary; a Bell-diagonal state enters through ``embed``,
 noiseless or not.
 """
@@ -168,7 +174,9 @@ def _workspace(n: int):
     return cache[key]
 
 
-def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
+def _iterate_array(
+    a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, *, handoff=False
+):
     """Iterate the normalized step from ``a``, which is left unchanged.
 
     Each step is a' = (M (a x a)) / N with N = S (a x a), S the keep form,
@@ -194,6 +202,12 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
     has a ratio, and at most ``_BLOCK_CAP``, which it also takes where the
     residual does not decay or ``tol`` is zero.  The budget cuts the last
     block short.
+
+    With ``handoff`` (``_handed_off``) the loop returns early, unconverged,
+    at the end of the first block after ``_NEWTON_WARM_START`` or more steps
+    whose prediction needs more than two full blocks.  The steps do not
+    depend on how they are split into blocks, so a call from the returned
+    row with the rest of the budget goes on with the same trajectory.
     """
     n = a.shape[0]
     forms = qmap.forms.reshape(n + 1, -1)
@@ -235,6 +249,8 @@ def _iterate_array(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int)
             block = cap
             if 0.0 < ratio < 1.0 and tol > 0.0:
                 need = (math.log(tol) - math.log(residual)) / math.log(ratio)
+                if handoff and need > 2 * cap and done >= _NEWTON_WARM_START:
+                    return rows[0].copy(), done, False, residual
                 block = min(cap, max(2, math.ceil(need)))
     return rows[0].copy(), done, False, float(residual)
 
@@ -249,7 +265,7 @@ def _vector_of(state):
 
 
 def _solve(
-    s0, noise_or_map, tol: float, max_iter: int, newton: bool = False, qmap=None
+    s0, noise_or_map, tol: float, max_iter: int, newton: bool = False, qmap=None, handoff=False
 ) -> FixpointResult:
     """Every whole-state solve, as ``iterate_to_fixpoint`` documents it: the
     plain loop of the map that fits ``s0``, or with ``newton`` (the basin
@@ -257,12 +273,13 @@ def _solve(
     needs the map here: it is ``qmap`` where the caller has built it already
     (a basin check is handed its bracket end's map from the stability
     margin), and is built here otherwise.  The plain loop builds the map if
-    it reads it."""
+    it reads it.  With ``handoff`` (the regime verdicts) ``_plain_loop``
+    gives ``_handed_off`` in place of the array loop."""
     max_iter = _checked_budget(tol, max_iter)
     a, wrap = _vector_of(s0)
     if newton and qmap is None:
         qmap = _fitting_map(noise_or_map, a)
-    plain = _plain_loop(noise_or_map, s0, qmap)
+    plain = _plain_loop(noise_or_map, s0, qmap, handoff=handoff)
     try:
         if newton:
             vec, it, ok, res = _newton_fixpoint(a, qmap, plain, tol, max_iter, attracting=True)
@@ -449,7 +466,7 @@ def _checked_budget(tol: float, max_iter: int) -> int:
     return max_iter
 
 
-def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None)):
+def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None), handoff=False):
     """The plain iteration of ``qmap``, the map of ``noise_or_map`` on the
     cells ``cells`` of ``s0``'s vector, as ``iterate_to_fixpoint`` runs it.
 
@@ -459,12 +476,15 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None)):
     binary vector that is zero off ``cells``, and read no map; the step
     keeps those zeros exactly where the cells span an invariant subspace.
     Every other pair runs ``_iterate_array`` on ``qmap``, which is built
-    here (``_fitting_map``, on all cells) when it is None.
+    here (``_fitting_map``, on all cells) when it is None, or with
+    ``handoff`` ``_handed_off``, whose verdict is that loop's; the scalar
+    loop has no blocks to hand off from.
     """
     if not (isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel)):
         if qmap is None:
             qmap = _fitting_map(noise_or_map, _vector_of(s0)[0])
-        return lambda x, tol, max_iter: _iterate_array(x, qmap, tol, max_iter)
+        loop = _handed_off if handoff else _iterate_array
+        return lambda x, tol, max_iter: loop(x, qmap, tol, max_iter)
 
     def scalar(x, tol, max_iter):
         a = np.zeros(4)
@@ -492,11 +512,11 @@ def _newton_fixpoint(
 
     ``plain`` is the plain iteration of ``qmap`` (``_plain_loop``), and up
     to ``_NEWTON_WARM_START`` of its steps from ``x`` come first.  Then each
-    Newton step x -> x + dx solves (I - J) dx = step(x) - x, with J the
-    ``jacobian`` of ``qmap``; every column of J sums to zero, so dx keeps
-    the weights summing to one.  Negative weights of the Newton point down
-    to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected Newton
-    step): a secure fixpoint's cells with flag other than Bell index are
+    Newton step (``_newton``) x -> x + dx solves (I - J) dx = step(x) - x,
+    with J the ``jacobian`` of ``qmap``; every column of J sums to zero, so
+    dx keeps the weights summing to one.  Negative weights of the Newton
+    point down to ``-_NEWTON_CLIP_FLOOR`` are clipped to zero (a projected
+    Newton step): a secure fixpoint's cells with flag other than Bell index are
     zero, on the edge of the simplex, and Newton overshoots them by up to
     about 1e-6.  The plain iteration takes the rest of the budget from
     where the warm start stopped, so the result is the limit of the plain
@@ -539,17 +559,34 @@ def _newton_fixpoint(
     warm, spent, converged, residual = plain(x, tol, min(_NEWTON_WARM_START, max_iter))
     if converged or spent == max_iter:
         return warm, spent, converged, residual
-    x = np.array(warm)  # the warm start's end stays for the fallback
+    k, image, residual = _newton(warm, qmap, tol, min(_NEWTON_MAX_STEPS, max_iter - spent))
+    if image is not None and (
+        not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ
+    ):
+        return image, spent + k, True, residual
+    spent += k
+    vec, iterations, converged, residual = plain(warm, tol, max_iter - spent)
+    return vec, spent + iterations, converged, residual
+
+
+def _newton(x: np.ndarray, qmap: QuadraticMap, tol: float, steps: int):
+    """The Newton loop of ``_newton_fixpoint`` and ``_handed_off``: up to
+    ``steps`` (at least one) Newton steps on ``qmap`` from a copy of the
+    weight vector ``x``, with the clip, the monotonicity test and the
+    rounding floor that ``_newton_fixpoint`` describes.  Returns (k, image,
+    residual): the steps taken, step(x) at the first Newton point whose
+    residual max |step(x) - x| is <= tol, or None where Newton gives up,
+    and the last residual.  An annihilated ensemble raises
+    EnsembleAnnihilated and a singular system LinAlgError."""
+    x = np.array(x)
     forms, rows, eye = qmap.forms, qmap.forms.reshape(qmap.dim + 1, -1), np.eye(qmap.dim)
     last = np.inf  # the squared length of the last correction
-    for k in range(1, min(_NEWTON_MAX_STEPS, max_iter - spent) + 1):
+    for k in range(1, steps + 1):
         image = _image(rows, x)
         d = image - x
-        residual = np.abs(d).max()
+        residual = float(np.abs(d).max())
         if residual <= tol:
-            if not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ:
-                return image, spent + k, True, float(residual)
-            break
+            return k, image, residual
         dx = _newton_correction(forms, x, eye, d)
         size = dx @ dx
         if size > last and residual > _NEWTON_ROUNDING_FLOOR:
@@ -559,9 +596,46 @@ def _newton_fixpoint(
         if x.min() < -_NEWTON_CLIP_FLOOR:
             break
         np.maximum(x, 0.0, out=x)
-    spent += k
-    vec, iterations, converged, residual = plain(warm, tol, max_iter - spent)
-    return vec, spent + iterations, converged, residual
+    return k, None, residual
+
+
+def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
+    """The plain iteration of ``qmap`` from ``a``, as ``_iterate_array`` runs
+    it, with at most one hand-off to Newton's method: the regime verdicts'
+    loop.
+
+    ``_iterate_array`` with ``handoff`` stops after ``done`` plain steps at
+    a row x whose last residual was r.  ``_newton`` then takes up to
+    ``_NEWTON_MAX_STEPS`` steps from x, which do not count against
+    ``max_iter``.  Its fixpoint x* is the result, converged, only if the
+    plain iteration would reach the same verdict within its budget: at an
+    attracting fixpoint the plain residual shrinks by the spectral radius
+    rho of the ``jacobian`` a step, so x* needs rho < 1 and
+    done + log(tol / r) / log(rho) <= max_iter / 2.  Half the budget leaves
+    room for a trajectory whose decay slows before it settles; without that
+    gate channels whose plain iteration spends the budget were classified
+    secure.  Where Newton gives up (``_newton`` returns no fixpoint, or a
+    Newton point annihilates the ensemble or makes the system singular) or
+    the gate declines x*, the plain iteration goes on from x with the rest
+    of the budget, and the result is ``_iterate_array``'s to the bit.
+    Returns (vector, iterations, converged, residual) as ``_iterate_array``
+    does.
+    """
+    x, done, converged, r = _iterate_array(a, qmap, tol, max_iter, handoff=True)
+    if converged or done == max_iter:
+        return x, done, converged, r
+    try:
+        k, image, residual = _newton(x, qmap, tol, _NEWTON_MAX_STEPS)
+        if image is not None:
+            rho = spectral_radius(jacobian(qmap, image))
+            if rho == 0.0 or (
+                rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2
+            ):
+                return image, done + k, True, residual
+    except (np.linalg.LinAlgError, EnsembleAnnihilated):
+        pass  # Newton gives up
+    vec, iterations, converged, residual = _iterate_array(x, qmap, tol, max_iter - done)
+    return vec, done + iterations, converged, residual
 
 
 def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
@@ -865,9 +939,21 @@ def classify_regime(
     high-noise regime; anything else is intermediate.  Non-convergence within
     the budget is reported as intermediate with a warning, since convergence
     times diverge near the regime boundaries.
+
+    The limit is ``iterate_to_fixpoint``'s, except that a slow trajectory
+    may take it from Newton's method (``_handed_off``): after 30 or more plain
+    steps, once the residual's decay predicts more than 64 further steps, up
+    to 50 Newton steps on the whole map follow, which do not count against
+    ``max_iter``.  Newton's fixpoint is the limit only where the plain
+    iteration would reach it within half the budget, as the spectral radius
+    of the step's Jacobian there predicts; otherwise the plain iteration
+    goes on from where it stopped, so ``max_iter`` stays the plain
+    iteration's budget and the regime is the one it gives.  A binary state
+    and channel run the scalar loop, which hands nothing off.  Raises as
+    ``iterate_to_fixpoint`` does.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    result = iterate_to_fixpoint(s0, noise, tol=tol, max_iter=max_iter)
+    result = _solve(s0, noise, tol, max_iter, handoff=True)
     if not result.converged:
         warnings.warn(
             f"no fixpoint within {max_iter} iterations "
@@ -879,7 +965,12 @@ def classify_regime(
 
 
 def _probe_state(noise):
-    return _BINARY_PROBE if isinstance(noise, BinaryNoiseModel) else _WERNER_PROBE
+    """The probe of ``noise``: the binary one for a binary channel or a map
+    of the four binary cells, the flagged Werner state otherwise."""
+    binary = isinstance(noise, BinaryNoiseModel) or (
+        isinstance(noise, QuadraticMap) and noise.dim == 4
+    )
+    return _BINARY_PROBE if binary else _WERNER_PROBE
 
 
 def regime_of(result: FixpointResult) -> Regime:
@@ -901,8 +992,11 @@ def regime_scan(
     """Relative regime frequencies for random channels with fixed f[00].
 
     The 15 free weights are drawn uniformly on the simplex of mass 1 - f00.
-    Each channel is classified as ``classify_regime`` does, but a probe that
-    does not converge within ``max_iter`` counts as intermediate without a
+    Each channel is classified as ``classify_regime`` does, by the same
+    solve: a slow channel may take its limit from Newton's method, which is
+    kept only where the plain iteration would give the same verdict within
+    ``max_iter``, so ``max_iter`` stays the plain iteration's budget.  A
+    probe that does not converge within it counts as intermediate without a
     warning.  ``samples``, ``seed`` and ``max_iter`` must be integers, as
     ``MCConfig``'s counts are (TypeError otherwise).
     """
@@ -916,9 +1010,7 @@ def regime_scan(
         f = np.empty(16)
         f[0] = f00
         f[1:] = free
-        result = iterate_to_fixpoint(
-            _WERNER_PROBE, NoiseModel(f.reshape(4, 4)), tol=tol, max_iter=max_iter
-        )
+        result = _solve(_WERNER_PROBE, NoiseModel(f.reshape(4, 4)), tol, max_iter, handoff=True)
         counts[regime_of(result)] += 1
     return {regime: counts[regime] / samples for regime in Regime}
 

@@ -497,9 +497,9 @@ def test_find_critical_stops_when_the_interval_is_exhausted(monkeypatch):
 
 
 def test_find_critical_that_only_bisects_makes_halvings_probes(monkeypatch):
-    # the margin stays undefined at 0.88, so the fallback loop (no Newton
-    # steps for the boundary solve) only bisects; its rounded midpoints leave
-    # the width a few ulps above (0.92 - 0.88) / 16
+    # with no Newton steps for the boundary solve, every probe bisects the
+    # verdict, and a search makes halvings probes after its two ends; the
+    # rounded midpoints leave the width a few ulps above (0.92 - 0.88) / 16
     monkeypatch.setattr(dynamics, "_ROOT_MAX_STEPS", 0)
     calls = []
 
@@ -1183,6 +1183,93 @@ def test_classify_regime_warns_when_budget_exhausted():
     with pytest.warns(RuntimeWarning, match="no fixpoint"):
         regime = classify_regime(tracking_noise(), max_iter=3)
     assert regime is Regime.INTERMEDIATE
+
+
+def test_a_map_of_the_four_binary_cells_is_probed_with_the_binary_state():
+    noise = BinaryNoiseModel.uncorrelated(0.9)
+    qmap = binary_quadratic_map(noise)
+    assert classify_regime(qmap) is classify_regime(noise) is Regime.SECURITY
+    assert secure_by_stability(qmap) is secure_by_stability(noise) is True
+
+
+# Golden scan channels (perfbench seed 4, scan 0) whose plain iteration reaches
+# the secure fixpoint only after the scan budget: f00 = 0.80 sample 19 (96,165
+# steps), 0.81 sample 87 (88,562) and 0.86 sample 15 (137,004).
+SLOW_SECURE_CHANNELS = [
+    [0.8, 0.013588490418593493, 0.03863540070328067, 0.03728850191354724,
+     0.0007795651920325867, 2.446715748782907e-05, 0.007846919681122784,
+     0.004698357014315837, 0.03317424654298878, 0.000493281608007651,
+     0.0019138472259762017, 0.008386851360932259, 0.012334538502829812,
+     0.019484160459252775, 0.01763904559602341, 0.0037123266236086055],
+    [0.81, 0.018819584247260414, 0.004918805218926297, 0.002244531941659844,
+     0.033747446503036425, 0.0020021046285470176, 0.007076536761029352,
+     0.005016982525662758, 0.049106278786706314, 0.004198591422647149,
+     0.01765601392577472, 0.007637885488881213, 0.013667533144973586,
+     0.014661415602866566, 0.003931443961146692, 0.005314845840881585],
+    [0.86, 0.0013346576109505054, 0.01623330162895178, 0.0026494546999419897,
+     0.028142310069394005, 0.021849775895585868, 0.009697522275012653,
+     0.003150956682963448, 0.0026967132562573603, 0.003704477686730297,
+     0.029252365667709238, 0.008719053681357518, 0.00630450380905959,
+     0.0023401671782933777, 0.003776222728505843, 0.00014851712928653016],
+]
+
+
+@pytest.mark.parametrize("weights", SLOW_SECURE_CHANNELS, ids=["0.80", "0.81", "0.86"])
+def test_the_handoff_gate_keeps_a_channel_that_spends_the_budget_intermediate(
+    weights, monkeypatch
+):
+    noise = NoiseModel(np.array(weights).reshape(4, 4))
+    assert secure_by_stability(noise)
+    converged = []
+    newton = dynamics._newton
+
+    def spy(*args):
+        out = newton(*args)
+        converged.append(out[1] is not None)
+        return out
+
+    monkeypatch.setattr(dynamics, "_newton", spy)
+    with pytest.warns(RuntimeWarning, match="no fixpoint within 30000"):
+        assert classify_regime(noise, max_iter=30_000) is Regime.INTERMEDIATE
+    assert converged == [True]  # Newton reached the secure fixpoint; the gate declined it
+    # without the gate (rho = 0 needs no further steps) the verdict would be secure
+    monkeypatch.setattr(dynamics, "spectral_radius", lambda m: 0.0)
+    assert classify_regime(noise, max_iter=30_000) is Regime.SECURITY
+
+
+def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
+    # channels across the regime transition on a budget the slowest spend: a
+    # hand-off to Newton may shorten a solve, never change its regime or
+    # whether the budget was spent (the warning)
+    rng = np.random.default_rng(5)
+    probe = embed(BellDiagonalState.werner(0.85))
+    grid = np.linspace(0.76, 0.88, 13)
+    channels = [random_channel(rng, f00) for f00 in grid for _ in range(24)]
+    plain = [iterate_to_fixpoint(probe, noise, max_iter=3000) for noise in channels]
+    tally = dict.fromkeys(["handoffs", "resumed", "gave_up"], 0)
+    newton, iterate = dynamics._newton, dynamics._iterate_array
+
+    def counted_newton(*args):
+        tally["handoffs"] += 1
+        out = newton(*args)
+        tally["gave_up"] += out[1] is None
+        return out
+
+    def counted_iterate(*args, handoff=False):
+        tally["resumed"] += not handoff
+        return iterate(*args, handoff=handoff)
+
+    monkeypatch.setattr(dynamics, "_newton", counted_newton)
+    monkeypatch.setattr(dynamics, "_iterate_array", counted_iterate)
+    for noise, want in zip(channels, plain):
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert classify_regime(noise, max_iter=3000) is regime_of(want)
+        budget_spent = [str(w.message).startswith("no fixpoint within 3000") for w in caught]
+        assert budget_spent == ([] if want.converged else [True])
+    accepted = tally["handoffs"] - tally["resumed"]
+    declined = tally["resumed"] - tally["gave_up"]
+    assert accepted >= 1 and declined >= 1 and tally["gave_up"] >= 1, tally
 
 
 def test_regime_scan_extremes():
