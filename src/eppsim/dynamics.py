@@ -39,9 +39,20 @@ where the residual's decay predicts more than two blocks of further steps.
 Newton's limit is kept only where the spectral radius of the step's
 Jacobian there says that the plain iteration would reach it within half
 its budget; otherwise the plain iteration goes on where it stopped, so
-every verdict is the plain iteration's.  Every solve runs on flagged
-states, 16-cell or binary; a Bell-diagonal state enters through ``embed``,
-noiseless or not.
+every verdict is the plain iteration's.  A verdict also ends, as
+high-noise, at the first block end where no Bell weight exceeds 1/2.  Such
+a Bell-diagonal pair is separable (Horodecki and Horodecki, PRA 54, 1838
+(1996)), and the step is LOCC: Alice alone applies the Pauli errors (mu,
+nu) of a channel, then both parties apply the bilateral CNOT, measure
+locally and post-select in public.  So no later state has a Bell weight
+above 1/2, and the plain iteration's verdict is high-noise already.  The
+proof needs the ensemble to survive every later step, and the keep
+probability is at least tr(f)/2 on every state: coincident errors mu = nu
+shift both pairs' parities alike, and two draws of a state have equal
+parity with probability p**2 + (1 - p)**2 >= 1/2.  So the exit runs only
+for a channel whose tr(f)/2 is above the annihilation threshold, and never
+on a bare map.  Every solve runs on flagged states, 16-cell or binary; a
+Bell-diagonal state enters through ``embed``, noiseless or not.
 """
 
 from __future__ import annotations
@@ -151,6 +162,11 @@ def _fitting_map(noise_or_map, a: np.ndarray) -> QuadraticMap:
 _FIRST_BLOCK = 8
 _BLOCK_CAP = 32
 
+#: A verdict's trajectory is settled as high-noise once its largest Bell
+#: weight is at most 1/2 less this margin, which covers the rounding of the
+#: weights summed into it.
+_SEPARABLE_MARGIN = 1e-12
+
 
 _THREAD = threading.local()
 
@@ -175,7 +191,8 @@ def _workspace(n: int):
 
 
 def _iterate_array(
-    a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, *, handoff=False
+    a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, separable=False, *,
+    handoff=False,
 ):
     """Iterate the normalized step from ``a``, which is left unchanged.
 
@@ -208,6 +225,16 @@ def _iterate_array(
     whose prediction needs more than two full blocks.  The steps do not
     depend on how they are split into blocks, so a call from the returned
     row with the rest of the budget goes on with the same trajectory.
+
+    With ``separable`` (the verdicts on a 16-cell state, ``_plain_loop``)
+    the loop also returns at the first block end whose largest Bell weight,
+    the row's cells summed over flags, is at most 1/2 less
+    ``_SEPARABLE_MARGIN``: settled as high-noise, converged, with the last
+    residual, which is above ``tol``.  This exit comes before the hand-off,
+    and a row of the block that converged still wins.  A block then also
+    ends no later than that weight, extrapolated linearly from the last two
+    block ends (the start counts as the first), predicts it to cross the
+    bound.  The check costs two small calls a block.
     """
     n = a.shape[0]
     forms = qmap.forms.reshape(n + 1, -1)
@@ -223,6 +250,9 @@ def _iterate_array(
         r = np.maximum.reduce(d, axis=1)
         return r, np.flatnonzero(r <= tol)
 
+    if separable:
+        marginal, bound = rows[0].reshape(4, 4), 0.5 - _SEPARABLE_MARGIN
+        largest = max(np.add.reduce(marginal, 1).tolist())
     done, block, residual = 0, min(_FIRST_BLOCK, cap), np.inf
     while done < max_iter:
         length = min(block, max_iter - done)
@@ -244,6 +274,10 @@ def _iterate_array(
         done += length
         rows[0] = rows[length]
         first, residual = float(r[0]), float(r[-1])
+        if separable:
+            was, largest = largest, max(np.add.reduce(marginal, 1).tolist())
+            if largest <= bound:
+                return rows[0].copy(), done, True, residual
         if length > 1:
             ratio = (residual / first) ** (1.0 / (length - 1))
             block = cap
@@ -252,6 +286,9 @@ def _iterate_array(
                 if handoff and need > 2 * cap and done >= _NEWTON_WARM_START:
                     return rows[0].copy(), done, False, residual
                 block = min(cap, max(2, math.ceil(need)))
+            if separable and largest < was:
+                cross = (largest - bound) * length / (was - largest)
+                block = min(block, max(2, math.ceil(cross)))
     return rows[0].copy(), done, False, float(residual)
 
 
@@ -478,13 +515,23 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None), 
     Every other pair runs ``_iterate_array`` on ``qmap``, which is built
     here (``_fitting_map``, on all cells) when it is None, or with
     ``handoff`` ``_handed_off``, whose verdict is that loop's; the scalar
-    loop has no blocks to hand off from.
+    loop has no blocks to hand off from.  ``_handed_off`` ends at a
+    separable state only where ``noise_or_map`` is a noise model with
+    tr(f)/2 above twice ``ANNIHILATION_EPS``: then no step annihilates the
+    ensemble (the module docstring gives the bound), and the factor two
+    covers the rounding of a computed keep probability.  A channel's map
+    always has 16 cells here, as a binary state with a binary channel runs
+    the scalar loop.
     """
     if not (isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel)):
         if qmap is None:
             qmap = _fitting_map(noise_or_map, _vector_of(s0)[0])
-        loop = _handed_off if handoff else _iterate_array
-        return lambda x, tol, max_iter: loop(x, qmap, tol, max_iter)
+        if handoff:
+            separable = isinstance(noise_or_map, (NoiseModel, BinaryNoiseModel)) and (
+                0.5 * noise_or_map.f.trace() > 2.0 * ANNIHILATION_EPS
+            )
+            return lambda x, tol, max_iter: _handed_off(x, qmap, tol, max_iter, separable)
+        return lambda x, tol, max_iter: _iterate_array(x, qmap, tol, max_iter)
 
     def scalar(x, tol, max_iter):
         a = np.zeros(4)
@@ -599,7 +646,7 @@ def _newton(x: np.ndarray, qmap: QuadraticMap, tol: float, steps: int):
     return k, None, residual
 
 
-def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
+def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, separable=False):
     """The plain iteration of ``qmap`` from ``a``, as ``_iterate_array`` runs
     it, with at most one hand-off to Newton's method: the regime verdicts'
     loop.
@@ -617,11 +664,12 @@ def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
     secure.  Where Newton gives up (``_newton`` returns no fixpoint, or a
     Newton point annihilates the ensemble or makes the system singular) or
     the gate declines x*, the plain iteration goes on from x with the rest
-    of the budget, and the result is ``_iterate_array``'s to the bit.
-    Returns (vector, iterations, converged, residual) as ``_iterate_array``
-    does.
+    of the budget, and the result is ``_iterate_array``'s to the bit.  With
+    ``separable`` both plain calls also end at a separable Bell marginal,
+    settled as high-noise (``_iterate_array``).  Returns (vector,
+    iterations, converged, residual) as ``_iterate_array`` does.
     """
-    x, done, converged, r = _iterate_array(a, qmap, tol, max_iter, handoff=True)
+    x, done, converged, r = _iterate_array(a, qmap, tol, max_iter, separable, handoff=True)
     if converged or done == max_iter:
         return x, done, converged, r
     try:
@@ -634,7 +682,7 @@ def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int):
                 return image, done + k, True, residual
     except (np.linalg.LinAlgError, EnsembleAnnihilated):
         pass  # Newton gives up
-    vec, iterations, converged, residual = _iterate_array(x, qmap, tol, max_iter - done)
+    vec, iterations, converged, residual = _iterate_array(x, qmap, tol, max_iter - done, separable)
     return vec, done + iterations, converged, residual
 
 
@@ -937,8 +985,9 @@ def classify_regime(
     Security requires purification (asymptotic fidelity > 1/2) together with
     the conditional fidelity converging to one; fidelity <= 1/2 is the
     high-noise regime; anything else is intermediate.  Non-convergence within
-    the budget is reported as intermediate with a warning, since convergence
-    times diverge near the regime boundaries.
+    the budget gives a warning that names the regime returned, since
+    convergence times diverge near the regime boundaries: high-noise where
+    the last state's fidelity is at most 1/2, intermediate otherwise.
 
     The limit is ``iterate_to_fixpoint``'s, except that a slow trajectory
     may take it from Newton's method (``_handed_off``): after 30 or more plain
@@ -948,20 +997,26 @@ def classify_regime(
     iteration would reach it within half the budget, as the spectral radius
     of the step's Jacobian there predicts; otherwise the plain iteration
     goes on from where it stopped, so ``max_iter`` stays the plain
-    iteration's budget and the regime is the one it gives.  A binary state
-    and channel run the scalar loop, which hands nothing off.  Raises as
-    ``iterate_to_fixpoint`` does.
+    iteration's budget and the regime is the one it gives.  For a channel
+    with tr(f)/2 above the annihilation threshold the solve also ends at the
+    first block end where no Bell weight exceeds 1/2 (less a rounding
+    margin): that pair is separable, the step is LOCC and keeps it so, and
+    every later step keeps the ensemble, so the plain iteration's verdict is
+    high-noise already; it is returned as settled, without a warning.  A
+    bare map runs without that exit, and a binary state and channel run the
+    scalar loop, which has neither.  Raises as ``iterate_to_fixpoint`` does.
     """
     s0 = _probe_state(noise) if s0 is None else s0
     result = _solve(s0, noise, tol, max_iter, handoff=True)
+    regime = regime_of(result)
     if not result.converged:
         warnings.warn(
             f"no fixpoint within {max_iter} iterations "
-            f"(residual {result.residual}); classifying as intermediate",
+            f"(residual {result.residual}); classifying as {regime.value}",
             RuntimeWarning,
             stacklevel=2,
         )
-    return regime_of(result)
+    return regime
 
 
 def _probe_state(noise):
@@ -995,10 +1050,12 @@ def regime_scan(
     Each channel is classified as ``classify_regime`` does, by the same
     solve: a slow channel may take its limit from Newton's method, which is
     kept only where the plain iteration would give the same verdict within
-    ``max_iter``, so ``max_iter`` stays the plain iteration's budget.  A
-    probe that does not converge within it counts as intermediate without a
-    warning.  ``samples``, ``seed`` and ``max_iter`` must be integers, as
-    ``MCConfig``'s counts are (TypeError otherwise).
+    ``max_iter``, so ``max_iter`` stays the plain iteration's budget, and a
+    probe whose Bell marginal turns separable is settled as high-noise.  A
+    probe that does not converge within the budget counts by the regime
+    ``classify_regime`` returns for it, without a warning.  ``samples``,
+    ``seed`` and ``max_iter`` must be integers, as ``MCConfig``'s counts are
+    (TypeError otherwise).
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")

@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import re
@@ -1270,6 +1271,87 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
     accepted = tally["handoffs"] - tally["resumed"]
     declined = tally["resumed"] - tally["gave_up"]
     assert accepted >= 1 and declined >= 1 and tally["gave_up"] >= 1, tally
+
+
+def test_the_budget_warning_names_the_regime_it_returns():
+    # the binary probe's fidelity is below 1/2 when the budget runs out
+    with pytest.warns(RuntimeWarning, match=r"^no fixpoint within 50 iterations \(residual "
+                      r"[0-9.e-]+\); classifying as high-noise$"):
+        assert classify_regime(BinaryNoiseModel.uncorrelated(0.6), max_iter=50) is Regime.HIGH_NOISE
+    with pytest.warns(RuntimeWarning, match=r"^no fixpoint within 3 iterations .*; "
+                      r"classifying as intermediate$"):
+        assert classify_regime(tracking_noise(), max_iter=3) is Regime.INTERMEDIATE
+
+
+WERNER_PROBE = embed(BellDiagonalState.werner(0.85))
+
+
+def bell_weights(result):
+    return result.state.flat.reshape(4, 4).sum(1)
+
+
+def test_a_separable_state_settles_the_verdict_as_high_noise():
+    # the plain iteration converges after 27 steps; the Bell marginal is
+    # separable at the first block end, after 8, and the verdict stops there
+    noise = random_channel(np.random.default_rng(0), 0.75)
+    plain = iterate_to_fixpoint(WERNER_PROBE, noise)
+    assert regime_of(plain) is Regime.HIGH_NOISE and plain.converged
+    got = dynamics._solve(WERNER_PROBE, noise, 1e-12, 100_000, handoff=True)
+    assert (got.iterations, got.converged) == (8, True) and got.residual > 1e-12
+    assert bell_weights(got).max() <= 0.5 - dynamics._SEPARABLE_MARGIN
+    assert regime_of(got) is Regime.HIGH_NOISE
+    # the state is the plain trajectory's, to the bit
+    row = iterate_to_fixpoint(WERNER_PROBE, noise, tol=0.0, max_iter=8)
+    assert got.state.flat.tobytes() == row.state.flat.tobytes()
+    # settled, so a budget the plain iteration does not converge within
+    # gives no warning
+    assert not iterate_to_fixpoint(WERNER_PROBE, noise, max_iter=8).converged
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert classify_regime(noise, max_iter=8) is Regime.HIGH_NOISE
+
+
+def test_the_separable_exit_needs_a_channel_that_bounds_the_keep_probability():
+    # a bare map carries no channel, and a channel with tr(f)/2 at most the
+    # annihilation threshold does not keep every state: both take exactly the
+    # plain loop's steps, where the exit would have ended them after 8
+    rng = np.random.default_rng(3)
+    zero_trace = rng.dirichlet(np.ones(16))
+    zero_trace[[0, 5, 10, 15]] = 0.0
+    zero_trace /= zero_trace.sum()
+    at_threshold = zero_trace.copy()
+    at_threshold[[0, 5]] = recurrence.ANNIHILATION_EPS
+    high_noise = random_channel(np.random.default_rng(0), 0.75)
+    cases = [
+        (generate_map(high_noise), generate_map(high_noise)),
+        *((NoiseModel(f.reshape(4, 4)),) * 2 for f in (zero_trace, at_threshold)),
+    ]
+    assert 0.5 * np.trace(cases[2][0].f) <= recurrence.ANNIHILATION_EPS
+    for noise_or_map, _ in cases:
+        qmap = dynamics._fitting_map(noise_or_map, WERNER_PROBE.flat)
+        want = iterate_to_fixpoint(WERNER_PROBE, qmap)
+        got = dynamics._solve(WERNER_PROBE, noise_or_map, 1e-12, 100_000, handoff=True)
+        assert regime_of(want) is regime_of(got) is Regime.HIGH_NOISE
+        assert (got.iterations, got.converged, got.residual) == (
+            want.iterations, want.converged, want.residual)
+        assert got.state.flat.tobytes() == want.state.flat.tobytes()
+        forced = dynamics._handed_off(WERNER_PROBE.flat, qmap, 1e-12, 100_000, True)
+        assert forced[1] == 8 < want.iterations
+
+
+def test_the_golden_scan_verdicts_are_the_plain_iterations():
+    # perfbench's golden seed 0, scan 0: 2,100 channels, as the full sweep
+    # replays them
+    import verdict_sweep
+
+    with open(verdict_sweep.GOLDEN_SCAN) as fh:
+        golden = json.load(fh)
+    _, _, tally, counts, differ = verdict_sweep.sweep(
+        0, 0, golden["f00_grid"], golden["samples"], golden["max_iter"]
+    )
+    assert differ == [] and tally["differ"] == 0
+    assert counts == golden["counts"]["0"][0]
+    assert tally["certified"] >= 1
 
 
 def test_regime_scan_extremes():

@@ -1,5 +1,7 @@
 """Invariants of the recurrence map, checked on generated channels and states."""
 
+import itertools
+
 import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
@@ -78,6 +80,78 @@ def test_the_restricted_map_is_the_step_on_the_flag_diagonal_subspace(channel, d
     jac = jacobian(qmap, full)
     assert np.allclose(jacobian(sub, x), jac[np.ix_(diag, diag)], rtol=0.0, atol=1e-15)
     assert not jac[np.ix_(off, diag)].any()
+
+
+def bell_marginal(w):
+    """The Bell weights of a 16-cell state: cell 4 * bell + flag, summed over flags."""
+    return w.reshape(4, 4).sum(1)
+
+
+#: Bell marginals on the edge of the separable set: the largest weight is 1/2.
+EDGE_MARGINALS = sorted(
+    set(itertools.permutations((0.5, 0.5, 0.0, 0.0)))
+    | set(itertools.permutations((0.5, 0.25, 0.25, 0.0)))
+    | set(itertools.permutations((0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3)))
+)
+
+
+def capped(w):
+    """Four weights moved toward the uniform ones until none exceeds 1/2."""
+    b = normalized(w)
+    if b.max() > 0.5:
+        t = 0.25 / (b.max() - 0.25)
+        b = t * b + (1.0 - t) * 0.25
+    return b
+
+
+separable_marginals = st.one_of(st.sampled_from(EDGE_MARGINALS).map(np.array), weights4.map(capped))
+flag_tables = st.lists(weights4.map(normalized), min_size=4, max_size=4).map(np.array)
+
+
+def with_flags(bell, flags):
+    """The 16-cell state of Bell weights ``bell`` and, in row b, the flag
+    weights of Bell state b."""
+    return (bell[:, None] * flags).ravel()
+
+
+@given(channel=weights16, bell=separable_marginals, flags=flag_tables)
+def test_a_step_keeps_a_separable_bell_marginal_separable(channel, bell, flags):
+    # the step is LOCC, so a pair with no Bell weight above 1/2 (separable)
+    # stays so: the regime verdict settles a trajectory there as high-noise
+    qmap = generate_map(NoiseModel(normalized(channel)))
+    try:
+        image, _ = qmap.apply(with_flags(bell, flags))
+    except EnsembleAnnihilated:
+        assume(False)
+    assert bell_marginal(image).max() <= 0.5 + 1e-15
+
+
+@given(channel=weights16, state=st.one_of(
+    weights16.map(normalized),
+    st.builds(with_flags, separable_marginals, flag_tables),
+))
+def test_the_keep_probability_is_at_least_half_the_channels_trace(channel, state):
+    # coincident errors mu = nu flip both pairs' parities alike, so a couple
+    # passes with the probability p**2 + (1 - p)**2 >= 1/2 that two draws of
+    # the state have equal parity: no step annihilates where tr(f)/2 does not
+    f = normalized(channel)
+    keep = state @ generate_map(NoiseModel(f)).forms[16] @ state
+    assert keep >= 0.5 * np.trace(f.reshape(4, 4)) - 1e-15
+
+
+@given(channel=weights16, bell=weights4, flags=flag_tables, other=flag_tables)
+def test_the_images_bell_marginal_depends_on_the_bell_marginal_alone(channel, bell, flags, other):
+    # the Bell labels transform apart from the flags, and the parity check
+    # reads them alone
+    qmap = generate_map(NoiseModel(normalized(channel)))
+    b = normalized(bell)
+    try:
+        one, keep_one = qmap.apply(with_flags(b, flags))
+        two, keep_two = qmap.apply(with_flags(b, other))
+    except EnsembleAnnihilated:
+        assume(False)
+    assert abs(keep_one - keep_two) <= 1e-15
+    assert np.allclose(bell_marginal(one), bell_marginal(two), rtol=0.0, atol=1e-15)
 
 
 def keep_form(f):

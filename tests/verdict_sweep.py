@@ -3,15 +3,19 @@
 ``classify_regime`` and ``regime_scan`` solve each channel with
 ``dynamics._handed_off``, which may hand a slow trajectory to Newton's method
 and keeps Newton's limit only where the plain iteration would reach the same
-verdict within its budget.  This script replays the benchmark's golden scan
-channels (``perfbench/golden_scan.json``: channel stream
-``default_rng([seed, k])`` of scan k, the 21-point f[00] grid over
-[0.70, 0.90], 100 draws at each point, budget 30,000) and, for every channel,
-compares the verdict's regime and convergence with those of
-``regime_of(iterate_to_fixpoint(...))``, with every RuntimeWarning raised as
-an error.  It also checks the regime counts against the golden record, and
-prints how often the solve handed off, how often Newton's limit was accepted,
-declined by the spectral-radius gate, or not reached (Newton gave up).
+verdict within its budget, and which settles a trajectory as high-noise at the
+first block end where its Bell marginal is separable.  This script replays the
+benchmark's golden scan channels (``perfbench/golden_scan.json``: channel
+stream ``default_rng([seed, k])`` of scan k, the 21-point f[00] grid over
+[0.70, 0.90], 100 draws at each point, budget 30,000).  For every channel it
+solves the verdict from the ``NoiseModel``, as ``classify_regime`` does, and
+compares its regime and convergence with those of
+``regime_of(iterate_to_fixpoint(...))`` on the channel's map, with every
+RuntimeWarning raised as an error.  It also checks the regime counts against
+the golden record, and prints how often the solve handed off, how often
+Newton's limit was accepted, declined by the spectral-radius gate, or not
+reached (Newton gave up), and how many verdicts the separable state settled
+(certified: converged with a residual above tol).
 
 Run from the root of a checkout; pytest does not collect it:
 
@@ -39,13 +43,13 @@ from eppsim import NoiseModel, Regime, dynamics, generate_map  # noqa: E402
 from eppsim.recurrence import EnsembleAnnihilated  # noqa: E402
 
 GOLDEN_SCAN = os.path.join(HERE, "..", "perfbench", "golden_scan.json")
-TALLIES = ("channels", "differ", "handoffs", "accepted", "declined", "gave_up")
+TOL = 1e-12
+TALLIES = ("channels", "differ", "handoffs", "accepted", "declined", "gave_up", "certified")
 
 
 def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
     """The tallies of one scan, its regime counts per grid point, and the
     channels whose verdict differs, as (f00, sample, verdict, plain)."""
-    warnings.simplefilter("error", RuntimeWarning)
     tally = dict.fromkeys(TALLIES + ("resumed",), 0)
     newton, iterate = dynamics._newton, dynamics._iterate_array
 
@@ -65,25 +69,30 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
 
     rng = np.random.default_rng([seed, scan])
     counts, differ = [], []
-    for f00 in grid:
-        here = dict.fromkeys(Regime, 0)
-        for sample in range(samples):
-            f = np.empty(16)
-            f[0] = f00
-            f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
-            qmap = generate_map(NoiseModel(f.reshape(4, 4)))
-            dynamics._newton, dynamics._iterate_array = counted_newton, counted_iterate
-            try:
-                got = dynamics._solve(dynamics._WERNER_PROBE, qmap, 1e-12, max_iter, handoff=True)
-            finally:
-                dynamics._newton, dynamics._iterate_array = newton, iterate
-            want = dynamics.iterate_to_fixpoint(dynamics._WERNER_PROBE, qmap, 1e-12, max_iter)
-            verdict = (dynamics.regime_of(got), got.converged)
-            plain = (dynamics.regime_of(want), want.converged)
-            if verdict != plain:
-                differ.append((f00, sample, verdict, plain))
-            here[plain[0]] += 1
-        counts.append([here[r] for r in Regime])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        for f00 in grid:
+            here = dict.fromkeys(Regime, 0)
+            for sample in range(samples):
+                f = np.empty(16)
+                f[0] = f00
+                f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
+                noise = NoiseModel(f.reshape(4, 4))
+                dynamics._newton, dynamics._iterate_array = counted_newton, counted_iterate
+                try:
+                    got = dynamics._solve(dynamics._WERNER_PROBE, noise, TOL, max_iter, handoff=True)
+                finally:
+                    dynamics._newton, dynamics._iterate_array = newton, iterate
+                want = dynamics.iterate_to_fixpoint(
+                    dynamics._WERNER_PROBE, generate_map(noise), TOL, max_iter
+                )
+                tally["certified"] += got.converged and got.residual > TOL
+                verdict = (dynamics.regime_of(got), got.converged)
+                plain = (dynamics.regime_of(want), want.converged)
+                if verdict != plain:
+                    differ.append((f00, sample, verdict, plain))
+                here[plain[0]] += 1
+            counts.append([here[r] for r in Regime])
     tally["channels"] = len(grid) * samples
     tally["differ"] = len(differ)
     resumed = tally.pop("resumed")
