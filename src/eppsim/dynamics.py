@@ -35,11 +35,15 @@ map, with every cell free, and a Newton limit counts there only if it
 attracts.  Convergence times of the plain iteration diverge at the
 boundary, much like a phase transition.  A regime verdict runs the plain
 iteration and hands a slow trajectory to Newton's method at most once,
-where the residual's decay predicts more than two blocks of further steps.
-Newton's limit is kept only where the spectral radius of the step's
-Jacobian there says that the plain iteration would reach it within half
-its budget; otherwise the plain iteration goes on where it stopped, so
-every verdict is the plain iteration's.  A verdict also ends, as
+after the 30-step warm start, where the residual's decay predicts more
+than one block (32 steps) of further steps.  Newton's limit is kept only
+where the spectral radius rho of the step's Jacobian there says that the
+plain iteration would reach it within half its budget; otherwise the plain
+iteration goes on where it stopped, so every verdict is the plain
+iteration's.  The gate first tries the bounds ||J^(2^k)||_1^(1/2^k) >= rho
+of a few squarings of the Jacobian J, and a bound that passes decides as
+rho would, as the rule only gets easier for a smaller radius; the
+eigenvalues are computed only where none passes.  A verdict also ends, as
 high-noise, at the first block end where no Bell weight exceeds 1/2.  Such
 a Bell-diagonal pair is separable (Horodecki and Horodecki, PRA 54, 1838
 (1996)), and the step is LOCC: Alice alone applies the Pauli errors (mu,
@@ -58,6 +62,7 @@ Bell-diagonal state enters through ``embed``, noiseless or not.
 from __future__ import annotations
 
 import math
+import sys
 import threading
 import warnings
 from dataclasses import dataclass
@@ -222,9 +227,12 @@ def _iterate_array(
 
     With ``handoff`` (``_handed_off``) the loop returns early, unconverged,
     at the end of the first block after ``_NEWTON_WARM_START`` or more steps
-    whose prediction needs more than two full blocks.  The steps do not
-    depend on how they are split into blocks, so a call from the returned
-    row with the rest of the budget goes on with the same trajectory.
+    whose prediction needs more than a full block, ``_BLOCK_CAP`` steps.  A
+    block end before that which already predicts so ends the next block at
+    step ``_NEWTON_WARM_START``, but no sooner than two steps on.  The
+    steps do not depend on how they are split into blocks, so a call from
+    the returned row with the rest of the budget goes on with the same
+    trajectory.
 
     With ``separable`` (the verdicts on a 16-cell state, ``_plain_loop``)
     the loop also returns at the first block end whose largest Bell weight,
@@ -234,7 +242,12 @@ def _iterate_array(
     and a row of the block that converged still wins.  A block then also
     ends no later than that weight, extrapolated linearly from the last two
     block ends (the start counts as the first), predicts it to cross the
-    bound.  The check costs two small calls a block.
+    bound.  Where the block's residual grew (a trajectory leaving a saddle),
+    the weight's fall is taken to grow with it: each step's fall is about
+    the block's fall over the sum of its residuals, times that step's
+    residual, which grows geometrically at the block's ratio; the block
+    ends no later than that sum predicts the crossing.  The check costs two
+    small calls a block.
     """
     n = a.shape[0]
     forms = qmap.forms.reshape(n + 1, -1)
@@ -283,11 +296,18 @@ def _iterate_array(
             block = cap
             if 0.0 < ratio < 1.0 and tol > 0.0:
                 need = (math.log(tol) - math.log(residual)) / math.log(ratio)
-                if handoff and need > 2 * cap and done >= _NEWTON_WARM_START:
-                    return rows[0].copy(), done, False, residual
-                block = min(cap, max(2, math.ceil(need)))
+                if handoff and need > cap:
+                    if done >= _NEWTON_WARM_START:
+                        return rows[0].copy(), done, False, residual
+                    block = max(2, _NEWTON_WARM_START - done)
+                else:
+                    block = min(cap, max(2, math.ceil(need)))
             if separable and largest < was:
                 cross = (largest - bound) * length / (was - largest)
+                if ratio > 1.0:
+                    fall = (was - largest) / float(r.sum()) * residual * ratio  # the next step's
+                    grown = math.log1p((largest - bound) * (ratio - 1.0) / fall) / math.log(ratio)
+                    cross = min(cross, grown)
                 block = min(block, max(2, math.ceil(cross)))
     return rows[0].copy(), done, False, float(residual)
 
@@ -417,6 +437,29 @@ def spectral_radius(m: np.ndarray) -> float:
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix has non-finite entries")
     return float(np.max(np.abs(np.linalg.eigvals(m))))
+
+
+def _norm_bounds(m: np.ndarray):
+    """The bounds u_k = ||m^(2^k)||_1^(1/2^k), k = 0 .. 5, on the spectral
+    radius of a square matrix ``m``, in turn, each power the square of the
+    last.  Every induced norm bounds the spectral radius, so rho(m)^j =
+    rho(m^j) <= ||m^j|| for each j; by Gelfand's formula (Mat. Sb. 9, 3
+    (1941)) ||m^j||^(1/j) tends to rho(m), and as the norm is
+    submultiplicative, each u_k is at most the one before.  The bounds end
+    early at a power whose norm is below the smallest normal float, as
+    an underflowed power no longer bounds the true one, and after a power
+    whose square could overflow, as no entry of the square exceeds the
+    norm squared."""
+    power = m
+    for k in range(6):
+        if k:
+            power = power @ power
+        norm = max(np.add.reduce(np.abs(power), 0).tolist())
+        if norm < sys.float_info.min:
+            return
+        yield norm ** (0.5**k)
+        if norm * norm > sys.float_info.max:
+            return
 
 
 # --- critical-noise search -------------------------------------------------
@@ -658,7 +701,8 @@ def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, se
     plain iteration would reach the same verdict within its budget: at an
     attracting fixpoint the plain residual shrinks by the spectral radius
     rho of the ``jacobian`` a step, so x* needs rho < 1 and
-    done + log(tol / r) / log(rho) <= max_iter / 2.  Half the budget leaves
+    done + log(tol / r) / log(rho) <= max_iter / 2 (``_gate``, which tries
+    norm bounds on rho before the eigenvalues).  Half the budget leaves
     room for a trajectory whose decay slows before it settles; without that
     gate channels whose plain iteration spends the budget were classified
     secure.  Where Newton gives up (``_newton`` returns no fixpoint, or a
@@ -674,16 +718,45 @@ def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, se
         return x, done, converged, r
     try:
         k, image, residual = _newton(x, qmap, tol, _NEWTON_MAX_STEPS)
-        if image is not None:
-            rho = spectral_radius(jacobian(qmap, image))
-            if rho == 0.0 or (
-                rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2
-            ):
-                return image, done + k, True, residual
+        if image is not None and _gate(jacobian(qmap, image), done, r, tol, max_iter):
+            return image, done + k, True, residual
     except (np.linalg.LinAlgError, EnsembleAnnihilated):
         pass  # Newton gives up
     vec, iterations, converged, residual = _iterate_array(x, qmap, tol, max_iter - done, separable)
     return vec, done + iterations, converged, residual
+
+
+def _gate(jac: np.ndarray, done: int, r: float, tol: float, max_iter: int) -> bool:
+    """``_handed_off``'s gate: whether the plain iteration, stopped after
+    ``done`` steps at a residual ``r`` above ``tol``, would reach Newton's
+    fixpoint, where the step's Jacobian is ``jac``, within half of
+    ``max_iter``.  With rho the spectral radius of ``jac`` that is rho = 0,
+    or rho < 1 and done + log(tol / r) / log(rho) <= max_iter / 2.
+
+    The left side grows with rho, so a number u >= rho that passes the rule
+    decides it as rho would.  The bounds of ``_norm_bounds`` are tried
+    first, each times 1 + ``REGIME_FUZZ``, and the first that passes keeps
+    the fixpoint; ``spectral_radius``, an eigenvalue solve that costs more
+    than all six bounds together, runs only where none passes, so
+    it decides every decline and rho = 0.  The factor covers the rounding
+    of the squarings: each entry of a 16 x 16 product is within 16 units
+    of roundoff (16 * 2^-53 = 1.8e-15) times the product of the absolute
+    values (Higham, Accuracy and Stability of Numerical Algorithms,
+    section 3.5), so the norm of a power 2^k is off by the relative
+    2^k * 1e-6 that would move u_k by the factor only where the product of
+    the absolute values exceeds the power by some nine orders of
+    magnitude.  It also covers eigvals' own error on a simple eigenvalue,
+    of the order of eps, so that a bound that passes passes the computed
+    rho too.
+    """
+
+    def passes(rho):
+        return 0.0 < rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2
+
+    if any(passes(u * (1.0 + REGIME_FUZZ)) for u in _norm_bounds(jac)):
+        return True
+    rho = spectral_radius(jac)
+    return rho == 0.0 or passes(rho)
 
 
 def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
@@ -991,13 +1064,16 @@ def classify_regime(
 
     The limit is ``iterate_to_fixpoint``'s, except that a slow trajectory
     may take it from Newton's method (``_handed_off``): after 30 or more plain
-    steps, once the residual's decay predicts more than 64 further steps, up
+    steps, once the residual's decay predicts more than 32 further steps, up
     to 50 Newton steps on the whole map follow, which do not count against
     ``max_iter``.  Newton's fixpoint is the limit only where the plain
     iteration would reach it within half the budget, as the spectral radius
     of the step's Jacobian there predicts; otherwise the plain iteration
     goes on from where it stopped, so ``max_iter`` stays the plain
-    iteration's budget and the regime is the one it gives.  For a channel
+    iteration's budget and the regime is the one it gives.  That gate is
+    decided by a bound ||J^(2^k)||_1^(1/2^k) on the spectral radius of the
+    Jacobian J where one passes it, which the radius then passes too, and by
+    the eigenvalues otherwise.  For a channel
     with tr(f)/2 above the annihilation threshold the solve also ends at the
     first block end where no Bell weight exceeds 1/2 (less a rounding
     margin): that pair is separable, the step is LOCC and keeps it so, and
@@ -1048,10 +1124,13 @@ def regime_scan(
 
     The 15 free weights are drawn uniformly on the simplex of mass 1 - f00.
     Each channel is classified as ``classify_regime`` does, by the same
-    solve: a slow channel may take its limit from Newton's method, which is
-    kept only where the plain iteration would give the same verdict within
-    ``max_iter``, so ``max_iter`` stays the plain iteration's budget, and a
-    probe whose Bell marginal turns separable is settled as high-noise.  A
+    solve: a slow channel may take its limit from Newton's method after 30
+    plain steps, once more than 32 further ones are predicted.  That limit
+    is kept only where the plain iteration would give the same verdict
+    within ``max_iter``, as a norm bound on the Jacobian's spectral radius,
+    or else the radius itself, says; so ``max_iter`` stays the plain
+    iteration's budget.  A probe whose Bell marginal turns separable is
+    settled as high-noise.  A
     probe that does not converge within the budget counts by the regime
     ``classify_regime`` returns for it, without a warning.  ``samples``,
     ``seed`` and ``max_iter`` must be integers, as ``MCConfig``'s counts are

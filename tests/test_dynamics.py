@@ -1247,8 +1247,9 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
     grid = np.linspace(0.76, 0.88, 13)
     channels = [random_channel(rng, f00) for f00 in grid for _ in range(24)]
     plain = [iterate_to_fixpoint(probe, noise, max_iter=3000) for noise in channels]
-    tally = dict.fromkeys(["handoffs", "resumed", "gave_up"], 0)
+    tally = dict.fromkeys(["handoffs", "resumed", "gave_up", "gates", "by_eigvals"], 0)
     newton, iterate = dynamics._newton, dynamics._iterate_array
+    gate, radius = dynamics._gate, dynamics.spectral_radius
 
     def counted_newton(*args):
         tally["handoffs"] += 1
@@ -1260,8 +1261,23 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
         tally["resumed"] += not handoff
         return iterate(*args, handoff=handoff)
 
+    def counted_radius(m):
+        tally["by_eigvals"] += 1
+        return radius(m)
+
+    def checked_gate(jac, done, r, tol, max_iter):
+        # each decision, by a norm bound or not, is the eigenvalue rule's
+        tally["gates"] += 1
+        kept = gate(jac, done, r, tol, max_iter)
+        rho = radius(jac)
+        assert kept == (rho == 0.0 or (
+            rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2))
+        return kept
+
     monkeypatch.setattr(dynamics, "_newton", counted_newton)
     monkeypatch.setattr(dynamics, "_iterate_array", counted_iterate)
+    monkeypatch.setattr(dynamics, "_gate", checked_gate)
+    monkeypatch.setattr(dynamics, "spectral_radius", counted_radius)
     for noise, want in zip(channels, plain):
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
@@ -1271,6 +1287,35 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
     accepted = tally["handoffs"] - tally["resumed"]
     declined = tally["resumed"] - tally["gave_up"]
     assert accepted >= 1 and declined >= 1 and tally["gave_up"] >= 1, tally
+    # some gates a norm bound decided, and the declines the eigenvalues did
+    assert tally["gates"] == tally["handoffs"] - tally["gave_up"]
+    assert declined <= tally["by_eigvals"] < tally["gates"], tally
+
+
+def test_a_slow_first_block_hands_off_after_exactly_the_warm_start(monkeypatch):
+    # white noise at 0.92: the first block's 8 residuals decay at a rate that
+    # predicts about 53 further steps, more than a block, so the next block
+    # ends at the warm start's step 30 and the verdict hands off there
+    noise = white(0.92)
+    qmap = generate_map(noise)
+    warm = dynamics._NEWTON_WARM_START
+    rows = [WERNER_PROBE.flat]
+    for _ in range(warm):
+        rows.append(qmap.apply(rows[-1])[0])
+    r = [np.abs(b - a).max() for a, b in zip(rows, rows[1:dynamics._FIRST_BLOCK + 1])]
+    ratio = (r[-1] / r[0]) ** (1.0 / (len(r) - 1))
+    assert math.log(1e-12 / r[-1]) / math.log(ratio) > dynamics._BLOCK_CAP
+    starts, newton = [], dynamics._newton
+
+    def spy(x, *args):
+        starts.append(x.copy())
+        return newton(x, *args)
+
+    monkeypatch.setattr(dynamics, "_newton", spy)
+    result = dynamics._solve(WERNER_PROBE, noise, 1e-12, 100_000, handoff=True)
+    assert regime_of(result) is Regime.SECURITY and result.converged
+    assert [x.tobytes() for x in starts] == [rows[warm].tobytes()]  # the plain row, to the bit
+    assert warm < result.iterations <= warm + dynamics._NEWTON_MAX_STEPS
 
 
 def test_the_budget_warning_names_the_regime_it_returns():
@@ -1309,6 +1354,40 @@ def test_a_separable_state_settles_the_verdict_as_high_noise():
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         assert classify_regime(noise, max_iter=8) is Regime.HIGH_NOISE
+
+
+# Golden scan channels (perfbench seed 1, scan 0) whose trajectory sits on a
+# slow plateau, leaves a saddle, and falls through a Bell weight of 1/2 to
+# F = 1/4 within one block: f00 = 0.85 sample 0 (59 plain steps) and 0.87
+# sample 54 (201).
+SADDLE_CHANNELS = [
+    [0.85, 0.0023058407601378498, 0.005502993716367072, 0.004764602168697659,
+     0.021455060299550546, 1.0763253583279783e-05, 0.021954336947362683,
+     0.004762535495181235, 0.007544959962110265, 0.014744240794168553,
+     0.0030533458558249927, 0.0004180809968390404, 0.02069694714886532,
+     0.019030337285705766, 0.019769795554566427, 0.003986159761039317],
+    [0.87, 0.0022500499408665787, 0.009327755982956395, 0.0016555659462108028,
+     0.0015877496405519945, 0.016208737311067336, 0.02414094920439992,
+     0.0059023701593606415, 0.00640660468584541, 0.00288670026466099,
+     0.015255691836138818, 0.006913387812100321, 0.014034205137390338,
+     0.002695823837862094, 0.019511233374016588, 0.0012231748665717703],
+]
+
+
+@pytest.mark.parametrize("weights", SADDLE_CHANNELS, ids=["0.85", "0.87"])
+def test_a_trajectory_that_leaves_a_saddle_is_settled_before_it_converges(weights):
+    # the residual grows as the trajectory leaves the saddle, and the Bell
+    # weight's fall with it: a block ends at the crossing that growth
+    # predicts, not past the convergence
+    noise = NoiseModel(np.array(weights).reshape(4, 4))
+    plain = iterate_to_fixpoint(WERNER_PROBE, noise, max_iter=30_000)
+    assert regime_of(plain) is Regime.HIGH_NOISE and plain.converged
+    got = dynamics._solve(WERNER_PROBE, noise, 1e-12, 30_000, handoff=True)
+    assert regime_of(got) is Regime.HIGH_NOISE
+    assert got.converged and got.residual > 1e-12 and got.iterations < plain.iterations
+    assert bell_weights(got).max() <= 0.5 - dynamics._SEPARABLE_MARGIN
+    row = iterate_to_fixpoint(WERNER_PROBE, noise, tol=0.0, max_iter=got.iterations)
+    assert got.state.flat.tobytes() == row.state.flat.tobytes()  # the plain trajectory's
 
 
 def test_the_separable_exit_needs_a_channel_that_bounds_the_keep_probability():
@@ -1352,6 +1431,7 @@ def test_the_golden_scan_verdicts_are_the_plain_iterations():
     assert differ == [] and tally["differ"] == 0
     assert counts == golden["counts"]["0"][0]
     assert tally["certified"] >= 1
+    assert tally["gate_norm"] >= 1  # a norm bound decided a hand-off gate
 
 
 def test_regime_scan_extremes():

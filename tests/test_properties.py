@@ -14,7 +14,7 @@ from eppsim.noisemodels import (
     compose,
     noise_from_config,
 )
-from eppsim.dynamics import jacobian
+from eppsim.dynamics import _norm_bounds, jacobian, spectral_radius
 from eppsim.recurrence import EnsembleAnnihilated, generate_map
 
 weights16 = st.lists(
@@ -247,3 +247,41 @@ def test_binary_channel_config_round_trip(weights):
     got = np.array([back.f00, back.f01, back.f10, back.f11])
     want = np.array([noise.f00, noise.f01, noise.f10, noise.f11])
     assert np.allclose(got, want, rtol=1e-15, atol=0.0)
+
+
+def spectral_test_matrix(kind, seed, scale, value):
+    """A 16 x 16 matrix of one of four kinds, from a seed and two numbers
+    in [0, 1]: triangular with eigenvalues up to 1.5 and normal
+    off-diagonals of deviation up to 100, so far from normal; a Jordan
+    block of eigenvalue lambda whose corner is perturbed by 1e-8 to 1e-2,
+    so that its eigenvalues circle lambda at the corner's 16th root; a
+    random matrix scaled by 10^-150 to 10^150, whose powers underflow or
+    would overflow, or zero; or a ``jacobian`` of a
+    random channel at a random state."""
+    rng = np.random.default_rng(seed)
+    if kind == "triangular":
+        m = np.triu(rng.normal(size=(16, 16)), 1) * 100.0 * scale
+        m[np.diag_indices(16)] = rng.uniform(-1.5, 1.5, 16) * value
+    elif kind == "jordan":
+        m = np.diag(np.ones(15), 1) + (2.4 * value - 1.2) * np.eye(16)
+        m[-1, 0] = 10.0 ** (-8.0 + 6.0 * scale)
+    elif kind == "scaled":
+        m = rng.normal(size=(16, 16)) * (10.0 ** (300.0 * scale - 150.0) if value else 0.0)
+    else:
+        qmap = generate_map(NoiseModel(rng.dirichlet(np.ones(16))))
+        m = jacobian(qmap, rng.dirichlet(np.ones(16) * (0.1 + 10.0 * value)))
+    return m
+
+
+@given(kind=st.sampled_from(["triangular", "jordan", "scaled", "jacobian"]),
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0), value=st.floats(0.0, 1.0))
+def test_every_norm_bound_of_the_handoff_gate_is_at_least_the_spectral_radius(
+    kind, seed, scale, value
+):
+    # rho(m)^j <= ||m^j|| for every induced norm: the gate keeps Newton's
+    # fixpoint on a bound only where the spectral radius would keep it too;
+    # a tiny matrix's powers underflow, and their bounds are left out
+    m = spectral_test_matrix(kind, seed, scale, value)
+    rho = spectral_radius(m)
+    bounds = list(_norm_bounds(m))
+    assert all(u >= rho * (1.0 - 1e-9) for u in bounds), (bounds, rho)

@@ -14,8 +14,10 @@ compares its regime and convergence with those of
 RuntimeWarning raised as an error.  It also checks the regime counts against
 the golden record, and prints how often the solve handed off, how often
 Newton's limit was accepted, declined by the spectral-radius gate, or not
-reached (Newton gave up), and how many verdicts the separable state settled
-(certified: converged with a residual above tol).
+reached (Newton gave up), how many gates a norm bound on the spectral radius
+decided (gate_norm) and how many the eigenvalues did (gate_eig), and how many
+verdicts the separable state settled (certified: converged with a residual
+above tol).
 
 Run from the root of a checkout; pytest does not collect it:
 
@@ -44,14 +46,15 @@ from eppsim.recurrence import EnsembleAnnihilated  # noqa: E402
 
 GOLDEN_SCAN = os.path.join(HERE, "..", "perfbench", "golden_scan.json")
 TOL = 1e-12
-TALLIES = ("channels", "differ", "handoffs", "accepted", "declined", "gave_up", "certified")
+TALLIES = ("channels", "differ", "handoffs", "accepted", "declined", "gave_up", "gate_norm",
+           "gate_eig", "certified")
 
 
 def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
     """The tallies of one scan, its regime counts per grid point, and the
     channels whose verdict differs, as (f00, sample, verdict, plain)."""
     tally = dict.fromkeys(TALLIES + ("resumed",), 0)
-    newton, iterate = dynamics._newton, dynamics._iterate_array
+    newton, iterate, radius = dynamics._newton, dynamics._iterate_array, dynamics.spectral_radius
 
     def counted_newton(*args):
         tally["handoffs"] += 1
@@ -67,6 +70,10 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
         tally["resumed"] += not handoff  # plain steps after a hand-off Newton did not end
         return iterate(*args, handoff=handoff)
 
+    def counted_radius(m):
+        tally["gate_eig"] += 1  # a gate that no norm bound decided
+        return radius(m)
+
     rng = np.random.default_rng([seed, scan])
     counts, differ = [], []
     with warnings.catch_warnings():
@@ -79,10 +86,12 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
                 f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
                 noise = NoiseModel(f.reshape(4, 4))
                 dynamics._newton, dynamics._iterate_array = counted_newton, counted_iterate
+                dynamics.spectral_radius = counted_radius
                 try:
                     got = dynamics._solve(dynamics._WERNER_PROBE, noise, TOL, max_iter, handoff=True)
                 finally:
                     dynamics._newton, dynamics._iterate_array = newton, iterate
+                    dynamics.spectral_radius = radius
                 want = dynamics.iterate_to_fixpoint(
                     dynamics._WERNER_PROBE, generate_map(noise), TOL, max_iter
                 )
@@ -98,6 +107,7 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
     resumed = tally.pop("resumed")
     tally["accepted"] = tally["handoffs"] - resumed
     tally["declined"] = resumed - tally["gave_up"]
+    tally["gate_norm"] = tally["handoffs"] - tally["gave_up"] - tally["gate_eig"]
     return seed, scan, tally, counts, differ
 
 
