@@ -25,38 +25,46 @@ which is exact as the step never leaves it: four unknowns for a 16-cell
 state, two for a binary one.  On raw weight vectors of that restricted map,
 the secure fixpoint is solved for by Newton's method after a short plain
 warm start, in tens of steps even where the plain iteration converges only
-algebraically, and is polished to rounding level; the margin is then
-measured once, on the whole map's Jacobian.  Where no fixpoint lies within
-Newton's reach, as below a fold, Newton's corrections stop shrinking, and
-the solve hands over to the plain iteration within a few steps.  The limits
-that the basin checks of a critical search take for the start state go
-through the plain iteration's body to the same Newton solve on the whole
-map, with every cell free, and a Newton limit counts there only if it
-attracts.  Convergence times of the plain iteration diverge at the
-boundary, much like a phase transition.  A regime verdict runs the plain
-iteration and hands a slow trajectory to Newton's method at most once,
-after the 30-step warm start, where the residual's decay predicts more
-than one block (32 steps) of further steps.  Newton's limit is kept only
-where the spectral radius rho of the step's Jacobian there says that the
-plain iteration would reach it within half its budget; otherwise the plain
-iteration goes on where it stopped, so every verdict is the plain
-iteration's.  The gate first tries the bounds ||J^(2^k)||_1^(1/2^k) >= rho
-of a few squarings of the Jacobian J, and a bound that passes decides as
-rho would, as the rule only gets easier for a smaller radius; the
-eigenvalues are computed only where none passes.  A verdict also ends, as
-high-noise, at the first block end where no Bell weight exceeds 1/2.  Such
-a Bell-diagonal pair is separable (Horodecki and Horodecki, PRA 54, 1838
-(1996)), and the step is LOCC: Alice alone applies the Pauli errors (mu,
-nu) of a channel, then both parties apply the bilateral CNOT, measure
-locally and post-select in public.  So no later state has a Bell weight
-above 1/2, and the plain iteration's verdict is high-noise already.  The
-proof needs the ensemble to survive every later step, and the keep
-probability is at least tr(f)/2 on every state: coincident errors mu = nu
-shift both pairs' parities alike, and two draws of a state have equal
-parity with probability p**2 + (1 - p)**2 >= 1/2.  So the exit runs only
-for a channel whose tr(f)/2 is above the annihilation threshold, and never
-on a bare map.  Every solve runs on flagged states, 16-cell or binary; a
-Bell-diagonal state enters through ``embed``, noiseless or not.
+algebraically, and is polished to rounding level; the margin's sign is
+then decided once, on the whole map's Jacobian.  The limits that the basin
+checks of a critical search take for the start state go through the plain
+iteration's body to the same Newton solve on the whole map, with every cell
+free, and a Newton limit counts there only if it attracts.  Convergence
+times of the plain iteration diverge at the boundary, much like a phase
+transition.  A regime verdict runs the plain iteration and hands a slow
+trajectory to Newton's method at most once, after the 30-step warm start,
+where the residual's decay predicts more than one block (32 steps) of
+further steps.  Newton's limit is kept only where the spectral radius rho
+of the step's Jacobian there says that the plain iteration would reach it
+within half its budget; otherwise the plain iteration goes on where it
+stopped, so every verdict is the plain iteration's.
+
+Every decision whether rho lies below a bound goes through one gate, in
+four places: rho < 1 for the margin's sign and for the flag-diagonal block
+at the boundary, rho < 1 + ``REGIME_FUZZ`` for an attracting basin limit,
+and, for the verdict, rho below the radius at which the plain iteration
+reaches tol within half its budget.  The gate first tries the bounds
+||J^(2^k)||_1^(1/2^k) >= rho of a few squarings of the Jacobian J, and a
+bound that passes decides as rho would; the eigenvalues are computed only
+where none passes.  Every Newton solve, the verdict's, the basin check's,
+the secure solve and its polish, gives up by one rule: where no fixpoint
+lies within Newton's reach, as below a fold, its corrections stop
+shrinking, and where a step or the gate raises LinAlgError (a singular
+system) or EnsembleAnnihilated, Newton yields no fixpoint and the plain
+iteration goes on; the polish keeps the point it reached.  A verdict also
+ends, as high-noise, at the first block end where no Bell weight exceeds
+1/2.  Such a Bell-diagonal pair is separable (Horodecki and Horodecki, PRA
+54, 1838 (1996)), and the step is LOCC: Alice alone applies the Pauli
+errors (mu, nu) of a channel, then both parties apply the bilateral
+CNOT, measure locally and post-select in public.  So no later state has a
+Bell weight above 1/2, and the plain iteration's verdict is high-noise
+already.  The proof needs the ensemble to survive every later step, and
+the keep probability is at least tr(f)/2 on every state: coincident errors
+mu = nu shift both pairs' parities alike, and two draws of a state have
+equal parity with probability p**2 + (1 - p)**2 >= 1/2.  So the exit runs
+only for a channel whose tr(f)/2 is above the annihilation threshold, and
+never on a bare map.  Every solve runs on flagged states, 16-cell or
+binary; a Bell-diagonal state enters through ``embed``, noiseless or not.
 """
 
 from __future__ import annotations
@@ -225,14 +233,26 @@ def _iterate_array(
     residual does not decay or ``tol`` is zero.  The budget cuts the last
     block short.
 
-    With ``handoff`` (``_handed_off``) the loop returns early, unconverged,
-    at the end of the first block after ``_NEWTON_WARM_START`` or more steps
-    whose prediction needs more than a full block, ``_BLOCK_CAP`` steps.  A
-    block end before that which already predicts so ends the next block at
-    step ``_NEWTON_WARM_START``, but no sooner than two steps on.  The
-    steps do not depend on how they are split into blocks, so a call from
-    the returned row with the rest of the budget goes on with the same
-    trajectory.
+    With ``handoff`` (the regime verdicts, ``_plain_loop``) the loop hands
+    the trajectory to Newton's method once, at the end of the first block
+    after ``_NEWTON_WARM_START`` or more steps whose prediction needs more
+    than a full block, ``_BLOCK_CAP`` steps, with budget left.  A block end
+    before that which already predicts so ends the next block at step
+    ``_NEWTON_WARM_START``, but no sooner than two steps on.  ``_newton``
+    takes up to ``_NEWTON_MAX_STEPS`` steps from the block's last row x,
+    which do not count against ``max_iter``, and its fixpoint x* is the
+    result, converged, only if the plain iteration would reach it within
+    half its budget: at an attracting fixpoint the plain residual shrinks
+    by the spectral radius rho of the ``jacobian`` a step, so from x, after
+    ``done`` steps at a residual r, it needs rho < ``_verdict_bound``, the
+    radius at which done + log(tol / r) / log(rho) = max_iter / 2
+    (``_gate``).  Half the budget leaves room for a trajectory whose decay
+    slows before it settles; without that gate channels whose plain
+    iteration spends the budget were classified secure.  Where Newton
+    gives up or the gate declines x*, the loop goes on with its own blocks
+    from x, so the result is the plain iteration's: its vector, count and
+    residual where it converges or spends the budget, and its verdict at a
+    separable state.
 
     With ``separable`` (the verdicts on a 16-cell state, ``_plain_loop``)
     the loop also returns at the first block end whose largest Bell weight,
@@ -296,12 +316,16 @@ def _iterate_array(
             block = cap
             if 0.0 < ratio < 1.0 and tol > 0.0:
                 need = (math.log(tol) - math.log(residual)) / math.log(ratio)
+                block = min(cap, max(2, math.ceil(need)))
                 if handoff and need > cap:
-                    if done >= _NEWTON_WARM_START:
-                        return rows[0].copy(), done, False, residual
-                    block = max(2, _NEWTON_WARM_START - done)
-                else:
-                    block = min(cap, max(2, math.ceil(need)))
+                    if done < _NEWTON_WARM_START:
+                        block = max(2, _NEWTON_WARM_START - done)
+                    elif done < max_iter:  # the hand-off, at most once
+                        handoff = False
+                        k, fixpoint, last = _newton(rows[0], qmap, tol, _NEWTON_MAX_STEPS,
+                                                    _verdict_bound(done, residual, tol, max_iter))
+                        if fixpoint is not None:
+                            return fixpoint, done + k, True, last
             if separable and largest < was:
                 cross = (largest - bound) * length / (was - largest)
                 if ratio > 1.0:
@@ -330,8 +354,8 @@ def _solve(
     needs the map here: it is ``qmap`` where the caller has built it already
     (a basin check is handed its bracket end's map from the stability
     margin), and is built here otherwise.  The plain loop builds the map if
-    it reads it.  With ``handoff`` (the regime verdicts) ``_plain_loop``
-    gives ``_handed_off`` in place of the array loop."""
+    it reads it.  With ``handoff`` (the regime verdicts) the array loop
+    may hand off to Newton's method (``_iterate_array``)."""
     max_iter = _checked_budget(tol, max_iter)
     a, wrap = _vector_of(s0)
     if newton and qmap is None:
@@ -556,25 +580,23 @@ def _plain_loop(noise_or_map, s0, qmap: QuadraticMap | None, cells=slice(None), 
     binary vector that is zero off ``cells``, and read no map; the step
     keeps those zeros exactly where the cells span an invariant subspace.
     Every other pair runs ``_iterate_array`` on ``qmap``, which is built
-    here (``_fitting_map``, on all cells) when it is None, or with
-    ``handoff`` ``_handed_off``, whose verdict is that loop's; the scalar
-    loop has no blocks to hand off from.  ``_handed_off`` ends at a
-    separable state only where ``noise_or_map`` is a noise model with
-    tr(f)/2 above twice ``ANNIHILATION_EPS``: then no step annihilates the
-    ensemble (the module docstring gives the bound), and the factor two
-    covers the rounding of a computed keep probability.  A channel's map
-    always has 16 cells here, as a binary state with a binary channel runs
-    the scalar loop.
+    here (``_fitting_map``, on all cells) when it is None, with its
+    ``handoff``; the scalar loop has no blocks to hand off from.  With
+    ``handoff`` the loop also ends at a separable state, but only where
+    ``noise_or_map`` is a noise model with tr(f)/2 above twice
+    ``ANNIHILATION_EPS``: then no step annihilates the ensemble (the module
+    docstring gives the bound), and the factor two covers the rounding of a
+    computed keep probability.  A channel's map always has 16 cells here,
+    as a binary state with a binary channel runs the scalar loop.
     """
     if not (isinstance(s0, BinaryFlaggedState) and isinstance(noise_or_map, BinaryNoiseModel)):
         if qmap is None:
             qmap = _fitting_map(noise_or_map, _vector_of(s0)[0])
-        if handoff:
-            separable = isinstance(noise_or_map, (NoiseModel, BinaryNoiseModel)) and (
-                0.5 * noise_or_map.f.trace() > 2.0 * ANNIHILATION_EPS
-            )
-            return lambda x, tol, max_iter: _handed_off(x, qmap, tol, max_iter, separable)
-        return lambda x, tol, max_iter: _iterate_array(x, qmap, tol, max_iter)
+        separable = handoff and isinstance(noise_or_map, (NoiseModel, BinaryNoiseModel)) and (
+            0.5 * noise_or_map.f.trace() > 2.0 * ANNIHILATION_EPS
+        )
+        return lambda x, tol, max_iter: _iterate_array(
+            x, qmap, tol, max_iter, separable, handoff=handoff)
 
     def scalar(x, tol, max_iter):
         a = np.zeros(4)
@@ -617,11 +639,14 @@ def _newton_fixpoint(
     That happens where no fixpoint lies within Newton's reach (it circles
     the ghost of a fold, and its corrections stop shrinking: Deuflhard's
     monotonicity test) or Newton heads for another fixpoint.  The longer
-    correction is not taken, and its step counts.  With ``attracting``, a
-    fixpoint Newton converges to counts only if it attracts: the spectral
-    radius of the ``jacobian`` there exceeds one by at most
-    ``REGIME_FUZZ``.  A saddle's limit is no trajectory's, so the plain
-    iteration takes over from the warm start as above.
+    correction is not taken, and its step counts.  The same holds where a
+    Newton step raises LinAlgError (a singular system) or
+    EnsembleAnnihilated: Newton gives up, its steps count, and the plain
+    iteration goes on.  With ``attracting``, a fixpoint Newton converges to
+    counts only if it attracts: the spectral radius of the ``jacobian``
+    there is below 1 + ``REGIME_FUZZ`` (``_gate``).  A saddle's limit is no
+    trajectory's, so the plain iteration takes over from the warm start as
+    above.
 
     A step makes the rounded operations of ``QuadraticMap.apply`` (step(x)
     and the residual) and ``jacobian`` (J at x) in their order, without
@@ -634,129 +659,111 @@ def _newton_fixpoint(
     (J - I) dx = x - step(x), as the reference).
 
     The basin checks hand it a state's whole map (``_solve``), with
-    ``attracting``, and the stability margin the map restricted to the
-    flag-diagonal cells, without: the margin is that spectral radius.
-    Returns (vector, iterations, converged, residual) as ``_iterate_array``
-    does: converged means max |step(x) - x| <= tol within ``max_iter``
-    steps in all, plain and Newton alike, and the vector is step(x).  At
-    the binary family's f0 = 3/4, where the fixpoint is a multiple root,
-    Newton converges only linearly, but in tens of steps where the plain
-    iteration needs more than 500k; its corrections there grow and shrink
-    at residuals below the rounding floor, which keeps it with Newton.
-    ``tol`` and ``max_iter`` are not checked here; an annihilated ensemble
-    raises EnsembleAnnihilated.
+    ``attracting``, and the secure solve the map restricted to the
+    flag-diagonal cells, without (``_secure_fixpoint``).  Returns (vector,
+    iterations, converged, residual) as ``_iterate_array`` does: converged
+    means max |step(x) - x| <= tol within ``max_iter`` steps in all, plain
+    and Newton alike, and the vector is step(x).  At the binary family's
+    f0 = 3/4, where the fixpoint is a multiple root, Newton converges only
+    linearly, but in tens of steps where the plain iteration needs more
+    than 500k; its corrections there grow and shrink at residuals below the
+    rounding floor, which keeps it with Newton.  ``tol`` and ``max_iter``
+    are not checked here; a plain step that annihilates the ensemble raises
+    EnsembleAnnihilated.
     """
     warm, spent, converged, residual = plain(x, tol, min(_NEWTON_WARM_START, max_iter))
     if converged or spent == max_iter:
         return warm, spent, converged, residual
-    k, image, residual = _newton(warm, qmap, tol, min(_NEWTON_MAX_STEPS, max_iter - spent))
-    if image is not None and (
-        not attracting or spectral_radius(jacobian(qmap, image)) - 1.0 <= REGIME_FUZZ
-    ):
+    bound = 1.0 + REGIME_FUZZ if attracting else None
+    k, image, residual = _newton(warm, qmap, tol, min(_NEWTON_MAX_STEPS, max_iter - spent), bound)
+    if image is not None:
         return image, spent + k, True, residual
     spent += k
     vec, iterations, converged, residual = plain(warm, tol, max_iter - spent)
     return vec, spent + iterations, converged, residual
 
 
-def _newton(x: np.ndarray, qmap: QuadraticMap, tol: float, steps: int):
-    """The Newton loop of ``_newton_fixpoint`` and ``_handed_off``: up to
-    ``steps`` (at least one) Newton steps on ``qmap`` from a copy of the
-    weight vector ``x``, with the clip, the monotonicity test and the
-    rounding floor that ``_newton_fixpoint`` describes.  Returns (k, image,
-    residual): the steps taken, step(x) at the first Newton point whose
-    residual max |step(x) - x| is <= tol, or None where Newton gives up,
-    and the last residual.  An annihilated ensemble raises
-    EnsembleAnnihilated and a singular system LinAlgError."""
+def _newton(x: np.ndarray, qmap: QuadraticMap, tol: float, steps: int, bound=None):
+    """The Newton loop of ``_newton_fixpoint`` and the regime verdicts'
+    hand-off (``_iterate_array``): up to ``steps`` (at least one) Newton
+    steps on ``qmap`` from a copy of the weight vector ``x``, with the
+    clip, the monotonicity test and the rounding floor that
+    ``_newton_fixpoint`` describes.  With ``bound``, a fixpoint counts only
+    where the spectral radius of the ``jacobian`` there is below it
+    (``_gate``).  Returns (k, image, residual): the steps taken, step(x) at
+    the first Newton point whose residual max |step(x) - x| is <= tol, and
+    the last residual.  The image is None where Newton gives up: where its
+    corrections stop shrinking, a point leaves the simplex, the steps run
+    out or the gate declines the fixpoint, and also where a step or the
+    gate raises LinAlgError or EnsembleAnnihilated.  That is the one
+    give-up rule of every Newton solve, and the plain iteration goes on
+    after it."""
     x = np.array(x)
     forms, rows, eye = qmap.forms, qmap.forms.reshape(qmap.dim + 1, -1), np.eye(qmap.dim)
     last = np.inf  # the squared length of the last correction
-    for k in range(1, steps + 1):
-        image = _image(rows, x)
-        d = image - x
-        residual = float(np.abs(d).max())
-        if residual <= tol:
-            return k, image, residual
-        dx = _newton_correction(forms, x, eye, d)
-        size = dx @ dx
-        if size > last and residual > _NEWTON_ROUNDING_FLOOR:
-            break
-        last = size
-        x += dx
-        if x.min() < -_NEWTON_CLIP_FLOOR:
-            break
-        np.maximum(x, 0.0, out=x)
+    residual = np.inf
+    try:
+        for k in range(1, steps + 1):
+            image = _image(rows, x)
+            d = image - x
+            residual = float(np.abs(d).max())
+            if residual <= tol:
+                if bound is None or _gate(jacobian(qmap, image), bound):
+                    return k, image, residual
+                break
+            dx = _newton_correction(forms, x, eye, d)
+            size = dx @ dx
+            if size > last and residual > _NEWTON_ROUNDING_FLOOR:
+                break
+            last = size
+            x += dx
+            if x.min() < -_NEWTON_CLIP_FLOOR:
+                break
+            np.maximum(x, 0.0, out=x)
+    except (np.linalg.LinAlgError, EnsembleAnnihilated):
+        pass  # Newton gives up
     return k, None, residual
 
 
-def _handed_off(a: np.ndarray, qmap: QuadraticMap, tol: float, max_iter: int, separable=False):
-    """The plain iteration of ``qmap`` from ``a``, as ``_iterate_array`` runs
-    it, with at most one hand-off to Newton's method: the regime verdicts'
-    loop.
-
-    ``_iterate_array`` with ``handoff`` stops after ``done`` plain steps at
-    a row x whose last residual was r.  ``_newton`` then takes up to
-    ``_NEWTON_MAX_STEPS`` steps from x, which do not count against
-    ``max_iter``.  Its fixpoint x* is the result, converged, only if the
-    plain iteration would reach the same verdict within its budget: at an
-    attracting fixpoint the plain residual shrinks by the spectral radius
-    rho of the ``jacobian`` a step, so x* needs rho < 1 and
-    done + log(tol / r) / log(rho) <= max_iter / 2 (``_gate``, which tries
-    norm bounds on rho before the eigenvalues).  Half the budget leaves
-    room for a trajectory whose decay slows before it settles; without that
-    gate channels whose plain iteration spends the budget were classified
-    secure.  Where Newton gives up (``_newton`` returns no fixpoint, or a
-    Newton point annihilates the ensemble or makes the system singular) or
-    the gate declines x*, the plain iteration goes on from x with the rest
-    of the budget, and the result is ``_iterate_array``'s to the bit.  With
-    ``separable`` both plain calls also end at a separable Bell marginal,
-    settled as high-noise (``_iterate_array``).  Returns (vector,
-    iterations, converged, residual) as ``_iterate_array`` does.
-    """
-    x, done, converged, r = _iterate_array(a, qmap, tol, max_iter, separable, handoff=True)
-    if converged or done == max_iter:
-        return x, done, converged, r
-    try:
-        k, image, residual = _newton(x, qmap, tol, _NEWTON_MAX_STEPS)
-        if image is not None and _gate(jacobian(qmap, image), done, r, tol, max_iter):
-            return image, done + k, True, residual
-    except (np.linalg.LinAlgError, EnsembleAnnihilated):
-        pass  # Newton gives up
-    vec, iterations, converged, residual = _iterate_array(x, qmap, tol, max_iter - done, separable)
-    return vec, done + iterations, converged, residual
+def _verdict_bound(done: int, r: float, tol: float, max_iter: int) -> float:
+    """The hand-off gate's bound on rho: the plain iteration, stopped after
+    ``done`` steps at a residual ``r`` above ``tol``, reaches tol within
+    half of ``max_iter`` where its residual shrinks by less than
+    (tol / r)^(1 / (max_iter / 2 - done)) a step, which solves
+    done + log(tol / r) / log(rho) = max_iter / 2 for rho.  With no budget
+    left, 0: only rho = 0 passes then."""
+    left = 0.5 * max_iter - done
+    return (tol / r) ** (1.0 / left) if left > 0.0 else 0.0
 
 
-def _gate(jac: np.ndarray, done: int, r: float, tol: float, max_iter: int) -> bool:
-    """``_handed_off``'s gate: whether the plain iteration, stopped after
-    ``done`` steps at a residual ``r`` above ``tol``, would reach Newton's
-    fixpoint, where the step's Jacobian is ``jac``, within half of
-    ``max_iter``.  With rho the spectral radius of ``jac`` that is rho = 0,
-    or rho < 1 and done + log(tol / r) / log(rho) <= max_iter / 2.
+def _gate(jac: np.ndarray, bound: float) -> bool:
+    """Whether the spectral radius rho of ``jac`` is below ``bound``, or
+    zero: every spectral-radius decision of this module.  Its bounds are 1
+    for the stability of the secure fixpoint (``_secure_margin``) and of
+    the flag-diagonal block at the boundary (``_boundary_root``),
+    1 + ``REGIME_FUZZ`` for a basin check's attracting limit
+    (``_newton_fixpoint``) and ``_verdict_bound`` for a verdict's hand-off
+    (``_iterate_array``).
 
-    The left side grows with rho, so a number u >= rho that passes the rule
-    decides it as rho would.  The bounds of ``_norm_bounds`` are tried
-    first, each times 1 + ``REGIME_FUZZ``, and the first that passes keeps
-    the fixpoint; ``spectral_radius``, an eigenvalue solve that costs more
-    than all six bounds together, runs only where none passes, so
-    it decides every decline and rho = 0.  The factor covers the rounding
-    of the squarings: each entry of a 16 x 16 product is within 16 units
-    of roundoff (16 * 2^-53 = 1.8e-15) times the product of the absolute
-    values (Higham, Accuracy and Stability of Numerical Algorithms,
-    section 3.5), so the norm of a power 2^k is off by the relative
-    2^k * 1e-6 that would move u_k by the factor only where the product of
-    the absolute values exceeds the power by some nine orders of
+    The bounds of ``_norm_bounds`` are tried first, each times
+    1 + ``REGIME_FUZZ``, and the first below ``bound`` decides, as rho is
+    at most each of them; ``spectral_radius``, an eigenvalue solve that
+    costs more than all six bounds together, runs only where none passes,
+    so it decides every refusal and rho = 0.  The factor covers the
+    rounding of the squarings: each entry of a 16 x 16 product is within 16
+    units of roundoff (16 * 2^-53 = 1.8e-15) times the product of the
+    absolute values (Higham, Accuracy and Stability of Numerical
+    Algorithms, section 3.5), so the norm of a power 2^k is off by the
+    relative 2^k * 1e-6 that would move u_k by the factor only where the
+    product of the absolute values exceeds the power by some nine orders of
     magnitude.  It also covers eigvals' own error on a simple eigenvalue,
     of the order of eps, so that a bound that passes passes the computed
     rho too.
     """
-
-    def passes(rho):
-        return 0.0 < rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2
-
-    if any(passes(u * (1.0 + REGIME_FUZZ)) for u in _norm_bounds(jac)):
+    if any(u * (1.0 + REGIME_FUZZ) < bound for u in _norm_bounds(jac)):
         return True
     rho = spectral_radius(jac)
-    return rho == 0.0 or passes(rho)
+    return rho < bound or rho == 0.0
 
 
 def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
@@ -771,9 +778,12 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     residual from ``tol`` to rounding level.  Returns the whole map of
     ``noise`` on ``s0``'s cells and (the vector on every cell, the solve's
     iterations, converged and residual).  The polish's steps are
-    ``_newton_fixpoint``'s: ``_image`` and ``_newton_correction``.  Raises
-    ValueError for a bad ``tol`` or ``max_iter``, a map that does not fit
-    ``s0`` or a start with no flag-diagonal weight, and EnsembleAnnihilated.
+    ``_newton_fixpoint``'s: ``_image`` and ``_newton_correction``, and it
+    gives up as ``_newton`` does, keeping the last point it reached, where
+    a step raises LinAlgError or EnsembleAnnihilated.  Raises ValueError
+    for a bad ``tol`` or ``max_iter``, a map that does not fit ``s0`` or a
+    start with no flag-diagonal weight, and EnsembleAnnihilated where a
+    plain step annihilates the ensemble.
     """
     max_iter = _checked_budget(tol, max_iter)
     a, _ = _vector_of(s0)
@@ -788,35 +798,40 @@ def _secure_fixpoint(noise, s0, tol: float, max_iter: int):
     # the fidelity: Phi+ has one flag-diagonal cell, the first
     if converged and x[0] > 0.5 + REGIME_FUZZ:
         rows, eye, size = sub.forms.reshape(sub.dim + 1, -1), np.eye(sub.dim), np.inf
-        for _ in range(_POLISH_STEPS):
-            d = _image(rows, x) - x
-            size, last = np.abs(d).max(), size
-            if not 0.0 < size < last:  # at rounding level already
-                break
-            x += _newton_correction(sub.forms, x, eye, d)
+        try:
+            for _ in range(_POLISH_STEPS):
+                d = _image(rows, x) - x
+                size, last = np.abs(d).max(), size
+                if not 0.0 < size < last:  # at rounding level already
+                    break
+                x += _newton_correction(sub.forms, x, eye, d)
+        except (np.linalg.LinAlgError, EnsembleAnnihilated):
+            pass  # the polish gives up where it got to
     full = np.zeros(qmap.dim)
     full[cells] = x
     return qmap, (full, steps, converged, residual)
 
 
 def _secure_margin(noise, s0, tol: float, max_iter: int):
-    """rho - 1 at the polished secure fixpoint (``_secure_fixpoint``), or
-    None where it did not converge within the budget or does not purify
-    (fidelity <= 1/2), with the whole map, that fixpoint and the whole map's
-    Jacobian J there: (margin, qmap, x, J).  J is None with the margin, and
-    the rest too if the ensemble annihilated.  rho is the spectral radius
-    of J; J is block-triangular, as the flag-diagonal subspace is
-    invariant, so rho covers both the stability within the subspace and the
-    decay of weight off it.
+    """Whether the polished secure fixpoint (``_secure_fixpoint``) is
+    secure, the sign of the stability margin rho - 1: whether it converged
+    within the budget, purifies (fidelity > 1/2) and attracts, with rho,
+    the spectral radius of the whole map's Jacobian J there, below one
+    (``_gate``).  Returns (secure, qmap, x, J) with the whole map, that
+    fixpoint and J.  J is None where the fixpoint did not converge or does
+    not purify, and qmap and x too if the ensemble annihilated.  J is
+    block-triangular, as the flag-diagonal subspace is invariant, so rho
+    covers both the stability within the subspace and the decay of weight
+    off it.
     """
     try:
         qmap, (x, _, converged, _) = _secure_fixpoint(noise, s0, tol, max_iter)
     except EnsembleAnnihilated:
-        return None, None, None, None
+        return False, None, None, None
     if not converged or x[0] <= 0.5 + REGIME_FUZZ:
-        return None, qmap, x, None
+        return False, qmap, x, None
     jac = jacobian(qmap, x)
-    return spectral_radius(jac) - 1.0, qmap, x, jac
+    return _gate(jac, 1.0), qmap, x, jac
 
 
 def _boundary_system(qmap: QuadraticMap, z: np.ndarray, cells, off, derivative=False):
@@ -886,12 +901,13 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
     and the corrected t is the root if it lies inside the bracket, x
     purifies there (x[0] > 1/2 + ``REGIME_FUZZ``), no weight of v is below
     ``-_PERRON_FLOOR`` (so one is J_OO's Perron root) and the spectral
-    radius of J's flag-diagonal block at the last iterate is below one.
-    The iterates may leave the bracket on the way: the margin is convex in
-    the binary family, and its first step from 0.85 reaches 0.7294, below
-    the bracket (0.75, 0.85).  Newton gives up when a correction is longer than the one before
-    (squared 2-norms) while the residual is above
-    ``_NEWTON_ROUNDING_FLOOR``, after ``_ROOT_MAX_STEPS`` steps, when a root
+    radius of J's flag-diagonal block at the last iterate is below one
+    (``_gate``).  The iterates may leave the bracket on the way: the margin
+    is convex in the binary family, and its first step from 0.85 reaches
+    0.7294, below the bracket (0.75, 0.85).  Newton gives up when a
+    correction is longer than the one before (squared 2-norms) while the
+    residual is above ``_NEWTON_ROUNDING_FLOOR``, after ``_ROOT_MAX_STEPS``
+    steps, when a root
     fails the checks above, when the family raises ValueError at an iterate
     (one outside its domain), and where the ensemble annihilates or the
     system is singular.  The system's matrix is made once per solve: each
@@ -924,14 +940,10 @@ def _boundary_root(family, cells, secure_end, other_end) -> np.ndarray | None:
         if np.abs(dz).max() <= _ROOT_TOL:
             accepted = (lo < z[-1] < hi and z[0] > 0.5 + REGIME_FUZZ
                         and z[d:-1].min() >= -_PERRON_FLOOR
-                        and spectral_radius(jac.take(cells, 0).take(cells, 1)) < 1.0)
+                        and _gate(jac.take(cells, 0).take(cells, 1), 1.0))
             return z if accepted else None
         t_old, old, t = t, qmap, float(z[-1])
     return None
-
-
-def _secure(margin: float | None) -> bool:
-    return margin is not None and margin < 0.0
 
 
 def secure_by_stability(
@@ -947,16 +959,18 @@ def secure_by_stability(
     plain iteration, then Newton's method, both on the map restricted to
     that subspace), converges within the budget, purifies (fidelity > 1/2)
     and attracts: the spectral radius of the full step's Jacobian there,
-    measured after a few more Newton steps, is below one.  This is the sign
-    of the margin rho - 1 that ``find_critical`` solves for.  The solve
-    takes tens of steps even at a multiple root of the subspace map, where
-    the plain iteration converges only algebraically, and near the
-    boundary, where the approach that ``classify_regime`` follows slows down
-    without bound.  Raises ValueError for a negative ``max_iter`` or a
+    after a few more Newton steps, is below one, as a norm bound on it or
+    else its eigenvalues say.  This is the sign of the margin rho - 1 that
+    ``find_critical`` solves for.  The solve takes tens of steps even at a
+    multiple root of the subspace map, where the plain iteration converges
+    only algebraically, and near the boundary, where the approach that
+    ``classify_regime`` follows slows down without bound.  Where Newton
+    gives up, a singular system included, the plain iteration takes the
+    rest of the budget.  Raises ValueError for a negative ``max_iter`` or a
     ``tol`` not finite and nonnegative.
     """
     s0 = _probe_state(noise) if s0 is None else s0
-    return _secure(_secure_margin(noise, s0, tol, max_iter)[0])
+    return _secure_margin(noise, s0, tol, max_iter)[0]
 
 
 def find_critical(
@@ -981,7 +995,9 @@ def find_critical(
     more than the budget, and at a secure end near the boundary, where it
     needs thousands.  A Newton limit that does not attract (a saddle) is
     no trajectory's limit, and the plain iteration goes on from the warm
-    start instead.  Each end's basin check solves on the map that its
+    start instead, as it does where Newton gives up otherwise, a singular
+    system or an annihilated ensemble included; the stability solves give
+    up alike.  Each end's basin check solves on the map that its
     stability margin built (``_secure_margin`` returns it), so a bracket end
     builds one map: a binary search builds 8, two ends and one per Newton
     step below.  Raises TypeError for a ``halvings`` or ``max_iter``
@@ -997,8 +1013,9 @@ def find_critical(
     call a step.  Where Newton converges and its root passes the checks,
     that root is the result, to rounding level (the five families in the
     tests take 5 or 6 steps), and ``halvings`` does not enter it.  Where
-    Newton gives up (its corrections grow, it runs out of steps or its root
-    fails a check), the search bisects the bracket on the verdict.  A
+    Newton gives up (its corrections grow, it runs out of steps, the family
+    raises ValueError at an iterate or its root fails a check), the search
+    bisects the bracket on the verdict.  A
     probe's margin solve is the one ``_boundary_root`` starts from, so a
     probe on the secure side becomes the new secure end and Newton solves
     again from there, while a probe on the other side only narrows the
@@ -1014,12 +1031,12 @@ def find_critical(
         raise ValueError(f"bracket ({lo}, {hi}) is not increasing")
     ends = [(param, *family(param)) for param in (lo, hi)]
     solved = [_secure_margin(n, s, tol, max_iter) for _, n, s in ends]
-    sec_lo, sec_hi = (_secure(margin) for margin, *_ in solved)
+    sec_lo, sec_hi = (secure for secure, *_ in solved)
     if sec_lo == sec_hi:
         raise ValueError(
             f"security indicator does not change across ({lo}, {hi}): both {sec_lo}"
         )
-    for (param, noise_or_map, start), secure, (_, qmap, *_) in zip(ends, (sec_lo, sec_hi), solved):
+    for (param, noise_or_map, start), (secure, qmap, *_) in zip(ends, solved):
         result = _solve(start, noise_or_map, tol, max_iter, newton=True, qmap=qmap)
         regime = regime_of(result)
         if (regime is Regime.SECURITY) != secure:
@@ -1034,7 +1051,7 @@ def find_critical(
     cells = _FLAG_DIAGONAL_CELLS[type(ends[k][2])]
     bounds, probe = [lo, hi], solved[k]
     for bisections in range(halvings + 1):
-        if _secure(probe[0]):
+        if probe[0]:
             root = _boundary_root(family, cells, (bounds[k], *probe[1:]), bounds[1 - k])
             if root is not None:
                 return float(root[-1])
@@ -1042,7 +1059,7 @@ def find_critical(
         if bisections == halvings or mid in bounds:
             return mid
         probe = _secure_margin(*family(mid), tol, max_iter)
-        bounds[k if _secure(probe[0]) else 1 - k] = mid
+        bounds[k if probe[0] else 1 - k] = mid
 
 
 # --- regimes ----------------------------------------------------------------
@@ -1063,17 +1080,19 @@ def classify_regime(
     the last state's fidelity is at most 1/2, intermediate otherwise.
 
     The limit is ``iterate_to_fixpoint``'s, except that a slow trajectory
-    may take it from Newton's method (``_handed_off``): after 30 or more plain
-    steps, once the residual's decay predicts more than 32 further steps, up
-    to 50 Newton steps on the whole map follow, which do not count against
-    ``max_iter``.  Newton's fixpoint is the limit only where the plain
-    iteration would reach it within half the budget, as the spectral radius
-    of the step's Jacobian there predicts; otherwise the plain iteration
-    goes on from where it stopped, so ``max_iter`` stays the plain
-    iteration's budget and the regime is the one it gives.  That gate is
-    decided by a bound ||J^(2^k)||_1^(1/2^k) on the spectral radius of the
-    Jacobian J where one passes it, which the radius then passes too, and by
-    the eigenvalues otherwise.  For a channel
+    may take it from Newton's method, once, inside the plain loop
+    (``_iterate_array``): after 30 or more plain steps, once the residual's
+    decay predicts more than 32 further steps, up to 50 Newton steps on the
+    whole map follow, which do not count against ``max_iter``.  Newton's
+    fixpoint is the limit only where the plain iteration would reach it
+    within half the budget, as the spectral radius of the step's Jacobian
+    there predicts; where the gate declines it or Newton gives up, a
+    singular system included, the plain iteration goes on from where it
+    stopped, so ``max_iter`` stays the plain iteration's budget and the
+    regime is the one it gives.  That gate is decided by a bound
+    ||J^(2^k)||_1^(1/2^k) on the spectral radius of the Jacobian J where
+    one passes it, which the radius then passes too, and by the eigenvalues
+    otherwise.  For a channel
     with tr(f)/2 above the annihilation threshold the solve also ends at the
     first block end where no Bell weight exceeds 1/2 (less a rounding
     margin): that pair is separable, the step is LOCC and keeps it so, and
@@ -1128,13 +1147,13 @@ def regime_scan(
     plain steps, once more than 32 further ones are predicted.  That limit
     is kept only where the plain iteration would give the same verdict
     within ``max_iter``, as a norm bound on the Jacobian's spectral radius,
-    or else the radius itself, says; so ``max_iter`` stays the plain
-    iteration's budget.  A probe whose Bell marginal turns separable is
-    settled as high-noise.  A
-    probe that does not converge within the budget counts by the regime
-    ``classify_regime`` returns for it, without a warning.  ``samples``,
-    ``seed`` and ``max_iter`` must be integers, as ``MCConfig``'s counts are
-    (TypeError otherwise).
+    or else the radius itself, says; where it is not, or Newton gives up,
+    the plain loop goes on, so ``max_iter`` stays the plain iteration's
+    budget.  A probe whose Bell marginal turns separable is settled as
+    high-noise.  A probe that does not converge within the budget counts by
+    the regime ``classify_regime`` returns for it, without a warning.
+    ``samples``, ``seed`` and ``max_iter`` must be integers, as
+    ``MCConfig``'s counts are (TypeError otherwise).
     """
     if not 0.0 <= f00 <= 1.0:
         raise ValueError(f"f00 = {f00} outside [0, 1]")

@@ -801,12 +801,14 @@ def test_margin_on_the_restricted_map_matches_the_whole_state_solve(family, grid
     signs = set()
     for param in grid:
         noise, probe = family(float(param))
-        got = dynamics._secure_margin(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER)[0]
+        secure, *_, jac = dynamics._secure_margin(noise, probe, 1e-12, dynamics.CRITICAL_MAX_ITER)
+        got = None if jac is None else spectral_radius(jac) - 1.0
         want = reference_margin(noise, probe)
         assert (got is None) == (want is None), param
         if got is None:
+            assert not secure, param
             continue
-        assert (got < 0.0) == (want < 0.0), param
+        assert secure == (got < 0.0) == (want < 0.0), param
         signs.add(got < 0.0)
         if param != 0.75:
             assert abs(got - want) <= 1e-13, param
@@ -995,6 +997,26 @@ def test_newton_is_refused_where_its_corrections_grow(monkeypatch):
     assert abs(crit - find_critical(binary_family, (0.75, 0.85))) <= 1e-12
 
 
+def test_newton_is_refused_where_the_family_raises_at_an_iterate(monkeypatch):
+    # a family defined from f0 = 0.6 up: Newton's first correction from 0.99
+    # lands near 0.52, where the family raises, so Newton is refused there
+    # and finds the root from the first bisection probe, 0.87
+    raised = []
+
+    def family(f0):
+        if f0 < 0.6:
+            raised.append(f0)
+            raise ValueError(f"f0 = {f0} is outside the family")
+        return binary_family(f0)
+
+    seen = watched_boundary_root(monkeypatch)
+    crit = find_critical(family, (0.75, 0.99))
+    [refused, root] = [root for *_, root in seen]
+    assert len(raised) == 1 and 0.5 < raised[0] < 0.55
+    assert refused is None and crit == root[-1]
+    assert abs(crit - find_critical(binary_family, (0.75, 0.85))) <= 1e-12
+
+
 def test_a_secure_end_at_the_edge_of_the_family_is_no_error(monkeypatch):
     # white noise is defined up to f0 = 1 only: the first step is taken
     # toward the bracket's interior, and Newton, refused from there, hands
@@ -1169,6 +1191,44 @@ def test_basin_limit_matches_plain_iteration_near_the_boundaries(family, f0):
         assert secure == secure_by_stability(noise, probe, max_iter=dynamics.CRITICAL_MAX_ITER)
 
 
+def singular_first_correction(monkeypatch):
+    """Make the next call of ``_newton_correction`` raise LinAlgError, as a
+    singular system does, and the later ones solve; returns the list of
+    calls."""
+    calls, correction = [], dynamics._newton_correction
+
+    def patched(*args):
+        calls.append(args)
+        if len(calls) == 1:
+            raise np.linalg.LinAlgError("Singular matrix")
+        return correction(*args)
+
+    monkeypatch.setattr(dynamics, "_newton_correction", patched)
+    return calls
+
+
+def test_newton_gives_up_where_a_step_raises(monkeypatch):
+    # every Newton solve gives up where a step raises LinAlgError, and the
+    # plain iteration goes on: the secure solve at white 0.92 and the polish
+    # at 0.99 (whose solve converges within the warm start), a basin check,
+    # a whole critical search and a verdict's hand-off (white 0.92 hands off
+    # after 30 steps) keep the verdicts they have without the error
+    checks = [
+        lambda: secure_by_stability(*white_noise_family(0.92)),
+        lambda: secure_by_stability(*white_noise_family(0.99)),
+        lambda: regime_of(basin_limit(*binary_family(0.7719))),
+        lambda: classify_regime(white(0.92)),
+    ]
+    for check in checks:
+        want = check()
+        calls = singular_first_correction(monkeypatch)
+        assert check() == want and calls
+        monkeypatch.undo()
+    calls = singular_first_correction(monkeypatch)
+    crit = find_critical(white_noise_family, (0.88, 0.92), halvings=24, max_iter=30_000)
+    assert calls and abs(crit - 0.8987009989775713) <= 1e-12
+
+
 # --- regimes ----------------------------------------------------------------------
 
 
@@ -1221,18 +1281,17 @@ def test_the_handoff_gate_keeps_a_channel_that_spends_the_budget_intermediate(
 ):
     noise = NoiseModel(np.array(weights).reshape(4, 4))
     assert secure_by_stability(noise)
-    converged = []
-    newton = dynamics._newton
+    kept = []
+    gate = dynamics._gate
 
     def spy(*args):
-        out = newton(*args)
-        converged.append(out[1] is not None)
-        return out
+        kept.append(gate(*args))
+        return kept[-1]
 
-    monkeypatch.setattr(dynamics, "_newton", spy)
+    monkeypatch.setattr(dynamics, "_gate", spy)
     with pytest.warns(RuntimeWarning, match="no fixpoint within 30000"):
         assert classify_regime(noise, max_iter=30_000) is Regime.INTERMEDIATE
-    assert converged == [True]  # Newton reached the secure fixpoint; the gate declined it
+    assert kept == [False]  # Newton reached the secure fixpoint; the gate declined it
     # without the gate (rho = 0 needs no further steps) the verdict would be secure
     monkeypatch.setattr(dynamics, "spectral_radius", lambda m: 0.0)
     assert classify_regime(noise, max_iter=30_000) is Regime.SECURITY
@@ -1247,35 +1306,38 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
     grid = np.linspace(0.76, 0.88, 13)
     channels = [random_channel(rng, f00) for f00 in grid for _ in range(24)]
     plain = [iterate_to_fixpoint(probe, noise, max_iter=3000) for noise in channels]
-    tally = dict.fromkeys(["handoffs", "resumed", "gave_up", "gates", "by_eigvals"], 0)
-    newton, iterate = dynamics._newton, dynamics._iterate_array
+    tally = dict.fromkeys(["handoffs", "reached", "accepted", "declined", "by_eigvals"], 0)
+    newton, verdict_bound = dynamics._newton, dynamics._verdict_bound
     gate, radius = dynamics._gate, dynamics.spectral_radius
+    handoff = []  # (done, r, tol, max_iter) of the last hand-off
 
     def counted_newton(*args):
         tally["handoffs"] += 1
         out = newton(*args)
-        tally["gave_up"] += out[1] is None
+        tally["reached"] += out[1] is not None
         return out
 
-    def counted_iterate(*args, handoff=False):
-        tally["resumed"] += not handoff
-        return iterate(*args, handoff=handoff)
+    def watched_bound(done, r, tol, max_iter):
+        # the hand-off, where the steps done and the residual r are known
+        handoff[:] = done, r, tol, max_iter
+        return verdict_bound(done, r, tol, max_iter)
 
     def counted_radius(m):
         tally["by_eigvals"] += 1
         return radius(m)
 
-    def checked_gate(jac, done, r, tol, max_iter):
-        # each decision, by a norm bound or not, is the eigenvalue rule's
-        tally["gates"] += 1
-        kept = gate(jac, done, r, tol, max_iter)
+    def checked_gate(jac, bound):
+        # each decision, by a norm bound or not, is the eigenvalue time rule's
+        kept = gate(jac, bound)
+        tally["accepted" if kept else "declined"] += 1
+        done, r, tol, max_iter = handoff
         rho = radius(jac)
         assert kept == (rho == 0.0 or (
             rho < 1.0 and done + math.log(tol / r) / math.log(rho) <= max_iter / 2))
         return kept
 
     monkeypatch.setattr(dynamics, "_newton", counted_newton)
-    monkeypatch.setattr(dynamics, "_iterate_array", counted_iterate)
+    monkeypatch.setattr(dynamics, "_verdict_bound", watched_bound)
     monkeypatch.setattr(dynamics, "_gate", checked_gate)
     monkeypatch.setattr(dynamics, "spectral_radius", counted_radius)
     for noise, want in zip(channels, plain):
@@ -1284,12 +1346,13 @@ def test_the_verdict_is_the_plain_iterations_on_random_channels(monkeypatch):
             assert classify_regime(noise, max_iter=3000) is regime_of(want)
         budget_spent = [str(w.message).startswith("no fixpoint within 3000") for w in caught]
         assert budget_spent == ([] if want.converged else [True])
-    accepted = tally["handoffs"] - tally["resumed"]
-    declined = tally["resumed"] - tally["gave_up"]
-    assert accepted >= 1 and declined >= 1 and tally["gave_up"] >= 1, tally
+    gates = tally["accepted"] + tally["declined"]
+    gave_up = tally["handoffs"] - gates
+    assert tally["accepted"] >= 1 and tally["declined"] >= 1 and gave_up >= 1, tally
+    # Newton's fixpoint is the verdict's exactly where the gate accepted it
+    assert tally["reached"] == tally["accepted"], tally
     # some gates a norm bound decided, and the declines the eigenvalues did
-    assert tally["gates"] == tally["handoffs"] - tally["gave_up"]
-    assert declined <= tally["by_eigvals"] < tally["gates"], tally
+    assert tally["declined"] <= tally["by_eigvals"] < gates, tally
 
 
 def test_a_slow_first_block_hands_off_after_exactly_the_warm_start(monkeypatch):
@@ -1414,7 +1477,8 @@ def test_the_separable_exit_needs_a_channel_that_bounds_the_keep_probability():
         assert (got.iterations, got.converged, got.residual) == (
             want.iterations, want.converged, want.residual)
         assert got.state.flat.tobytes() == want.state.flat.tobytes()
-        forced = dynamics._handed_off(WERNER_PROBE.flat, qmap, 1e-12, 100_000, True)
+        forced = dynamics._iterate_array(
+            WERNER_PROBE.flat, qmap, 1e-12, 100_000, True, handoff=True)
         assert forced[1] == 8 < want.iterations
 
 

@@ -1,6 +1,7 @@
 """Invariants of the recurrence map, checked on generated channels and states."""
 
 import itertools
+import math
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -14,7 +15,7 @@ from eppsim.noisemodels import (
     compose,
     noise_from_config,
 )
-from eppsim.dynamics import _norm_bounds, jacobian, spectral_radius
+from eppsim.dynamics import _gate, _norm_bounds, _verdict_bound, jacobian, spectral_radius
 from eppsim.recurrence import EnsembleAnnihilated, generate_map
 
 weights16 = st.lists(
@@ -274,9 +275,11 @@ def spectral_test_matrix(kind, seed, scale, value):
 
 
 @given(kind=st.sampled_from(["triangular", "jordan", "scaled", "jacobian"]),
-       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0), value=st.floats(0.0, 1.0))
+       seed=st.integers(0, 2**32 - 1), scale=st.floats(0.0, 1.0), value=st.floats(0.0, 1.0),
+       ratio=st.floats(0.0, 2.0), done=st.integers(0, 100_000),
+       max_iter=st.integers(1, 100_000), decades=st.floats(0.01, 12.0))
 def test_every_norm_bound_of_the_handoff_gate_is_at_least_the_spectral_radius(
-    kind, seed, scale, value
+    kind, seed, scale, value, ratio, done, max_iter, decades
 ):
     # rho(m)^j <= ||m^j|| for every induced norm: the gate keeps Newton's
     # fixpoint on a bound only where the spectral radius would keep it too;
@@ -285,3 +288,14 @@ def test_every_norm_bound_of_the_handoff_gate_is_at_least_the_spectral_radius(
     rho = spectral_radius(m)
     bounds = list(_norm_bounds(m))
     assert all(u >= rho * (1.0 - 1e-9) for u in bounds), (bounds, rho)
+    # so the gate answers as rho does, for a bound away from rho
+    bound = ratio * rho if rho > 0.0 else ratio
+    if abs(bound - rho) >= 1e-6 * rho:
+        assert _gate(m, bound) == (rho < bound or rho == 0.0), (bound, rho)
+    # the verdict's bound is the time rule's: the plain iteration, stopped
+    # after done steps at a residual r, reaches tol within half of max_iter
+    tol, r = 1e-12, 1e-12 * 10.0**decades
+    bound = _verdict_bound(done, r, tol, max_iter)
+    if 0.0 < rho < 1.0 and abs(rho - bound) >= 1e-6 * bound:
+        rule = done + math.log(tol / r) / math.log(rho) <= max_iter / 2
+        assert (rho < bound) == _gate(m, bound) == rule, (bound, rho)

@@ -1,10 +1,10 @@
 """Check the regime verdict against the plain iteration, channel by channel.
 
 ``classify_regime`` and ``regime_scan`` solve each channel with
-``dynamics._handed_off``, which may hand a slow trajectory to Newton's method
-and keeps Newton's limit only where the plain iteration would reach the same
-verdict within its budget, and which settles a trajectory as high-noise at the
-first block end where its Bell marginal is separable.  This script replays the
+``dynamics._iterate_array``'s hand-off, which may hand a slow trajectory to
+Newton's method and keeps Newton's limit only where the plain iteration would
+reach the same verdict within its budget, and which settles a trajectory as
+high-noise at the first block end where its Bell marginal is separable.  This script replays the
 benchmark's golden scan channels (``perfbench/golden_scan.json``: channel
 stream ``default_rng([seed, k])`` of scan k, the 21-point f[00] grid over
 [0.70, 0.90], 100 draws at each point, budget 30,000).  For every channel it
@@ -12,12 +12,13 @@ solves the verdict from the ``NoiseModel``, as ``classify_regime`` does, and
 compares its regime and convergence with those of
 ``regime_of(iterate_to_fixpoint(...))`` on the channel's map, with every
 RuntimeWarning raised as an error.  It also checks the regime counts against
-the golden record, and prints how often the solve handed off, how often
-Newton's limit was accepted, declined by the spectral-radius gate, or not
-reached (Newton gave up), how many gates a norm bound on the spectral radius
-decided (gate_norm) and how many the eigenvalues did (gate_eig), and how many
-verdicts the separable state settled (certified: converged with a residual
-above tol).
+the golden record, and prints how often the solve handed off (calls of
+``dynamics._newton``), how often Newton's limit was accepted or declined by
+the spectral-radius gate (answers of ``dynamics._gate``) or not reached
+(Newton gave up: a hand-off with no gate), how many gates a norm bound on the
+spectral radius decided (gate_norm) and how many the eigenvalues did
+(gate_eig, calls of ``dynamics.spectral_radius``), and how many verdicts the
+separable state settled (certified: converged with a residual above tol).
 
 Run from the root of a checkout; pytest does not collect it:
 
@@ -42,7 +43,6 @@ HERE = os.path.dirname(os.path.abspath(__file__))
 sys.path.insert(0, os.path.join(HERE, "..", "src"))
 
 from eppsim import NoiseModel, Regime, dynamics, generate_map  # noqa: E402
-from eppsim.recurrence import EnsembleAnnihilated  # noqa: E402
 
 GOLDEN_SCAN = os.path.join(HERE, "..", "perfbench", "golden_scan.json")
 TOL = 1e-12
@@ -53,22 +53,17 @@ TALLIES = ("channels", "differ", "handoffs", "accepted", "declined", "gave_up", 
 def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
     """The tallies of one scan, its regime counts per grid point, and the
     channels whose verdict differs, as (f00, sample, verdict, plain)."""
-    tally = dict.fromkeys(TALLIES + ("resumed",), 0)
-    newton, iterate, radius = dynamics._newton, dynamics._iterate_array, dynamics.spectral_radius
+    tally = dict.fromkeys(TALLIES, 0)
+    newton, gate, radius = dynamics._newton, dynamics._gate, dynamics.spectral_radius
 
     def counted_newton(*args):
         tally["handoffs"] += 1
-        try:
-            out = newton(*args)
-        except (np.linalg.LinAlgError, EnsembleAnnihilated):
-            tally["gave_up"] += 1
-            raise
-        tally["gave_up"] += out[1] is None
-        return out
+        return newton(*args)
 
-    def counted_iterate(*args, handoff=False):
-        tally["resumed"] += not handoff  # plain steps after a hand-off Newton did not end
-        return iterate(*args, handoff=handoff)
+    def counted_gate(*args):
+        kept = gate(*args)
+        tally["accepted" if kept else "declined"] += 1
+        return kept
 
     def counted_radius(m):
         tally["gate_eig"] += 1  # a gate that no norm bound decided
@@ -85,12 +80,12 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
                 f[0] = f00
                 f[1:] = rng.dirichlet(np.ones(15)) * (1.0 - f00)
                 noise = NoiseModel(f.reshape(4, 4))
-                dynamics._newton, dynamics._iterate_array = counted_newton, counted_iterate
+                dynamics._newton, dynamics._gate = counted_newton, counted_gate
                 dynamics.spectral_radius = counted_radius
                 try:
                     got = dynamics._solve(dynamics._WERNER_PROBE, noise, TOL, max_iter, handoff=True)
                 finally:
-                    dynamics._newton, dynamics._iterate_array = newton, iterate
+                    dynamics._newton, dynamics._gate = newton, gate
                     dynamics.spectral_radius = radius
                 want = dynamics.iterate_to_fixpoint(
                     dynamics._WERNER_PROBE, generate_map(noise), TOL, max_iter
@@ -104,10 +99,9 @@ def sweep(seed: int, scan: int, grid, samples: int, max_iter: int):
             counts.append([here[r] for r in Regime])
     tally["channels"] = len(grid) * samples
     tally["differ"] = len(differ)
-    resumed = tally.pop("resumed")
-    tally["accepted"] = tally["handoffs"] - resumed
-    tally["declined"] = resumed - tally["gave_up"]
-    tally["gate_norm"] = tally["handoffs"] - tally["gave_up"] - tally["gate_eig"]
+    gates = tally["accepted"] + tally["declined"]
+    tally["gave_up"] = tally["handoffs"] - gates
+    tally["gate_norm"] = gates - tally["gate_eig"]
     return seed, scan, tally, counts, differ
 
 
