@@ -356,7 +356,10 @@ def run(cfg: MCConfig) -> list[RoundStats]:
     the initial ensemble.  Entry 0 is counted from the draws, drained after
     the loop even when no round ran.  Every entry is the one that
     ``init_ensemble``, ``purification_round`` and ``RoundStats.of`` give
-    composed round by round, bit for bit.
+    composed round by round, bit for bit.  The run ends early, after the
+    first round that leaves fewer than two pairs, as no couple can form:
+    a run of two pairs has entries 0 and 1 only, whatever ``cfg.rounds``
+    and the seed.
     """
     counts = np.zeros(16, dtype=np.intp)
     initial = _initial_blocks(cfg, counts)

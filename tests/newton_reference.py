@@ -1,12 +1,14 @@
 """The Newton steps of ``dynamics`` written through the public map calls.
 
-``dynamics._newton_fixpoint``, the polish of ``_secure_fixpoint`` and
-``_boundary_system`` compute ``QuadraticMap.apply``'s and ``jacobian``'s
-products without those calls around them.  The loops below make the same
-steps with ``qmap.apply``, ``jacobian`` and ``np.linalg.solve``, so the
-tests can require the engine's vectors, iteration counts and residuals to
-equal theirs to the last bit: the engine may drop a call's overhead, never
-change a rounded operation.
+``dynamics._newton_fixpoint`` and the polish of ``_secure_fixpoint`` call
+``QuadraticMap.apply`` and ``jacobian`` and solve (I - J) dx = step(x) - x,
+and ``_boundary_system`` takes ``jacobian``'s products without the call.
+The functions below make the same steps in their plainest form: they solve
+(J - I) dx = x - step(x), which gives the same correction to the bit, gate
+a basin limit by the eigenvalues alone, and build the boundary system's
+derivative from ``jacobian`` with index grids.  So the tests can require
+the engine's vectors, iteration counts and residuals to equal theirs to
+the last bit: the engine may change its loops, never a rounded operation.
 """
 
 import numpy as np

@@ -614,6 +614,22 @@ def test_mc_empty_round_has_no_estimate(tmp_path, fmt):
     assert_replays_identically(run_dir, "mc", tmp_path / "replay")
 
 
+def test_mc_ends_at_the_first_round_that_leaves_fewer_than_two_pairs(tmp_path):
+    # two pairs make one couple, and round 1 leaves one pair or none: no
+    # couple forms after it, so the table stops there, for every seed
+    left = set()
+    for seed in range(1, 9):
+        run_dir = tmp_path / str(seed)
+        assert main(["mc", "--model", "white", "--f0", "0.8", "--werner", "0.7",
+                     "--pairs", "2", "--rounds", "5", "--seed", str(seed),
+                     "--out", str(run_dir)]) == 0
+        header, rows = read_csv(run_dir / "mc.csv")
+        assert [row[:2] for row in rows] in (
+            [["0", "2"], ["1", "1"]], [["0", "2"], ["1", "0"]])
+        left.add(rows[1][1])
+    assert left == {"0", "1"}
+
+
 def assert_replays_identically(run_dir, command, replay_dir):
     """Replaying the run's manifest elsewhere reproduces its outputs byte for byte."""
     replay_dir.mkdir()

@@ -108,6 +108,20 @@ def test_iterate_reports_annihilation():
     assert r.state is start
 
 
+def test_a_flag_diagonal_start_can_converge_to_a_saddle():
+    # a start on the flag-diagonal cells never leaves their subspace, so the
+    # plain iteration follows the subspace's dynamics; at white 0.9 it ends
+    # at F = 1/4, F_cond = 1, which the whole map repels from
+    qmap, _ = white_noise_family(0.9)
+    r = iterate_to_fixpoint(FlaggedEnsembleState(np.diag([0.4, 0.2, 0.2, 0.2])), qmap)
+    assert r.converged and r.iterations == 10
+    assert r.fidelity == pytest.approx(0.25, abs=1e-12)
+    assert r.conditional_fidelity == 1.0
+    assert np.delete(r.state.flat, [0, 5, 10, 15]).tolist() == [0.0] * 12
+    assert spectral_radius(jacobian(qmap, r.state)) == pytest.approx(1.81, abs=0.01)
+    assert regime_of(r) is Regime.HIGH_NOISE
+
+
 def reference_fixpoint(a, qmap, tol, max_iter):
     """The fixpoint loop written plainly with ``QuadraticMap.apply``; returns
     the last vector before the result state's renormalisation."""
@@ -1192,18 +1206,17 @@ def test_basin_limit_matches_plain_iteration_near_the_boundaries(family, f0):
 
 
 def singular_first_correction(monkeypatch):
-    """Make the next call of ``_newton_correction`` raise LinAlgError, as a
-    singular system does, and the later ones solve; returns the list of
-    calls."""
-    calls, correction = [], dynamics._newton_correction
+    """Make the next linear solve raise LinAlgError, as a singular system
+    does, and the later ones solve; returns the list of solves."""
+    calls, solve = [], np.linalg.solve
 
     def patched(*args):
         calls.append(args)
         if len(calls) == 1:
             raise np.linalg.LinAlgError("Singular matrix")
-        return correction(*args)
+        return solve(*args)
 
-    monkeypatch.setattr(dynamics, "_newton_correction", patched)
+    monkeypatch.setattr(np.linalg, "solve", patched)
     return calls
 
 
@@ -1389,6 +1402,19 @@ def test_the_budget_warning_names_the_regime_it_returns():
     with pytest.warns(RuntimeWarning, match=r"^no fixpoint within 3 iterations .*; "
                       r"classifying as intermediate$"):
         assert classify_regime(tracking_noise(), max_iter=3) is Regime.INTERMEDIATE
+
+
+def test_the_warning_names_an_annihilation_and_not_the_budget():
+    # X on the source pair flips the parity of every Phi+ couple, so the
+    # first step keeps nothing
+    f = np.zeros((4, 4))
+    f[1, 0] = 1.0
+    start = embed(BellDiagonalState(np.array([1.0, 0.0, 0.0, 0.0])))
+    with pytest.warns(RuntimeWarning) as caught:
+        assert classify_regime(NoiseModel(f), start) is Regime.INTERMEDIATE
+    assert [str(w.message) for w in caught] == [
+        "the ensemble annihilated: keep probability 0.0 at iteration 1; "
+        "classifying as intermediate"]
 
 
 WERNER_PROBE = embed(BellDiagonalState.werner(0.85))
