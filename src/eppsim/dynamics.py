@@ -94,6 +94,7 @@ from .recurrence import (
     EnsembleAnnihilated,
     FlaggedEnsembleState,
     QuadraticMap,
+    _check_fit,
     binary_quadratic_map,
     binary_step_raw,
     embed,
@@ -165,8 +166,7 @@ def _fitting_map(noise_or_map, a: np.ndarray) -> QuadraticMap:
         qmap = generate_map(noise_or_map)
     else:
         raise TypeError(f"expected a QuadraticMap or noise model, got {type(noise_or_map)!r}")
-    if qmap.dim != a.shape[0]:
-        raise ValueError(f"state has {a.shape[0]} variables but map has {qmap.dim}")
+    _check_fit(qmap, a)
     return qmap
 
 
@@ -427,9 +427,11 @@ def jacobian(qmap: QuadraticMap, state) -> np.ndarray:
     ``state`` is a state object or a raw weight vector.  Rows are output
     components, columns input components:
     d a'_j / d a_k = [2 (M_j a)_k - a'_j * 2 (S a)_k] / N with S = sum_j M_j,
-    the map's last slab of ``forms``.
+    the map's last slab of ``forms``.  Raises ValueError, as
+    ``QuadraticMap.apply`` does, unless the state has one weight per cell.
     """
     a = state if isinstance(state, np.ndarray) else _vector_of(state)[0]
+    _check_fit(qmap, a)
     fa = qmap.forms @ a  # (j, k) = (M_j a)_k, using symmetry of M_j; row n is S a
     return _jacobian_of(fa, fa @ a)
 

@@ -24,11 +24,13 @@ Pauli noise only relabels cells: an error mu flips a pair's Bell bits and
 its flag bits alike, so cell c becomes c ^ 5 mu (``noisy_circuit``, with
 ``NOISY_CIRCUIT`` its table).  Of its 4096 (source, target, mu, nu) routes
 2048 are kept, and they reach 1024 (output, source, target) cells, each
-exactly twice.  At import those cells, the Pauli entries of their two
-routes and the position of each cell's transpose become one route table
-(``_route_table``).  A map is a gather over it (``_gathered``): the route
-tensor P = f[first] + f[second], the step before symmetrisation, and the
-map's M_j[k, l] = (P[j, k, l] + P[j, l, k]) / 2.  That gather is the one map
+exactly twice.  At import ``NOISY_CIRCUIT`` is scattered once into a 0/1
+tensor over (record 4 mu + nu, output, source, target), and one route table
+(``_route_table``) keeps its reached cells: a 0/1 matrix of the records
+that reach each cell, and the position of each cell's transpose.  A map is
+a gather over it (``_gathered``): the route tensor P = f @ records, one
+product, which is the step before symmetrisation, and the map's
+M_j[k, l] = (P[j, k, l] + P[j, l, k]) / 2.  That gather is the one map
 builder: ``generate_map`` gathers over every cell, the binary sub-family's
 map (``binary_quadratic_map``) over the four binary cells alone, which is
 ``generate_map``'s map restricted to them, and the noiseless map is
@@ -119,20 +121,6 @@ def _noisy_circuit_table() -> np.ndarray:
 NOISY_CIRCUIT = _noisy_circuit_table()
 
 
-def _kept_route_arrays() -> tuple[np.ndarray, np.ndarray]:
-    """Flat indices of the kept routes, in (source, target, mu, nu) order: the
-    (output, source, target) cell of a 16 x 16 x 16 table, and the (mu, nu)
-    entry of the 4 x 4 Pauli table."""
-    src, tgt, joint = np.ogrid[:16, :16, :16]
-    out = NOISY_CIRCUIT.transpose(1, 2, 0).astype(np.intp)
-    kept = out != DISCARDED
-    cell = ((out * 16 + src) * 16 + tgt)[kept]
-    pauli = np.broadcast_to(joint, out.shape)[kept]
-    return cell, pauli
-
-
-_ROUTE_CELL, _ROUTE_PAULI = _kept_route_arrays()
-
 # The binary sub-family, closed under a binary channel's step: Bell states
 # {Phi+, Psi+} with a one-bit (amplitude) flag; variables (A0, A1, B0, B1)
 # live at cells (Phi+, 00), (Phi+, 01), (Psi+, 00), (Psi+, 01).
@@ -141,33 +129,31 @@ _BINARY_CELLS = [0, 1, 4, 5]
 
 def _route_table(keep) -> tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """The route table of the map restricted to the cells ``keep``, in their
-    order: (cells, pauli, transposed, n), with n the number of cells.
+    order: (cells, records, transposed, n), with n the number of cells.
 
-    Every (output, source, target) cell that a kept route reaches is reached
-    by exactly two.  ``cells`` holds the flat positions, in the n x n x n
-    cube over ``keep``, of the reached cells whose three indices all lie in
-    ``keep``; ``pauli`` the (mu, nu) entries of their
-    two routes, in route order, as rows (first, second); and ``transposed``
-    the position in ``cells`` of each cell's transpose (output, target,
-    source), which the two routes of the swapped couple reach.  So the route
-    tensor P = f[first] + f[second] on ``cells``, and the map is
+    ``NOISY_CIRCUIT`` is scattered once into a 0/1 tensor over (record
+    4 mu + nu, output, source, target), whose output ``DISCARDED`` catches
+    the discarded couples, and its three cell axes are restricted to
+    ``keep``.  ``cells`` holds the flat positions, in the n x n x n cube over
+    ``keep``, of the (output, source, target) cells that some record
+    reaches, and exactly two records reach each; ``records[4 mu + nu, k]``
+    is 1 where record (mu, nu) reaches cell k and 0 elsewhere; and
+    ``transposed`` is the position in ``cells`` of each cell's transpose
+    (output, target, source), which the swapped couple reaches.  So the
+    route tensor P = f @ records on ``cells``, and the map is
     0.5 (P + P[transposed]) there and zero elsewhere (``_gathered``).
     """
     n = len(keep)
-    place = np.full(16, n)  # n marks a cell off ``keep``
-    place[keep] = np.arange(n)
-    order = np.argsort(_ROUTE_CELL, kind="stable")  # a cell's routes stay in route order
-    reached = _ROUTE_CELL[order][::2]
-    out, src, tgt = place[reached >> 8], place[(reached >> 4) & 15], place[reached & 15]
-    inside = (out < n) & (src < n) & (tgt < n)
-    out, src, tgt = out[inside], src[inside], tgt[inside]
-    cells = (out * n + src) * n + tgt
-    position = np.empty(n**3, dtype=np.intp)
-    position[cells] = np.arange(len(cells))
+    joint, src, tgt = np.ogrid[:16, :16, :16]
+    reached = np.zeros((16, DISCARDED + 1, 16, 16), dtype=bool)
+    reached[joint, NOISY_CIRCUIT, src, tgt] = True
+    reached = reached.take(keep, 1).take(keep, 2).take(keep, 3).reshape(16, -1)
+    cells = np.flatnonzero(reached.any(axis=0))
+    out, src, tgt = np.unravel_index(cells, (n, n, n))
     tables = (
         cells,
-        np.ascontiguousarray(_ROUTE_PAULI[order].reshape(-1, 2)[inside].T),
-        position[(out * n + tgt) * n + src],
+        reached[:, cells].astype(float),
+        np.searchsorted(cells, (out * n + tgt) * n + src),
     )
     for table in tables:
         table.setflags(write=False)
@@ -218,7 +204,9 @@ class QuadraticMap:
         return self.m.shape[0]
 
     def apply(self, a: np.ndarray) -> tuple[np.ndarray, float]:
-        """Contract with a weight vector; returns (normalized image, keep probability)."""
+        """Contract with a weight vector; returns (normalized image, keep
+        probability).  Raises ValueError unless ``a`` has one entry per cell."""
+        _check_fit(self, a)
         q = self.forms.reshape(len(self.forms), -1) @ np.multiply.outer(a, a).ravel()
         n = q[-1]
         if n <= ANNIHILATION_EPS:
@@ -247,18 +235,25 @@ class QuadraticMap:
         return QuadraticMap(self.m.take(cells, 0).take(cells, 1).take(cells, 2))
 
 
+def _check_fit(qmap: QuadraticMap, a) -> None:
+    """Raise ValueError unless the weight vector ``a`` has one entry per cell
+    of ``qmap``."""
+    if len(a) != qmap.dim:
+        raise ValueError(f"state has {len(a)} variables but map has {qmap.dim}")
+
+
 def _gathered(f: np.ndarray, routes) -> QuadraticMap:
     """The map of the Pauli table ``f`` on a route table of ``_route_table``:
     the one gather through which every map is built.
 
-    The route tensor P = f[first] + f[second] is the sum that
-    ``np.bincount`` makes of a cell's two routes, to the bit (0.0 + w is w),
-    and the map is 0.5 (P + P at the transposed cells), the symmetric part
-    0.5 (m + m^T) of the cube m that holds P, scattered into a cube of
-    zeros."""
-    cells, pauli, transposed, n = routes
-    p = f.take(pauli)
-    p = p[0] + p[1]
+    The route tensor P = f @ records is one product.  Each cell has two
+    records, so P there is the sum that ``np.bincount`` makes of the cell's
+    two routes, rounded once, to the bit: the product's other terms are
+    exact zeros.  The map is 0.5 (P + P at the transposed cells), the
+    symmetric part 0.5 (m + m^T) of the cube m that holds P, scattered into
+    a cube of zeros."""
+    cells, records, transposed, n = routes
+    p = f.reshape(-1) @ records
     cube = np.zeros(n**3)
     cube[cells] = 0.5 * (p + p.take(transposed))
     return QuadraticMap(cube.reshape(n, n, n))

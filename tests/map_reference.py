@@ -5,13 +5,23 @@ entries from a route table made once at import.  The builder below makes
 the same maps the way the route table's sums are defined: ``np.bincount``
 of every kept route's Pauli weight into its (output, source, target) cell,
 the symmetric part 0.5 (m + m^T), and for the binary sub-family the
-``np.ix_`` slice of the 16-cell map to the binary cells.  The tests
+``np.ix_`` slice of the 16-cell map to the binary cells.  The kept routes
+come from ``route_reference.routed_terms``, through the bit algebra of
+``bellbits``, and not from the tables of the module under test.  The tests
 require the gathered maps to equal these to the last bit.
 """
 
 import numpy as np
 
-from eppsim.recurrence import _BINARY_CELLS, _ROUTE_CELL, _ROUTE_PAULI, QuadraticMap
+from eppsim.recurrence import _BINARY_CELLS, QuadraticMap
+from route_reference import routed_terms
+
+# every kept route's flat (output, source, target) cell and its (mu, nu)
+# entry of the flat Pauli table, in route order
+_ROUTE_CELL, _ROUTE_PAULI = (np.array(column) for column in zip(*(
+    ((out * 16 + src) * 16 + tgt, 4 * mu + nu)
+    for src, tgt, mu, nu, out in routed_terms() if out is not None
+)))
 
 
 def cube(f):

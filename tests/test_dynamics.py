@@ -301,6 +301,24 @@ def test_iterate_dimension_mismatch():
         iterate_to_fixpoint(binary_probe(), generate_map(tracking_noise()))
 
 
+def test_a_step_or_jacobian_off_the_maps_size_raises_the_iterations_error():
+    # one check, shared with iterate_to_fixpoint, names both sizes where
+    # numpy's matmul would fail on its core dimension
+    werner = embed(BellDiagonalState.werner(0.85))
+    binary_map = binary_quadratic_map(BinaryNoiseModel.uncorrelated(0.9))
+    flagged_map = generate_map(BinaryNoiseModel.uncorrelated(0.9))
+    for call, sizes in [
+        (lambda: recurrence.step(werner, binary_map), (16, 4)),
+        (lambda: binary_map.apply(werner.flat), (16, 4)),
+        (lambda: jacobian(binary_map, werner), (16, 4)),
+        (lambda: jacobian(binary_map, werner.flat), (16, 4)),
+        (lambda: jacobian(flagged_map, BinaryFlaggedState(0.9, 0.0, 0.0, 0.1)), (4, 16)),
+        (lambda: iterate_to_fixpoint(werner, binary_map), (16, 4)),
+    ]:
+        with pytest.raises(ValueError, match="state has %d variables but map has %d$" % sizes):
+            call()
+
+
 def test_iterate_with_a_channel_that_is_neither_model_nor_map_is_a_type_error():
     with pytest.raises(TypeError, match="QuadraticMap or noise model"):
         iterate_to_fixpoint(embed(BellDiagonalState.werner(0.85)), tracking_noise().f)
@@ -1635,10 +1653,11 @@ def test_import_does_not_load_scipy():
 
 
 def test_import_builds_the_routes_from_the_circuit_table():
-    # the route table comes from CIRCUIT (32 epp_unitary calls: 16 on the Bell
-    # pairs, 16 through flag_update on the flag pairs), not from routing all
-    # 4096 terms through bellbits, and the noisy circuit is
-    # tabulated once, for the map and the Monte Carlo alike
+    # the route tables are scattered from NOISY_CIRCUIT, which comes from
+    # CIRCUIT (32 epp_unitary calls: 16 on the Bell pairs, 16 through
+    # flag_update on the flag pairs), not from routing all 4096 terms through
+    # bellbits, and the noisy circuit is tabulated once, for the map and the
+    # Monte Carlo alike
     code = (
         "import collections, sys, numpy\n"
         "calls = collections.Counter()\n"

@@ -25,8 +25,6 @@ from eppsim.noisemodels import (
 )
 from eppsim.recurrence import (
     _BINARY_ROUTES,
-    _ROUTE_CELL,
-    _ROUTE_PAULI,
     _ROUTES,
     CIRCUIT,
     COEFF_NAMES,
@@ -37,6 +35,8 @@ from eppsim.recurrence import (
     EnsembleAnnihilated,
     FlaggedEnsembleState,
     QuadraticMap,
+    _gathered,
+    _route_table,
     binary_quadratic_map,
     binary_step,
     cell_index,
@@ -254,26 +254,62 @@ def test_gathered_maps_are_the_bincount_builder_to_the_byte():
 
 
 def test_every_reached_cell_has_two_routes_in_the_read_only_route_tables():
-    counts = np.bincount(_ROUTE_CELL, minlength=16**3)
-    assert set(counts.tolist()) == {0, 2}
-    cells, pauli, transposed, n = _ROUTES
-    assert n == 16 and np.array_equal(cells, np.flatnonzero(counts))
-    # each cell's two routes, in route order
-    for k in (0, 1, 511, 1023):
-        assert np.array_equal(pauli[:, k], _ROUTE_PAULI[_ROUTE_CELL == cells[k]])
+    # the tables come from NOISY_CIRCUIT, scattered once, and routed_terms
+    # routes every term through bellbits: each reached cell's column of
+    # records holds two ones, at the records of its two routes
+    reached = {}
+    for s, t, mu, nu, o in routed_terms():
+        if o is not None:
+            reached.setdefault((o * 16 + s) * 16 + t, []).append(4 * mu + nu)
+    assert {len(found) for found in reached.values()} == {2}
+    cells, records, transposed, n = _ROUTES
+    assert n == 16 and cells.tolist() == sorted(reached)
+    assert records.shape == (16, 1024) and records.dtype == np.float64
+    assert ((records == 0.0) | (records == 1.0)).all()
+    for k, cell in enumerate(cells.tolist()):
+        assert np.flatnonzero(records[:, k]).tolist() == reached[cell]
     out, src, tgt = np.unravel_index(cells, (16, 16, 16))
     assert np.array_equal(cells[transposed], (out * 16 + tgt) * 16 + src)
-    # the binary table: the reached cells of the 4 x 4 x 4 binary cube
-    b_cells, b_pauli, b_transposed, b_n = _BINARY_ROUTES
+    # the binary table: the reached cells of the 16-cell cube over the binary
+    # cells, in the 4 x 4 x 4 cube, with their columns and transposes
+    b_cells, b_records, b_transposed, b_n = _BINARY_ROUTES
     whole = np.ravel_multi_index(np.ix_([0, 1, 4, 5], [0, 1, 4, 5], [0, 1, 4, 5]), (16,) * 3)
-    assert b_n == 4 and np.array_equal(b_cells, np.flatnonzero(counts[whole]))
+    assert b_n == 4 and np.array_equal(b_cells, np.flatnonzero(np.isin(whole, cells)))
     at = np.searchsorted(cells, whole.ravel()[b_cells])
-    assert np.array_equal(b_pauli, pauli[:, at])
+    assert np.array_equal(b_records, records[:, at])
     assert np.array_equal(at[b_transposed], transposed[at])
-    for table in (cells, pauli, transposed, b_cells, b_pauli, b_transposed):
+    for table in (cells, records, transposed, b_cells, b_records, b_transposed):
         assert not table.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             table[..., 0] = 0
+
+
+@pytest.mark.parametrize(
+    "keep",
+    [[0, 5, 10, 15], list(range(16))[::-1], [15, 0, 5]]
+    + [np.random.default_rng(k).choice(16, k, replace=False).tolist() for k in (2, 5, 8, 11)],
+    ids=str,
+)
+def test_a_route_table_over_any_cells_gathers_the_restricted_map(keep):
+    # the gather over the route table of some cells, in their order, is
+    # generate_map's map restricted to them, to the byte, keep form included
+    table = _route_table(keep)
+    if keep == [15, 0, 5]:  # off the order of the cube, and reaching all of it
+        assert len(table[0]) == 27
+    rng = np.random.default_rng(len(keep))
+    channels = []
+    for k in range(40):
+        w = rng.dirichlet(np.ones(16))
+        if k % 3 == 0:  # zero weights too
+            w[rng.random(16) < 0.5] = 0.0
+            w[rng.integers(16)] += 0.1
+        channels.append(NoiseModel(w / w.sum()))
+    channels += [BinaryNoiseModel(*rng.dirichlet(np.ones(4))) for _ in range(8)]
+    channels += [product(one_qubit_white(0.9), one_qubit_white(0.9)), from_p1_p2(0.98, 0.85)]
+    assert len(channels) == 50
+    for noise in channels:
+        got, want = _gathered(noise.f, table), generate_map(noise).restricted(keep)
+        assert got.forms.tobytes() == want.forms.tobytes()
 
 
 def test_map_matrices_symmetric_nonnegative():
@@ -325,16 +361,6 @@ def test_noisy_circuit_table_equals_routed_terms_on_every_term():
     for src, tgt, mu, nu, out in routed_terms():
         assert NOISY_CIRCUIT[4 * mu + nu, src, tgt] == (DISCARDED if out is None else out)
     assert NOISY_CIRCUIT.dtype == np.uint8 and not NOISY_CIRCUIT.flags.writeable
-
-
-def test_route_arrays_equal_those_built_from_routed_terms():
-    # generate_map's routes come from CIRCUIT with the noise as a cell
-    # relabelling; routed_terms routes every term through bellbits
-    rows = [((o * 16 + s) * 16 + t, 4 * mu + nu)
-            for s, t, mu, nu, o in routed_terms() if o is not None]
-    cell, pauli = (np.array(col) for col in zip(*rows))
-    assert np.array_equal(_ROUTE_CELL, cell)
-    assert np.array_equal(_ROUTE_PAULI, pauli)
 
 
 # --- states and observables ---------------------------------------------------
